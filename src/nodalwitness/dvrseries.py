@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolated,
     RootUnavailable,
 )
+from .polyring import power
 
 DEFAULT_PREC = 16
 
@@ -203,14 +204,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Series.from_fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, Series.from_fraction(1))
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> "Series":
         """Hensel/Newton n-th root of a unit; rational-root residue required."""
@@ -224,9 +218,9 @@ class Series:
         # lift order by order: given g correct mod x^k, fix coefficient k
         for k in range(1, window):
             # (g + e x^k)^n = g^n + n g0^{n-1} e x^k mod x^{k+1}
-            gn = _poly_pow_trunc(g, n, k + 1)
+            gn = Series.make(0, g[: k + 1], False) ** n
             want = self.coeff(self.val + k)  # val is 0
-            err = want - gn[k]
+            err = want - gn.coeff(k)
             g[k] = err / (n * c0 ** (n - 1))
         root = Series.make(0, g, False)
         if self.exact:
@@ -282,21 +276,6 @@ class Series:
 
 
 _ZERO = Series(0, (), True)
-
-
-def _poly_pow_trunc(coeffs: list, n: int, trunc: int) -> list:
-    out = [Fraction(1)] + [Fraction(0)] * (trunc - 1)
-    for _ in range(n):
-        nxt = [Fraction(0)] * trunc
-        for i, a in enumerate(out):
-            if a == 0:
-                continue
-            for j, b in enumerate(coeffs):
-                if i + j >= trunc:
-                    break
-                nxt[i + j] += a * b
-        out = nxt
-    return out
 
 
 def _integer_nth_root(m: int, n: int) -> Optional[int]:

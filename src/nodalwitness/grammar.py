@@ -151,10 +151,7 @@ class _Parser:
             k = int(e)
             if rf.otrunc is not None:
                 raise ParseError("O(...) may only appear as a top-level summand")
-            num, den = self._one(), self._one()
-            for _ in range(k):
-                num, den = num * rf.num, den * rf.den
-            rf = _RF(num, den)
+            rf = _RF(rf.num**k, rf.den**k)
         if sign < 0:
             if rf.otrunc is not None and rf.num.is_zero():
                 return rf  # -O(x^k) == O(x^k)

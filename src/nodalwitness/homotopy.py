@@ -532,36 +532,28 @@ def _const_one_like(p: PolyExt) -> PolyExt:
     return PolyExt.constant(RingElement.one(p.model))
 
 
-def _pe_pow(p: PolyExt, n: int) -> PolyExt:
-    out = _const_one_like(p)
-    for _ in range(n):
-        out = out * p
-    return out
-
-
-def _clear_content(p: PolyExt, prec: int) -> PolyExt:
-    """Divide out the common factor of all coefficients.
+def _clear_content(ps: list, prec: int) -> list:
+    """Divide out the common factor of all coefficients of all of ps.
 
     Homogeneous forms pulled back through a chart map y = x^k * c * (Y0/Y1)
     pick up a parasitic monomial factor that vanishes on the whole special
     fiber; the locus the form was built to cut is what remains after
     clearing it.
     """
-    coeffs = list(p.terms.values())
+    coeffs = [c for p in ps for c in p.terms.values()]
     if not coeffs:
-        return p
+        return ps
     d = elements_gcd(coeffs)
     if d.is_zero() or d.is_unit():
-        return p
-    return PolyExt(
-        p.model, {k: c.divide_in_ring(d, prec) for k, c in p.terms.items()}
-    )
+        return ps
+    return [
+        PolyExt(p.model, {k: c.divide_in_ring(d, prec) for k, c in p.terms.items()})
+        for p in ps
+    ]
 
 
 def _pullback_form_pe(form: YForm, phi0: PolyExt, phi1: PolyExt) -> PolyExt:
-    p0 = _pe_pow(phi0, form.degree)
-    p1 = _pe_pow(phi1, form.degree)
-    return p0.scale(form.c0) + p1.scale(form.c1)
+    return (phi0**form.degree).scale(form.c0) + (phi1**form.degree).scale(form.c1)
 
 
 def _coerce_avoid(entries) -> list:
@@ -584,7 +576,7 @@ def _avoid_clause(
             j_gens = [_const(b) for b in entry.base]
             for form in entry.forms:
                 pulled = _pullback_form_pe(form, phi0, phi1)
-                j_gens.append(_clear_content(pulled, prec))
+                j_gens.extend(_clear_content([pulled], prec))
             for e in e_gens:
                 if not ext_radical_membership(e, j_gens, prec):
                     label = entry.label or "center"
@@ -611,7 +603,6 @@ def _line_body_clauses(
     prec: int,
 ) -> None:
     """Per-piece clauses of a straight line: liftability and avoidance."""
-    model = w.path.model
     if w.chart == CHART_INFINITE:
         # the chart map is [offset*path + 1 : path]; offsets come from
         # residues away from the blown-up point, so the image misses every
@@ -627,19 +618,8 @@ def _line_body_clauses(
             for t in X.lines[:-1]:
                 if t == ZERO:
                     continue
-                gens = [_const(r0 ** t.a), _pe_pow(w.path, t.b)]
-                coeffs = [c for p in gens for c in p.terms.values()]
-                d = elements_gcd(coeffs)
-                if d.is_zero():
-                    continue
-                scaled = [
-                    PolyExt(
-                        model,
-                        {k: c.divide_in_ring(d, prec) for k, c in p.terms.items()},
-                    )
-                    for p in gens
-                ]
-                if not ext_unit_ideal(scaled, prec):
+                gens = [_const(r0 ** t.a), w.path ** t.b]
+                if not ext_unit_ideal(_clear_content(gens, prec), prec):
                     ok = False
                     detail = f"pulled-back node ideal at l_{t} is not principal"
                     break
@@ -1180,6 +1160,16 @@ def decide_general(
         return _undecidable_from(exc)
 
 
+def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
+    """Replay a witness the engine just built; a failed clause is an engine bug."""
+    rep = verify_witness(X, g, witness, sections, entries, prec)
+    if not rep:
+        raise ConsistencyFailure(
+            f"constructed witness failed {what}: "
+            + "; ".join(f"{c.name}: {c.detail}" for c in rep.failures())
+        )
+
+
 def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
     regime = classify_gamma(g)
     if regime != REGIME_MAIN:
@@ -1211,14 +1201,9 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
                 )
         witness = _caseI_witness(root_points, s1, s2, prec)
         entries = _root_avoid_entries(root_points, g)
-        rep = verify_witness(
-            NodalSurface.p1(), g, witness, (s1, s2), entries, prec
+        _verify_or_raise(
+            "tower avoidance", NodalSurface.p1(), g, witness, (s1, s2), entries, prec
         )
-        if not rep:
-            raise ConsistencyFailure(
-                "constructed witness failed tower avoidance: "
-                + "; ".join(f"{c.name}: {c.detail}" for c in rep.failures())
-            )
         return Homotopic(witness, LEVEL_CHAIN)
 
     if hit1 != hit2:
@@ -1287,12 +1272,9 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
                 _puncture_avoid_entry(pm, g, 0, RingElement.one(g.r0.model), prec)
                 for pm in punctures
             ]
-            rep = verify_witness(x_prime, g, witness, (s1, s2), entries, prec)
-            if not rep:
-                raise ConsistencyFailure(
-                    "constructed witness failed its own avoidance check: "
-                    + "; ".join(f"{c.name}: {c.detail}" for c in rep.failures())
-                )
+            _verify_or_raise(
+                "its own avoidance check", x_prime, g, witness, (s1, s2), entries, prec
+            )
             return Homotopic(witness, LEVEL_CHAIN)
         return NotHomotopic(
             "interior residues differ in a punctured free region "
@@ -1315,12 +1297,9 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
             mark = rr.position
             if isinstance(mark, LinePoint):
                 entries.append(_puncture_avoid_entry(mark, g, k, center, prec))
-        rep = verify_witness(x_prime, g, verdict.witness, (s1, s2), entries, prec)
-        if not rep:
-            raise ConsistencyFailure(
-                "constructed witness failed residual avoidance: "
-                + "; ".join(f"{c.name}: {c.detail}" for c in rep.failures())
-            )
+        _verify_or_raise(
+            "residual avoidance", x_prime, g, verdict.witness, (s1, s2), entries, prec
+        )
     return verdict
 
 

@@ -35,12 +35,11 @@ from .polyring import (
     Grevlex,
     Poly,
     QQ,
-    buchberger,
-    contains_unit,
     eliminate,
     escapes_origin,
     mono_div,
     mono_divides,
+    power,
 )
 
 MODEL_DVR = "dvr"
@@ -302,10 +301,6 @@ class RatFuncField:
     def is_zero(self, a) -> bool:
         return not a[0]
 
-    def coerce(self, c):
-        c = Fraction(c)
-        return ((c,), (Fraction(1),)) if c else ((), (Fraction(1),))
-
     @staticmethod
     def from_series(s: Series):
         if s.is_zero():
@@ -467,12 +462,7 @@ class RingElement:
         return RingElement(self.model, self.payload * other.payload)
 
     def __pow__(self, n: int) -> "RingElement":
-        if n < 0:
-            raise PreconditionViolated("negative powers leave the ring")
-        out = RingElement.one(self.model)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, RingElement.one(self.model))
 
     def divide_in_ring(self, other: "RingElement", prec: int = DEFAULT_PREC) -> "RingElement":
         """Exact quotient self/other inside the ring; DivisionImpossible else."""
@@ -503,10 +493,6 @@ class RingElement:
 
 
 # element-level predicates ----------------------------------------------------
-
-
-def is_unit(e: RingElement) -> bool:
-    return e.is_unit()
 
 
 def divides(a: RingElement, b: RingElement, prec: int = DEFAULT_PREC) -> bool:
@@ -661,12 +647,6 @@ class IdealHandle:
         inner = ", ".join(element_to_text(g) for g in self.gens)
         return f"IdealHandle<{inner or '0'}>"
 
-    def contains(self, f: RingElement, cap: int | None = None) -> bool:
-        return ideal_membership(f, self, cap)
-
-    def radical_contains(self, f: RingElement, cap: int | None = None) -> bool:
-        return radical_membership(f, self, cap)
-
 
 def _embed(p: Poly, nvars: int, offset: int) -> Poly:
     terms = {}
@@ -681,6 +661,20 @@ def _embed(p: Poly, nvars: int, offset: int) -> Poly:
 def _strip_vars(p: Poly, keep_from: int) -> Poly:
     terms = {m[keep_from:]: c for m, c in p.terms.items()}
     return Poly(terms, QQ, p.nvars - keep_from)
+
+
+def _unit_query(polys: list, nelim: int, f: Optional[Poly], cap: int | None) -> bool:
+    """Whether the ideal, eliminated to its last variables, escapes the origin.
+
+    With `f` given, the Rabinowitsch generator 1 - t*f is appended first (t
+    is the first variable), so the answer is radical membership of f.  With
+    nelim equal to the number of variables the block order is grevlex and
+    the question is whether the ideal is the unit ideal.
+    """
+    if f is not None:
+        F, n = f.field, f.nvars
+        polys = polys + [Poly.constant(F.one, F, n) - Poly.variable(0, F, n) * f]
+    return escapes_origin(eliminate(polys, nelim, cap))
 
 
 def ideal_membership(
@@ -729,16 +723,9 @@ def radical_membership(
         if m == 0:
             return True
         return f.payload.val >= 1
-    # Rabinowitsch, localized: eliminate t from I + <1 - t f> and ask
-    # whether the elimination ideal escapes the origin.
-    p = f.payload.num
-    n = 3
-    t = Poly.variable(0, QQ, n)
-    one = Poly.constant(Fraction(1), QQ, n)
-    gens3 = [_embed(g.payload.num, n, 1) for g in ideal.gens]
-    gens3.append(one - t * _embed(p, n, 1))
-    elim = eliminate(gens3, 1, cap)
-    return escapes_origin(elim)
+    # Rabinowitsch, localized, in Q[t, u, v]
+    gens3 = [_embed(g.payload.num, 3, 1) for g in ideal.gens]
+    return _unit_query(gens3, 1, _embed(f.payload.num, 3, 1), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +763,6 @@ class PolyExt:
     def constant_part(self) -> RingElement:
         return self.terms.get((0, 0), RingElement.zero(self.model))
 
-    def degree_s(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
-
-    def degree_t(self) -> int:
-        return max((j for _, j in self.terms), default=0)
-
     def __add__(self, o: "PolyExt") -> "PolyExt":
         t = dict(self.terms)
         for k, v in o.terms.items():
@@ -802,6 +783,9 @@ class PolyExt:
                 prod = c1 * c2
                 t[k] = t[k] + prod if k in t else prod
         return PolyExt(self.model, t)
+
+    def __pow__(self, n: int) -> "PolyExt":
+        return power(self, n, PolyExt.constant(RingElement.one(self.model)))
 
     def scale(self, e: RingElement) -> "PolyExt":
         return PolyExt(self.model, {k: v * e for k, v in self.terms.items()})
@@ -896,35 +880,49 @@ def _polyext_generic(g: PolyExt, field, nvars: int, st_offset: int) -> Poly:
     return Poly(terms, field, nvars)
 
 
+def _ext_query(
+    gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int, cap: int | None
+) -> bool:
+    """Whether 1 (f None) or f (radically) lies in <gens> of R_loc[S, T].
+
+    DVR model: the answer is yes iff it is yes on both the residue fiber
+    (coefficients replaced by residues, over Q) and the generic fiber (over
+    Q(x), or the Laurent field once a coefficient is truncated) — every
+    prime of R[S,T] lives on one of the two fibers.  Bivariate model: clear
+    denominators, eliminate S and T and ask whether the resulting ideal of
+    Q[u,v] escapes the origin.  A radical query puts the Rabinowitsch
+    variable t in front of S and T.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return False
+    off = 0 if f is None else 1
+    if gens[0].model == MODEL_BIVARIATE:
+        n = off + 4  # [t,] S, T, u, v
+        polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
+        fp = None if f is None else _polyext_clear(f, n, off, off + 2)
+        return _unit_query(polys, off + 2, fp, cap)
+    n = off + 2  # [t,] S, T
+    res = [_polyext_residue(g, n, off) for g in gens]
+    fres = None if f is None else _polyext_residue(f, n, off)
+    if not _unit_query(res, n, fres, cap):
+        return False
+    for g in gens:
+        if g.is_st_constant() and not g.constant_part().is_zero():
+            return True  # a nonzero base constant is a generic-fiber unit
+    field = _generic_field(gens if f is None else gens + [f], prec)
+    lau = [_polyext_generic(g, field, n, off) for g in gens]
+    flau = None if f is None else _polyext_generic(f, field, n, off)
+    return _unit_query(lau, n, flau, cap)
+
+
 def ext_unit_ideal(
     gens: Sequence[PolyExt],
     prec: int = DEFAULT_PREC,
     cap: int | None = None,
 ) -> bool:
-    """Whether the generators span the unit ideal of R_loc[S, T].
-
-    DVR model: the ideal is the unit ideal iff it is so on both the residue
-    fiber (coefficients replaced by residues, over Q) and the generic fiber
-    (over the Laurent field) — every prime of R[S,T] lives on one of the
-    two fibers.  Bivariate model: eliminate S and T and ask whether the
-    resulting ideal of Q[u,v] escapes the origin.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return False
-    model = gens[0].model
-    if model == MODEL_BIVARIATE:
-        polys = [_polyext_clear(g, 4, 0, 2) for g in gens]
-        return escapes_origin(eliminate(polys, 2, cap))
-    res = [_polyext_residue(g, 2, 0) for g in gens]
-    if not contains_unit(buchberger(res, Grevlex(2), cap)):
-        return False
-    for g in gens:
-        if g.is_st_constant() and not g.constant_part().is_zero():
-            return True  # a nonzero base constant is a generic-fiber unit
-    field = _generic_field(gens, prec)
-    lau = [_polyext_generic(g, field, 2, 0) for g in gens]
-    return contains_unit(buchberger(lau, Grevlex(2), cap))
+    """Whether the generators span the unit ideal of R_loc[S, T]."""
+    return _ext_query(gens, None, prec, cap)
 
 
 def ext_radical_membership(
@@ -934,37 +932,7 @@ def ext_radical_membership(
     cap: int | None = None,
 ) -> bool:
     """Whether f lies in the radical of the generators' ideal in R_loc[S, T]."""
-    if f.is_zero():
-        return True
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return False
-    model = f.model
-    if model == MODEL_BIVARIATE:
-        n = 5  # t, S, T, u, v
-        polys = [_polyext_clear(g, n, 1, 3) for g in gens]
-        fp = _polyext_clear(f, n, 1, 3)
-        one = Poly.constant(Fraction(1), QQ, n)
-        t = Poly.variable(0, QQ, n)
-        polys.append(one - t * fp)
-        return escapes_origin(eliminate(polys, 3, cap))
-    # DVR: residue fiber over Q, then generic fiber over Laurent series.
-    n = 3  # t, S, T
-    res = [_polyext_residue(g, n, 1) for g in gens]
-    fres = _polyext_residue(f, n, 1)
-    one = Poly.constant(Fraction(1), QQ, n)
-    t = Poly.variable(0, QQ, n)
-    if not contains_unit(buchberger(res + [one - t * fres], Grevlex(n), cap)):
-        return False
-    for g in gens:
-        if g.is_st_constant() and not g.constant_part().is_zero():
-            return True
-    field = _generic_field(list(gens) + [f], prec)
-    lau = [_polyext_generic(g, field, n, 1) for g in gens]
-    flau = _polyext_generic(f, field, n, 1)
-    onel = Poly.constant(field.one, field, n)
-    tl = Poly.variable(0, field, n)
-    return contains_unit(buchberger(lau + [onel - tl * flau], Grevlex(n), cap))
+    return f.is_zero() or _ext_query(gens, f, prec, cap)
 
 
 # ---------------------------------------------------------------------------

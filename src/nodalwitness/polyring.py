@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-from .errors import DegreeCapExceeded
+from .errors import DegreeCapExceeded, PreconditionViolated
 
 Monomial = tuple[int, ...]
 
@@ -65,12 +65,25 @@ class RationalField:
     def is_zero(a):
         return a == 0
 
-    @staticmethod
-    def coerce(a):
-        return Fraction(a)
-
 
 QQ = RationalField()
+
+
+def power(x, n: int, one):
+    """x**n by square-and-multiply, for any type with an associative `*`.
+
+    Returns `one` for n == 0 and otherwise never multiplies by it.
+    """
+    if n < 0:
+        raise PreconditionViolated(f"negative exponent {n}")
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if out is None else out
 
 
 def _grevlex_greater(m1: Monomial, m2: Monomial) -> bool:
@@ -199,10 +212,7 @@ class Poly:
         return Poly({m: F.mul(c, v) for m, v in self.terms.items()}, F, self.nvars)
 
     def __pow__(self, n: int) -> "Poly":
-        out = Poly.constant(self.field.one, self.field, self.nvars)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, Poly.constant(self.field.one, self.field, self.nvars))
 
     def mul_term(self, m: Monomial, c) -> "Poly":
         F = self.field
@@ -218,9 +228,6 @@ class Poly:
             if lm is None or order.greater(m, lm):
                 lm = m
         return lm, self.terms[lm]
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -333,11 +340,6 @@ def buchberger(
         final.append(r.scale(F.div(F.one, lc)))
     final.sort(key=lambda p: sorted(p.terms), reverse=True)
     return final
-
-
-def contains_unit(basis: Sequence[Poly]) -> bool:
-    """Whether a (Groebner) basis generates the unit ideal."""
-    return any(p.is_constant() and not p.is_zero() for p in basis)
 
 
 def eliminate(

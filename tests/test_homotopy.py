@@ -16,7 +16,9 @@ from nodalwitness.blowuptree import (
     TreeVertex,
 )
 from nodalwitness.dvrseries import Series
+from nodalwitness import homotopy
 from nodalwitness.errors import (
+    ConsistencyFailure,
     DivisionImpossible,
     LiftRequired,
     PreconditionViolated,
@@ -41,6 +43,7 @@ from nodalwitness.homotopy import (
     OffNodal,
     SectionData,
     StraightLine,
+    VerificationReport,
     YForm,
     build_ghost_witness,
     build_straightline,
@@ -796,6 +799,29 @@ class TestDecideGeneral:
     def test_gamma_mismatch_is_rejected(self):
         with pytest.raises(PreconditionViolated):
             decide_general(tower(ORIGIN), sec(G2, "x"), sec(G3, "x"))
+
+    @pytest.mark.parametrize(
+        "marks, s1, s2, site",
+        [
+            ((ORIGIN, NodePos(NODE_LEFT)), "1 + x", "1 + x + x^2", "tower avoidance"),
+            ((ORIGIN, FreePoint(Fraction(2))), "x^2", "x^2 + x^3", "its own avoidance"),
+            ((ORIGIN, FreePoint(Fraction(2))), "x", "x + x^2", "residual avoidance"),
+        ],
+    )
+    def test_own_witness_failing_verification_raises(
+        self, monkeypatch, marks, s1, s2, site
+    ):
+        # a witness the engine built and cannot verify is an engine bug:
+        # it must surface as ConsistencyFailure, never as a verdict
+        def failing(*args, **kwargs):
+            rep = VerificationReport()
+            rep.add("avoidance", False, "forced failure")
+            return rep
+
+        monkeypatch.setattr(homotopy, "verify_witness", failing)
+        with pytest.raises(ConsistencyFailure, match=site) as info:
+            decide_general(tower(*marks), sec(G2, s1), sec(G2, s2))
+        assert "avoidance: forced failure" in str(info.value)
 
 
 class TestCoverTransform:

@@ -1,6 +1,8 @@
 """Ring-model facade: divisibility, ideals, roots, and the S/T extension."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,6 @@ from nodalwitness.localring import (
     ext_unit_ideal,
     gens_principal,
     ideal_membership,
-    is_unit,
     nth_root_unit,
     pair_principal,
     parse_element,
@@ -37,6 +38,7 @@ from nodalwitness.localring import (
     substitute_base,
     unit_multiple,
 )
+from nodalwitness.polyring import QQ, Poly
 
 MODELS = [MODEL_DVR, MODEL_BIVARIATE]
 
@@ -81,6 +83,18 @@ def elements_for(model, **kw):
     return dvr_elements(**kw) if model == MODEL_DVR else biv_elements(
         allow_zero=kw.get("allow_zero", True)
     )
+
+
+@st.composite
+def any_elements(draw, model):
+    """Like elements_for, but DVR elements may also be truncated."""
+    e = draw(elements_for(model))
+    if model == MODEL_BIVARIATE or e.is_zero() or not draw(st.booleans()):
+        return e
+    s = e.payload
+    known = draw(st.integers(1, len(s.coeffs) + 2))
+    padded = list(s.coeffs) + [Fraction(0)] * known
+    return RingElement.from_series(Series.make(s.val, padded[:known], False))
 
 
 # --- parsing / printing ------------------------------------------------------
@@ -167,6 +181,25 @@ class TestArithmetic:
     def test_pow(self):
         assert biv("1+u") ** 3 == biv("(1+u)^3")
         assert dvr("x") ** 4 == dvr("x^4")
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pow_is_the_repeated_product(self, data):
+        model = data.draw(st.sampled_from(MODELS))
+        x = data.draw(any_elements(model))
+        one = RingElement.one(model)
+        if data.draw(st.booleans()):
+            b = data.draw(any_elements(model))
+            x = PolyExt.constant(x) + PolyExt.variable("S", model).scale(b)
+            one = PolyExt.constant(one)
+        n = data.draw(st.integers(0, 9))
+        # repr is exact: it shows every coefficient and the O(x^k) window
+        assert repr(x**n) == repr(reduce(operator.mul, [x] * n, one))
+
+    def test_negative_pow_rejected(self):
+        for x in (dvr("1+x"), biv("u"), Poly.variable(0, QQ, 2)):
+            with pytest.raises(PreconditionViolated):
+                x**-1
 
 
 # --- divisibility and principality -------------------------------------------
@@ -370,6 +403,19 @@ class TestIdeals:
         ideal = IdealHandle([g1, g2], model=model)
         if ideal_membership(f, ideal):
             assert radical_membership(f, ideal)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_radical_membership_agrees_with_the_extension_engine(self, data):
+        # the same question asked in Q[t, u, v] and in Q[t, S, T, u, v]
+        model = data.draw(st.sampled_from(MODELS))
+        f = data.draw(any_elements(model))
+        gens = data.draw(st.lists(any_elements(model), max_size=3))
+        expect = radical_membership(f, IdealHandle(gens, model=model))
+        got = ext_radical_membership(
+            PolyExt.constant(f), [PolyExt.constant(g) for g in gens]
+        )
+        assert got == expect
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
