@@ -202,8 +202,6 @@ class Series:
         return q
 
     def __pow__(self, n: int) -> "Series":
-        if n < 0:
-            return self.inverse() ** (-n)
         return power(self, n, Series.from_fraction(1))
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> "Series":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidSlope, NonTermination, OrderViolation, ParseError
 
@@ -70,11 +69,6 @@ class Slope:
         if self.is_infinite:
             raise InvalidSlope("floor of the infinite slope")
         return self.a // self.b
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise InvalidSlope("the infinite slope is not a fraction")
-        return Fraction(self.a, self.b)
 
     def shift(self, k: int) -> "Slope":
         """Subtract the integer k, staying non-negative."""

@@ -201,7 +201,7 @@ def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
     return NodeLoc(X.lines[-2], INF)
 
 
-def lifts(X: NodalSurface, s: SectionData, prec: int = DEFAULT_PREC) -> bool:
+def lifts(X: NodalSurface, s: SectionData) -> bool:
     """Whether the section factors through X: each node ideal pulls back
     principal, label by label."""
     if s.chart == CHART_INFINITE:
@@ -210,7 +210,7 @@ def lifts(X: NodalSurface, s: SectionData, prec: int = DEFAULT_PREC) -> bool:
     for t in X.lines[:-1]:
         if t == ZERO:
             continue
-        if pair_principal(r0 ** t.a, r ** t.b, prec) is None:
+        if pair_principal(r0 ** t.a, r ** t.b) is None:
             return False
     return True
 
@@ -396,7 +396,6 @@ def build_ghost_witness(s1: SectionData, s2: SectionData, shift: int = 0,
     _require_shared_gamma(s1, s2)
     if s1.chart != CHART_FINITE or s2.chart != CHART_FINITE:
         raise PreconditionViolated("ghost witnesses use the finite chart")
-    r0 = s1.gamma.r0
     r1, r2 = s1.r, s2.r
     if r1.is_zero() or r2.is_zero():
         raise PreconditionViolated("ghost construction needs nonzero values")
@@ -404,38 +403,58 @@ def build_ghost_witness(s1: SectionData, s2: SectionData, shift: int = 0,
         raise PreconditionViolated(
             "ghost construction needs values inside the maximal ideal"
         )
+    verdict = _blown_center_verdict(s1.gamma.r0, r1, r2, shift, prec)
+    if isinstance(verdict, NotHomotopic):
+        raise PreconditionViolated(verdict.reason)
+    return verdict.witness
+
+
+def _blown_center_verdict(
+    r0: RingElement, r1: RingElement, r2: RingElement, shift: int, prec: int
+) -> Verdict:
+    """The blown-center criterion on values shifted into the window.
+
+    r1 and r2 are connected exactly when r2 = w*r1 for a unit w, r1 | r0
+    with r0 not| r1, and delta = w - 1 lies in the radical of <r1, r0/r1>;
+    the positive answer carries the ghost witness.
+    """
     w = unit_multiple(r1, r2, prec)
     if w is None:
-        raise PreconditionViolated("values are not unit multiples of each other")
-    r = r1
-    if not divides(r, r0, prec) or divides(r0, r, prec):
-        raise PreconditionViolated(
-            "ghost construction needs r | r0 and r0 not| r"
+        return NotHomotopic(
+            "shifted values generate different ideals",
+            ideal=IdealHandle([r1, r2]),
+        )
+    if not divides(r1, r0) or divides(r0, r1):
+        return NotHomotopic(
+            "shifted values sit outside the blown-center window",
+            ideal=IdealHandle([r0, r1]),
         )
     model = r0.model
     one = RingElement.one(model)
     delta = w - one
-    ideal = IdealHandle([r, r0.divide_in_ring(r, prec)])
+    r0_over_r1 = r0.divide_in_ring(r1, prec)
+    ideal = IdealHandle([r1, r0_over_r1])
     if not radical_membership(delta, ideal):
-        raise PreconditionViolated(
-            "delta fails the radical criterion; no ghost witness exists"
+        return NotHomotopic(
+            "delta is not in the radical of the blown-center ideal",
+            delta=delta,
+            ideal=ideal,
         )
     s = _s_var(model)
     one_pe = _const(one)
     one_plus_ds = one_pe + s.scale(delta)
-    excluded = (_const(r0.divide_in_ring(r, prec)), one_plus_ds)
     t = _t_var(model)
-    hw_num = one_pe + (s * t).scale(delta)
-    return GhostWitness(
+    witness = GhostWitness(
         shift=shift,
-        blown_center=r,
-        v2_unit=r,
-        excluded=excluded,
+        blown_center=r1,
+        v2_unit=r1,
+        excluded=(_const(r0_over_r1), one_plus_ds),
         h1=one_plus_ds,
         h2=one_pe,
-        hw_num=hw_num,
+        hw_num=one_pe + (s * t).scale(delta),
         hw_den=one_plus_ds,
     )
+    return Homotopic(witness, LEVEL_GHOST1)
 
 
 def _require_shared_gamma(s1: SectionData, s2: SectionData) -> None:
@@ -509,7 +528,7 @@ def _straightline_end(w: StraightLine, at_one: bool):
     return (offset * value + one, value)
 
 
-def _ghost_end(w: GhostWitness, g: GammaData, at_one: bool, prec: int):
+def _ghost_end(w: GhostWitness, g: GammaData, at_one: bool):
     model = w.blown_center.model
     zero = RingElement.zero(model)
     one = RingElement.one(model)
@@ -519,12 +538,12 @@ def _ghost_end(w: GhostWitness, g: GammaData, at_one: bool, prec: int):
     return (y, one)
 
 
-def _witness_ends(w: HomotopyWitness, g: GammaData, prec: int):
+def _witness_ends(w: HomotopyWitness, g: GammaData):
     if isinstance(w, StraightLine):
         return (_straightline_end(w, True), _straightline_end(w, False))
     if isinstance(w, GhostWitness):
-        return (_ghost_end(w, g, False, prec), _ghost_end(w, g, True, prec))
-    ends = [_witness_ends(p, g, prec) for p in w.pieces]
+        return (_ghost_end(w, g, False), _ghost_end(w, g, True))
+    ends = [_witness_ends(p, g) for p in w.pieces]
     return (ends[0][0], ends[-1][1])
 
 
@@ -643,7 +662,7 @@ def _verify_straightline(
     report: VerificationReport,
     prec: int,
 ) -> None:
-    end1, end0 = _witness_ends(w, g, prec)
+    end1, end0 = _witness_ends(w, g)
     ok1 = _points_agree(end1, _section_homogeneous(s1))
     ok0 = _points_agree(end0, _section_homogeneous(s2))
     report.add(
@@ -748,7 +767,7 @@ def _verify_chain(
         ok = _points_agree(_section_homogeneous(s1), _section_homogeneous(s2))
         report.add("endpoints", ok, "" if ok else "empty chain with distinct ends")
         return
-    ends = [_witness_ends(p, g, prec) for p in w.pieces]
+    ends = [_witness_ends(p, g) for p in w.pieces]
     ok = _points_agree(ends[0][0], _section_homogeneous(s1))
     report.add("endpoints", ok, "" if ok else "first piece misses section 1")
     for i in range(len(ends) - 1):
@@ -817,7 +836,7 @@ def _wtilde_value(s: SectionData, prec: int) -> RingElement:
     return RingElement.one(s.r.model).divide_in_ring(s.r, prec)
 
 
-def _nonmain_chain(s1: SectionData, s2: SectionData, prec: int) -> HomotopyWitness:
+def _nonmain_chain(s1: SectionData, s2: SectionData) -> HomotopyWitness:
     """Connect two sections when no lifting constraint is active."""
     if s1.chart == s2.chart:
         return StraightLine(_line_path(s1.r, s2.r), s1.chart)
@@ -854,7 +873,7 @@ def decide_nodal(
 def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
     regime = classify_gamma(g)
     if regime != REGIME_MAIN:
-        return Homotopic(_nonmain_chain(s1, s2, prec), LEVEL_CHAIN)
+        return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
 
     loc1 = closed_point_image(X, s1)
     loc2 = closed_point_image(X, s2)
@@ -920,35 +939,14 @@ def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
         raise LiftRequired(f"sections do not shift by {k}: {exc}") from exc
     r0 = g.r0
     r1h, r2h = sh1.r, sh2.r
-    p1 = pair_principal(r0, r1h, prec)
-    p2 = pair_principal(r0, r2h, prec)
+    p1 = pair_principal(r0, r1h)
+    p2 = pair_principal(r0, r2h)
     if p1 is None or p2 is None:
         return NotHomotopic(
             "a section fails the principality requirement after shifting",
             ideal=IdealHandle([r0, r1h if p1 is None else r2h]),
         )
-    w = unit_multiple(r1h, r2h, prec)
-    if w is None:
-        return NotHomotopic(
-            "shifted values generate different ideals",
-            ideal=IdealHandle([r1h, r2h]),
-        )
-    rhat = r1h
-    if not divides(rhat, r0, prec) or divides(r0, rhat, prec):
-        return NotHomotopic(
-            "shifted values sit outside the blown-center window",
-            ideal=IdealHandle([r0, rhat]),
-        )
-    delta = w - RingElement.one(w.model)
-    ideal = IdealHandle([rhat, r0.divide_in_ring(rhat, prec)])
-    if radical_membership(delta, ideal):
-        witness = build_ghost_witness(sh1, sh2, shift=k, prec=prec)
-        return Homotopic(witness, LEVEL_GHOST1)
-    return NotHomotopic(
-        "delta is not in the radical of the blown-center ideal",
-        delta=delta,
-        ideal=ideal,
-    )
+    return _blown_center_verdict(r0, r1h, r2h, k, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -1173,10 +1171,10 @@ def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
 def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
     regime = classify_gamma(g)
     if regime != REGIME_MAIN:
-        return Homotopic(_nonmain_chain(s1, s2, prec), LEVEL_CHAIN)
+        return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
     if t.is_empty():
         # nothing is blown up: the fiber is a projective line
-        return Homotopic(_nonmain_chain(s1, s2, prec), LEVEL_CHAIN)
+        return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
 
     root_points = [r.position for r in t.roots]
     if not all(isinstance(rp, BasePoint) for rp in root_points):
@@ -1229,7 +1227,7 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
     x_prime, residual = normalize_pure_nodes(tower)
 
     for s in (s1, s2):
-        if not lifts(x_prime, s, prec):
+        if not lifts(x_prime, s):
             raise LiftRequired(
                 "a section does not factor through the nodal part of the tower"
             )
@@ -1312,12 +1310,6 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
 class PartitionResult:
     classes: list  # list of lists of indices into the input family
     undecided: list  # (i, j, reason) pairs
-
-    def class_of(self, i: int) -> int:
-        for ci, members in enumerate(self.classes):
-            if i in members:
-                return ci
-        raise IndexError(i)
 
 
 def partition_classes(

@@ -495,14 +495,13 @@ class RingElement:
 # element-level predicates ----------------------------------------------------
 
 
-def divides(a: RingElement, b: RingElement, prec: int = DEFAULT_PREC) -> bool:
+def divides(a: RingElement, b: RingElement) -> bool:
     """Whether b/a lies in the ring.  Requires a != 0.
 
     DVR model: answered from the valuations, v(a) <= v(b), which is exact
     even for truncated operands (the leading term of a series is always
-    known).  Bivariate model: answered by `BiFrac` division.  In neither
-    model does the answer depend on `prec`; the parameter stays so that
-    callers can pass their precision uniformly.
+    known).  Bivariate model: answered by exact `BiFrac` division.  Neither
+    model depends on a series precision.
     """
     if a.is_zero():
         raise PreconditionViolated("divisibility by zero is undefined")
@@ -512,7 +511,7 @@ def divides(a: RingElement, b: RingElement, prec: int = DEFAULT_PREC) -> bool:
     if a.model == MODEL_DVR:
         return b.payload.val >= a.payload.val
     try:
-        b.divide_in_ring(a, prec)
+        b.divide_in_ring(a)
         return True
     except DivisionImpossible:
         return False
@@ -531,9 +530,7 @@ def unit_multiple(
     return w if w.is_unit() else None
 
 
-def pair_principal(
-    f: RingElement, g: RingElement, prec: int = DEFAULT_PREC
-) -> Optional[RingElement]:
+def pair_principal(f: RingElement, g: RingElement) -> Optional[RingElement]:
     """A generator of <f, g> when that ideal is principal.
 
     In a local domain a two-generated ideal is principal exactly when one
@@ -545,23 +542,21 @@ def pair_principal(
         return g
     if g.is_zero():
         return f
-    if divides(f, g, prec):
+    if divides(f, g):
         return f
-    if divides(g, f, prec):
+    if divides(g, f):
         return g
     return None
 
 
-def gens_principal(
-    gens: Sequence[RingElement], prec: int = DEFAULT_PREC
-) -> Optional[RingElement]:
+def gens_principal(gens: Sequence[RingElement]) -> Optional[RingElement]:
     """Fold pair_principal over any number of generators."""
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return RingElement.zero(gens[0].model) if gens else None
     acc = live[0]
     for g in live[1:]:
-        nxt = pair_principal(acc, g, prec)
+        nxt = pair_principal(acc, g)
         if nxt is None:
             return None
         acc = nxt
@@ -663,7 +658,7 @@ def _strip_vars(p: Poly, keep_from: int) -> Poly:
     return Poly(terms, QQ, p.nvars - keep_from)
 
 
-def _unit_query(polys: list, nelim: int, f: Optional[Poly], cap: int | None) -> bool:
+def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
     """Whether the ideal, eliminated to its last variables, escapes the origin.
 
     With `f` given, the Rabinowitsch generator 1 - t*f is appended first (t
@@ -674,12 +669,10 @@ def _unit_query(polys: list, nelim: int, f: Optional[Poly], cap: int | None) -> 
     if f is not None:
         F, n = f.field, f.nvars
         polys = polys + [Poly.constant(F.one, F, n) - Poly.variable(0, F, n) * f]
-    return escapes_origin(eliminate(polys, nelim, cap))
+    return escapes_origin(eliminate(polys, nelim))
 
 
-def ideal_membership(
-    f: RingElement, ideal: IdealHandle, cap: int | None = None
-) -> bool:
+def ideal_membership(f: RingElement, ideal: IdealHandle) -> bool:
     """f in I·R_loc."""
     if f.model != ideal.model:
         raise ModelMismatch("element and ideal from different models")
@@ -698,7 +691,7 @@ def ideal_membership(
     one = Poly.constant(Fraction(1), QQ, n)
     gens3 = [t * _embed(g.payload.num, n, 1) for g in ideal.gens]
     gens3.append((one - t) * _embed(p, n, 1))
-    inter = eliminate(gens3, 1, cap)
+    inter = eliminate(gens3, 1)
     quotient = []
     for q3 in inter:
         q2 = _strip_vars(q3, 1)
@@ -708,9 +701,7 @@ def ideal_membership(
     return escapes_origin(quotient)
 
 
-def radical_membership(
-    f: RingElement, ideal: IdealHandle, cap: int | None = None
-) -> bool:
+def radical_membership(f: RingElement, ideal: IdealHandle) -> bool:
     """f in sqrt(I·R_loc)."""
     if f.model != ideal.model:
         raise ModelMismatch("element and ideal from different models")
@@ -725,7 +716,7 @@ def radical_membership(
         return f.payload.val >= 1
     # Rabinowitsch, localized, in Q[t, u, v]
     gens3 = [_embed(g.payload.num, 3, 1) for g in ideal.gens]
-    return _unit_query(gens3, 1, _embed(f.payload.num, 3, 1), cap)
+    return _unit_query(gens3, 1, _embed(f.payload.num, 3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -880,9 +871,7 @@ def _polyext_generic(g: PolyExt, field, nvars: int, st_offset: int) -> Poly:
     return Poly(terms, field, nvars)
 
 
-def _ext_query(
-    gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int, cap: int | None
-) -> bool:
+def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int) -> bool:
     """Whether 1 (f None) or f (radically) lies in <gens> of R_loc[S, T].
 
     DVR model: the answer is yes iff it is yes on both the residue fiber
@@ -901,11 +890,11 @@ def _ext_query(
         n = off + 4  # [t,] S, T, u, v
         polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
         fp = None if f is None else _polyext_clear(f, n, off, off + 2)
-        return _unit_query(polys, off + 2, fp, cap)
+        return _unit_query(polys, off + 2, fp)
     n = off + 2  # [t,] S, T
     res = [_polyext_residue(g, n, off) for g in gens]
     fres = None if f is None else _polyext_residue(f, n, off)
-    if not _unit_query(res, n, fres, cap):
+    if not _unit_query(res, n, fres):
         return False
     for g in gens:
         if g.is_st_constant() and not g.constant_part().is_zero():
@@ -913,26 +902,19 @@ def _ext_query(
     field = _generic_field(gens if f is None else gens + [f], prec)
     lau = [_polyext_generic(g, field, n, off) for g in gens]
     flau = None if f is None else _polyext_generic(f, field, n, off)
-    return _unit_query(lau, n, flau, cap)
+    return _unit_query(lau, n, flau)
 
 
-def ext_unit_ideal(
-    gens: Sequence[PolyExt],
-    prec: int = DEFAULT_PREC,
-    cap: int | None = None,
-) -> bool:
+def ext_unit_ideal(gens: Sequence[PolyExt], prec: int = DEFAULT_PREC) -> bool:
     """Whether the generators span the unit ideal of R_loc[S, T]."""
-    return _ext_query(gens, None, prec, cap)
+    return _ext_query(gens, None, prec)
 
 
 def ext_radical_membership(
-    f: PolyExt,
-    gens: Sequence[PolyExt],
-    prec: int = DEFAULT_PREC,
-    cap: int | None = None,
+    f: PolyExt, gens: Sequence[PolyExt], prec: int = DEFAULT_PREC
 ) -> bool:
     """Whether f lies in the radical of the generators' ideal in R_loc[S, T]."""
-    return f.is_zero() or _ext_query(gens, f, prec, cap)
+    return f.is_zero() or _ext_query(gens, f, prec)
 
 
 # ---------------------------------------------------------------------------

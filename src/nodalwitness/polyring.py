@@ -27,12 +27,12 @@ def current_spair_cap() -> int:
     )
 
 
-def set_spair_cap(cap: int | None) -> None:
+def set_spair_cap(budget: int | None) -> None:
     """Process-wide S-pair budget override; None restores the default."""
     global _spair_cap_override
-    if cap is not None and cap <= 0:
+    if budget is not None and budget <= 0:
         raise ValueError("S-pair budget must be positive")
-    _spair_cap_override = cap
+    _spair_cap_override = budget
 
 
 class RationalField:
@@ -282,17 +282,15 @@ def s_poly(f: Poly, g: Poly, order) -> Poly:
     )
 
 
-def buchberger(
-    gens: Iterable[Poly], order, cap: int | None = None
-) -> list[Poly]:
+def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     """Reduced, monic Groebner basis of the ideal the generators span.
 
-    Raises DegreeCapExceeded once more than `cap` S-pairs have been
-    processed; the tiny instances this package produces stay far below the
-    default budget, so tripping the cap signals a malformed query.  A cap
-    of None defers to the process-wide setting (see set_spair_cap).
+    Raises DegreeCapExceeded once more S-pairs than the process-wide budget
+    (see set_spair_cap) have been processed; the tiny instances this package
+    produces stay far below the default budget, so tripping the cap signals
+    a malformed query.
     """
-    cap = current_spair_cap() if cap is None else cap
+    cap = current_spair_cap()
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
         return []
@@ -342,14 +340,12 @@ def buchberger(
     return final
 
 
-def eliminate(
-    gens: Sequence[Poly], nelim: int, cap: int | None = None
-) -> list[Poly]:
+def eliminate(gens: Sequence[Poly], nelim: int) -> list[Poly]:
     """Basis of the ideal's intersection with the last-variables subring."""
     if not gens:
         return []
     nvars = gens[0].nvars
-    gb = buchberger(gens, BlockOrder(nelim, nvars), cap)
+    gb = buchberger(gens, BlockOrder(nelim, nvars))
     return [
         p
         for p in gb

@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nodalwitness.blowuptree import (
     NODE_LEFT,
@@ -122,6 +122,35 @@ def dvr_sections(draw, g, min_val=1, max_val=3):
     v = draw(st.integers(min_val, max_val))
     u = draw(dvr_units())
     return SectionData(g, dvr(f"x^{v}") * u)
+
+
+# r0 and its proper monomial divisors: values strictly inside its window
+BIV_WINDOWS = [("u^2", ["u"]), ("u^3", ["u", "u^2"]), ("u^2*v", ["u", "v", "u*v", "u^2"])]
+
+
+@st.composite
+def node_window_pairs(draw):
+    """Two sections strictly between 1 and r0: DVR x^v*unit, or bivariate
+    divisors of r0 times units c + a*u + b*v.  Half the time the second is
+    the first times a residue-1 unit, where the radical test decides."""
+    coeff = st.integers(-1, 1)
+    if draw(st.booleans()):
+        v0 = draw(st.integers(2, 4))
+        g = GammaData(dvr(f"x^{v0}"))
+        values = dvr_sections(g, 1, v0 - 1)
+        tail = dvr(f"1 + {draw(coeff)}*x + {draw(coeff)}*x^2")
+    else:
+        r0, divisors = draw(st.sampled_from(BIV_WINDOWS))
+        g = GammaData(biv(r0))
+        values = st.builds(
+            lambda m, c, a, b: SectionData(g, biv(f"({m})*({c} + {a}*u + {b}*v)")),
+            st.sampled_from(divisors), st.integers(1, 2), coeff, coeff,
+        )
+        tail = biv(f"1 + {draw(coeff)}*u + {draw(coeff)}*v")
+    s1 = draw(values)
+    if draw(st.booleans()):
+        return s1, SectionData(g, s1.r * tail)
+    return s1, draw(values)
 
 
 # --- regimes ---------------------------------------------------------------
@@ -666,6 +695,22 @@ class TestDecideNodal:
                 assert [(c.name, c.ok) for c in rd.clauses] == [
                     (c.name, c.ok) for c in rb.clauses
                 ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_decision_agrees_with_the_ghost_builder(self, data):
+        # pairs in the node window of [0, 1, inf]: the builder succeeds
+        # exactly when the decision answers ghost1, with the same witness
+        s1, s2 = data.draw(node_window_pairs())
+        assume(s1.r != s2.r)  # equal values connect by the constant line
+        v = decide_nodal(X1, s1, s2)
+        try:
+            w = build_ghost_witness(s1, s2)
+        except PreconditionViolated:
+            assert isinstance(v, NotHomotopic)
+            return
+        assert isinstance(v, Homotopic) and v.level == LEVEL_GHOST1
+        assert witness_to_json(v.witness) == witness_to_json(w)
 
 
 # --- the general decision ---------------------------------------------------

@@ -26,6 +26,7 @@ from nodalwitness.localring import (
     elements_gcd,
     ext_radical_membership,
     ext_unit_ideal,
+    gcd2,
     gens_principal,
     ideal_membership,
     nth_root_unit,
@@ -197,7 +198,7 @@ class TestArithmetic:
         assert repr(x**n) == repr(reduce(operator.mul, [x] * n, one))
 
     def test_negative_pow_rejected(self):
-        for x in (dvr("1+x"), biv("u"), Poly.variable(0, QQ, 2)):
+        for x in (dvr("1+x"), dvr("1+x").payload, biv("u"), Poly.variable(0, QQ, 2)):
             with pytest.raises(PreconditionViolated):
                 x**-1
 
@@ -341,6 +342,35 @@ class TestGcd:
         g = data.draw(elements_for(model, allow_zero=False))
         d = elements_gcd([f, g])
         assert divides(d, f) and divides(d, g)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_gcd2_agrees_with_sympy(self, data):
+        sympy = pytest.importorskip("sympy")
+        u, v = sympy.symbols("u v")
+
+        monos = st.sampled_from([(i, j) for i in range(3) for j in range(3 - i)])
+
+        def draw_poly():
+            return Poly(data.draw(st.dictionaries(monos, small_q, max_size=4)), QQ, 2)
+
+        def to_sympy(p):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) * u**i * v**j
+                 for (i, j), c in p.terms.items()),
+                sympy.Integer(0),
+            )
+
+        # a shared factor makes the gcd nontrivial; empty dicts give zeros
+        common = draw_poly()
+        p, q = draw_poly() * common, draw_poly() * common
+        expect = sympy.gcd(to_sympy(p), to_sympy(q))
+        got = to_sympy(gcd2(p, q))
+        if expect == 0:
+            assert got == 0
+        else:
+            ratio = sympy.cancel(got / expect)
+            assert ratio.is_Rational and ratio != 0, (p, q, got, expect)
 
 
 # --- ideals -------------------------------------------------------------------
