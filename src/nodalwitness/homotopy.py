@@ -386,12 +386,13 @@ def _infinite_line(w1: RingElement, w2: RingElement, offset=None) -> StraightLin
     return StraightLine(_line_path(w1, w2), CHART_INFINITE, offset)
 
 
-def build_ghost_witness(s1: SectionData, s2: SectionData, shift: int = 0,
-                        prec: int = DEFAULT_PREC) -> GhostWitness:
+def build_ghost_witness(s1: SectionData, s2: SectionData) -> GhostWitness:
     """The two-chart datum of the blown-center construction.
 
-    Expects values already reduced to the small-slope window (apply
-    shift_section first; pass the amount so the witness records it).
+    Expects values already moved into the small-slope window by
+    shift_section; the witness records shift 0.  When the criterion fails,
+    raises PreconditionViolated with the reason decide_nodal gives for the
+    same shifted values.
     """
     _require_shared_gamma(s1, s2)
     if s1.chart != CHART_FINITE or s2.chart != CHART_FINITE:
@@ -403,7 +404,7 @@ def build_ghost_witness(s1: SectionData, s2: SectionData, shift: int = 0,
         raise PreconditionViolated(
             "ghost construction needs values inside the maximal ideal"
         )
-    verdict = _blown_center_verdict(s1.gamma.r0, r1, r2, shift, prec)
+    verdict = _blown_center_verdict(s1.gamma.r0, r1, r2, 0, DEFAULT_PREC)
     if isinstance(verdict, NotHomotopic):
         raise PreconditionViolated(verdict.reason)
     return verdict.witness

@@ -27,12 +27,12 @@ def current_spair_cap() -> int:
     )
 
 
-def set_spair_cap(budget: int | None) -> None:
+def set_spair_cap(cap: int | None) -> None:
     """Process-wide S-pair budget override; None restores the default."""
     global _spair_cap_override
-    if budget is not None and budget <= 0:
+    if cap is not None and cap <= 0:
         raise ValueError("S-pair budget must be positive")
-    _spair_cap_override = budget
+    _spair_cap_override = cap
 
 
 class RationalField:

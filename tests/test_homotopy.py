@@ -699,18 +699,63 @@ class TestDecideNodal:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_decision_agrees_with_the_ghost_builder(self, data):
-        # pairs in the node window of [0, 1, inf]: the builder succeeds
+        # r0^k times a pair from the node window of [0, 1, inf] sits in the
+        # window of [k, k+1]: the builder succeeds on the shifted pair
         # exactly when the decision answers ghost1, with the same witness
-        s1, s2 = data.draw(node_window_pairs())
-        assume(s1.r != s2.r)  # equal values connect by the constant line
-        v = decide_nodal(X1, s1, s2)
+        # apart from the recorded shift
+        w1, w2 = data.draw(node_window_pairs())
+        assume(w1.r != w2.r)  # equal values connect by the constant line
+        k = data.draw(st.integers(0, 2))
+        lift = w1.gamma.r0 ** k
+        s1, s2 = (SectionData(w.gamma, lift * w.r) for w in (w1, w2))
+        v = decide_nodal(chain_surface(0, 1, 2, 3), s1, s2)
         try:
-            w = build_ghost_witness(s1, s2)
+            w = build_ghost_witness(shift_section(s1, k), shift_section(s2, k))
         except PreconditionViolated:
             assert isinstance(v, NotHomotopic)
             return
         assert isinstance(v, Homotopic) and v.level == LEVEL_GHOST1
-        assert witness_to_json(v.witness) == witness_to_json(w)
+        assert v.witness.shift == k and w.shift == 0
+        assert witness_to_json(
+            dataclasses.replace(v.witness, shift=0)
+        ) == witness_to_json(w)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_node_branch_sees_only_nonzero_nonunit_values(self, data):
+        # the builder's zero, unit and chart guards are off the decision
+        # path: whatever the sections, the blown-center criterion only ever
+        # receives nonzero non-unit shifted values
+        g = data.draw(st.sampled_from([G2, G3]))
+        v1 = data.draw(st.integers(-1, 7))  # -1 is the zero value
+        chart1 = data.draw(st.sampled_from([CHART_FINITE, CHART_INFINITE]))
+
+        def section():
+            # mostly on the first section's valuation and chart, so that
+            # the pair often shares a fiber region
+            same = data.draw(st.integers(0, 3)) > 0
+            v = v1 if same else data.draw(st.integers(-1, 7))
+            r = dvr("0") if v < 0 else dvr(f"x^{v}") * data.draw(dvr_units())
+            chart = chart1 if same else data.draw(
+                st.sampled_from([CHART_FINITE, CHART_INFINITE])
+            )
+            return SectionData(g, r, chart)
+
+        seen = []
+        real = homotopy._blown_center_verdict
+
+        def spy(r0, r1, r2, shift, prec):
+            seen.append((r1, r2))
+            return real(r0, r1, r2, shift, prec)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homotopy, "_blown_center_verdict", spy)
+            try:
+                decide_nodal(chain_surface(0, 1, 2, 3), section(), section())
+            except (LiftRequired, PreconditionViolated):
+                pass
+        for r in (r for pair in seen for r in pair):
+            assert not r.is_zero() and not r.is_unit()
 
 
 # --- the general decision ---------------------------------------------------
