@@ -47,6 +47,9 @@ from .localring import DEFAULT_PREC, MODEL_BIVARIATE, MODEL_DVR, parse_element
 from .polyring import set_spair_cap
 from .surface import NodalSurface
 
+# Series arithmetic costs grow with the square of the truncation order.
+MAX_TRUNC = 1000
+
 CHART_CHOICES = ("finite", "infinite")
 
 
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trunc",
         type=int,
         default=DEFAULT_PREC,
-        help="series truncation order, at least 4 (default %(default)s)",
+        help=f"series truncation order, from 4 to {MAX_TRUNC} (default %(default)s)",
     )
     parser.add_argument(
         "--seed",
@@ -344,6 +347,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.trunc < 4:
         print("error: --trunc must be at least 4", file=sys.stderr)
+        return 2
+    if args.trunc > MAX_TRUNC:
+        print(f"error: --trunc must be at most {MAX_TRUNC}", file=sys.stderr)
         return 2
     try:
         set_spair_cap(args.groebner_cap)

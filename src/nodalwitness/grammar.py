@@ -19,10 +19,20 @@ Grammar, informally:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .errors import ParseError
-from .polyring import QQ, Poly
+from .polyring import QQ, Poly, power
+
+# Input budgets, checked on the tokens before anything is built.  Every
+# exponent, O(x^k) order and degree of a power is at most MAX_DEGREE.  A
+# power of a polynomial with several terms is expanded by repeated squaring,
+# whose cost grows with the square of the result's size; there the product
+# of the result's degrees in each variable (its degree, in one variable) is
+# at most MAX_EXPANDED_SIZE.
+MAX_DEGREE = 10_000
+MAX_EXPANDED_SIZE = 500
 
 _PUNCT = {"+", "-", "*", "/", "^", "(", ")"}
 
@@ -55,7 +65,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _RF:
-    """Rational function with an optional additive O(x^k) truncation."""
+    """Rational function with an optional additive O(x^k) truncation.
+
+    The parser keeps `den` either the constant 1 or a product of
+    non-constant polynomials: constant denominators are folded into `num`.
+    """
 
     __slots__ = ("num", "den", "otrunc")
 
@@ -65,6 +79,32 @@ class _RF:
         self.otrunc = otrunc
 
 
+def _is_one(p: Poly) -> bool:
+    return len(p.terms) == 1 and p.terms.get((0,) * p.nvars) == 1
+
+
+def _mul_polys(a: Poly, b: Poly) -> Poly:
+    """a*b, never multiplying by the constant 1."""
+    if _is_one(a):
+        return b
+    if _is_one(b):
+        return a
+    return a * b
+
+
+def _degrees(p: Poly) -> list[int]:
+    """The degree in each variable."""
+    return [max(col) for col in zip(*p.terms)] or [0] * p.nvars
+
+
+def _capped(tok: str, what: str) -> int:
+    """A digit token's value, refused above MAX_DEGREE before it is read."""
+    if len(tok.lstrip("0")) > len(str(MAX_DEGREE)) or int(tok) > MAX_DEGREE:
+        clipped = tok if len(tok) <= 12 else f"{tok[:12]}..."
+        raise ParseError(f"{what} {clipped} exceeds the cap {MAX_DEGREE}")
+    return int(tok)
+
+
 class _Parser:
     def __init__(self, tokens: list[str], varnames: list[str], allow_o: bool):
         self.toks = tokens
@@ -72,6 +112,7 @@ class _Parser:
         self.vars = varnames
         self.allow_o = allow_o
         self.n = len(varnames)
+        self.one = Poly.constant(Fraction(1), QQ, self.n)
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -90,28 +131,24 @@ class _Parser:
 
     # -- combination helpers --------------------------------------------------
 
-    def _one(self) -> Poly:
-        return Poly.constant(Fraction(1), QQ, self.n)
+    @staticmethod
+    def _no_o(*rfs: _RF) -> None:
+        if any(rf.otrunc is not None for rf in rfs):
+            raise ParseError("O(...) may only appear as a top-level summand")
 
     def _mul(self, a: _RF, b: _RF) -> _RF:
-        if a.otrunc is not None or b.otrunc is not None:
-            raise ParseError("O(...) may only appear as a top-level summand")
-        return _RF(a.num * b.num, a.den * b.den)
+        self._no_o(a, b)
+        return _RF(_mul_polys(a.num, b.num), _mul_polys(a.den, b.den))
 
     def _div(self, a: _RF, b: _RF) -> _RF:
-        if a.otrunc is not None or b.otrunc is not None:
-            raise ParseError("O(...) may only appear as a top-level summand")
+        self._no_o(a, b)
         if b.num.is_zero():
             raise ParseError("division by zero")
-        return _RF(a.num * b.den, a.den * b.num)
-
-    def _add(self, a: _RF, b: _RF, sign: int) -> _RF:
-        num_b = b.num if sign > 0 else -b.num
-        num = a.num * b.den + num_b * a.den
-        ot = a.otrunc
-        if b.otrunc is not None:
-            ot = b.otrunc if ot is None else min(ot, b.otrunc)
-        return _RF(num, a.den * b.den, ot)
+        num, den = _mul_polys(a.num, b.den), _mul_polys(a.den, b.num)
+        if den.is_constant() and not _is_one(den):
+            # b.num is a constant: fold it into the numerator
+            return _RF(num.scale(1 / den.constant_coeff()), self.one)
+        return _RF(num, den)
 
     # -- grammar --------------------------------------------------------------
 
@@ -122,12 +159,33 @@ class _Parser:
         return rf
 
     def expr(self) -> _RF:
-        rf = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            rf = self._add(rf, rhs, 1 if op == "+" else -1)
-        return rf
+        """Sum the terms into one coefficient dict over a running denominator.
+
+        Terms over the running denominator (most often 1) add their
+        coefficients in place; only a different, non-constant denominator
+        puts the sum over a common one.
+        """
+        acc: dict = {}
+        den = self.one
+        ot = None
+        sign = 1
+        while True:
+            rf = self.term()
+            if rf.otrunc is not None:
+                ot = rf.otrunc if ot is None else min(ot, rf.otrunc)
+            num = rf.num if sign > 0 else -rf.num
+            if rf.den != den:
+                if _is_one(rf.den):
+                    num = num * den
+                else:
+                    acc = dict(_mul_polys(Poly(acc, QQ, self.n), rf.den).terms)
+                    num = _mul_polys(num, den)
+                    den = _mul_polys(den, rf.den)
+            for m, c in num.terms.items():
+                acc[m] = acc.get(m, 0) + c
+            if self.peek() not in ("+", "-"):
+                return _RF(Poly(acc, QQ, self.n), den, ot)
+            sign = 1 if self.take() == "+" else -1
 
     def term(self) -> _RF:
         rf = self.factor()
@@ -148,10 +206,24 @@ class _Parser:
             e = self.take()
             if not e.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer, got {e!r}")
-            k = int(e)
-            if rf.otrunc is not None:
-                raise ParseError("O(...) may only appear as a top-level summand")
-            rf = _RF(rf.num**k, rf.den**k)
+            k = _capped(e, "exponent")
+            self._no_o(rf)
+            degs = [max(a, b) for a, b in zip(_degrees(rf.num), _degrees(rf.den))]
+            if sum(degs) * k > MAX_DEGREE:
+                raise ParseError(
+                    f"power of degree {sum(degs)}*{k} exceeds the cap {MAX_DEGREE}"
+                )
+            if len(rf.num.terms) == 1 and _is_one(rf.den):
+                ((m, c),) = rf.num.terms.items()
+                rf = _RF(Poly({tuple(d * k for d in m): c**k}, QQ, self.n), self.one)
+            else:
+                size = prod(max(1, d * k) for d in degs)
+                if size > MAX_EXPANDED_SIZE:
+                    raise ParseError(
+                        f"expanded power of degrees {[d * k for d in degs]} "
+                        f"exceeds the size cap {MAX_EXPANDED_SIZE}"
+                    )
+                rf = _RF(power(rf.num, k, self.one), power(rf.den, k, self.one))
         if sign < 0:
             if rf.otrunc is not None and rf.num.is_zero():
                 return rf  # -O(x^k) == O(x^k)
@@ -161,13 +233,10 @@ class _Parser:
     def atom(self) -> _RF:
         t = self.take()
         if t.isdigit():
-            return _RF(
-                Poly.constant(Fraction(int(t)), QQ, self.n), self._one()
-            )
+            return _RF(Poly.constant(Fraction(int(t)), QQ, self.n), self.one)
         if t == "(":
             rf = self.expr()
-            if rf.otrunc is not None:
-                raise ParseError("O(...) may only appear as a top-level summand")
+            self._no_o(rf)
             self.expect(")")
             return rf
         if t == "O":
@@ -181,15 +250,13 @@ class _Parser:
             if self.peek() == "^":
                 self.take()
                 e = self.take()
-                if not e.isdigit() or int(e) < 1:
+                if not e.isdigit() or not e.strip("0"):
                     raise ParseError("O(...) order must be a positive integer")
-                k = int(e)
+                k = _capped(e, "O(...) order")
             self.expect(")")
-            return _RF(Poly.zero(QQ, self.n), self._one(), k)
+            return _RF(Poly.zero(QQ, self.n), self.one, k)
         if t in self.vars:
-            return _RF(
-                Poly.variable(self.vars.index(t), QQ, self.n), self._one()
-            )
+            return _RF(Poly.variable(self.vars.index(t), QQ, self.n), self.one)
         raise ParseError(f"unknown symbol {t!r}")
 
 

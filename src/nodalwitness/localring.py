@@ -935,7 +935,10 @@ def _series_from_raw(num: Poly, den: Poly, otrunc: Optional[int], prec: int) -> 
     sn, sd = poly1_to_series(num), poly1_to_series(den)
     if sd.is_zero():
         raise ParseError("zero denominator")
-    q = sn.divide(sd, prec) if not sn.is_zero() else Series.zero()
+    if sn.is_zero() or sd == Series.from_fraction(1):
+        q = sn
+    else:
+        q = sn.divide(sd, prec)
     if not q.is_zero() and q.val < 0:
         raise ParseError("element has a pole at the origin (negative valuation)")
     if otrunc is not None:
