@@ -193,7 +193,15 @@ class Series:
         return self * other.inverse(prec)
 
     def divide_in_ring(self, other: "Series", prec: int = DEFAULT_PREC) -> "Series":
-        """Exact division within the ring (quotient valuation >= 0)."""
+        """Exact division within the ring (quotient valuation >= 0).
+
+        Exact operands whose polynomial quotient leaves no remainder give an
+        exact quotient; all others get the truncated series quotient.
+        """
+        if self.exact and other.exact and self.val >= other.val:
+            q = _polynomial_quotient(self.coeffs, other.coeffs)
+            if q is not None:
+                return Series.make(self.val - other.val, q, True)
         q = self.divide(other, prec)
         if not q.is_zero() and q.val < 0:
             raise DivisionImpossible(
@@ -274,6 +282,24 @@ class Series:
 
 
 _ZERO = Series(0, (), True)
+
+
+def _polynomial_quotient(a: tuple, b: tuple) -> Optional[list]:
+    """Coefficients of a/b when the polynomial b divides a, else None.
+
+    Long division from the top; b's leading coefficient is nonzero, because
+    exact coefficient tuples carry no trailing zeros.
+    """
+    if not a or not b or len(a) < len(b):
+        return None
+    rem = list(a)
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        q[k] = c
+        for j, bj in enumerate(b):
+            rem[k + j] -= c * bj
+    return None if any(rem) else q
 
 
 def _integer_nth_root(m: int, n: int) -> Optional[int]:

@@ -518,6 +518,16 @@ class TestDecideNodal:
         assert isinstance(v.witness, GhostWitness)
         assert verify_witness(X1, G2, v.witness, (s1, s2))
 
+    def test_exact_values_agreeing_past_the_precision_are_decided(self):
+        # the shifted values (x^2+x^3)*x/(x^2+x^3) stay exact, so the
+        # x^20 difference is seen instead of exhausting the precision
+        g = GammaData(dvr("x^2 + x^3"))
+        s1 = sec(g, "(x^2+x^3)*x")
+        s2 = sec(g, "(x^2+x^3)*x*(1+x^20)")
+        v = decide_nodal(X2, s1, s2)
+        assert isinstance(v, Homotopic) and v.level == LEVEL_GHOST1
+        assert verify_witness(X2, g, v.witness, (s1, s2))
+
     def test_distinct_residues_obstruct(self):
         v = decide_nodal(X1, sec(G2, "x"), sec(G2, "2*x"))
         assert isinstance(v, NotHomotopic)

@@ -265,6 +265,26 @@ class TestDivides:
         assert divides(a, a * b)
 
 
+class TestExactDivision:
+    @given(dvr_elements(), dvr_elements(allow_zero=False))
+    @settings(max_examples=80)
+    def test_exact_quotient_of_exact_product(self, a, b):
+        q = (a.payload * b.payload).divide_in_ring(b.payload)
+        assert q.exact and q == a.payload
+
+    def test_polynomial_quotient_stays_exact(self):
+        q = dvr("x^3 + x^4").payload.divide_in_ring(dvr("x^2 + x^3").payload)
+        assert q.exact and q == dvr("x").payload
+
+    def test_remainder_falls_back_to_series(self):
+        q = dvr("1 + x").payload.divide_in_ring(dvr("1 + x + x^2").payload)
+        assert not q.exact and q == dvr("(1+x)/(1+x+x^2)").payload
+
+    def test_valuation_still_refused(self):
+        with pytest.raises(DivisionImpossible):
+            dvr("x + x^2").payload.divide_in_ring(dvr("x^2").payload)
+
+
 class TestUnitMultiple:
     def test_example(self):
         w = unit_multiple(dvr("x"), dvr("2*x + x^2"))
