@@ -233,7 +233,11 @@ class _Parser:
     def atom(self) -> _RF:
         t = self.take()
         if t.isdigit():
-            return _RF(Poly.constant(Fraction(int(t)), QQ, self.n), self.one)
+            try:
+                c = int(t)
+            except ValueError as exc:  # beyond the interpreter's digit limit
+                raise ParseError(f"integer of {len(t)} digits is too long") from exc
+            return _RF(Poly.constant(Fraction(c), QQ, self.n), self.one)
         if t == "(":
             rf = self.expr()
             self._no_o(rf)

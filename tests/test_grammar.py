@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nodalwitness import cli, localring, polyring
+from nodalwitness import cli, grammar, localring, polyring
 from nodalwitness.errors import ParseError
 from nodalwitness.grammar import (
     MAX_DEGREE,
@@ -205,8 +205,6 @@ def no_series_built(monkeypatch):
 
 @pytest.fixture
 def no_power_expanded(monkeypatch):
-    from nodalwitness import grammar
-
     def refuse(*args):
         raise AssertionError("a refused power was expanded")
 
@@ -236,6 +234,11 @@ def test_refused_powers_are_never_built(no_power_expanded, text, names):
 def test_refused_o_orders(no_series_built, order):
     with pytest.raises(ParseError, match="cap"):
         parse_element(f"x + O(x^{order})", MODEL_DVR)
+
+
+def test_overlong_integer_is_a_parse_error():
+    with pytest.raises(ParseError, match="too long"):
+        parse_element("1" * 5000, MODEL_DVR)
 
 
 def test_budgets_admit_their_limits():
