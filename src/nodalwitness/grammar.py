@@ -178,6 +178,7 @@ class _Parser:
                 if _is_one(rf.den):
                     num = num * den
                 else:
+                    # copied: _mul_polys may hand back rf.den's own dict
                     acc = dict(_mul_polys(Poly(acc, QQ, self.n), rf.den).terms)
                     num = _mul_polys(num, den)
                     den = _mul_polys(den, rf.den)
