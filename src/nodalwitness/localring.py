@@ -175,8 +175,22 @@ def _rec_prem(f: list, g: list) -> list:
     return f
 
 
+def _one2() -> Poly:
+    return Poly.constant(Fraction(1), QQ, 2)
+
+
+def _is_nonzero_constant(p: Poly) -> bool:
+    return len(p.terms) == 1 and (0, 0) in p.terms
+
+
 def gcd2(p: Poly, q: Poly) -> Poly:
-    """Monic-normalized gcd in the UFD Q[u,v]."""
+    """Monic-normalized gcd in the UFD Q[u,v].
+
+    A nonzero constant argument answers 1 at once, without the
+    pseudo-remainder sequence: most denominators in sight are 1.
+    """
+    if _is_nonzero_constant(p) or _is_nonzero_constant(q):
+        return _one2()
     if p.is_zero():
         g = q
     elif q.is_zero():
@@ -319,8 +333,27 @@ class RatFuncField:
 # ---------------------------------------------------------------------------
 
 
+def _cofactor(p: Poly, g: Poly) -> Poly:
+    """p/g for a monic gcd2 result g that divides p."""
+    return p if g.is_constant() else divide_exact_p2(p, g)
+
+
+def _order(p: Poly) -> int:
+    """Order of vanishing at the origin (lowest total degree) of p != 0."""
+    return min(sum(m) for m in p.terms)
+
+
 class BiFrac:
-    """Reduced fraction num/den in Q[u,v] with den(0,0) = 1."""
+    """Fraction num/den in Q[u,v] in lowest terms, with den(0,0) = 1.
+
+    Invariant: gcd2(num, den) is constant and den(0,0) = 1 (zero is 0/1).
+    That form is unique, so equality, hashing and text compare polynomials.
+    `make` reduces raw polynomials by one full gcd2.  The arithmetic keeps
+    the invariant with Henrici's cross-gcd rule, as `fractions.Fraction`
+    does: operands are already reduced, so a product can only cancel a
+    numerator against the other operand's denominator, and a sum only by a
+    factor of gcd2 of the two denominators.
+    """
 
     __slots__ = ("num", "den")
 
@@ -333,14 +366,18 @@ class BiFrac:
         if den.is_zero():
             raise DivisionImpossible("zero denominator")
         if num.is_zero():
-            return BiFrac(num, Poly.constant(Fraction(1), QQ, 2))
+            return BiFrac(num, _one2())
         g = gcd2(num, den)
-        if not g.is_constant():
-            num = divide_exact_p2(num, g)
-            den = divide_exact_p2(den, g)
+        return BiFrac._scaled(_cofactor(num, g), _cofactor(den, g))
+
+    @staticmethod
+    def _scaled(num: Poly, den: Poly) -> "BiFrac":
+        """Coprime num/den, scaled so that den(0,0) = 1."""
         c = den.constant_coeff()
         if c == 0:
             raise DivisionImpossible("denominator vanishes at the origin")
+        if c == 1:
+            return BiFrac(num, den)
         s = Fraction(1) / c
         return BiFrac(num.scale(s), den.scale(s))
 
@@ -353,22 +390,48 @@ class BiFrac:
     def residue(self) -> Fraction:
         return self.num.constant_coeff()
 
+    def _plus(self, n2: Poly, d2: Poly) -> "BiFrac":
+        """self + n2/d2, for coprime n2 and d2."""
+        n1, d1 = self.num, self.den
+        g = gcd2(d1, d2)
+        if g.is_constant():
+            t, den = n1 * d2 + n2 * d1, d1 * d2
+        else:
+            s = divide_exact_p2(d1, g)
+            t = n1 * divide_exact_p2(d2, g) + n2 * s
+            g2 = gcd2(t, g)
+            t, den = _cofactor(t, g2), s * _cofactor(d2, g2)
+        if t.is_zero():
+            return BiFrac(t, _one2())
+        return BiFrac._scaled(t, den)
+
+    def _times(self, n2: Poly, d2: Poly) -> "BiFrac":
+        """self * n2/d2, for coprime n2 and d2."""
+        if self.num.is_zero() or n2.is_zero():
+            return BiFrac(Poly.zero(QQ, 2), _one2())
+        g1 = gcd2(self.num, d2)
+        g2 = gcd2(n2, self.den)
+        return BiFrac._scaled(
+            _cofactor(self.num, g1) * _cofactor(n2, g2),
+            _cofactor(self.den, g2) * _cofactor(d2, g1),
+        )
+
     def __add__(self, o: "BiFrac") -> "BiFrac":
-        return BiFrac.make(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._plus(o.num, o.den)
 
     def __sub__(self, o: "BiFrac") -> "BiFrac":
-        return BiFrac.make(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._plus(-o.num, o.den)
 
     def __neg__(self) -> "BiFrac":
         return BiFrac(-self.num, self.den)
 
     def __mul__(self, o: "BiFrac") -> "BiFrac":
-        return BiFrac.make(self.num * o.num, self.den * o.den)
+        return self._times(o.num, o.den)
 
     def divide(self, o: "BiFrac") -> "BiFrac":
         if o.is_zero():
             raise DivisionImpossible("division by zero")
-        return BiFrac.make(self.num * o.den, self.den * o.num)
+        return self._times(o.den, o.num)
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, BiFrac):
@@ -407,7 +470,7 @@ class RingElement:
     def zero(model: str) -> "RingElement":
         if model == MODEL_DVR:
             return RingElement(model, Series.zero())
-        return RingElement(model, BiFrac(Poly.zero(QQ, 2), Poly.constant(Fraction(1), QQ, 2)))
+        return RingElement(model, BiFrac(Poly.zero(QQ, 2), _one2()))
 
     @staticmethod
     def from_fraction(c, model: str) -> "RingElement":
@@ -416,7 +479,7 @@ class RingElement:
             return RingElement(model, Series.from_fraction(c))
         return RingElement(
             model,
-            BiFrac(Poly.constant(c, QQ, 2), Poly.constant(Fraction(1), QQ, 2)),
+            BiFrac(Poly.constant(c, QQ, 2), _one2()),
         )
 
     @staticmethod
@@ -500,8 +563,12 @@ def divides(a: RingElement, b: RingElement) -> bool:
 
     DVR model: answered from the valuations, v(a) <= v(b), which is exact
     even for truncated operands (the leading term of a series is always
-    known).  Bivariate model: answered by exact `BiFrac` division.  Neither
-    model depends on a series precision.
+    known).  Bivariate model: denominators are units, so a | b exactly when
+    a.num / gcd2(a.num, b.num) has a nonzero constant term; no quotient is
+    built.  Two cases answer before any gcd: a unit a.num divides, and
+    ord(a.num) > ord(b.num) does not (the order of vanishing at the origin
+    is additive and zero on units).  Neither model depends on a series
+    precision.
     """
     if a.is_zero():
         raise PreconditionViolated("divisibility by zero is undefined")
@@ -510,11 +577,12 @@ def divides(a: RingElement, b: RingElement) -> bool:
     a._match(b)
     if a.model == MODEL_DVR:
         return b.payload.val >= a.payload.val
-    try:
-        b.divide_in_ring(a)
+    an, bn = a.payload.num, b.payload.num
+    if an.constant_coeff() != 0:
         return True
-    except DivisionImpossible:
+    if _order(an) > _order(bn):
         return False
+    return _cofactor(an, gcd2(an, bn)).constant_coeff() != 0
 
 
 def unit_multiple(
@@ -575,7 +643,7 @@ def elements_gcd(gens: Sequence[RingElement]) -> RingElement:
     acc = live[0].payload.num
     for g in live[1:]:
         acc = gcd2(acc, g.payload.num)
-    return RingElement.from_bifrac(BiFrac.make(acc, Poly.constant(Fraction(1), QQ, 2)))
+    return RingElement.from_bifrac(BiFrac.make(acc, _one2()))
 
 
 def nth_root_unit(

@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodalwitness import localring
 from nodalwitness.dvrseries import Series
 from nodalwitness.errors import (
     DivisionImpossible,
@@ -18,6 +19,7 @@ from nodalwitness.errors import (
 from nodalwitness.localring import (
     MODEL_BIVARIATE,
     MODEL_DVR,
+    BiFrac,
     IdealHandle,
     PolyExt,
     RingElement,
@@ -265,6 +267,15 @@ class TestDivides:
         assert divides(a, a * b)
 
 
+    def test_order_reject_computes_no_gcd(self, monkeypatch):
+        a, b, unit = biv("u^2 + u*v"), biv("(u + v^3)/(1 + v)"), biv("(2 + u)/(1 - v)")
+        calls = []
+        monkeypatch.setattr(localring, "gcd2", lambda p, q: calls.append((p, q)))
+        assert not divides(a, b)  # order 2 against order 1
+        assert divides(unit, b)  # a unit divides everything
+        assert calls == []
+
+
 class TestExactDivision:
     @given(dvr_elements(), dvr_elements(allow_zero=False))
     @settings(max_examples=80)
@@ -391,6 +402,110 @@ class TestGcd:
         else:
             ratio = sympy.cancel(got / expect)
             assert ratio.is_Rational and ratio != 0, (p, q, got, expect)
+
+
+    def test_gcd2_with_a_constant_skips_the_remainder_sequence(self, monkeypatch):
+        def no_prem(f, g):
+            raise AssertionError("pseudo-remainder sequence entered")
+
+        monkeypatch.setattr(localring, "_rec_prem", no_prem)
+        p = biv("u^2 + 3*u*v - v").payload.num
+        three = Poly.constant(Fraction(3), QQ, 2)
+        for x, y in [(p, three), (three, p), (Poly.zero(QQ, 2), three)]:
+            assert gcd2(x, y) == Poly.constant(Fraction(1), QQ, 2)
+
+
+# --- the bivariate ring against sympy -------------------------------------------
+
+# factors shared between the operands of one example; the first four are units
+BIV_FACTORS = [
+    {(0, 0): 1, (1, 0): 1},
+    {(0, 0): 2, (0, 1): -1},
+    {(0, 0): 1, (1, 1): 1},
+    {(0, 0): 3, (1, 0): 1, (0, 1): 1},
+    {(1, 0): 1},
+    {(0, 1): 1},
+    {(1, 0): 1, (0, 1): 1},
+    {(2, 0): 1, (0, 1): 1},
+    {(1, 0): 1, (0, 1): -2, (1, 1): 1},
+]
+N_UNIT_FACTORS = 4
+
+
+def p2(terms) -> Poly:
+    return Poly({m: Fraction(c) for m, c in terms.items()}, QQ, 2)
+
+
+@st.composite
+def shared_factor_fractions(draw):
+    """(num, den): products of shared factors, a common factor that the
+    reduction must cancel, a small free part, and a unit denominator."""
+    factor = st.sampled_from(range(len(BIV_FACTORS)))
+    unit = st.sampled_from(range(N_UNIT_FACTORS))
+    monos = st.sampled_from([(i, j) for i in range(3) for j in range(3 - i)])
+    num = p2(draw(st.dictionaries(monos, small_q, max_size=3)) or {(0, 0): 1})
+    for k in draw(st.lists(factor, max_size=2)):
+        num = num * p2(BIV_FACTORS[k])
+    den = Poly.constant(draw(small_q.filter(lambda c: c != 0)), QQ, 2)
+    for k in draw(st.lists(unit, max_size=2)):
+        den = den * p2(BIV_FACTORS[k])
+    if draw(st.booleans()):
+        common = p2(BIV_FACTORS[draw(factor)])
+        num, den = num * common, den * common
+    return num, den
+
+
+class TestBivariateAgainstSympy:
+    @given(shared_factor_fractions(), shared_factor_fractions())
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations(self, fa, fb):
+        sympy = pytest.importorskip("sympy")
+        R, _, _ = sympy.polys.rings.ring("u,v", sympy.QQ)
+
+        def to_sympy(p):
+            return R({m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()})
+
+        def reduced(n, d):
+            """sympy's lowest terms of n/d, scaled to den(0,0) = 1; None off the ring."""
+            n, d = n.cancel(d)
+            c = d.get((0, 0), 0)
+            if c == 0:
+                return None
+            return [{m: Fraction(int(x.numerator), int(x.denominator))
+                     for m, x in e.quo_ground(c).items()} for e in (n, d)]
+
+        def check(got: RingElement, expect):
+            b = got.payload
+            assert [b.num.terms, b.den.terms] == expect
+            # canonical: coprime (sympy's gcd, the faster of the two) and den(0,0) = 1
+            assert to_sympy(b.num).gcd(to_sympy(b.den)).is_ground
+            assert b.den.constant_coeff() == 1
+
+        a, b = (RingElement.from_bifrac(BiFrac.make(*f)) for f in (fa, fb))
+        (na, da), (nb, db) = ((to_sympy(n), to_sympy(d)) for n, d in (fa, fb))
+        check(a, reduced(na, da))
+        check(a + b, reduced(na * db + nb * da, da * db))
+        check(a - b, reduced(na * db - nb * da, da * db))
+        check(a * b, reduced(na * nb, da * db))
+        # undoing a sum cancels a factor of the shared denominator
+        check((a + b) - b, reduced(na, da))
+        if b.is_zero():
+            return
+        check((a * b).divide_in_ring(b), reduced(na, da))
+        quotient = reduced(na * db, da * nb)
+        try:
+            check(a.divide_in_ring(b), quotient)
+        except DivisionImpossible:
+            assert quotient is None
+        if a.is_zero():
+            return
+        # divides(b, a) asks whether a/b lies in the ring
+        assert divides(b, a) == (quotient is not None)
+        w = unit_multiple(b, a)
+        if quotient is None or quotient[0].get((0, 0), 0) == 0:
+            assert w is None
+        else:
+            check(w, quotient)
 
 
 # --- ideals -------------------------------------------------------------------
