@@ -10,6 +10,7 @@ budget.  Desk-scale inputs only; no homogenization, no F4-style batching.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Any, Iterable, Sequence
 
 from .errors import DegreeCapExceeded, PreconditionViolated
@@ -91,10 +92,7 @@ def _grevlex_greater(m1: Monomial, m2: Monomial) -> bool:
     if d1 != d2:
         return d1 > d2
     # graded reverse lex: rightmost nonzero difference decides, reversed sign
-    for a, b in zip(reversed(m1), reversed(m2)):
-        if a != b:
-            return a < b
-    return False
+    return m1[::-1] < m2[::-1]
 
 
 class Grevlex:
@@ -130,19 +128,28 @@ class BlockOrder:
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
+
+
+def _leading_monomial(terms: dict, order) -> Monomial:
+    greater = order.greater
+    lm = None
+    for m in terms:
+        if lm is None or greater(m, lm):
+            lm = m
+    return lm
 
 
 class Poly:
@@ -223,10 +230,7 @@ class Poly:
         )
 
     def leading(self, order) -> tuple[Monomial, Any]:
-        lm = None
-        for m in self.terms:
-            if lm is None or order.greater(m, lm):
-                lm = m
+        lm = _leading_monomial(self.terms, order)
         return lm, self.terms[lm]
 
     def __eq__(self, other) -> bool:
@@ -251,25 +255,43 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def _sub_in_place(work: dict, m: Monomial, c, F) -> None:
+    d = F.sub(work.get(m, F.zero), c)
+    if F.is_zero(d):
+        work.pop(m, None)
+    else:
+        work[m] = d
+
+
 def reduce_poly(f: Poly, basis: Sequence[Poly], order) -> Poly:
-    """Full multivariate division remainder of f by the basis."""
+    """Full multivariate division remainder of f by the basis.
+
+    The working polynomial and the remainder are plain dicts updated in
+    place; only the result is built as a Poly.  The field sees the calls of
+    `work - g.mul_term(...)` in their order (every product, then the
+    subtractions of the nonzero ones), so a `LaurentField` run raises
+    PrecisionExhausted exactly where the Poly arithmetic would.
+    """
     F = f.field
-    rem = Poly.zero(F, f.nvars)
-    work = f
+    rem: dict = {}
+    work = dict(f.terms)
     lead = [(g,) + g.leading(order) for g in basis if not g.is_zero()]
-    while not work.is_zero():
-        lm, lc = work.leading(order)
-        hit = False
+    while work:
+        lm = _leading_monomial(work, order)
+        lc = work[lm]
         for g, gm, gc in lead:
             if mono_divides(gm, lm):
                 q = F.div(lc, gc)
-                work = work - g.mul_term(mono_div(lm, gm), q)
-                hit = True
+                shift = mono_div(lm, gm)
+                prods = [(mono_mul(shift, m0), F.mul(q, c0)) for m0, c0 in g.terms.items()]
+                for m, c in prods:
+                    if not F.is_zero(c):
+                        _sub_in_place(work, m, c, F)
                 break
-        if not hit:
-            rem = rem + Poly({lm: lc}, F, f.nvars)
-            work = work - Poly({lm: lc}, F, f.nvars)
-    return rem
+        else:
+            rem[lm] = F.add(F.zero, lc)
+            _sub_in_place(work, lm, lc, F)
+    return Poly(rem, F, f.nvars)
 
 
 def s_poly(f: Poly, g: Poly, order) -> Poly:

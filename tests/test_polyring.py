@@ -1,6 +1,7 @@
 """The Groebner kernel: bases and elimination against sympy's."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from nodalwitness.polyring import (
     Poly,
     buchberger,
     eliminate,
+    mono_divides,
     reduce_poly,
 )
 
@@ -93,3 +95,28 @@ class TestAgainstSympy:
             _, rem = sympy.reduced(to_sympy(sympy, p, syms), theirs, *syms,
                                    order="lex", domain=sympy.QQ)
             assert rem == 0, (gens, p)
+
+
+class TestReductionCost:
+    def test_reduction_builds_only_its_result(self, monkeypatch):
+        order = Grevlex(3)
+        t, u, v = (Poly.variable(i, QQ, 3) for i in range(3))
+        basis = buchberger([t * t - u * v, u * u * u - t * v + v], order)
+        monos = sorted((m for m in product(range(5), repeat=3)
+                        if sum(m) <= 4), reverse=True)[:30]
+        f = Poly({m: Fraction(k + 1, k % 4 + 2) for k, m in enumerate(monos)}, QQ, 3)
+        assert len(f.terms) == 30
+        built = []
+        init = Poly.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Poly, "__init__", counting_init)
+        r = reduce_poly(f, basis, order)
+        assert len(built) <= 2
+        monkeypatch.undo()
+        # a remainder term is divisible by no leading monomial of the basis
+        leads = [g.leading(order)[0] for g in basis]
+        assert r.terms and not any(mono_divides(lm, m) for m in r.terms for lm in leads)
