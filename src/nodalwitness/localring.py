@@ -362,11 +362,15 @@ class BiFrac:
         self.den = den
 
     @staticmethod
+    def zero() -> "BiFrac":
+        return BiFrac(Poly.zero(QQ, 2), _one2())
+
+    @staticmethod
     def make(num: Poly, den: Poly) -> "BiFrac":
         if den.is_zero():
             raise DivisionImpossible("zero denominator")
         if num.is_zero():
-            return BiFrac(num, _one2())
+            return BiFrac.zero()
         g = gcd2(num, den)
         return BiFrac._scaled(_cofactor(num, g), _cofactor(den, g))
 
@@ -402,13 +406,13 @@ class BiFrac:
             g2 = gcd2(t, g)
             t, den = _cofactor(t, g2), s * _cofactor(d2, g2)
         if t.is_zero():
-            return BiFrac(t, _one2())
+            return BiFrac.zero()
         return BiFrac._scaled(t, den)
 
     def _times(self, n2: Poly, d2: Poly) -> "BiFrac":
         """self * n2/d2, for coprime n2 and d2."""
         if self.num.is_zero() or n2.is_zero():
-            return BiFrac(Poly.zero(QQ, 2), _one2())
+            return BiFrac.zero()
         g1 = gcd2(self.num, d2)
         g2 = gcd2(n2, self.den)
         return BiFrac._scaled(
@@ -470,7 +474,7 @@ class RingElement:
     def zero(model: str) -> "RingElement":
         if model == MODEL_DVR:
             return RingElement(model, Series.zero())
-        return RingElement(model, BiFrac(Poly.zero(QQ, 2), _one2()))
+        return RingElement(model, BiFrac.zero())
 
     @staticmethod
     def from_fraction(c, model: str) -> "RingElement":
