@@ -1,0 +1,89 @@
+"""The DVR series kernel: inverses and unit roots against sympy's series."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nodalwitness.dvrseries import Series
+
+small_q = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
+)
+nonzero_q = small_q.filter(lambda c: c != 0)
+
+
+def coefficients(sympy, expr, x, n):
+    """The first n coefficients of expr's expansion at x = 0."""
+    s = sympy.series(expr, x, 0, n).removeO()
+    return [Fraction(str(s.coeff(x, k))) for k in range(n)]
+
+
+def polynomial(sympy, coeffs, x):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs)),
+        sympy.Integer(0),
+    )
+
+
+def window(s: Series, prec: int) -> int:
+    """How many coefficients an inverse or root of s determines."""
+    return prec if s.exact else len(s.coeffs)
+
+
+class TestAgainstSympy:
+    @given(
+        val=st.integers(0, 3),
+        c0=nonzero_q,
+        tail=st.lists(small_q, max_size=5),
+        exact=st.booleans(),
+        prec=st.integers(4, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_inverse(self, val, c0, tail, exact, prec):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        s = Series.make(val, [c0] + tail, exact)
+        inv = s.inverse(prec)
+        assert inv.val == -val
+        if s.is_monomial():
+            assert inv.exact and inv.coeffs == (1 / c0,)
+            return
+        n = window(s, prec)
+        assert not inv.exact and len(inv.coeffs) == n
+        # a truncated operand's unknown tail cannot reach the first n terms
+        expect = coefficients(sympy, 1 / polynomial(sympy, s.coeffs, x), x, n)
+        assert list(inv.coeffs) == expect, (s, inv)
+
+    @given(
+        n=st.integers(2, 3),
+        r=nonzero_q,
+        tail=st.lists(small_q, max_size=5),
+        root=st.lists(small_q, min_size=1, max_size=2),
+        shape=st.sampled_from(["truncated", "exact", "exact power"]),
+        prec=st.integers(4, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nth_root_unit(self, n, r, tail, root, shape, prec):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        if n % 2 == 0:
+            r = abs(r)  # an even root needs a positive residue
+        if shape == "exact power":
+            h = polynomial(sympy, [r] + root, x)
+            coeffs = [Fraction(str(c)) for c in reversed(sympy.Poly(h**n, x).all_coeffs())]
+        else:
+            coeffs = [r**n] + tail
+        s = Series.make(0, coeffs, shape != "truncated")
+        g = s.nth_root_unit(n, prec)
+        w = window(s, prec)
+        # the real root with residue r: -(-P)^(1/n) when r < 0 (n odd)
+        sign = 1 if r > 0 else -1
+        P = polynomial(sympy, s.coeffs, x)
+        expect = [sign * c for c in coefficients(sympy, (sign * P) ** sympy.Rational(1, n), x, w)]
+        assert [g.coeff(k) for k in range(w)] == expect, (s, n, g)
+        # exact exactly when s is the n-th power of that truncation
+        trunc = polynomial(sympy, expect, x)
+        assert g.exact == (s.exact and sympy.expand(trunc**n - P) == 0), (s, n, g)
+        if not g.exact:
+            assert g.val == 0 and len(g.coeffs) == w

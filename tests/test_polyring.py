@@ -13,23 +13,66 @@ from nodalwitness.polyring import (
     Poly,
     buchberger,
     eliminate,
+    escapes_origin,
     mono_divides,
     reduce_poly,
 )
 
-NAMES = ("t", "u", "v")
+NAMES = ("t", "S", "T", "u", "v")
 
 small_q = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=2
 ).filter(lambda c: c != 0)
 
 
+def small_polys(nvars, first=0):
+    """At most three terms of total degree <= 2 in the variables from `first` on."""
+    monos = st.lists(st.integers(first, nvars - 1), max_size=2).map(
+        lambda idx: tuple(idx.count(i) for i in range(nvars))
+    )
+    return st.dictionaries(monos, small_q, min_size=1, max_size=3).map(
+        lambda t: Poly(t, QQ, nvars)
+    )
+
+
+def small_ideals(nvars, first=0):
+    """One to three generators from `small_polys`."""
+    return st.lists(small_polys(nvars, first), min_size=1, max_size=3)
+
+
 @st.composite
-def small_ideals(draw, nvars):
-    """One to three generators of at most three terms and total degree <= 2."""
-    monos = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda m: sum(m) <= 2)
-    gen = st.dictionaries(monos, small_q, min_size=1, max_size=3)
-    return [Poly(t, QQ, nvars) for t in draw(st.lists(gen, min_size=1, max_size=3))]
+def padded_ideals(draw, nvars):
+    """A small ideal with one extra generator that adds nothing to a reduced
+    basis: zero, a nonzero constant (the unit ideal), or a generator already
+    in the ideal of the others, inserted anywhere."""
+    gens = draw(small_ideals(nvars))
+    kind = draw(st.sampled_from(["zero", "constant", "multiple", "combination"]))
+    if kind == "zero":
+        extra = Poly.zero(QQ, nvars)
+    elif kind == "constant":
+        extra = Poly.constant(draw(small_q), QQ, nvars)
+    elif kind == "multiple":
+        extra = draw(st.sampled_from(gens)) * draw(small_polys(nvars))
+    else:
+        extra = Poly.zero(QQ, nvars)
+        for g in gens:
+            extra = extra + g * draw(small_polys(nvars))
+    gens.insert(draw(st.integers(0, len(gens))), extra)
+    return gens
+
+
+@st.composite
+def rabinowitsch_queries(draw):
+    """The engine's radical-membership shape: Q[t, (S,) T, u, v] with the
+    generators free of t, plus 1 - t*f; eliminate all but u and v.  Half the
+    time f is a multiple of a generator, so both answers occur."""
+    nvars = draw(st.sampled_from([4, 5]))
+    gens = draw(small_ideals(nvars, first=1))
+    f = draw(small_polys(nvars, first=1))
+    if draw(st.booleans()):
+        f = f * draw(st.sampled_from(gens))
+    one = Poly.constant(Fraction(1), QQ, nvars)
+    return nvars - 2, gens + [one - Poly.variable(0, QQ, nvars) * f]
 
 
 def to_sympy(sympy, p: Poly, syms):
@@ -54,21 +97,53 @@ def as_set(polys):
     return {frozenset(p.terms.items()) for p in polys}
 
 
+def assert_sympys_reduced_grevlex_basis(sympy, gens, nvars):
+    syms = sympy.symbols(NAMES[-nvars:])
+    ours = buchberger(gens, Grevlex(nvars))
+    theirs = sympy.groebner(
+        [to_sympy(sympy, g, syms) for g in gens], *syms, order="grevlex", domain=sympy.QQ
+    )
+    expect = [from_sympy(sympy, e, syms) for e in theirs.exprs]
+    # a reduced basis is unique once monic; sympy's over QQ is monic too
+    assert as_set(ours) == as_set(expect), (gens, ours, expect)
+
+
+def sympys_lex_elimination(sympy, gens, nelim, nvars):
+    """Our elimination and sympy's (the lex basis elements free of the first
+    nelim variables), after checking that the two span the same ideal."""
+    syms = sympy.symbols(NAMES[-nvars:])
+    ours = eliminate(gens, nelim)
+    lex = sympy.groebner(
+        [to_sympy(sympy, g, syms) for g in gens], *syms, order="lex", domain=sympy.QQ
+    )
+    theirs = [e for e in lex.exprs if not (e.free_symbols & set(syms[:nelim]))]
+    if not theirs:
+        assert not ours, (gens, ours)
+        return ours, []
+    order = BlockOrder(nelim, nvars)
+    for e in theirs:
+        assert reduce_poly(from_sympy(sympy, e, syms), ours, order).is_zero(), (gens, e)
+    for p in ours:
+        _, rem = sympy.reduced(to_sympy(sympy, p, syms), theirs, *syms,
+                               order="lex", domain=sympy.QQ)
+        assert rem == 0, (gens, p)
+    return ours, [from_sympy(sympy, e, syms) for e in theirs]
+
+
 class TestAgainstSympy:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_reduced_grevlex_basis(self, data):
         sympy = pytest.importorskip("sympy")
         nvars = data.draw(st.sampled_from([2, 3]))
-        syms = sympy.symbols(NAMES[-nvars:])
-        gens = data.draw(small_ideals(nvars))
-        ours = buchberger(gens, Grevlex(nvars))
-        theirs = sympy.groebner(
-            [to_sympy(sympy, g, syms) for g in gens], *syms, order="grevlex", domain=sympy.QQ
-        )
-        expect = [from_sympy(sympy, e, syms) for e in theirs.exprs]
-        # a reduced basis is unique once monic; sympy's over QQ is monic too
-        assert as_set(ours) == as_set(expect), (gens, ours, expect)
+        assert_sympys_reduced_grevlex_basis(sympy, data.draw(small_ideals(nvars)), nvars)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_constant_or_redundant_generator(self, data):
+        sympy = pytest.importorskip("sympy")
+        nvars = data.draw(st.sampled_from([2, 3]))
+        assert_sympys_reduced_grevlex_basis(sympy, data.draw(padded_ideals(nvars)), nvars)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -76,25 +151,15 @@ class TestAgainstSympy:
         sympy = pytest.importorskip("sympy")
         nvars = data.draw(st.sampled_from([2, 3]))
         nelim = data.draw(st.integers(1, nvars - 1))
-        syms = sympy.symbols(NAMES[-nvars:])
-        gens = data.draw(small_ideals(nvars))
-        ours = eliminate(gens, nelim)
-        lex = sympy.groebner(
-            [to_sympy(sympy, g, syms) for g in gens], *syms, order="lex", domain=sympy.QQ
-        )
-        # the lex basis elements free of the first nelim variables are a
-        # basis of the elimination ideal
-        theirs = [e for e in lex.exprs if not (e.free_symbols & set(syms[:nelim]))]
-        if not theirs:
-            assert not ours, (gens, ours)
-            return
-        order = BlockOrder(nelim, nvars)
-        for e in theirs:
-            assert reduce_poly(from_sympy(sympy, e, syms), ours, order).is_zero(), (gens, e)
-        for p in ours:
-            _, rem = sympy.reduced(to_sympy(sympy, p, syms), theirs, *syms,
-                                   order="lex", domain=sympy.QQ)
-            assert rem == 0, (gens, p)
+        sympys_lex_elimination(sympy, data.draw(small_ideals(nvars)), nelim, nvars)
+
+    @given(rabinowitsch_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_rabinowitsch_elimination_in_four_and_five_variables(self, query):
+        sympy = pytest.importorskip("sympy")
+        nelim, gens = query
+        ours, theirs = sympys_lex_elimination(sympy, gens, nelim, nelim + 2)
+        assert escapes_origin(ours) == escapes_origin(theirs), gens
 
 
 class TestReductionCost:
