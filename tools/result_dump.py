@@ -1,6 +1,6 @@
 """Hash the results of every operation in the benchmark's instance pools.
 
-    python3 tools/result_dump.py [--root CHECKOUT]
+    python3 tools/result_dump.py [--root CHECKOUT] [--counts]
 
 Builds the three pools of `perfbench/workloads.py` (nodal-dvr 6 rounds,
 witness-dvr 1, bivariate 15) at seeds 1 and 2, runs each operation once in
@@ -13,7 +13,10 @@ package compute the same results exactly when they print the same hash.
 
 `--root` (default: the checkout holding this file) names the checkout whose
 `src/` and `perfbench/workloads.py` are used, so that a parent commit can be
-dumped from its own copy.  Nothing is written: no result file, and no
+dumped from its own copy.  `--counts` also prints, one per line, how often
+the pass called each function in COUNTED.  These counts depend only on the
+code and the pools, never on the machine or a time limit, so two versions
+can be compared on them.  Nothing is written: no result file, and no
 bytecode beside the imported sources.
 """
 
@@ -28,6 +31,12 @@ from pathlib import Path
 
 POOLS = (("nodal-dvr", 6), ("witness-dvr", 1), ("bivariate", 15))
 SEEDS = (1, 2)
+COUNTED = (
+    ("polyring", "s_poly"),
+    ("polyring", "reduce_poly"),
+    ("polyring", "buchberger"),
+    ("localring", "gcd2"),
+)
 
 
 def _load_workloads(root: Path):
@@ -55,6 +64,30 @@ def _plain(obj, H):
     raise TypeError(f"no dump form for {type(obj).__name__}")
 
 
+def count_calls() -> dict:
+    """Wrap each COUNTED function in every package module that binds it.
+
+    Returns the live counts; calls made inside the defining module go
+    through its global name and are counted too.
+    """
+    import importlib
+
+    counts = {}
+    for module, name in COUNTED:
+        key = f"{module}.{name}"
+        original = getattr(importlib.import_module(f"nodalwitness.{module}"), name)
+        counts[key] = 0
+
+        def counting(*args, _original=original, _key=key):
+            counts[_key] += 1
+            return _original(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("nodalwitness") and getattr(mod, name, None) is original:
+                setattr(mod, name, counting)
+    return counts
+
+
 def dump(root: Path):
     """Yield one JSON line per operation, in pool order."""
     W = _load_workloads(root)
@@ -79,18 +112,26 @@ def dump(root: Path):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    root = parser.parse_args().root.resolve()
+    parser.add_argument("--counts", action="store_true",
+                        help="also print the call count of each function in COUNTED")
+    args = parser.parse_args()
+    root = args.root.resolve()
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(root / "src"))
     import nodalwitness
 
     if Path(nodalwitness.__file__).resolve().parent != root / "src" / "nodalwitness":
         raise SystemExit(f"nodalwitness imported from {nodalwitness.__file__}, not {root}/src")
+    import nodalwitness.cli  # every module that could bind a counted name
+
+    counts = count_calls() if args.counts else {}
     h, count = hashlib.sha256(), 0
     for line in dump(root):
         h.update(line.encode() + b"\n")
         count += 1
     print(f"{h.hexdigest()} {count}")
+    for key, n in counts.items():
+        print(f"{key} {n}")
 
 
 if __name__ == "__main__":
