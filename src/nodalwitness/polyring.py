@@ -3,8 +3,10 @@
 This is the small Groebner engine behind ideal-membership and radical
 queries.  Coefficients are abstracted behind a field object (exact
 rationals, or the truncated Laurent field from `dvrseries`), monomials are
-exponent tuples, and bases are computed by plain Buchberger with an S-pair
-budget.  Desk-scale inputs only; no homogenization, no F4-style batching.
+exponent tuples, and bases are computed by Buchberger's algorithm with the
+pair criteria of Gebauer and Möller, the normal selection strategy and a
+budget on the S-pairs reduced.  Desk-scale inputs only; no homogenization,
+no F4-style batching.
 """
 
 from __future__ import annotations
@@ -155,12 +157,13 @@ def _leading_monomial(terms: dict, order) -> Monomial:
 class Poly:
     """Immutable sparse polynomial: {monomial: nonzero coefficient}."""
 
-    __slots__ = ("terms", "field", "nvars")
+    __slots__ = ("terms", "field", "nvars", "_lead")
 
     def __init__(self, terms: dict, field, nvars: int):
         self.terms = {m: c for m, c in terms.items() if not field.is_zero(c)}
         self.field = field
         self.nvars = nvars
+        self._lead = None  # (order, leading monomial) of the last `leading`
 
     @classmethod
     def zero(cls, field, nvars: int) -> "Poly":
@@ -230,7 +233,13 @@ class Poly:
         )
 
     def leading(self, order) -> tuple[Monomial, Any]:
-        lm = _leading_monomial(self.terms, order)
+        """(monomial, coefficient) of the leading term; the monomial is
+        cached for the last order object asked, so a Groebner run finds each
+        basis element's once."""
+        cached = self._lead
+        if cached is None or cached[0] is not order:
+            cached = self._lead = (order, _leading_monomial(self.terms, order))
+        lm = cached[1]
         return lm, self.terms[lm]
 
     def __eq__(self, other) -> bool:
@@ -307,55 +316,95 @@ def s_poly(f: Poly, g: Poly, order) -> Poly:
 def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     """Reduced, monic Groebner basis of the ideal the generators span.
 
+    Each polynomial joining the basis updates the pair set by the criteria
+    of Gebauer and Möller (J. Symb. Comput. 6, 1988): of its new pairs, one
+    whose lcm is a multiple of another's goes (chain criterion), then those
+    with coprime leading monomials (Buchberger's first criterion); an old
+    pair goes when the new leading monomial divides its lcm without sharing
+    it with either new pair; and the reducer set drops every element whose
+    leading monomial the new one divides.  The pair with the smallest lcm
+    goes next (normal strategy; ties in insertion order).  A constant
+    generator or remainder answers [1] at once.
+
     Raises DegreeCapExceeded once more S-pairs than the process-wide budget
-    (see set_spair_cap) have been processed; the tiny instances this package
-    produces stay far below the default budget, so tripping the cap signals
-    a malformed query.
+    (see set_spair_cap) have been reduced; pairs the criteria drop cost
+    nothing.  The tiny instances this package produces stay far below the
+    default budget, so tripping the cap signals a malformed query.
     """
     cap = current_spair_cap()
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
         return []
-    F = basis[0].field
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    seen = 0
-    while pairs:
-        i, j = pairs.pop(0)
-        seen += 1
-        if seen > cap:
-            raise DegreeCapExceeded(f"S-pair budget {cap} exhausted")
-        fm, _ = basis[i].leading(order)
-        gm, _ = basis[j].leading(order)
-        # coprime leading monomials reduce to zero (Buchberger's criterion)
-        if mono_lcm(fm, gm) == mono_mul(fm, gm):
-            continue
-        r = reduce_poly(s_poly(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            basis.append(r)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    F, nvars = polys[0].field, polys[0].nvars
+    unit = (0,) * nvars
+    lms = [g.leading(order)[0] for g in polys]
+    if unit in lms:
+        return [Poly.constant(F.one, F, nvars)]
+    greater = order.greater
+    active: list[int] = []  # indices of the reducers
+    pairs: list = []  # (lcm, i, j), in insertion order
 
-    # inter-reduce and normalize to a canonical reduced basis
-    reduced: list[Poly] = []
-    for i, g in enumerate(basis):
-        gm, _ = g.leading(order)
-        drop = False
-        for j, h in enumerate(basis):
-            if j == i or h.is_zero():
-                continue
-            hm, _ = h.leading(order)
-            # equal leading monomials tie-break by index so duplicates
-            # cannot eliminate each other
-            if mono_divides(hm, gm) and (hm != gm or j < i):
-                drop = True
-                break
-        if not drop:
-            reduced.append(g)
-    final = []
-    for i, g in enumerate(reduced):
-        others = reduced[:i] + reduced[i + 1 :]
-        r = reduce_poly(g, others, order) if others else g
+    def update(k: int) -> None:
+        hm = lms[k]
+        new = [(mono_lcm(lms[g], hm), g) for g in active]
+        keep = [True] * len(new)
+        for a, (la, ga) in enumerate(new):
+            if la != mono_mul(lms[ga], hm):
+                keep[a] = not any(
+                    keep[b] and b != a and mono_divides(lb, la)
+                    for b, (lb, _) in enumerate(new)
+                )
+        pairs[:] = [
+            (l, i, j)
+            for l, i, j in pairs
+            if not mono_divides(hm, l)
+            or l == mono_lcm(lms[i], hm)
+            or l == mono_lcm(lms[j], hm)
+        ]
+        pairs.extend(
+            (l, g, k)
+            for (l, g), kept in zip(new, keep)
+            if kept and l != mono_mul(lms[g], hm)
+        )
+        active[:] = [g for g in active if not mono_divides(hm, lms[g])]
+        active.append(k)
+
+    for k in range(len(polys)):
+        update(k)
+    reduced = 0
+    while pairs:
+        best = 0
+        for p in range(1, len(pairs)):
+            if greater(pairs[best][0], pairs[p][0]):
+                best = p
+        _, i, j = pairs.pop(best)
+        reduced += 1
+        if reduced > cap:
+            raise DegreeCapExceeded(f"S-pair budget {cap} exhausted")
+        r = reduce_poly(
+            s_poly(polys[i], polys[j], order), [polys[g] for g in active], order
+        )
         if r.is_zero():
             continue
+        rm = r.leading(order)[0]
+        if rm == unit:
+            return [Poly.constant(F.one, F, nvars)]
+        polys.append(r)
+        lms.append(rm)
+        update(len(polys) - 1)
+
+    # drop the inputs whose leading monomial another reducer's divides (no
+    # two reducers share one), then inter-reduce and make monic: the
+    # canonical reduced basis
+    minimal = [
+        g
+        for g in active
+        if not any(h != g and mono_divides(lms[h], lms[g]) for h in active)
+    ]
+    final = []
+    for g in minimal:
+        others = [polys[h] for h in minimal if h != g]
+        r = reduce_poly(polys[g], others, order) if others else polys[g]
         _, lc = r.leading(order)
         final.append(r.scale(F.div(F.one, lc)))
     final.sort(key=lambda p: sorted(p.terms), reverse=True)

@@ -16,7 +16,7 @@ from nodalwitness.blowuptree import (
     TreeVertex,
 )
 from nodalwitness.dvrseries import Series
-from nodalwitness import homotopy
+from nodalwitness import homotopy, polyring
 from nodalwitness.errors import (
     ConsistencyFailure,
     DivisionImpossible,
@@ -608,6 +608,24 @@ class TestDecideNodal:
         v = decide_nodal(X1, s1, s2)
         assert isinstance(v, Homotopic) and v.level == LEVEL_GHOST1
         assert verify_witness(X1, g, v.witness, (s1, s2))
+
+    def test_bivariate_ghost_spends_few_s_pairs(self, monkeypatch):
+        # the CLI's bivariate query, decided and verified: 28 S-polynomials
+        # with first-in first-out pairs, 10 with the Gebauer-Moller criteria
+        calls = []
+        s_poly = polyring.s_poly
+
+        def counting(*args):
+            calls.append(args)
+            return s_poly(*args)
+
+        monkeypatch.setattr(polyring, "s_poly", counting)
+        g = GammaData(biv("u^2"))
+        s1 = SectionData(g, biv("u"))
+        s2 = SectionData(g, biv("u + u^2 + u^2*v"))
+        v = decide_nodal(X1, s1, s2)
+        assert verify_witness(X1, g, v.witness, (s1, s2))
+        assert len(calls) <= 10
 
     def test_bivariate_radical_without_membership(self):
         # r0 = u^4, values u^2*unit: the blown-center ideal is <u^2> and

@@ -6,6 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nodalwitness import polyring
+from nodalwitness.errors import DegreeCapExceeded
 from nodalwitness.polyring import (
     QQ,
     BlockOrder,
@@ -16,6 +18,7 @@ from nodalwitness.polyring import (
     escapes_origin,
     mono_divides,
     reduce_poly,
+    set_spair_cap,
 )
 
 NAMES = ("t", "S", "T", "u", "v")
@@ -185,3 +188,44 @@ class TestReductionCost:
         # a remainder term is divisible by no leading monomial of the basis
         leads = [g.leading(order)[0] for g in basis]
         assert r.terms and not any(mono_divides(lm, m) for m in r.terms for lm in leads)
+
+
+def counting(monkeypatch, name):
+    """Count the calls buchberger makes to the module-level `name`."""
+    calls = []
+    original = getattr(polyring, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polyring, name, wrapper)
+    return calls
+
+
+class TestPairCriteria:
+    def test_unit_ideal_with_redundant_inputs_reduces_nothing(self, monkeypatch):
+        t = Poly.variable(0, QQ, 3)
+        zero, one = Poly.zero(QQ, 3), Poly.constant(Fraction(1), QQ, 3)
+        reductions = counting(monkeypatch, "reduce_poly")
+        assert buchberger([zero, one, one - t], BlockOrder(3, 3)) == [one]
+        assert not reductions
+
+    def test_budget_counts_only_the_pairs_reduced(self, monkeypatch):
+        # a Rabinowitsch query whose run skips pairs by the criteria
+        t, u, v = (Poly.variable(i, QQ, 3) for i in range(3))
+        one = Poly.constant(Fraction(1), QQ, 3)
+        gens = [u * u * v - v, u * v * v + u, one - t * u]
+        order = BlockOrder(1, 3)
+        spolys = counting(monkeypatch, "s_poly")
+        basis = buchberger(gens, order)
+        k = len(spolys)
+        assert k > 1
+        try:
+            set_spair_cap(k)
+            assert buchberger(gens, order) == basis
+            set_spair_cap(k - 1)
+            with pytest.raises(DegreeCapExceeded):
+                buchberger(gens, order)
+        finally:
+            set_spair_cap(None)
