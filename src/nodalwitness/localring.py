@@ -200,8 +200,10 @@ def gcd2(p: Poly, q: Poly) -> Poly:
         c1, c2 = _rec_content(f1), _rec_content(f2)
         f1, f2 = _rec_div_content(f1, c1), _rec_div_content(f2, c2)
         while _rec_trim(list(f2)):
-            r = _rec_prem(f1, f2)
-            f1, f2 = f2, _rec_trim(r)
+            r = _rec_trim(_rec_prem(f1, f2))
+            if r:  # primitive remainders keep the u-degrees from growing
+                r = _rec_div_content(r, _rec_content(r))
+            f1, f2 = f2, r
         cont = _rec_content(f1)
         prim = _rec_div_content(f1, cont)
         g = _rec_to_p2(

@@ -414,6 +414,23 @@ class TestGcd:
         for x, y in [(p, three), (three, p), (Poly.zero(QQ, 2), three)]:
             assert gcd2(x, y) == Poly.constant(Fraction(1), QQ, 2)
 
+    def test_primitive_remainders_keep_u_degrees_small(self, monkeypatch):
+        # without removing each remainder's content in Q[u], the largest
+        # u-degree met in this sequence is 47
+        degrees = []
+        u_mul = localring._u_mul
+
+        def recording(a, b):
+            out = u_mul(a, b)
+            degrees.append(len(out) - 1)
+            return out
+
+        monkeypatch.setattr(localring, "_u_mul", recording)
+        p = biv("(1 + u*v^2 + u^2*v^3 + v^4)*(1 + u + v^2)").payload.num
+        q = biv("(u + v^3 + u^3*v)*(1 + u + v^2)").payload.num
+        assert gcd2(p, q) == biv("1 + u + v^2").payload.num
+        assert max(degrees) <= 24
+
 
 # --- the bivariate ring against sympy -------------------------------------------
 
