@@ -67,11 +67,10 @@ def _plain(obj, H):
 def count_calls() -> dict:
     """Wrap each COUNTED function in every package module that binds it.
 
-    Returns the live counts; calls made inside the defining module go
-    through its global name and are counted too.
+    Returns the live counts.  Calls made inside the defining module go
+    through its global name, and modules imported later bind the wrapper,
+    so every call is counted.
     """
-    import importlib
-
     counts = {}
     for module, name in COUNTED:
         key = f"{module}.{name}"
@@ -122,8 +121,6 @@ def main() -> None:
 
     if Path(nodalwitness.__file__).resolve().parent != root / "src" / "nodalwitness":
         raise SystemExit(f"nodalwitness imported from {nodalwitness.__file__}, not {root}/src")
-    import nodalwitness.cli  # every module that could bind a counted name
-
     counts = count_calls() if args.counts else {}
     h, count = hashlib.sha256(), 0
     for line in dump(root):
