@@ -43,7 +43,7 @@ from .homotopy import (
     witness_from_json,
     witness_to_json,
 )
-from .localring import DEFAULT_PREC, MODEL_BIVARIATE, MODEL_DVR, parse_element
+from .localring import DEFAULT_PREC, parse_element
 from .polyring import set_spair_cap
 from .surface import NodalSurface
 
@@ -83,10 +83,6 @@ def _parse_slope(text: str) -> Slope:
     return Slope(frac.numerator, frac.denominator)
 
 
-def _model(args) -> str:
-    return MODEL_DVR if args.ring == "dvr" else MODEL_BIVARIATE
-
-
 def _load_surface(args) -> NodalSurface:
     """Surface from --surface (path or '-'), defaulting to [0, 1, inf]."""
     path = getattr(args, "surface", None)
@@ -96,10 +92,9 @@ def _load_surface(args) -> NodalSurface:
 
 
 def _sections(args):
-    model = _model(args)
-    g = GammaData(parse_element(args.r0, model, args.trunc))
-    s1 = SectionData(g, parse_element(args.s1, model, args.trunc), args.chart1)
-    s2 = SectionData(g, parse_element(args.s2, model, args.trunc), args.chart2)
+    g = GammaData(parse_element(args.r0, args.ring, args.trunc))
+    s1 = SectionData(g, parse_element(args.s1, args.ring, args.trunc), args.chart1)
+    s2 = SectionData(g, parse_element(args.s2, args.ring, args.trunc), args.chart2)
     return g, s1, s2
 
 
@@ -186,7 +181,7 @@ def cmd_witness(args) -> int:
         # no witness exists (or the engine could not decide): report why
         _print_json(verdict_to_json(verdict))
         return _verdict_exit(verdict)
-    w = witness_from_json(_read_stdin_json(), _model(args), args.trunc)
+    w = witness_from_json(_read_stdin_json(), args.ring, args.trunc)
     report = verify_witness(X, g, w, (s1, s2), prec=args.trunc)
     if args.output == "json":
         _print_json(
@@ -205,10 +200,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    model = _model(args)
-    g = GammaData(parse_element(args.r0, model, args.trunc))
+    g = GammaData(parse_element(args.r0, args.ring, args.trunc))
     family = [
-        SectionData(g, parse_element(text, model, args.trunc))
+        SectionData(g, parse_element(text, args.ring, args.trunc))
         for text in args.sections
     ]
     part = partition_classes(_load_surface(args), g, family, args.trunc)

@@ -23,7 +23,8 @@ from .errors import (
     PreconditionViolated,
     RootUnavailable,
 )
-from .polyring import power
+from .grammar import poly_to_text
+from .polyring import QQ, Poly, power
 
 DEFAULT_PREC = 16
 
@@ -31,6 +32,10 @@ DEFAULT_PREC = 16
 class Series:
     """x^val * (c0 + c1 x + c2 x^2 + ...), c0 != 0; or the exact zero."""
 
+    # the DVR model's payload in `localring`, and how the grammar reads one
+    model = "dvr"
+    variables = ["x"]
+    allow_o = True
     __slots__ = ("val", "coeffs", "exact")
 
     def __init__(self, val: int, coeffs: tuple, exact: bool):
@@ -246,6 +251,33 @@ class Series:
             out[i * b] = c
         return Series.make(self.val * b, out, self.exact)
 
+    # -- the model's rules, for nonzero operands: all read off valuations ------
+
+    def divides(self, other: "Series") -> bool:
+        """v(self) <= v(other): exact even for truncated operands (the
+        leading term of a series is always known), with no precision."""
+        return other.val >= self.val
+
+    @staticmethod
+    def gcd(gens: list) -> "Series":
+        return Series.monomial(min(g.val for g in gens))
+
+    def in_ideal(self, gens: list) -> bool:
+        return self.val >= min(g.val for g in gens)
+
+    def in_radical(self, gens: list) -> bool:
+        """The radical is the whole ring or the maximal ideal."""
+        return min(g.val for g in gens) == 0 or self.val >= 1
+
+    def to_text(self) -> str:
+        if self.is_zero():
+            return "0"
+        terms = {(self.val + i,): c for i, c in enumerate(self.coeffs) if c != 0}
+        body = poly_to_text(Poly(terms, QQ, 1), self.variables)
+        if self.exact:
+            return body
+        return f"{body} + O(x^{self.val + len(self.coeffs)})"
+
     # -- comparison (precision-relative; never raises) ------------------------
 
     def __eq__(self, other) -> bool:
@@ -272,13 +304,7 @@ class Series:
         return hash(("series", self.val, self.coeffs[0]))
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "Series(0)"
-        tail = "" if self.exact else f" + O(x^{self.val + len(self.coeffs)})"
-        body = " + ".join(
-            f"{c}*x^{self.val + i}" for i, c in enumerate(self.coeffs) if c != 0
-        )
-        return f"Series({body}{tail})"
+        return f"Series({self.to_text()})"
 
 
 _ZERO = Series(0, (), True)

@@ -284,7 +284,7 @@ def _mono_text(m: tuple, varnames: list[str]) -> str:
     for e, v in zip(m, varnames):
         if e == 1:
             bits.append(v)
-        elif e > 1:
+        elif e:  # negative exponents only in Laurent reprs
             bits.append(f"{v}^{e}")
     return "*".join(bits)
 

@@ -42,11 +42,8 @@ from .polyring import (
     power,
 )
 
-MODEL_DVR = "dvr"
+MODEL_DVR = Series.model
 MODEL_BIVARIATE = "bivariate"
-
-_UVARS = ["u", "v"]
-_XVAR = ["x"]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +332,35 @@ class RatFuncField:
 # ---------------------------------------------------------------------------
 
 
+def _embed(p: Poly, nvars: int, offset: int) -> Poly:
+    terms = {}
+    for m, c in p.terms.items():
+        mm = [0] * nvars
+        for i, e in enumerate(m):
+            mm[offset + i] = e
+        terms[tuple(mm)] = c
+    return Poly(terms, QQ, nvars)
+
+
+def _strip_vars(p: Poly, keep_from: int) -> Poly:
+    terms = {m[keep_from:]: c for m, c in p.terms.items()}
+    return Poly(terms, QQ, p.nvars - keep_from)
+
+
+def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
+    """Whether the ideal, eliminated to its last variables, escapes the origin.
+
+    With `f` given, the Rabinowitsch generator 1 - t*f is appended first (t
+    is the first variable), so the answer is radical membership of f.  With
+    nelim equal to the number of variables the block order is grevlex and
+    the question is whether the ideal is the unit ideal.
+    """
+    if f is not None:
+        F, n = f.field, f.nvars
+        polys = polys + [Poly.constant(F.one, F, n) - Poly.variable(0, F, n) * f]
+    return escapes_origin(eliminate(polys, nelim))
+
+
 def _cofactor(p: Poly, g: Poly) -> Poly:
     """p/g for a monic gcd2 result g that divides p."""
     return p if g.is_constant() else divide_exact_p2(p, g)
@@ -357,6 +383,9 @@ class BiFrac:
     factor of gcd2 of the two denominators.
     """
 
+    model = MODEL_BIVARIATE
+    variables = ["u", "v"]
+    allow_o = False
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
@@ -366,6 +395,10 @@ class BiFrac:
     @staticmethod
     def zero() -> "BiFrac":
         return BiFrac(Poly.zero(QQ, 2), _one2())
+
+    @staticmethod
+    def from_fraction(c) -> "BiFrac":
+        return BiFrac(Poly.constant(Fraction(c), QQ, 2), _one2())
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "BiFrac":
@@ -434,7 +467,7 @@ class BiFrac:
     def __mul__(self, o: "BiFrac") -> "BiFrac":
         return self._times(o.num, o.den)
 
-    def divide(self, o: "BiFrac") -> "BiFrac":
+    def divide_in_ring(self, o: "BiFrac", prec: int = DEFAULT_PREC) -> "BiFrac":
         if o.is_zero():
             raise DivisionImpossible("division by zero")
         return self._times(o.den, o.num)
@@ -447,6 +480,76 @@ class BiFrac:
     def __hash__(self):
         return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
 
+    # -- the model's rules, for nonzero operands ------------------------------
+
+    def divides(self, o: "BiFrac") -> bool:
+        """Denominators are units, so self | o exactly when
+        self.num / gcd2(self.num, o.num) has a nonzero constant term; no
+        quotient is built.  Two cases answer before any gcd: a unit
+        self.num divides, and ord(self.num) > ord(o.num) does not (the
+        order of vanishing at the origin is additive and zero on units)."""
+        an, bn = self.num, o.num
+        if an.constant_coeff() != 0:
+            return True
+        if _order(an) > _order(bn):
+            return False
+        return _cofactor(an, gcd2(an, bn)).constant_coeff() != 0
+
+    @staticmethod
+    def gcd(gens: list) -> "BiFrac":
+        acc = gens[0].num
+        for g in gens[1:]:
+            acc = gcd2(acc, g.num)
+        return BiFrac.make(acc, _one2())
+
+    def in_ideal(self, gens: list) -> bool:
+        """self in I·R_m  iff  (I : self) escapes <u, v>; (I : self) is
+        computed as (I ∩ <self>)/self via the t-trick in Q[t, u, v]."""
+        p = self.num
+        n = 3
+        t = Poly.variable(0, QQ, n)
+        one = Poly.constant(Fraction(1), QQ, n)
+        gens3 = [t * _embed(g.num, n, 1) for g in gens]
+        gens3.append((one - t) * _embed(p, n, 1))
+        inter = eliminate(gens3, 1)
+        quotient = []
+        for q3 in inter:
+            q2 = _strip_vars(q3, 1)
+            qq = divide_exact_p2(q2, p)
+            assert qq is not None, "intersection member must be divisible"
+            quotient.append(qq)
+        return escapes_origin(quotient)
+
+    def in_radical(self, gens: list) -> bool:
+        """Rabinowitsch, localized, in Q[t, u, v]."""
+        gens3 = [_embed(g.num, 3, 1) for g in gens]
+        return _unit_query(gens3, 1, _embed(self.num, 3, 1))
+
+    def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> Optional["BiFrac"]:
+        res = _rational_root(self.residue(), n)
+        if res is None:
+            raise RootUnavailable(f"residue {self.residue()} has no rational {n}-th root")
+        if self.num.is_constant() and self.den.is_constant():
+            return BiFrac.from_fraction(res)
+        rn = _poly_nth_root(self.num, n)
+        rd = _poly_nth_root(self.den, n)
+        if rn is None or rd is None:
+            return None
+        g = BiFrac.make(rn, rd)
+        for root in (g, -g):
+            if power(root, n, BiFrac.from_fraction(1)) == self:
+                return root
+        return None
+
+    def to_text(self) -> str:
+        num = grammar.poly_to_text(self.num, self.variables)
+        if self.den.is_constant():
+            return num
+        return f"({num})/({grammar.poly_to_text(self.den, self.variables)})"
+
+
+PAYLOADS = {MODEL_DVR: Series, MODEL_BIVARIATE: BiFrac}
+
 
 # ---------------------------------------------------------------------------
 # the facade
@@ -454,39 +557,26 @@ class BiFrac:
 
 
 class RingElement:
-    """An element of the chosen base-ring model."""
+    """An element of the chosen base-ring model: a `Series` or a `BiFrac`."""
 
-    __slots__ = ("model", "payload")
+    __slots__ = ("payload",)
 
-    def __init__(self, model: str, payload):
-        self.model = model
+    def __init__(self, payload):
         self.payload = payload
+
+    @property
+    def model(self) -> str:
+        return self.payload.model
 
     # construction
 
     @staticmethod
-    def from_series(s: Series) -> "RingElement":
-        return RingElement(MODEL_DVR, s)
-
-    @staticmethod
-    def from_bifrac(b: BiFrac) -> "RingElement":
-        return RingElement(MODEL_BIVARIATE, b)
-
-    @staticmethod
     def zero(model: str) -> "RingElement":
-        if model == MODEL_DVR:
-            return RingElement(model, Series.zero())
-        return RingElement(model, BiFrac.zero())
+        return RingElement(PAYLOADS[model].zero())
 
     @staticmethod
     def from_fraction(c, model: str) -> "RingElement":
-        c = Fraction(c)
-        if model == MODEL_DVR:
-            return RingElement(model, Series.from_fraction(c))
-        return RingElement(
-            model,
-            BiFrac(Poly.constant(c, QQ, 2), _one2()),
-        )
+        return RingElement(PAYLOADS[model].from_fraction(Fraction(c)))
 
     @staticmethod
     def one(model: str) -> "RingElement":
@@ -517,18 +607,18 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._match(other)
-        return RingElement(self.model, self.payload + other.payload)
+        return RingElement(self.payload + other.payload)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._match(other)
-        return RingElement(self.model, self.payload - other.payload)
+        return RingElement(self.payload - other.payload)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.model, -self.payload)
+        return RingElement(-self.payload)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._match(other)
-        return RingElement(self.model, self.payload * other.payload)
+        return RingElement(self.payload * other.payload)
 
     def __pow__(self, n: int) -> "RingElement":
         return power(self, n, RingElement.one(self.model))
@@ -540,14 +630,7 @@ class RingElement:
             raise DivisionImpossible("division by zero")
         if self.is_zero():
             return RingElement.zero(self.model)
-        if self.model == MODEL_DVR:
-            return RingElement(self.model, self.payload.divide_in_ring(other.payload, prec))
-        return RingElement(self.model, self.payload.divide(other.payload))
-
-    def substitute_base(self, b: int) -> "RingElement":
-        if self.model != MODEL_DVR:
-            raise ModelMismatch("base substitution x -> x^b needs the DVR model")
-        return RingElement(self.model, self.payload.substitute_base(b))
+        return RingElement(self.payload.divide_in_ring(other.payload, prec))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
@@ -565,30 +648,13 @@ class RingElement:
 
 
 def divides(a: RingElement, b: RingElement) -> bool:
-    """Whether b/a lies in the ring.  Requires a != 0.
-
-    DVR model: answered from the valuations, v(a) <= v(b), which is exact
-    even for truncated operands (the leading term of a series is always
-    known).  Bivariate model: denominators are units, so a | b exactly when
-    a.num / gcd2(a.num, b.num) has a nonzero constant term; no quotient is
-    built.  Two cases answer before any gcd: a unit a.num divides, and
-    ord(a.num) > ord(b.num) does not (the order of vanishing at the origin
-    is additive and zero on units).  Neither model depends on a series
-    precision.
-    """
+    """Whether b/a lies in the ring.  Requires a != 0; the payload answers."""
     if a.is_zero():
         raise PreconditionViolated("divisibility by zero is undefined")
     if b.is_zero():
         return True
     a._match(b)
-    if a.model == MODEL_DVR:
-        return b.payload.val >= a.payload.val
-    an, bn = a.payload.num, b.payload.num
-    if an.constant_coeff() != 0:
-        return True
-    if _order(an) > _order(bn):
-        return False
-    return _cofactor(an, gcd2(an, bn)).constant_coeff() != 0
+    return a.payload.divides(b.payload)
 
 
 def unit_multiple(
@@ -639,17 +705,10 @@ def gens_principal(gens: Sequence[RingElement]) -> Optional[RingElement]:
 
 def elements_gcd(gens: Sequence[RingElement]) -> RingElement:
     """A gcd of the generators (both models are UFD stand-ins), up to unit."""
-    live = [g for g in gens if not g.is_zero()]
+    live = [g.payload for g in gens if not g.is_zero()]
     if not live:
         return RingElement.zero(gens[0].model)
-    model = live[0].model
-    if model == MODEL_DVR:
-        m = min(g.payload.val for g in live)
-        return RingElement.from_series(Series.monomial(m))
-    acc = live[0].payload.num
-    for g in live[1:]:
-        acc = gcd2(acc, g.payload.num)
-    return RingElement.from_bifrac(BiFrac.make(acc, _one2()))
+    return RingElement(PAYLOADS[gens[0].model].gcd(live))
 
 
 def nth_root_unit(
@@ -666,28 +725,14 @@ def nth_root_unit(
         raise PreconditionViolated("root index must be positive")
     if not e.is_unit():
         raise PreconditionViolated("n-th roots are extracted from units only")
-    if e.model == MODEL_DVR:
-        return RingElement.from_series(e.payload.nth_root_unit(n, prec))
-    res = _rational_root(e.residue(), n)
-    if res is None:
-        raise RootUnavailable(f"residue {e.residue()} has no rational {n}-th root")
-    b: BiFrac = e.payload
-    if b.num.is_constant() and b.den.is_constant():
-        return RingElement.from_fraction(res, MODEL_BIVARIATE)
-    rn = _poly_nth_root(b.num, n)
-    rd = _poly_nth_root(b.den, n)
-    if rn is None or rd is None:
-        return None
-    g = RingElement.from_bifrac(BiFrac.make(rn, rd))
-    if g**n == e:
-        return g
-    if (-g) ** n == e:
-        return -g
-    return None
+    root = e.payload.nth_root_unit(n, prec)
+    return None if root is None else RingElement(root)
 
 
 def substitute_base(e: RingElement, b: int) -> RingElement:
-    return e.substitute_base(b)
+    if e.model != MODEL_DVR:
+        raise ModelMismatch("base substitution x -> x^b needs the DVR model")
+    return RingElement(e.payload.substitute_base(b))
 
 
 # ---------------------------------------------------------------------------
@@ -717,80 +762,23 @@ class IdealHandle:
         return f"IdealHandle<{inner or '0'}>"
 
 
-def _embed(p: Poly, nvars: int, offset: int) -> Poly:
-    terms = {}
-    for m, c in p.terms.items():
-        mm = [0] * nvars
-        for i, e in enumerate(m):
-            mm[offset + i] = e
-        terms[tuple(mm)] = c
-    return Poly(terms, QQ, nvars)
-
-
-def _strip_vars(p: Poly, keep_from: int) -> Poly:
-    terms = {m[keep_from:]: c for m, c in p.terms.items()}
-    return Poly(terms, QQ, p.nvars - keep_from)
-
-
-def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
-    """Whether the ideal, eliminated to its last variables, escapes the origin.
-
-    With `f` given, the Rabinowitsch generator 1 - t*f is appended first (t
-    is the first variable), so the answer is radical membership of f.  With
-    nelim equal to the number of variables the block order is grevlex and
-    the question is whether the ideal is the unit ideal.
-    """
-    if f is not None:
-        F, n = f.field, f.nvars
-        polys = polys + [Poly.constant(F.one, F, n) - Poly.variable(0, F, n) * f]
-    return escapes_origin(eliminate(polys, nelim))
+def _ideal_query(f: RingElement, ideal: IdealHandle, rule) -> bool:
+    """The model check and the zero cases, then the payload class's rule."""
+    if f.model != ideal.model:
+        raise ModelMismatch("element and ideal from different models")
+    if f.is_zero():
+        return True
+    return bool(ideal.gens) and rule(f.payload, [g.payload for g in ideal.gens])
 
 
 def ideal_membership(f: RingElement, ideal: IdealHandle) -> bool:
     """f in I·R_loc."""
-    if f.model != ideal.model:
-        raise ModelMismatch("element and ideal from different models")
-    if f.is_zero():
-        return True
-    if not ideal.gens:
-        return False
-    if ideal.model == MODEL_DVR:
-        m = min(g.payload.val for g in ideal.gens)
-        return f.payload.val >= m
-    # bivariate: f in I·R_m  iff  (I : f) escapes <u, v>; compute (I : f)
-    # as (I ∩ <f>)/f via the t-trick in Q[t, u, v].
-    p = f.payload.num
-    n = 3
-    t = Poly.variable(0, QQ, n)
-    one = Poly.constant(Fraction(1), QQ, n)
-    gens3 = [t * _embed(g.payload.num, n, 1) for g in ideal.gens]
-    gens3.append((one - t) * _embed(p, n, 1))
-    inter = eliminate(gens3, 1)
-    quotient = []
-    for q3 in inter:
-        q2 = _strip_vars(q3, 1)
-        qq = divide_exact_p2(q2, p)
-        assert qq is not None, "intersection member must be divisible"
-        quotient.append(qq)
-    return escapes_origin(quotient)
+    return _ideal_query(f, ideal, type(f.payload).in_ideal)
 
 
 def radical_membership(f: RingElement, ideal: IdealHandle) -> bool:
     """f in sqrt(I·R_loc)."""
-    if f.model != ideal.model:
-        raise ModelMismatch("element and ideal from different models")
-    if f.is_zero():
-        return True
-    if not ideal.gens:
-        return False
-    if ideal.model == MODEL_DVR:
-        m = min(g.payload.val for g in ideal.gens)
-        if m == 0:
-            return True
-        return f.payload.val >= 1
-    # Rabinowitsch, localized, in Q[t, u, v]
-    gens3 = [_embed(g.payload.num, 3, 1) for g in ideal.gens]
-    return _unit_query(gens3, 1, _embed(f.payload.num, 3, 1))
+    return _ideal_query(f, ideal, type(f.payload).in_radical)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,36 +1017,34 @@ def _series_from_raw(num: Poly, den: Poly, otrunc: Optional[int], prec: int) -> 
     return q
 
 
+def _payload_class(model: str):
+    if model not in PAYLOADS:
+        raise ParseError(f"unknown ring model {model!r}")
+    return PAYLOADS[model]
+
+
+def _from_raw(
+    model: str, num: Poly, den: Poly, otrunc: Optional[int], prec: int
+) -> RingElement:
+    """The element num/den [+ O(x^otrunc)] of a parsed rational function."""
+    if model == MODEL_DVR:
+        return RingElement(_series_from_raw(num, den, otrunc, prec))
+    try:
+        return RingElement(BiFrac.make(num, den))
+    except DivisionImpossible as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def parse_element(text: str, model: str, prec: int = DEFAULT_PREC) -> RingElement:
     """Parse the element grammar into the requested model."""
-    if model == MODEL_DVR:
-        num, den, otrunc = grammar.parse_rational_function(text, _XVAR, allow_o=True)
-        return RingElement.from_series(_series_from_raw(num, den, otrunc, prec))
-    if model == MODEL_BIVARIATE:
-        num, den, _ = grammar.parse_rational_function(text, _UVARS, allow_o=False)
-        try:
-            return RingElement.from_bifrac(BiFrac.make(num, den))
-        except DivisionImpossible as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown ring model {model!r}")
+    cls = _payload_class(model)
+    num, den, otrunc = grammar.parse_rational_function(text, cls.variables, cls.allow_o)
+    return _from_raw(model, num, den, otrunc, prec)
 
 
 def element_to_text(e: RingElement) -> str:
     """Canonical, re-parseable rendering."""
-    if e.model == MODEL_DVR:
-        s: Series = e.payload
-        if s.is_zero():
-            return "0"
-        terms = {(s.val + i,): c for i, c in enumerate(s.coeffs) if c != 0}
-        body = grammar.poly_to_text(Poly(terms, QQ, 1), _XVAR)
-        if s.exact:
-            return body
-        return f"{body} + O(x^{s.val + len(s.coeffs)})"
-    b: BiFrac = e.payload
-    num = grammar.poly_to_text(b.num, _UVARS)
-    if b.den.is_constant():
-        return num
-    return f"({num})/({grammar.poly_to_text(b.den, _UVARS)})"
+    return e.payload.to_text()
 
 
 def _st_key_text(i: int, j: int) -> str:
@@ -1112,9 +1098,8 @@ def parse_polyext(text: str, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
     dictionary form instead so that truncated coefficients survive a round
     trip.
     """
-    base = _XVAR if model == MODEL_DVR else _UVARS
-    names = base + ["S", "T"]
-    num, den, _ = grammar.parse_rational_function(text, names, allow_o=False)
+    base = _payload_class(model).variables
+    num, den, _ = grammar.parse_rational_function(text, base + ["S", "T"], allow_o=False)
     nbase = len(base)
     # denominator must not involve S or T
     for m in den.terms:
@@ -1122,19 +1107,13 @@ def parse_polyext(text: str, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
             raise ParseError("denominator may not involve S or T")
     buckets: dict = {}
     for m, c in num.terms.items():
-        st = (m[nbase], m[nbase + 1]) if nbase == 1 else (m[2], m[3])
+        st = (m[nbase], m[nbase + 1])
         key_terms = buckets.setdefault(st, {})
         key_terms[m[:nbase]] = key_terms.get(m[:nbase], Fraction(0)) + c
     den_base = Poly({m[:nbase]: c for m, c in den.terms.items()}, QQ, nbase)
     out = {}
     for st, terms in buckets.items():
-        num_base = Poly(terms, QQ, nbase)
-        if model == MODEL_DVR:
-            out[st] = RingElement.from_series(
-                _series_from_raw(num_base, den_base, None, prec)
-            )
-        else:
-            out[st] = RingElement.from_bifrac(BiFrac.make(num_base, den_base))
+        out[st] = _from_raw(model, Poly(terms, QQ, nbase), den_base, None, prec)
     return PolyExt(model, out)
 
 

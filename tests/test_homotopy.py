@@ -112,7 +112,7 @@ small_int = st.integers(-4, 4)
 def dvr_units(draw, max_tail=3):
     lead = draw(small_int.filter(lambda c: c != 0))
     tail = draw(st.lists(small_int, max_size=max_tail))
-    return RingElement.from_series(
+    return RingElement(
         Series.make(0, [Fraction(lead)] + [Fraction(c) for c in tail], True)
     )
 
