@@ -649,11 +649,11 @@ class RingElement:
 
 def divides(a: RingElement, b: RingElement) -> bool:
     """Whether b/a lies in the ring.  Requires a != 0; the payload answers."""
+    a._match(b)
     if a.is_zero():
         raise PreconditionViolated("divisibility by zero is undefined")
     if b.is_zero():
         return True
-    a._match(b)
     return a.payload.divides(b.payload)
 
 
@@ -676,6 +676,7 @@ def pair_principal(f: RingElement, g: RingElement) -> Optional[RingElement]:
     In a local domain a two-generated ideal is principal exactly when one
     generator divides the other, so this is a divisibility dispatch.
     """
+    f._match(g)
     if f.is_zero() and g.is_zero():
         raise PreconditionViolated("pair_principal needs a nonzero generator")
     if f.is_zero():
@@ -689,8 +690,15 @@ def pair_principal(f: RingElement, g: RingElement) -> Optional[RingElement]:
     return None
 
 
+def _one_model(gens: Sequence[RingElement]) -> None:
+    """ModelMismatch unless all elements, zeros included, share one model."""
+    for g in gens[1:]:
+        gens[0]._match(g)
+
+
 def gens_principal(gens: Sequence[RingElement]) -> Optional[RingElement]:
     """Fold pair_principal over any number of generators."""
+    _one_model(gens)
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return RingElement.zero(gens[0].model) if gens else None
@@ -705,6 +713,7 @@ def gens_principal(gens: Sequence[RingElement]) -> Optional[RingElement]:
 
 def elements_gcd(gens: Sequence[RingElement]) -> RingElement:
     """A gcd of the generators (both models are UFD stand-ins), up to unit."""
+    _one_model(gens)
     live = [g.payload for g in gens if not g.is_zero()]
     if not live:
         return RingElement.zero(gens[0].model)
@@ -746,16 +755,17 @@ class IdealHandle:
     __slots__ = ("model", "gens")
 
     def __init__(self, gens: Iterable[RingElement], model: Optional[str] = None):
-        gens = [g for g in gens if not g.is_zero()]
+        gens = list(gens)
+        live = [g for g in gens if not g.is_zero()]
         if model is None:
-            if not gens:
+            if not live:
                 raise PreconditionViolated("ideal of unknown model")
-            model = gens[0].model
-        for g in gens:
+            model = live[0].model
+        for g in gens:  # zeros included: they still name a model
             if g.model != model:
                 raise ModelMismatch("ideal generators from different models")
         self.model = model
-        self.gens = tuple(gens)
+        self.gens = tuple(live)
 
     def __repr__(self) -> str:
         inner = ", ".join(element_to_text(g) for g in self.gens)

@@ -171,6 +171,22 @@ class TestArithmetic:
         with pytest.raises(ModelMismatch):
             dvr("x") + biv("u")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: divides(dvr("x"), RingElement.zero(MODEL_BIVARIATE)),
+            lambda: pair_principal(dvr("x"), RingElement.zero(MODEL_BIVARIATE)),
+            lambda: gens_principal([dvr("x"), RingElement.zero(MODEL_BIVARIATE)]),
+            lambda: elements_gcd([dvr("x"), biv("u")]),
+            lambda: IdealHandle([dvr("x"), RingElement.zero(MODEL_BIVARIATE)]),
+        ],
+        ids=["divides", "pair_principal", "gens_principal", "elements_gcd",
+             "IdealHandle"],
+    )
+    def test_model_mixing_raises_before_zero_shortcuts(self, call):
+        with pytest.raises(ModelMismatch):
+            call()
+
     @pytest.mark.parametrize("model", MODELS)
     def test_ring_axioms_spotcheck(self, model):
         a = parse_element("1" if model == MODEL_DVR else "1", model)
