@@ -191,16 +191,29 @@ def test_constant_denominators_fold_into_the_numerator():
 
 @pytest.fixture
 def no_series_built(monkeypatch):
-    """Fail, rather than allocate, if input over a budget reaches the series model."""
+    """Fail, rather than allocate, if input over a budget reaches the series model.
+
+    Yields the list of calls that were let through.
+    """
     real = localring._series_from_raw
+    calls = []
 
     def guarded(num, den, otrunc, prec):
         degrees = [sum(m) for p in (num, den) for m in p.terms]
         if max(degrees + [otrunc or 0, prec]) > MAX_DEGREE:
             raise AssertionError("input over a budget reached the series model")
+        calls.append(otrunc)
         return real(num, den, otrunc, prec)
 
     monkeypatch.setattr(localring, "_series_from_raw", guarded)
+    return calls
+
+
+def test_series_guard_is_reached(no_series_built):
+    # positive control: without it, a parse that no longer went through the
+    # patched global would pass the guards below without testing anything
+    parse_element("x + O(x^5)", MODEL_DVR)
+    assert no_series_built == [5]
 
 
 @pytest.fixture

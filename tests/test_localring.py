@@ -295,6 +295,20 @@ class TestDivides:
         assert divides(unit, b)  # a unit divides everything
         assert calls == []
 
+    def test_patched_gcd2_is_reached(self, monkeypatch):
+        # positive control for the guard above: the same patch sees one
+        # gcd2 per parse, and one in divides, where ord 1 <= ord 2 decides nothing
+        calls = []
+        real = localring.gcd2
+
+        def recording(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(localring, "gcd2", recording)
+        assert divides(biv("u"), biv("u^2 + u*v"))
+        assert len(calls) == 3
+
 
 class TestExactDivision:
     @given(dvr_elements(), dvr_elements(allow_zero=False))
