@@ -166,7 +166,8 @@ class TestExitCodes:
         assert json.loads(out)["obstruction"]["delta"] == "1"
 
     def test_undecidable_is_three(self):
-        # an S-pair budget of 1 cannot finish any bivariate radical check
+        # deciding this pair runs Groebner once and reduces 2 S-pairs there
+        # (pinned in test_homotopy), so a budget of 1 trips
         code, out, _ = invoke(
             ["--ring", "bivariate", "--groebner-cap", "1", "decide", "nodal",
              "--r0", "u^2", "--s1", "u", "--s2", "u + u^2 + u^2*v"]
@@ -358,7 +359,8 @@ class TestFlags:
         assert json.loads(out)["classes"] == [[0, 1]]
 
     def test_groebner_cap_resets_between_runs(self):
-        # a run that trips the budget must not poison the next invocation
+        # a run that trips the budget must not poison the next invocation;
+        # the pair's one Groebner run reduces 2 S-pairs, so a budget of 1 trips
         code, _, _ = invoke(
             ["--ring", "bivariate", "--groebner-cap", "1", "decide", "nodal",
              "--r0", "u^2", "--s1", "u", "--s2", "u + u^2 + u^2*v"]

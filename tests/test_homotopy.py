@@ -627,6 +627,28 @@ class TestDecideNodal:
         assert verify_witness(X1, g, v.witness, (s1, s2))
         assert len(calls) <= 10
 
+    def test_cli_budget_pair_reduces_two_s_pairs(self, monkeypatch):
+        # the premise of the --groebner-cap 1 tests in test_cli: deciding
+        # this pair runs Groebner once, and that run reduces 2 S-pairs
+        runs = []
+        buchberger, s_poly = polyring.buchberger, polyring.s_poly
+
+        def counting_run(*args):
+            runs.append(0)
+            return buchberger(*args)
+
+        def counting_pair(*args):
+            runs[-1] += 1
+            return s_poly(*args)
+
+        monkeypatch.setattr(polyring, "buchberger", counting_run)
+        monkeypatch.setattr(polyring, "s_poly", counting_pair)
+        g = GammaData(biv("u^2"))
+        s1 = SectionData(g, biv("u"))
+        s2 = SectionData(g, biv("u + u^2 + u^2*v"))
+        assert isinstance(decide_nodal(X1, s1, s2), Homotopic)
+        assert runs == [2]
+
     def test_bivariate_radical_without_membership(self):
         # r0 = u^4, values u^2*unit: the blown-center ideal is <u^2> and
         # delta = u lies in its radical but not in the ideal itself
