@@ -15,6 +15,18 @@ ideal-quotient escaping the maximal ideal, or an elimination ideal escaping
 the origin (a localized Rabinowitsch trick).  The DVR model instead splits
 every extended query into a residue-fiber check over the rationals and a
 generic-fiber check over truncated Laurent coefficients.
+
+Each model's element rules live on its payload class (`Series`, `BiFrac`):
+the class attributes `model`, `variables` and `allow_o`, and `zero`,
+`from_fraction`, ring arithmetic, `divide_in_ring`, `divides`, `gcd`,
+`in_ideal`, `in_radical`, `nth_root_unit` and `to_text`.  `RingElement`
+holds only its payload, and `PAYLOADS` maps a model string to its class.
+Five sites still compare model strings, each for a reason: `valuation` and
+`substitute_base` are DVR-only and raise ModelMismatch otherwise;
+`_ext_query` splits the DVR query into fibres with this module's field
+adapters; `_from_raw` calls the module global `_series_from_raw`, which
+tests patch; and `homotopy.closed_point_image` reads valuations instead of
+building powers.
 """
 
 from __future__ import annotations
@@ -576,7 +588,7 @@ class RingElement:
 
     @staticmethod
     def from_fraction(c, model: str) -> "RingElement":
-        return RingElement(PAYLOADS[model].from_fraction(Fraction(c)))
+        return RingElement(PAYLOADS[model].from_fraction(c))
 
     @staticmethod
     def one(model: str) -> "RingElement":

@@ -193,7 +193,7 @@ def test_constant_denominators_fold_into_the_numerator():
 def no_series_built(monkeypatch):
     """Fail, rather than allocate, if input over a budget reaches the series model.
 
-    Yields the list of calls that were let through.
+    Returns the list of calls let through, one `otrunc` per call.
     """
     real = localring._series_from_raw
     calls = []
