@@ -830,3 +830,89 @@ class TestExtEngine:
         g2 = t.scale(b) + PolyExt.constant(a)
         f = g1 * g2  # manifestly in the ideal
         assert ext_radical_membership(f, [g1, g2])
+
+
+# --- the DVR extension engine against sympy ---------------------------------------
+
+ST_MONOS = [(1, 0), (0, 1), (1, 1)]
+x_coeffs = st.lists(small_q, min_size=1, max_size=2)  # of 1 and x
+
+
+def dvr_coeff(coeffs) -> RingElement:
+    return RingElement(Series.make(0, coeffs, True))
+
+
+@st.composite
+def exact_st_polys(draw, residues=st.sampled_from([None, Fraction(0), Fraction(1)])):
+    """A nonzero exact DVR polynomial in S, T of S/T-degree at least 1.
+
+    No such generator is a nonzero S/T-constant, so a query built from
+    them skips the base-constant shortcut.  `residues` draws the residue
+    of the constant term (None: no constant term); a generator with
+    residue 1 lets the residue-fibre check pass, so that the query reaches
+    the generic fibre.
+    """
+    terms = {k: dvr_coeff(c) for k, c in draw(
+        st.dictionaries(st.sampled_from(ST_MONOS), x_coeffs, min_size=1, max_size=2)
+    ).items()}
+    lead = draw(residues)
+    if lead is not None:
+        terms[(0, 0)] = dvr_coeff([lead] + draw(st.lists(small_q, max_size=1)))
+    return PolyExt(MODEL_DVR, terms)
+
+
+@st.composite
+def generic_fibre_queries(draw):
+    """(f, gens) for a radical query, f None for a unit-ideal query; the
+    first generator's residue is mostly 1 and f is often a multiple of x."""
+    first = draw(exact_st_polys(st.sampled_from([Fraction(1), Fraction(1), None])))
+    gens = [first] + draw(st.lists(exact_st_polys(), max_size=2))
+    if draw(st.booleans()):
+        return None, gens
+    f = draw(exact_st_polys())
+    if draw(st.booleans()):
+        f = f.scale(dvr("x"))
+    return f, gens[:2]
+
+
+def to_sympy_st(sympy, g: PolyExt):
+    x, S, T = sympy.symbols("x S T")
+    return sum(
+        (
+            sympy.Rational(a.numerator, a.denominator) * x**(c.payload.val + k) * S**i * T**j
+            for (i, j), c in g.terms.items()
+            for k, a in enumerate(c.payload.coeffs)
+        ),
+        sympy.Integer(0),
+    )
+
+
+def sympy_ext_answer(sympy, gens, f):
+    """Unit ideal (f None) or radical membership of f in <gens>·R[S, T],
+    decided fibre by fibre: over Q at x = 0 and over the field Q(x)."""
+    x, S, T, t = sympy.symbols("x S T t")
+    fibres = []
+    for at_zero in (True, False):
+        polys = [to_sympy_st(sympy, g) for g in gens]
+        if f is not None:
+            polys.append(1 - t * to_sympy_st(sympy, f))
+        if at_zero:
+            polys = [p.subs(x, 0) for p in polys]
+        polys = [p for p in polys if p != 0]
+        variables = (S, T) if f is None else (t, S, T)
+        domain = "QQ" if at_zero else "QQ(x)"
+        fibres.append(
+            bool(polys)
+            and list(sympy.groebner(polys, *variables, domain=domain).exprs) == [1]
+        )
+    return all(fibres)
+
+
+class TestExtEngineAgainstSympy:
+    @given(generic_fibre_queries())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_queries(self, query):
+        sympy = pytest.importorskip("sympy")
+        f, gens = query
+        got = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+        assert got == sympy_ext_answer(sympy, gens, f), query
