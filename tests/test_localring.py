@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodalwitness import localring
-from nodalwitness.dvrseries import Series
+from nodalwitness.dvrseries import LaurentField, Series
 from nodalwitness.errors import (
     DivisionImpossible,
     ModelMismatch,
     ParseError,
+    PrecisionExhausted,
     PreconditionViolated,
     RootUnavailable,
 )
@@ -916,3 +917,42 @@ class TestExtEngineAgainstSympy:
         f, gens = query
         got = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
         assert got == sympy_ext_answer(sympy, gens, f), query
+
+
+def truncated_copy(draw, g: PolyExt) -> PolyExt:
+    """g with each coefficient c read back as c + O(x^k), k past deg c."""
+    blob = {}
+    for key, text in polyext_to_json(g).items():
+        c = parse_element(text, MODEL_DVR).payload
+        k = c.val + len(c.coeffs) + draw(st.integers(0, 2))
+        blob[key] = f"{text} + O(x^{k})"
+    return polyext_from_json(blob, MODEL_DVR)
+
+
+class TestLaurentGenericFibre:
+    @given(generic_fibre_queries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_never_flips_the_answer(self, query, data):
+        f, gens = query
+        tgens = [truncated_copy(data.draw, g) for g in gens]
+        tf = None if f is None else truncated_copy(data.draw, f)
+        exact = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+        try:
+            got = ext_unit_ideal(tgens) if f is None else ext_radical_membership(tf, tgens)
+        except PrecisionExhausted:
+            return
+        assert got == exact, (tf, tgens)
+
+    def test_truncated_coefficients_run_laurent_arithmetic(self, monkeypatch):
+        # positive control: the property above reaches LaurentField
+        calls = []
+        div = LaurentField.div
+
+        def recording(field, a, b):
+            calls.append((a, b))
+            return div(field, a, b)
+
+        monkeypatch.setattr(LaurentField, "div", recording)
+        g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR)
+        assert not ext_unit_ideal([g])
+        assert calls
