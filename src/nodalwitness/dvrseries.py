@@ -269,11 +269,20 @@ class Series:
         """The radical is the whole ring or the maximal ideal."""
         return min(g.val for g in gens) == 0 or self.val >= 1
 
+    @property
+    def num(self) -> Poly:
+        """The stored coefficients as a polynomial in x.  For an exact
+        series of valuation >= 0 this is its value, with `den` 1."""
+        return Poly({(self.val + i,): c for i, c in enumerate(self.coeffs)}, QQ, 1)
+
+    @property
+    def den(self) -> Poly:
+        return Poly.constant(Fraction(1), QQ, 1)
+
     def to_text(self) -> str:
         if self.is_zero():
             return "0"
-        terms = {(self.val + i,): c for i, c in enumerate(self.coeffs) if c != 0}
-        body = poly_to_text(Poly(terms, QQ, 1), self.variables)
+        body = poly_to_text(self.num, self.variables)
         if self.exact:
             return body
         return f"{body} + O(x^{self.val + len(self.coeffs)})"
@@ -359,7 +368,8 @@ def _rational_root(c: Fraction, n: int) -> Optional[Fraction]:
 class LaurentField:
     """Coefficient-field adapter over truncated Laurent series.
 
-    Used for Groebner runs over the generic fiber of the DVR base.  Zero
+    Used for Groebner runs over the generic fiber of the DVR base once a
+    coefficient is truncated (exact queries need no coefficient field).  Zero
     tests inside a reduction can genuinely exhaust precision, in which case
     PrecisionExhausted propagates to the caller — an honest "don't know".
     """

@@ -12,9 +12,11 @@ Both models sit behind one `RingElement` facade with ideal arithmetic
 (`PolyExt`), and the Groebner-backed membership tests.  Membership in the
 localized ring reduces to plain polynomial computations in two ways: an
 ideal-quotient escaping the maximal ideal, or an elimination ideal escaping
-the origin (a localized Rabinowitsch trick).  The DVR model instead splits
-every extended query into a residue-fiber check over the rationals and a
-generic-fiber check over truncated Laurent coefficients.
+the origin (a localized Rabinowitsch trick).  An extended query over
+R[S, T] with exact coefficients is one elimination in both models, the
+base variables (x, or u and v) kept last.  The DVR model asks the residue
+fiber over the rationals first, and once a coefficient is truncated it
+decides the generic fiber over truncated Laurent coefficients instead.
 
 Each model's element rules live on its payload class (`Series`, `BiFrac`):
 the class attributes `model`, `variables` and `allow_o`, and `zero`,
@@ -23,8 +25,8 @@ the class attributes `model`, `variables` and `allow_o`, and `zero`,
 holds only its payload, and `PAYLOADS` maps a model string to its class.
 Five sites still compare model strings, each for a reason: `valuation` and
 `substitute_base` are DVR-only and raise ModelMismatch otherwise;
-`_ext_query` splits the DVR query into fibres with this module's field
-adapters; `_from_raw` calls the module global `_series_from_raw`, which
+`_ext_query` checks the DVR residue fibre first and sends truncated
+coefficients to the Laurent field; `_from_raw` calls the module global `_series_from_raw`, which
 tests patch; and `homotopy.closed_point_image` reads valuations instead of
 building powers.
 """
@@ -272,71 +274,6 @@ def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
             return None
         g = g + t
     return None
-
-
-class RatFuncField:
-    """The exact field Q(x), elements (num, den) as coefficient tuples.
-
-    Used for generic-fiber Groebner runs whenever every series coefficient
-    in sight is exact; truncated coefficients fall back to `LaurentField`,
-    whose honest answer to catastrophic cancellation is PrecisionExhausted.
-    """
-
-    def __init__(self):
-        self.zero = ((), (Fraction(1),))
-        self.one = ((Fraction(1),), (Fraction(1),))
-
-    @staticmethod
-    def _norm(num: list, den: list):
-        num, den = _u_trim(list(num)), _u_trim(list(den))
-        if not den:
-            raise ZeroDivisionError
-        if not num:
-            return ((), (Fraction(1),))
-        g = _u_gcd(num, den)
-        if len(g) > 1:
-            num, _ = _u_divmod(num, g)
-            den, _ = _u_divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            den = [c / lead for c in den]
-            num = [c / lead for c in num]
-        return (tuple(num), tuple(den))
-
-    def add(self, a, b):
-        return self._norm(
-            _u_add(_u_mul(list(a[0]), list(b[1])), _u_mul(list(b[0]), list(a[1]))),
-            _u_mul(list(a[1]), list(b[1])),
-        )
-
-    def neg(self, a):
-        return (tuple(-c for c in a[0]), a[1])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        return self._norm(_u_mul(list(a[0]), list(b[0])), _u_mul(list(a[1]), list(b[1])))
-
-    def div(self, a, b):
-        if not b[0]:
-            raise ZeroDivisionError
-        return self._norm(_u_mul(list(a[0]), list(b[1])), _u_mul(list(a[1]), list(b[0])))
-
-    def is_zero(self, a) -> bool:
-        return not a[0]
-
-    @staticmethod
-    def from_series(s: Series):
-        if s.is_zero():
-            return ((), (Fraction(1),))
-        if s.val >= 0:
-            return RatFuncField._norm(
-                [Fraction(0)] * s.val + list(s.coeffs), [Fraction(1)]
-            )
-        return RatFuncField._norm(
-            list(s.coeffs), [Fraction(0)] * (-s.val) + [Fraction(1)]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -900,8 +837,10 @@ class PolyExt:
 # conversions for the extension engine ---------------------------------------
 
 
-def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, uv_offset: int) -> Poly:
-    """Clear bivariate denominators and embed into Q[...]; DVR unsupported."""
+def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> Poly:
+    """Clear the coefficients' denominators and embed g into Q[...], with S
+    and T at st_offset and the base variables (x, or u and v) from
+    base_offset.  DVR coefficients must be exact; their den is 1."""
     dens = [c.payload.den for c in g.terms.values()]
     out = Poly.zero(QQ, nvars)
     for idx, ((i, j), c) in enumerate(g.terms.items()):
@@ -910,7 +849,7 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, uv_offset: int) -> Po
             if k != idx:
                 contrib = contrib * d
         shifted = {}
-        for mono, coeff in _embed(contrib, nvars, uv_offset).terms.items():
+        for mono, coeff in _embed(contrib, nvars, base_offset).terms.items():
             mm = list(mono)
             mm[st_offset] += i
             mm[st_offset + 1] += j
@@ -919,74 +858,69 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, uv_offset: int) -> Po
     return out
 
 
-def _polyext_residue(g: PolyExt, nvars: int, st_offset: int) -> Poly:
+def _st_placed(coeffs: dict, field, nvars: int, st_offset: int) -> Poly:
+    """The polynomial over `field` with coefficient c at S^i T^j, for each
+    (i, j): c in coeffs, S and T being the variables at st_offset."""
     terms = {}
-    for (i, j), c in g.terms.items():
-        r = c.residue()
-        if r == 0:
-            continue
+    for (i, j), c in coeffs.items():
         m = [0] * nvars
         m[st_offset] = i
         m[st_offset + 1] = j
-        key = tuple(m)
-        terms[key] = terms.get(key, Fraction(0)) + r
-    return Poly(terms, QQ, nvars)
-
-
-def _generic_field(exts: Sequence[PolyExt], prec: int):
-    """Coefficient field for generic-fiber runs: exact Q(x) when possible."""
-    for g in exts:
-        for c in g.terms.values():
-            if not c.payload.exact:
-                return LaurentField(prec)
-    return RatFuncField()
-
-
-def _polyext_generic(g: PolyExt, field, nvars: int, st_offset: int) -> Poly:
-    exact = isinstance(field, RatFuncField)
-    terms = {}
-    for (i, j), c in g.terms.items():
-        m = [0] * nvars
-        m[st_offset] = i
-        m[st_offset + 1] = j
-        terms[tuple(m)] = (
-            RatFuncField.from_series(c.payload) if exact else c.payload
-        )
+        terms[tuple(m)] = c
     return Poly(terms, field, nvars)
+
+
+def _polyext_residue(g: PolyExt, nvars: int, st_offset: int) -> Poly:
+    return _st_placed({k: c.residue() for k, c in g.terms.items()}, QQ, nvars, st_offset)
+
+
+def _polyext_laurent(g: PolyExt, field: LaurentField, nvars: int, st_offset: int) -> Poly:
+    return _st_placed({k: c.payload for k, c in g.terms.items()}, field, nvars, st_offset)
 
 
 def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int) -> bool:
     """Whether 1 (f None) or f (radically) lies in <gens> of R_loc[S, T].
 
-    DVR model: the answer is yes iff it is yes on both the residue fiber
-    (coefficients replaced by residues, over Q) and the generic fiber (over
-    Q(x), or the Laurent field once a coefficient is truncated) — every
-    prime of R[S,T] lives on one of the two fibers.  Bivariate model: clear
-    denominators, eliminate S and T and ask whether the resulting ideal of
-    Q[u,v] escapes the origin.  A radical query puts the Rabinowitsch
-    variable t in front of S and T.
+    Exact coefficients, both models: clear denominators, embed into
+    Q[[t,] S, T, base variables], eliminate [t,] S and T and ask whether
+    the resulting ideal of Q[x] or Q[u,v] escapes the origin.  For
+    generators J with polynomial coefficients, J·R[S,T] = (1) iff
+    J ∩ Q[base] ⊄ (base variables): clearing the denominators of
+    1 = Σ aᵢgᵢ gives such an element, and the polynomial ring localized at
+    the origin maps faithfully flatly to R.  A radical query puts the
+    Rabinowitsch variable t in front of S and T.
+
+    DVR model, first: the residue fiber (coefficients replaced by
+    residues, over Q) must answer yes, and a nonzero S/T-constant generator
+    then settles the query, being a unit on the generic fiber.  Once a
+    coefficient is truncated, the query is decided there on the generic
+    fiber over the Laurent field instead — every prime of R[S,T] lives on
+    one of the two fibers.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
     off = 0 if f is None else 1
-    if gens[0].model == MODEL_BIVARIATE:
-        n = off + 4  # [t,] S, T, u, v
-        polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
-        fp = None if f is None else _polyext_clear(f, n, off, off + 2)
-        return _unit_query(polys, off + 2, fp)
-    n = off + 2  # [t,] S, T
-    res = [_polyext_residue(g, n, off) for g in gens]
-    fres = None if f is None else _polyext_residue(f, n, off)
-    if not _unit_query(res, n, fres):
-        return False
-    for g in gens:
-        if g.is_st_constant() and not g.constant_part().is_zero():
-            return True  # a nonzero base constant is a generic-fiber unit
-    field = _generic_field(gens if f is None else gens + [f], prec)
-    lau = [_polyext_generic(g, field, n, off) for g in gens]
-    flau = None if f is None else _polyext_generic(f, field, n, off)
-    return _unit_query(lau, n, flau)
+    model = gens[0].model
+    if model == MODEL_DVR:
+        n = off + 2  # [t,] S, T
+        res = [_polyext_residue(g, n, off) for g in gens]
+        fres = None if f is None else _polyext_residue(f, n, off)
+        if not _unit_query(res, n, fres):
+            return False
+        for g in gens:
+            if g.is_st_constant() and not g.constant_part().is_zero():
+                return True  # a nonzero base constant is a generic-fiber unit
+        exts = gens if f is None else gens + [f]
+        if not all(c.payload.exact for g in exts for c in g.terms.values()):
+            field = LaurentField(prec)
+            lau = [_polyext_laurent(g, field, n, off) for g in gens]
+            flau = None if f is None else _polyext_laurent(f, field, n, off)
+            return _unit_query(lau, n, flau)
+    n = off + 2 + len(PAYLOADS[model].variables)  # [t,] S, T, base variables
+    polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
+    fp = None if f is None else _polyext_clear(f, n, off, off + 2)
+    return _unit_query(polys, off + 2, fp)
 
 
 def ext_unit_ideal(gens: Sequence[PolyExt], prec: int = DEFAULT_PREC) -> bool:
