@@ -1227,12 +1227,9 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
     tower = BlowupTree((the_root,))
     x_prime, residual = normalize_pure_nodes(tower)
 
-    for s in (s1, s2):
-        if not lifts(x_prime, s):
-            raise LiftRequired(
-                "a section does not factor through the nodal part of the tower"
-            )
-
+    # closed_point_image raises LiftRequired exactly when `lifts` fails: in
+    # a local UFD <r0^a, r^b> is principal iff the two are comparable, and
+    # comparability at the first line that is not "down" carries upward
     loc1 = closed_point_image(x_prime, s1)
     loc2 = closed_point_image(x_prime, s2)
     set1, set2 = location_slopes(loc1), location_slopes(loc2)

@@ -854,6 +854,12 @@ class TestDecideGeneral:
         assert isinstance(v.witness, StraightLine)
         assert v.witness.chart == CHART_INFINITE
 
+    def test_non_lifting_section_raises(self):
+        g = GammaData(biv("u"))
+        s = SectionData(g, biv("v"))
+        with pytest.raises(LiftRequired, match="incomparable at line l_1/2"):
+            decide_general(tower(ORIGIN, NodePos(NODE_LEFT)), s, s)
+
     def test_different_centers_never_connect(self):
         t = BlowupTree((TreeVertex(ORIGIN, ()), TreeVertex(AT_TWO, ())))
         v = decide_general(t, sec(G2, "x"), sec(G2, "2 + x"))
