@@ -500,6 +500,12 @@ class BiFrac:
 PAYLOADS = {MODEL_DVR: Series, MODEL_BIVARIATE: BiFrac}
 
 
+def _payload_class(model: str):
+    if model not in PAYLOADS:
+        raise ParseError(f"unknown ring model {model!r}")
+    return PAYLOADS[model]
+
+
 # ---------------------------------------------------------------------------
 # the facade
 # ---------------------------------------------------------------------------
@@ -521,11 +527,11 @@ class RingElement:
 
     @staticmethod
     def zero(model: str) -> "RingElement":
-        return RingElement(PAYLOADS[model].zero())
+        return RingElement(_payload_class(model).zero())
 
     @staticmethod
     def from_fraction(c, model: str) -> "RingElement":
-        return RingElement(PAYLOADS[model].from_fraction(c))
+        return RingElement(_payload_class(model).from_fraction(c))
 
     @staticmethod
     def one(model: str) -> "RingElement":
@@ -971,12 +977,6 @@ def _series_from_raw(num: Poly, den: Poly, otrunc: Optional[int], prec: int) -> 
         known = known + [Fraction(0)] * (rel - len(known))
         return Series.make(q.val, known, False)
     return q
-
-
-def _payload_class(model: str):
-    if model not in PAYLOADS:
-        raise ParseError(f"unknown ring model {model!r}")
-    return PAYLOADS[model]
 
 
 def _from_raw(

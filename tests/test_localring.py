@@ -154,6 +154,20 @@ class TestParsing:
         with pytest.raises(ParseError):
             biv("x + 1")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: parse_element("1", m),
+            RingElement.zero,
+            RingElement.one,
+            lambda m: RingElement.from_fraction(2, m),
+            lambda m: PolyExt.variable("S", m),
+        ],
+    )
+    def test_unknown_model_rejected(self, build):
+        with pytest.raises(ParseError, match="unknown ring model 'dvr '"):
+            build("dvr ")
+
     def test_vacuous_o_tail_rejected(self):
         with pytest.raises(ParseError):
             dvr("x^3 + O(x^2)")
