@@ -65,8 +65,10 @@ MODEL_BIVARIATE = "bivariate"
 # ---------------------------------------------------------------------------
 
 
-def _u_trim(a: list) -> list:
-    while a and a[-1] == 0:
+def _trim(a: list) -> list:
+    """Pop trailing zeros: zero coefficients, or the empty rows of a
+    recursive representation."""
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -80,7 +82,7 @@ def _u_mul(a: list, b: list) -> list:
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _u_trim(out)
+    return _trim(out)
 
 
 def _u_add(a: list, b: list) -> list:
@@ -90,11 +92,11 @@ def _u_add(a: list, b: list) -> list:
         out[i] += x
     for i, y in enumerate(b):
         out[i] += y
-    return _u_trim(out)
+    return _trim(out)
 
 
 def _u_scale(a: list, c: Fraction) -> list:
-    return _u_trim([x * c for x in a]) if c else []
+    return _trim([x * c for x in a]) if c else []
 
 
 def _u_divmod(a: list, b: list) -> tuple[list, list]:
@@ -102,16 +104,14 @@ def _u_divmod(a: list, b: list) -> tuple[list, list]:
         raise ZeroDivisionError
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     r = list(a)
-    while len(r) >= len(b) and _u_trim(r):
-        if len(r) < len(b):
-            break
+    while len(r) >= len(b) and _trim(r):
         c = r[-1] / b[-1]
         k = len(r) - len(b)
         q[k] = c
         for i, y in enumerate(b):
             r[i + k] -= c * y
-        _u_trim(r)
-    return _u_trim(q), _u_trim(r)
+        _trim(r)
+    return _trim(q), _trim(r)
 
 
 def _u_gcd(a: list, b: list) -> list:
@@ -136,7 +136,7 @@ def _p2_to_rec(p: Poly) -> list:
         if len(row) <= eu:
             row.extend([Fraction(0)] * (eu + 1 - len(row)))
         row[eu] = c
-    return [_u_trim(row) for row in rec]
+    return [_trim(row) for row in rec]
 
 
 def _rec_to_p2(rec: list) -> Poly:
@@ -146,12 +146,6 @@ def _rec_to_p2(rec: list) -> Poly:
             if c:
                 terms[(eu, ev)] = c
     return Poly(terms, QQ, 2)
-
-
-def _rec_trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
 
 
 def _rec_content(f: list) -> list:
@@ -175,14 +169,14 @@ def _rec_prem(f: list, g: list) -> list:
     f = [list(r) for r in f]
     dg = len(g) - 1
     lg = g[-1]
-    while _rec_trim(f) and len(f) - 1 >= dg:
+    while _trim(f) and len(f) - 1 >= dg:
         df = len(f) - 1
         lf = f[-1]
         f = [_u_mul(row, lg) for row in f]
         shift = df - dg
         for i, row in enumerate(g):
             f[i + shift] = _u_add(f[i + shift], _u_scale(_u_mul(row, lf), Fraction(-1)))
-        _rec_trim(f)
+        _trim(f)
     return f
 
 
@@ -210,8 +204,8 @@ def gcd2(p: Poly, q: Poly) -> Poly:
         f1, f2 = _p2_to_rec(p), _p2_to_rec(q)
         c1, c2 = _rec_content(f1), _rec_content(f2)
         f1, f2 = _rec_div_content(f1, c1), _rec_div_content(f2, c2)
-        while _rec_trim(list(f2)):
-            r = _rec_trim(_rec_prem(f1, f2))
+        while _trim(list(f2)):
+            r = _trim(_rec_prem(f1, f2))
             if r:  # primitive remainders keep the u-degrees from growing
                 r = _rec_div_content(r, _rec_content(r))
             f1, f2 = f2, r
