@@ -224,6 +224,14 @@ class TestExitCodes:
         assert code == 1
         assert "gluing: FAIL" in out
 
+    def test_witness_build_without_a_witness_is_one(self):
+        # build prints the verdict that says why no witness exists
+        pair = ["--r0", "x^2", "--s1", "x", "--s2", "2*x"]
+        code, out, _ = invoke(["witness", "build"] + pair)
+        assert code == 1
+        assert json.loads(out)["verdict"] == "not-homotopic"
+        assert out == invoke(["decide", "nodal"] + pair)[1]
+
     def test_unknown_witness_type_is_two(self):
         code, _, _ = invoke(
             ["witness", "verify", "--r0", "x", "--s1", "x", "--s2", "x"],
