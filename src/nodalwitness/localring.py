@@ -26,14 +26,15 @@ holds only its payload, and `PAYLOADS` maps a model string to its class.
 Five sites still compare model strings, each for a reason: `valuation` and
 `substitute_base` are DVR-only and raise ModelMismatch otherwise;
 `_ext_query` checks the DVR residue fibre first and sends truncated
-coefficients to the Laurent field; `_from_raw` calls the module global `_series_from_raw`, which
-tests patch; and `homotopy.closed_point_image` reads valuations instead of
-building powers.
+coefficients to the Laurent field; `_from_raw` calls the module global
+`_series_from_raw`, which tests patch; and `homotopy.closed_point_image`
+reads valuations instead of building powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from . import grammar
@@ -858,65 +859,51 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> 
     return out
 
 
-def _st_placed(coeffs: dict, field, nvars: int, st_offset: int) -> Poly:
-    """The polynomial over `field` with coefficient c at S^i T^j, for each
-    (i, j): c in coeffs, S and T being the variables at st_offset."""
-    terms = {}
-    for (i, j), c in coeffs.items():
-        m = [0] * nvars
-        m[st_offset] = i
-        m[st_offset + 1] = j
-        terms[tuple(m)] = c
-    return Poly(terms, field, nvars)
+def _fibre_query(gens: Sequence[PolyExt], f: Optional[PolyExt], coeff, field) -> bool:
+    """`_ext_query` on one DVR fiber: over `field`, in the variables [t,] S, T,
+    with each coefficient c replaced by coeff(c)."""
+    pad = () if f is None else (0,)  # the exponent of t
 
+    def placed(g: PolyExt) -> Poly:
+        return Poly({pad + k: coeff(c) for k, c in g.terms.items()}, field, len(pad) + 2)
 
-def _polyext_residue(g: PolyExt, nvars: int, st_offset: int) -> Poly:
-    return _st_placed({k: c.residue() for k, c in g.terms.items()}, QQ, nvars, st_offset)
-
-
-def _polyext_laurent(g: PolyExt, field: LaurentField, nvars: int, st_offset: int) -> Poly:
-    return _st_placed({k: c.payload for k, c in g.terms.items()}, field, nvars, st_offset)
+    fp = None if f is None else placed(f)
+    return _unit_query([placed(g) for g in gens], len(pad) + 2, fp)
 
 
 def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int) -> bool:
     """Whether 1 (f None) or f (radically) lies in <gens> of R_loc[S, T].
 
     Exact coefficients, both models: clear denominators, embed into
-    Q[[t,] S, T, base variables], eliminate [t,] S and T and ask whether
-    the resulting ideal of Q[x] or Q[u,v] escapes the origin.  For
-    generators J with polynomial coefficients, J·R[S,T] = (1) iff
-    J ∩ Q[base] ⊄ (base variables): clearing the denominators of
+    Q[S, T, x] or Q[S, T, u, v], eliminate S and T and ask whether the
+    resulting ideal of Q[x] or Q[u,v] escapes the origin.  This is exact:
+    for generators J with polynomial coefficients, J·R[S,T] = (1) iff
+    J ∩ Q[base] ⊄ (base variables), since clearing the denominators of
     1 = Σ aᵢgᵢ gives such an element, and the polynomial ring localized at
     the origin maps faithfully flatly to R.  A radical query puts the
     Rabinowitsch variable t in front of S and T.
 
-    DVR model, first: the residue fiber (coefficients replaced by
-    residues, over Q) must answer yes, and a nonzero S/T-constant generator
-    then settles the query, being a unit on the generic fiber.  Once a
-    coefficient is truncated, the query is decided there on the generic
-    fiber over the Laurent field instead — every prime of R[S,T] lives on
-    one of the two fibers.
+    The DVR model asks the residue fiber (coefficients replaced by
+    residues, over Q) first, which must answer yes; a nonzero S/T-constant
+    generator then settles the query, being a unit on the generic fiber.
+    Once a coefficient is truncated, the generic fiber over the Laurent
+    field decides in place of the elimination: every prime of R[S,T] lives
+    on one of the two fibers.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
-    off = 0 if f is None else 1
     model = gens[0].model
     if model == MODEL_DVR:
-        n = off + 2  # [t,] S, T
-        res = [_polyext_residue(g, n, off) for g in gens]
-        fres = None if f is None else _polyext_residue(f, n, off)
-        if not _unit_query(res, n, fres):
+        if not _fibre_query(gens, f, RingElement.residue, QQ):
             return False
         for g in gens:
             if g.is_st_constant() and not g.constant_part().is_zero():
                 return True  # a nonzero base constant is a generic-fiber unit
         exts = gens if f is None else gens + [f]
         if not all(c.payload.exact for g in exts for c in g.terms.values()):
-            field = LaurentField(prec)
-            lau = [_polyext_laurent(g, field, n, off) for g in gens]
-            flau = None if f is None else _polyext_laurent(f, field, n, off)
-            return _unit_query(lau, n, flau)
+            return _fibre_query(gens, f, attrgetter("payload"), LaurentField(prec))
+    off = 0 if f is None else 1
     n = off + 2 + len(PAYLOADS[model].variables)  # [t,] S, T, base variables
     polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
     fp = None if f is None else _polyext_clear(f, n, off, off + 2)
