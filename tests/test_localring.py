@@ -24,6 +24,7 @@ from nodalwitness.localring import (
     IdealHandle,
     PolyExt,
     RingElement,
+    divide_exact_p2,
     divides,
     element_to_text,
     elements_gcd,
@@ -81,6 +82,28 @@ def biv_elements(draw, allow_zero=True):
     if allow_zero and draw(st.integers(0, 9)) == 0:
         return RingElement.zero(MODEL_BIVARIATE)
     return e
+
+
+@st.composite
+def large_height_polys(draw, min_size=0):
+    """Polynomials in Q[u, v] of total degree <= 2 whose coefficients have
+    denominators up to 10^6 and numerators beyond 2^64."""
+    monos = st.sampled_from([(i, j) for i in range(3) for j in range(3 - i)])
+    coeffs = st.builds(
+        Fraction, st.integers(-(2**80), 2**80), st.integers(1, 10**6)
+    ).filter(lambda c: c != 0)
+    terms = draw(st.dictionaries(monos, coeffs, min_size=min_size, max_size=4))
+    return Poly(terms, QQ, 2)
+
+
+def sympy_ring_uv(sympy):
+    """sympy's QQ[u, v] and a converter from Poly into it."""
+    R, _, _ = sympy.polys.rings.ring("u,v", sympy.QQ)
+
+    def to_sympy(p):
+        return R({m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()})
+
+    return R, to_sympy
 
 
 def elements_for(model, **kw):
@@ -462,6 +485,51 @@ class TestGcd:
         three = Poly.constant(Fraction(3), QQ, 2)
         for x, y in [(p, three), (three, p), (Poly.zero(QQ, 2), three)]:
             assert gcd2(x, y) == Poly.constant(Fraction(1), QQ, 2)
+
+    def test_gcd2_of_a_shared_factor_enters_the_remainder_sequence(self, monkeypatch):
+        # positive control for the guard above: the same patch is reached
+        # by a non-constant pair, so that guard cannot pass vacuously
+        def no_prem(f, g):
+            raise AssertionError("pseudo-remainder sequence entered")
+
+        monkeypatch.setattr(localring, "_rec_prem", no_prem)
+        p = biv("(u^2 + 3*u*v - v)*(1 + u + v)").payload.num
+        q = biv("(2*u - v^2)*(1 + u + v)").payload.num
+        with pytest.raises(AssertionError, match="pseudo-remainder sequence entered"):
+            gcd2(p, q)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gcd2_agrees_with_sympy_on_large_coefficients(self, data):
+        sympy = pytest.importorskip("sympy")
+        R, to_sympy = sympy_ring_uv(sympy)
+        common = data.draw(large_height_polys())
+        p = data.draw(large_height_polys()) * common
+        q = data.draw(large_height_polys()) * common
+        expect, got = to_sympy(p).gcd(to_sympy(q)), to_sympy(gcd2(p, q))
+        if expect == 0:
+            assert got == 0
+        else:
+            assert got.quo_ground(got.LC) == expect.quo_ground(expect.LC), (p, q)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_divide_exact_p2_agrees_with_sympy(self, data):
+        sympy = pytest.importorskip("sympy")
+        R, to_sympy = sympy_ring_uv(sympy)
+        d = data.draw(large_height_polys(min_size=1))
+        p = data.draw(large_height_polys()) * d
+        kind = data.draw(st.sampled_from(["product", "perturbed", "independent"]))
+        if kind == "perturbed":
+            p = p + data.draw(large_height_polys(min_size=1))
+        elif kind == "independent":
+            p = data.draw(large_height_polys())
+        q, r = divmod(to_sympy(p), to_sympy(d))
+        got = divide_exact_p2(p, d)
+        if r:
+            assert got is None, (p, d)
+        else:
+            assert got is not None and to_sympy(got) == q, (p, d)
 
     def test_primitive_remainders_keep_u_degrees_small(self, monkeypatch):
         # without removing each remainder's content in Q[u], the largest
