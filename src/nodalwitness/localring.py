@@ -34,6 +34,7 @@ reads valuations instead of building powers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -62,8 +63,11 @@ MODEL_BIVARIATE = "bivariate"
 
 
 # ---------------------------------------------------------------------------
-# exact gcd machinery for Q[u,v] (dense recursive representation)
+# exact gcd and division for Q[u,v], computed in Z[u][v]
 # ---------------------------------------------------------------------------
+# A polynomial here is a list over v-degree of rows, each row a list of
+# Python ints over u-degree (an element of Z[u]); zero is [] at both levels.
+# Fractions enter only in `_z_rows` and leave only in `_from_rows`.
 
 
 def _trim(a: list) -> list:
@@ -75,110 +79,117 @@ def _trim(a: list) -> list:
 
 
 def _u_mul(a: list, b: list) -> list:
+    """Product in Z[u]."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    if len(b) == 1:
+        return [x * b[0] for x in a]
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _u_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return _trim(out)
-
-
-def _u_scale(a: list, c: Fraction) -> list:
-    return _trim([x * c for x in a]) if c else []
-
-
-def _u_divmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and _trim(r):
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[i + k] -= c * y
-        _trim(r)
-    return _trim(q), _trim(r)
-
-
-def _u_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _p2_to_rec(p: Poly) -> list:
-    """Poly in (u, v) -> list over v-degree of u-coefficient lists."""
-    if p.is_zero():
-        return []
-    dv = max(m[1] for m in p.terms)
-    rec: list = [[] for _ in range(dv + 1)]
-    for (eu, ev), c in p.terms.items():
-        row = rec[ev]
-        if len(row) <= eu:
-            row.extend([Fraction(0)] * (eu + 1 - len(row)))
-        row[eu] = c
-    return [_trim(row) for row in rec]
-
-
-def _rec_to_p2(rec: list) -> Poly:
-    terms = {}
-    for ev, row in enumerate(rec):
-        for eu, c in enumerate(row):
-            if c:
-                terms[(eu, ev)] = c
-    return Poly(terms, QQ, 2)
-
-
-def _rec_content(f: list) -> list:
-    g: list = []
-    for row in f:
-        g = _u_gcd(g, row)
-    return g
-
-
-def _rec_div_content(f: list, c: list) -> list:
-    out = []
-    for row in f:
-        q, r = _u_divmod(row, c)
-        assert not r, "content division must be exact"
-        out.append(q)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
+def _u_sub(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def _u_quo(a: list, b: list) -> Optional[list]:
+    """a/b in Z[u], or None when b does not divide a there."""
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    while a:
+        k = len(a) - len(b)
+        if k < 0 or a[-1] % b[-1]:
+            return None
+        q[k] = c = a[-1] // b[-1]
+        for i, y in enumerate(b, k):
+            a[i] -= c * y
+        _trim(a)
+    return _trim(q)
+
+
+def _z_gcd(a: list, b: list) -> list:
+    """gcd in Z[u], leading coefficient positive: the gcd of the integer
+    contents times Euclid's algorithm on primitive pseudo-remainders."""
+    if not a or not b:
+        a = a or b
+        return [-x for x in a] if a and a[-1] < 0 else a
+    ka, kb = gcd(*a), gcd(*b)
+    a, b = [x // ka for x in a], [x // kb for x in b]
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):
+            s = gcd(r[-1], b[-1])
+            c, r = r[-1] // s, [x * (b[-1] // s) for x in r]
+            for i, y in enumerate(b, len(r) - len(b)):
+                r[i] -= c * y
+            _trim(r)
+        a, b = b, [x // gcd(*r) for x in r] if r else r
+    k = gcd(ka, kb)
+    if b:  # a nonzero constant: the primitive parts are coprime
+        return [k]
+    return [x * k if a[-1] > 0 else -x * k for x in a]
+
+
+def _z_rows(p: Poly) -> tuple[list, Fraction]:
+    """(f, s) with p = s·f and f primitive in Z[u][v], for p != 0."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    k = gcd(*ints.values())
+    rows: list = [[] for _ in range(1 + max(ev for _, ev in ints))]
+    for (eu, ev), c in ints.items():
+        row = rows[ev]
+        row.extend([0] * (eu + 1 - len(row)))
+        row[eu] = c // k
+    return rows, Fraction(k, den)
+
+
+def _from_rows(rows: list, s) -> Poly:
+    """s·f as a Poly, for f in Z[u][v]."""
+    return Poly({(eu, ev): c * s for ev, row in enumerate(rows)
+                 for eu, c in enumerate(row) if c}, QQ, 2)
+
+
+def _primitive(f: list) -> tuple[list, list]:
+    """(content in Z[u], primitive part) of f in Z[u][v]."""
+    c: list = []
+    for row in f:
+        c = _z_gcd(c, row)
+        if c == [1]:
+            return c, f
+    return c, [_u_quo(row, c) for row in f]
+
+
 def _rec_prem(f: list, g: list) -> list:
-    """Pseudo-remainder of f by g as polynomials in v over Q[u]."""
-    f = [list(r) for r in f]
-    dg = len(g) - 1
-    lg = g[-1]
-    while _trim(f) and len(f) - 1 >= dg:
-        df = len(f) - 1
-        lf = f[-1]
+    """Pseudo-remainder of f by g as polynomials in v over Z[u]."""
+    dg, lg = len(g) - 1, g[-1]
+    while len(f) > dg:
+        lf, shift = f[-1], len(f) - 1 - dg
         f = [_u_mul(row, lg) for row in f]
-        shift = df - dg
-        for i, row in enumerate(g):
-            f[i + shift] = _u_add(f[i + shift], _u_scale(_u_mul(row, lf), Fraction(-1)))
+        for i, row in enumerate(g, shift):
+            f[i] = _u_sub(f[i], _u_mul(row, lf))
         _trim(f)
     return f
+
+
+def _rec_quo(f: list, g: list) -> Optional[list]:
+    """f/g in Z[u][v], or None when g does not divide f there."""
+    f, q = list(f), [[]] * max(len(f) - len(g) + 1, 0)
+    while f:
+        k = len(f) - len(g)
+        c = _u_quo(f[-1], g[-1]) if k >= 0 else None
+        if c is None:
+            return None
+        q[k] = c
+        for i, row in enumerate(g, k):
+            f[i] = _u_sub(f[i], _u_mul(row, c))
+        _trim(f)
+    return q
 
 
 def _one2() -> Poly:
@@ -193,7 +204,13 @@ def gcd2(p: Poly, q: Poly) -> Poly:
     """Monic-normalized gcd in the UFD Q[u,v].
 
     A nonzero constant argument answers 1 at once, without the
-    pseudo-remainder sequence: most denominators in sight are 1.
+    pseudo-remainder sequence: most denominators in sight are 1.  Otherwise
+    Fractions stop at the door: `_z_rows` clears each operand's
+    denominators and integer content, and the primitive pseudo-remainder
+    sequence runs in Z[u][v] on Python ints, each remainder divided by its
+    content in Z[u].  By Gauss's lemma that gives the gcd over Q up to a
+    rational factor, and the monic (grevlex) normalisation removes it, so
+    the result is the one a computation over Q would give.
     """
     if _is_nonzero_constant(p) or _is_nonzero_constant(q):
         return _one2()
@@ -202,19 +219,10 @@ def gcd2(p: Poly, q: Poly) -> Poly:
     elif q.is_zero():
         g = p
     else:
-        f1, f2 = _p2_to_rec(p), _p2_to_rec(q)
-        c1, c2 = _rec_content(f1), _rec_content(f2)
-        f1, f2 = _rec_div_content(f1, c1), _rec_div_content(f2, c2)
-        while _trim(list(f2)):
-            r = _trim(_rec_prem(f1, f2))
-            if r:  # primitive remainders keep the u-degrees from growing
-                r = _rec_div_content(r, _rec_content(r))
-            f1, f2 = f2, r
-        cont = _rec_content(f1)
-        prim = _rec_div_content(f1, cont)
-        g = _rec_to_p2(
-            [_u_mul(row, _u_gcd(c1, c2)) for row in prim]
-        )
+        (c1, f1), (c2, f2) = _primitive(_z_rows(p)[0]), _primitive(_z_rows(q)[0])
+        while f2:
+            f1, f2 = f2, _primitive(_rec_prem(f1, f2))[1]
+        g = _from_rows([_u_mul(row, _z_gcd(c1, c2)) for row in f1], 1)
     if g.is_zero():
         return g
     _, lc = g.leading(Grevlex(2))
@@ -222,23 +230,20 @@ def gcd2(p: Poly, q: Poly) -> Poly:
 
 
 def divide_exact_p2(p: Poly, d: Poly) -> Optional[Poly]:
-    """Exact quotient p/d in Q[u,v], or None."""
+    """Exact quotient p/d in Q[u,v], or None.
+
+    Computed in Z[u][v]: p = s·P and d = t·D with P and D primitive integer
+    polynomials (`_z_rows`).  By Gauss's lemma D divides P over Q exactly
+    when it does over Z, so a division step that leaves Z means "not
+    divisible"; otherwise the quotient is (s/t)·P/D, Fractions again.
+    """
     if p.is_zero():
         return p
     if d.is_zero():
         return None
-    order = Grevlex(2)
-    dm, dc = d.leading(order)
-    q = Poly.zero(QQ, 2)
-    work = p
-    while not work.is_zero():
-        wm, wc = work.leading(order)
-        if not mono_divides(dm, wm):
-            return None
-        t = Poly({mono_div(wm, dm): wc / dc}, QQ, 2)
-        q = q + t
-        work = work - t * d
-    return q
+    (P, s), (D, t) = _z_rows(p), _z_rows(d)
+    Q = _rec_quo(P, D)
+    return None if Q is None else _from_rows(Q, s / t)
 
 
 def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
@@ -324,7 +329,10 @@ class BiFrac:
     the invariant with Henrici's cross-gcd rule, as `fractions.Fraction`
     does: operands are already reduced, so a product can only cancel a
     numerator against the other operand's denominator, and a sum only by a
-    factor of gcd2 of the two denominators.
+    factor of gcd2 of the two denominators.  num and den keep Fraction
+    coefficients; gcd2 and divide_exact_p2 compute on integers inside and
+    return what a computation over Q returns (Gauss's lemma, and gcd2's
+    monic normalisation), so this form is the same either way.
     """
 
     model = MODEL_BIVARIATE

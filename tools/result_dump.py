@@ -14,9 +14,10 @@ package compute the same results exactly when they print the same hash.
 `--root` (default: the checkout holding this file) names the checkout whose
 `src/` and `perfbench/workloads.py` are used, so that a parent commit can be
 dumped from its own copy.  `--counts` also prints, one per line, how often
-the pass called each function in COUNTED.  These counts depend only on the
-code and the pools, never on the machine or a time limit, so two versions
-can be compared on them.  Nothing is written: no result file, and no
+the pass called each function in COUNTED: `s_poly`, `reduce_poly` and
+`buchberger` of polyring, `gcd2` and `divide_exact_p2` of localring.
+These counts depend only on the code and the pools, never on the machine
+or a time limit, so two versions can be compared on them.  Nothing is written: no result file, and no
 bytecode beside the imported sources.
 """
 
@@ -36,6 +37,7 @@ COUNTED = (
     ("polyring", "reduce_poly"),
     ("polyring", "buchberger"),
     ("localring", "gcd2"),
+    ("localring", "divide_exact_p2"),
 )
 
 
