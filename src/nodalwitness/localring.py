@@ -935,7 +935,9 @@ def ext_radical_membership(
 # ---------------------------------------------------------------------------
 
 
-def _series_from_raw(num: Poly, den: Poly, otrunc: Optional[int], prec: int) -> Series:
+def _series_from_raw(nums: list, den: Poly, otrunc: Optional[int], prec: int) -> list:
+    """The series n/den [+ O(x^otrunc)] for each n in nums; den is
+    inverted once (`Series.divide` is a product with the inverse)."""
     def poly1_to_series(p: Poly) -> Series:
         if p.is_zero():
             return Series.zero()
@@ -945,37 +947,41 @@ def _series_from_raw(num: Poly, den: Poly, otrunc: Optional[int], prec: int) -> 
             coeffs[k] = c
         return Series.make(0, coeffs, True)
 
-    sn, sd = poly1_to_series(num), poly1_to_series(den)
+    sd = poly1_to_series(den)
     if sd.is_zero():
         raise ParseError("zero denominator")
-    if sn.is_zero() or sd == Series.from_fraction(1):
-        q = sn
-    else:
-        q = sn.divide(sd, prec)
-    if not q.is_zero() and q.val < 0:
-        raise ParseError("element has a pole at the origin (negative valuation)")
-    if otrunc is not None:
-        if q.is_zero() or q.val >= otrunc:
-            raise ParseError(
-                f"O(x^{otrunc}) leaves no determined leading coefficient"
-            )
-        rel = otrunc - q.val
-        known = list(q.coeffs[:rel])
-        if len(known) < rel and not q.exact:
-            rel = len(known)
-        known = known + [Fraction(0)] * (rel - len(known))
-        return Series.make(q.val, known, False)
-    return q
+    inv = None if sd == Series.from_fraction(1) else sd.inverse(prec)
+    out = []
+    for num in nums:
+        q = poly1_to_series(num)
+        if inv is not None and not q.is_zero():
+            q = q * inv
+        if not q.is_zero() and q.val < 0:
+            raise ParseError("element has a pole at the origin (negative valuation)")
+        if otrunc is not None:
+            if q.is_zero() or q.val >= otrunc:
+                raise ParseError(
+                    f"O(x^{otrunc}) leaves no determined leading coefficient"
+                )
+            rel = otrunc - q.val
+            known = list(q.coeffs[:rel])
+            if len(known) < rel and not q.exact:
+                rel = len(known)
+            known = known + [Fraction(0)] * (rel - len(known))
+            q = Series.make(q.val, known, False)
+        out.append(q)
+    return out
 
 
 def _from_raw(
-    model: str, num: Poly, den: Poly, otrunc: Optional[int], prec: int
-) -> RingElement:
-    """The element num/den [+ O(x^otrunc)] of a parsed rational function."""
+    model: str, nums: list, den: Poly, otrunc: Optional[int], prec: int
+) -> list:
+    """The elements n/den [+ O(x^otrunc)] of parsed rational functions that
+    share the denominator den, one per numerator n in nums."""
     if model == MODEL_DVR:
-        return RingElement(_series_from_raw(num, den, otrunc, prec))
+        return [RingElement(q) for q in _series_from_raw(nums, den, otrunc, prec)]
     try:
-        return RingElement(BiFrac.make(num, den))
+        return [RingElement(BiFrac.make(n, den)) for n in nums]
     except DivisionImpossible as exc:
         raise ParseError(str(exc)) from exc
 
@@ -984,7 +990,7 @@ def parse_element(text: str, model: str, prec: int = DEFAULT_PREC) -> RingElemen
     """Parse the element grammar into the requested model."""
     cls = _payload_class(model)
     num, den, otrunc = grammar.parse_rational_function(text, cls.variables, cls.allow_o)
-    return _from_raw(model, num, den, otrunc, prec)
+    return _from_raw(model, [num], den, otrunc, prec)[0]
 
 
 def element_to_text(e: RingElement) -> str:
@@ -1056,10 +1062,9 @@ def parse_polyext(text: str, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
         key_terms = buckets.setdefault(st, {})
         key_terms[m[:nbase]] = key_terms.get(m[:nbase], Fraction(0)) + c
     den_base = Poly({m[:nbase]: c for m, c in den.terms.items()}, QQ, nbase)
-    out = {}
-    for st, terms in buckets.items():
-        out[st] = _from_raw(model, Poly(terms, QQ, nbase), den_base, None, prec)
-    return PolyExt(model, out)
+    nums = [Poly(terms, QQ, nbase) for terms in buckets.values()]
+    elements = _from_raw(model, nums, den_base, None, prec)
+    return PolyExt(model, dict(zip(buckets, elements)))
 
 
 def polyext_to_text(p: PolyExt) -> str:

@@ -198,12 +198,12 @@ def no_series_built(monkeypatch):
     real = localring._series_from_raw
     calls = []
 
-    def guarded(num, den, otrunc, prec):
-        degrees = [sum(m) for p in (num, den) for m in p.terms]
+    def guarded(nums, den, otrunc, prec):
+        degrees = [sum(m) for p in (*nums, den) for m in p.terms]
         if max(degrees + [otrunc or 0, prec]) > MAX_DEGREE:
             raise AssertionError("input over a budget reached the series model")
         calls.append(otrunc)
-        return real(num, den, otrunc, prec)
+        return real(nums, den, otrunc, prec)
 
     monkeypatch.setattr(localring, "_series_from_raw", guarded)
     return calls

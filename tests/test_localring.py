@@ -167,6 +167,34 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_polyext("S/u", MODEL_BIVARIATE)
 
+    @pytest.mark.parametrize(
+        "coeffs, den",
+        [
+            (["1", "1", "1", "1", "1", "1"], "1+x"),
+            (["x", "2*x - x^2", "x^2", "-3*x", "1/2*x + x^3", "x"], "x + x^2/3"),
+        ],
+    )
+    def test_polyext_inverts_its_denominator_once(self, monkeypatch, coeffs, den):
+        keys = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+        text = " + ".join(
+            f"({c})*S^{i}*T^{j}" for c, (i, j) in zip(coeffs, keys)
+        )
+        inverses = []
+        inverse = Series.inverse
+
+        def counting(s, prec):
+            inverses.append(s)
+            return inverse(s, prec)
+
+        monkeypatch.setattr(Series, "inverse", counting)
+        got = parse_polyext(f"({text})/({den})", MODEL_DVR)
+        assert len(inverses) == 1
+        monkeypatch.undo()
+        # Series.divide multiplies by the inverse: the per-monomial parse
+        assert got.terms == {
+            k: dvr(f"({c})/({den})") for c, k in zip(coeffs, keys)
+        }
+
     def test_unit_denominator_ok(self):
         e = biv("v/(1+u)")
         assert not e.is_unit() and not e.is_zero()
