@@ -67,7 +67,7 @@ MODEL_BIVARIATE = "bivariate"
 # ---------------------------------------------------------------------------
 # A polynomial here is a list over v-degree of rows, each row a list of
 # Python ints over u-degree (an element of Z[u]); zero is [] at both levels.
-# Fractions enter only in `_z_rows` and leave only in `_from_rows`.
+# Fractions enter only in `_z_rows`; results become Fraction Polys again.
 
 
 def _trim(a: list) -> list:
@@ -82,8 +82,6 @@ def _u_mul(a: list, b: list) -> list:
     """Product in Z[u]."""
     if not a or not b:
         return []
-    if len(b) == 1:
-        return [x * b[0] for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
