@@ -8,8 +8,8 @@ window does not determine raises PrecisionExhausted instead of guessing;
 equality is precision-relative and never raises.
 
 Negative valuations are allowed internally (the fraction field is needed
-for unit inversion and for Groebner runs over the generic fiber) but the
-public ring model in `localring` keeps valuations non-negative.
+for unit inversion) but the public ring model in `localring` keeps
+valuations non-negative.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     RootUnavailable,
 )
 from .grammar import poly_to_text
-from .polyring import QQ, Poly, power
+from .polyring import Poly, power
 
 DEFAULT_PREC = 16
 
@@ -273,11 +273,11 @@ class Series:
     def num(self) -> Poly:
         """The stored coefficients as a polynomial in x.  For an exact
         series of valuation >= 0 this is its value, with `den` 1."""
-        return Poly({(self.val + i,): c for i, c in enumerate(self.coeffs)}, QQ, 1)
+        return Poly({(self.val + i,): c for i, c in enumerate(self.coeffs)}, 1)
 
     @property
     def den(self) -> Poly:
-        return Poly.constant(Fraction(1), QQ, 1)
+        return Poly.constant(Fraction(1), 1)
 
     def to_text(self) -> str:
         if self.is_zero():
@@ -364,40 +364,3 @@ def _rational_root(c: Fraction, n: int) -> Optional[Fraction]:
         return None
     return Fraction(p, q)
 
-
-class LaurentField:
-    """Coefficient-field adapter over truncated Laurent series.
-
-    Used for Groebner runs over the generic fiber of the DVR base once a
-    coefficient is truncated (exact queries need no coefficient field).  Zero
-    tests inside a reduction can genuinely exhaust precision, in which case
-    PrecisionExhausted propagates to the caller — an honest "don't know".
-    """
-
-    def __init__(self, prec: int = DEFAULT_PREC):
-        self.prec = prec
-        self.zero = _ZERO
-        self.one = Series.from_fraction(1)
-
-    @staticmethod
-    def add(a: Series, b: Series) -> Series:
-        return a + b
-
-    @staticmethod
-    def sub(a: Series, b: Series) -> Series:
-        return a - b
-
-    @staticmethod
-    def mul(a: Series, b: Series) -> Series:
-        return a * b
-
-    def div(self, a: Series, b: Series) -> Series:
-        return a.divide(b, self.prec)
-
-    @staticmethod
-    def neg(a: Series) -> Series:
-        return -a
-
-    @staticmethod
-    def is_zero(a: Series) -> bool:
-        return a.is_zero()

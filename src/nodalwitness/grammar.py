@@ -23,7 +23,7 @@ from math import prod
 from typing import Optional
 
 from .errors import ParseError
-from .polyring import QQ, Poly, power
+from .polyring import Poly, power
 
 # Input budgets, checked on the tokens before anything is built.  Every
 # exponent, O(x^k) order and degree of a power is at most MAX_DEGREE.  A
@@ -112,7 +112,7 @@ class _Parser:
         self.vars = varnames
         self.allow_o = allow_o
         self.n = len(varnames)
-        self.one = Poly.constant(Fraction(1), QQ, self.n)
+        self.one = Poly.constant(Fraction(1), self.n)
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -179,13 +179,13 @@ class _Parser:
                     num = num * den
                 else:
                     # copied: _mul_polys may hand back rf.den's own dict
-                    acc = dict(_mul_polys(Poly(acc, QQ, self.n), rf.den).terms)
+                    acc = dict(_mul_polys(Poly(acc, self.n), rf.den).terms)
                     num = _mul_polys(num, den)
                     den = _mul_polys(den, rf.den)
             for m, c in num.terms.items():
                 acc[m] = acc.get(m, 0) + c
             if self.peek() not in ("+", "-"):
-                return _RF(Poly(acc, QQ, self.n), den, ot)
+                return _RF(Poly(acc, self.n), den, ot)
             sign = 1 if self.take() == "+" else -1
 
     def term(self) -> _RF:
@@ -216,7 +216,7 @@ class _Parser:
                 )
             if len(rf.num.terms) == 1 and _is_one(rf.den):
                 ((m, c),) = rf.num.terms.items()
-                rf = _RF(Poly({tuple(d * k for d in m): c**k}, QQ, self.n), self.one)
+                rf = _RF(Poly({tuple(d * k for d in m): c**k}, self.n), self.one)
             else:
                 size = prod(max(1, d * k) for d in degs)
                 if size > MAX_EXPANDED_SIZE:
@@ -238,7 +238,7 @@ class _Parser:
                 c = int(t)
             except ValueError as exc:  # beyond the interpreter's digit limit
                 raise ParseError(f"integer of {len(t)} digits is too long") from exc
-            return _RF(Poly.constant(Fraction(c), QQ, self.n), self.one)
+            return _RF(Poly.constant(Fraction(c), self.n), self.one)
         if t == "(":
             rf = self.expr()
             self._no_o(rf)
@@ -259,9 +259,9 @@ class _Parser:
                     raise ParseError("O(...) order must be a positive integer")
                 k = _capped(e, "O(...) order")
             self.expect(")")
-            return _RF(Poly.zero(QQ, self.n), self.one, k)
+            return _RF(Poly.zero(self.n), self.one, k)
         if t in self.vars:
-            return _RF(Poly.variable(self.vars.index(t), QQ, self.n), self.one)
+            return _RF(Poly.variable(self.vars.index(t), self.n), self.one)
         raise ParseError(f"unknown symbol {t!r}")
 
 

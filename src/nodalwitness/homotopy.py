@@ -598,7 +598,7 @@ def _avoid_clause(
                 pulled = _pullback_form_pe(form, phi0, phi1)
                 j_gens.extend(_clear_content([pulled], prec))
             for e in e_gens:
-                if not ext_radical_membership(e, j_gens, prec):
+                if not ext_radical_membership(e, j_gens):
                     label = entry.label or "center"
                     return False, f"{name} meets the excluded locus {label}"
     return True, ""
@@ -639,7 +639,7 @@ def _line_body_clauses(
                 if t == ZERO:
                     continue
                 gens = [_const(r0 ** t.a), w.path ** t.b]
-                if not ext_unit_ideal(_clear_content(gens, prec), prec):
+                if not ext_unit_ideal(_clear_content(gens, prec)):
                     ok = False
                     detail = f"pulled-back node ideal at l_{t} is not principal"
                     break
@@ -709,7 +709,7 @@ def _verify_ghost(
 
     # (ii) the two pieces cover the S-line
     gens = [_const(w.v2_unit)] + list(w.excluded)
-    ok = ext_unit_ideal(gens, prec)
+    ok = ext_unit_ideal(gens)
     report.add("cover", ok, "" if ok else "V1 and V2 do not cover the S-line")
 
     # (iii) overlap gluing

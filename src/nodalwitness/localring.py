@@ -15,8 +15,8 @@ ideal-quotient escaping the maximal ideal, or an elimination ideal escaping
 the origin (a localized Rabinowitsch trick).  An extended query over
 R[S, T] with exact coefficients is one elimination in both models, the
 base variables (x, or u and v) kept last.  The DVR model asks the residue
-fiber over the rationals first, and once a coefficient is truncated it
-decides the generic fiber over truncated Laurent coefficients instead.
+fiber over the rationals first, and abstains (PrecisionExhausted) on a
+truncated coefficient that neither this check nor a base constant settles.
 
 Each model's element rules live on its payload class (`Series`, `BiFrac`):
 the class attributes `model`, `variables` and `allow_o`, and `zero`,
@@ -25,8 +25,8 @@ the class attributes `model`, `variables` and `allow_o`, and `zero`,
 holds only its payload, and `PAYLOADS` maps a model string to its class.
 Five sites still compare model strings, each for a reason: `valuation` and
 `substitute_base` are DVR-only and raise ModelMismatch otherwise;
-`_ext_query` checks the DVR residue fibre first and sends truncated
-coefficients to the Laurent field; `_from_raw` calls the module global
+`_ext_query` checks the DVR residue fibre first and abstains on truncated
+coefficients; `_from_raw` calls the module global
 `_series_from_raw`, which tests patch; and `homotopy.closed_point_image`
 reads valuations instead of building powers.
 """
@@ -35,22 +35,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from . import grammar
-from .dvrseries import DEFAULT_PREC, LaurentField, Series, _rational_root
+from .dvrseries import DEFAULT_PREC, Series, _rational_root
 from .errors import (
     DivisionImpossible,
     ModelMismatch,
     ParseError,
+    PrecisionExhausted,
     PreconditionViolated,
     RootUnavailable,
 )
 from .polyring import (
     Grevlex,
     Poly,
-    QQ,
     eliminate,
     escapes_origin,
     mono_div,
@@ -150,7 +149,7 @@ def _z_rows(p: Poly) -> tuple[list, Fraction]:
 def _from_rows(rows: list, s) -> Poly:
     """s·f as a Poly, for f in Z[u][v]."""
     return Poly({(eu, ev): c * s for ev, row in enumerate(rows)
-                 for eu, c in enumerate(row) if c}, QQ, 2)
+                 for eu, c in enumerate(row) if c}, 2)
 
 
 def _primitive(f: list) -> tuple[list, list]:
@@ -190,8 +189,7 @@ def _rec_quo(f: list, g: list) -> Optional[list]:
     return q
 
 
-def _one2() -> Poly:
-    return Poly.constant(Fraction(1), QQ, 2)
+_ONE2 = Poly.constant(Fraction(1), 2)  # shared: a Poly is never mutated
 
 
 def _is_nonzero_constant(p: Poly) -> bool:
@@ -211,7 +209,7 @@ def gcd2(p: Poly, q: Poly) -> Poly:
     the result is the one a computation over Q would give.
     """
     if _is_nonzero_constant(p) or _is_nonzero_constant(q):
-        return _one2()
+        return _ONE2
     if p.is_zero():
         g = q
     elif q.is_zero():
@@ -257,7 +255,7 @@ def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
     c0 = _rational_root(lc, n)
     if c0 is None:
         return None
-    g = Poly({tuple(e // n for e in lm): c0}, QQ, 2)
+    g = Poly({tuple(e // n for e in lm): c0}, 2)
     for _ in range(len(p.terms) * n + 8):
         r = p - g**n
         if r.is_zero():
@@ -267,7 +265,7 @@ def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
         glm, glc = gl.leading(order)
         if not mono_divides(glm, rm):
             return None
-        t = Poly({mono_div(rm, glm): rc / (n * glc)}, QQ, 2)
+        t = Poly({mono_div(rm, glm): rc / (n * glc)}, 2)
         if order.greater(t.leading(order)[0], g.leading(order)[0]):
             return None
         g = g + t
@@ -286,12 +284,12 @@ def _embed(p: Poly, nvars: int, offset: int) -> Poly:
         for i, e in enumerate(m):
             mm[offset + i] = e
         terms[tuple(mm)] = c
-    return Poly(terms, QQ, nvars)
+    return Poly(terms, nvars)
 
 
 def _strip_vars(p: Poly, keep_from: int) -> Poly:
     terms = {m[keep_from:]: c for m, c in p.terms.items()}
-    return Poly(terms, QQ, p.nvars - keep_from)
+    return Poly(terms, p.nvars - keep_from)
 
 
 def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
@@ -303,8 +301,8 @@ def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
     the question is whether the ideal is the unit ideal.
     """
     if f is not None:
-        F, n = f.field, f.nvars
-        polys = polys + [Poly.constant(F.one, F, n) - Poly.variable(0, F, n) * f]
+        n = f.nvars
+        polys = polys + [Poly.constant(Fraction(1), n) - Poly.variable(0, n) * f]
     return escapes_origin(eliminate(polys, nelim))
 
 
@@ -344,11 +342,11 @@ class BiFrac:
 
     @staticmethod
     def zero() -> "BiFrac":
-        return BiFrac(Poly.zero(QQ, 2), _one2())
+        return BiFrac(Poly.zero(2), _ONE2)
 
     @staticmethod
     def from_fraction(c) -> "BiFrac":
-        return BiFrac(Poly.constant(Fraction(c), QQ, 2), _one2())
+        return BiFrac(Poly.constant(Fraction(c), 2), _ONE2)
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "BiFrac":
@@ -450,15 +448,15 @@ class BiFrac:
         acc = gens[0].num
         for g in gens[1:]:
             acc = gcd2(acc, g.num)
-        return BiFrac.make(acc, _one2())
+        return BiFrac.make(acc, _ONE2)
 
     def in_ideal(self, gens: list) -> bool:
         """self in I·R_m  iff  (I : self) escapes <u, v>; (I : self) is
         computed as (I ∩ <self>)/self via the t-trick in Q[t, u, v]."""
         p = self.num
         n = 3
-        t = Poly.variable(0, QQ, n)
-        one = Poly.constant(Fraction(1), QQ, n)
+        t = Poly.variable(0, n)
+        one = Poly.constant(Fraction(1), n)
         gens3 = [t * _embed(g.num, n, 1) for g in gens]
         gens3.append((one - t) * _embed(p, n, 1))
         inter = eliminate(gens3, 1)
@@ -849,7 +847,7 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> 
     and T at st_offset and the base variables (x, or u and v) from
     base_offset.  DVR coefficients must be exact; their den is 1."""
     dens = [c.payload.den for c in g.terms.values()]
-    out = Poly.zero(QQ, nvars)
+    out = Poly.zero(nvars)
     for idx, ((i, j), c) in enumerate(g.terms.items()):
         contrib = c.payload.num
         for k, d in enumerate(dens):
@@ -861,23 +859,23 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> 
             mm[st_offset] += i
             mm[st_offset + 1] += j
             shifted[tuple(mm)] = coeff
-        out = out + Poly(shifted, QQ, nvars)
+        out = out + Poly(shifted, nvars)
     return out
 
 
-def _fibre_query(gens: Sequence[PolyExt], f: Optional[PolyExt], coeff, field) -> bool:
-    """`_ext_query` on one DVR fiber: over `field`, in the variables [t,] S, T,
-    with each coefficient c replaced by coeff(c)."""
+def _fibre_query(gens: Sequence[PolyExt], f: Optional[PolyExt]) -> bool:
+    """`_ext_query` on the DVR residue fiber: over Q, in the variables
+    [t,] S, T, with each coefficient replaced by its residue."""
     pad = () if f is None else (0,)  # the exponent of t
 
     def placed(g: PolyExt) -> Poly:
-        return Poly({pad + k: coeff(c) for k, c in g.terms.items()}, field, len(pad) + 2)
+        return Poly({pad + k: c.residue() for k, c in g.terms.items()}, len(pad) + 2)
 
     fp = None if f is None else placed(f)
     return _unit_query([placed(g) for g in gens], len(pad) + 2, fp)
 
 
-def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int) -> bool:
+def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt]) -> bool:
     """Whether 1 (f None) or f (radically) lies in <gens> of R_loc[S, T].
 
     Exact coefficients, both models: clear denominators, embed into
@@ -892,23 +890,23 @@ def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int) -> bool
     The DVR model asks the residue fiber (coefficients replaced by
     residues, over Q) first, which must answer yes; a nonzero S/T-constant
     generator then settles the query, being a unit on the generic fiber.
-    Once a coefficient is truncated, the generic fiber over the Laurent
-    field decides in place of the elimination: every prime of R[S,T] lives
-    on one of the two fibers.
+    Every prime of R[S,T] lives on one of the two fibers.  The elimination
+    decides the generic one only from exact coefficients, so a truncated
+    coefficient that gets this far raises PrecisionExhausted.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
     model = gens[0].model
     if model == MODEL_DVR:
-        if not _fibre_query(gens, f, RingElement.residue, QQ):
+        if not _fibre_query(gens, f):
             return False
         for g in gens:
             if g.is_st_constant() and not g.constant_part().is_zero():
                 return True  # a nonzero base constant is a generic-fiber unit
         exts = gens if f is None else gens + [f]
         if not all(c.payload.exact for g in exts for c in g.terms.values()):
-            return _fibre_query(gens, f, attrgetter("payload"), LaurentField(prec))
+            raise PrecisionExhausted("truncated coefficient past the residue fiber")
     off = 0 if f is None else 1
     n = off + 2 + len(PAYLOADS[model].variables)  # [t,] S, T, base variables
     polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
@@ -916,16 +914,14 @@ def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt], prec: int) -> bool
     return _unit_query(polys, off + 2, fp)
 
 
-def ext_unit_ideal(gens: Sequence[PolyExt], prec: int = DEFAULT_PREC) -> bool:
+def ext_unit_ideal(gens: Sequence[PolyExt]) -> bool:
     """Whether the generators span the unit ideal of R_loc[S, T]."""
-    return _ext_query(gens, None, prec)
+    return _ext_query(gens, None)
 
 
-def ext_radical_membership(
-    f: PolyExt, gens: Sequence[PolyExt], prec: int = DEFAULT_PREC
-) -> bool:
+def ext_radical_membership(f: PolyExt, gens: Sequence[PolyExt]) -> bool:
     """Whether f lies in the radical of the generators' ideal in R_loc[S, T]."""
-    return f.is_zero() or _ext_query(gens, f, prec)
+    return f.is_zero() or _ext_query(gens, f)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,8 +1055,8 @@ def parse_polyext(text: str, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
         st = (m[nbase], m[nbase + 1])
         key_terms = buckets.setdefault(st, {})
         key_terms[m[:nbase]] = key_terms.get(m[:nbase], Fraction(0)) + c
-    den_base = Poly({m[:nbase]: c for m, c in den.terms.items()}, QQ, nbase)
-    nums = [Poly(terms, QQ, nbase) for terms in buckets.values()]
+    den_base = Poly({m[:nbase]: c for m, c in den.terms.items()}, nbase)
+    nums = [Poly(terms, nbase) for terms in buckets.values()]
     elements = _from_raw(model, nums, den_base, None, prec)
     return PolyExt(model, dict(zip(buckets, elements)))
 

@@ -1,12 +1,11 @@
-"""Sparse multivariate polynomials over a pluggable coefficient field.
+"""Sparse multivariate polynomials over the rationals.
 
 This is the small Groebner engine behind ideal-membership and radical
-queries.  Coefficients are abstracted behind a field object (exact
-rationals, or the truncated Laurent field from `dvrseries`), monomials are
-exponent tuples, and bases are computed by Buchberger's algorithm with the
-pair criteria of Gebauer and Möller, the normal selection strategy and a
-budget on the S-pairs reduced.  Desk-scale inputs only; no homogenization,
-no F4-style batching.
+queries.  Coefficients are `Fraction`s, monomials are exponent tuples, and
+bases are computed by Buchberger's algorithm with the pair criteria of
+Gebauer and Möller, the normal selection strategy and a budget on the
+S-pairs reduced.  Desk-scale inputs only; no homogenization, no F4-style
+batching.
 """
 
 from __future__ import annotations
@@ -23,6 +22,9 @@ DEFAULT_SPAIR_CAP = 10_000
 
 _spair_cap_override: int | None = None
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def current_spair_cap() -> int:
     return (
@@ -36,40 +38,6 @@ def set_spair_cap(cap: int | None) -> None:
     if cap is not None and cap <= 0:
         raise ValueError("S-pair budget must be positive")
     _spair_cap_override = cap
-
-
-class RationalField:
-    """Coefficient adapter for exact rationals."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-QQ = RationalField()
 
 
 def power(x, n: int, one):
@@ -155,28 +123,27 @@ def _leading_monomial(terms: dict, order) -> Monomial:
 
 
 class Poly:
-    """Immutable sparse polynomial: {monomial: nonzero coefficient}."""
+    """Immutable sparse polynomial over Q: {monomial: nonzero Fraction}."""
 
-    __slots__ = ("terms", "field", "nvars", "_lead")
+    __slots__ = ("terms", "nvars", "_lead")
 
-    def __init__(self, terms: dict, field, nvars: int):
-        self.terms = {m: c for m, c in terms.items() if not field.is_zero(c)}
-        self.field = field
+    def __init__(self, terms: dict, nvars: int):
+        self.terms = {m: c for m, c in terms.items() if c}
         self.nvars = nvars
         self._lead = None  # (order, leading monomial) of the last `leading`
 
     @classmethod
-    def zero(cls, field, nvars: int) -> "Poly":
-        return cls({}, field, nvars)
+    def zero(cls, nvars: int) -> "Poly":
+        return cls({}, nvars)
 
     @classmethod
-    def constant(cls, c, field, nvars: int) -> "Poly":
-        return cls({(0,) * nvars: c}, field, nvars)
+    def constant(cls, c, nvars: int) -> "Poly":
+        return cls({(0,) * nvars: c}, nvars)
 
     @classmethod
-    def variable(cls, i: int, field, nvars: int) -> "Poly":
+    def variable(cls, i: int, nvars: int) -> "Poly":
         m = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls({m: field.one}, field, nvars)
+        return cls({m: _ONE}, nvars)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -185,51 +152,42 @@ class Poly:
         return all(sum(m) == 0 for m in self.terms)
 
     def constant_coeff(self):
-        return self.terms.get((0,) * self.nvars, self.field.zero)
+        return self.terms.get((0,) * self.nvars, _ZERO)
 
     def __add__(self, other: "Poly") -> "Poly":
         t = dict(self.terms)
-        F = self.field
         for m, c in other.terms.items():
-            t[m] = F.add(t.get(m, F.zero), c)
-        return Poly(t, F, self.nvars)
+            t[m] = t.get(m, _ZERO) + c
+        return Poly(t, self.nvars)
 
     def __sub__(self, other: "Poly") -> "Poly":
         t = dict(self.terms)
-        F = self.field
         for m, c in other.terms.items():
-            t[m] = F.sub(t.get(m, F.zero), c)
-        return Poly(t, F, self.nvars)
+            t[m] = t.get(m, _ZERO) - c
+        return Poly(t, self.nvars)
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly({m: F.neg(c) for m, c in self.terms.items()}, F, self.nvars)
+        return Poly({m: -c for m, c in self.terms.items()}, self.nvars)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        F = self.field
         t: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                prod = F.mul(c1, c2)
-                t[m] = F.add(t.get(m, F.zero), prod)
-        return Poly(t, F, self.nvars)
+                t[m] = t.get(m, _ZERO) + c1 * c2
+        return Poly(t, self.nvars)
 
     def scale(self, c) -> "Poly":
-        F = self.field
-        if F.is_zero(c):
-            return Poly.zero(F, self.nvars)
-        return Poly({m: F.mul(c, v) for m, v in self.terms.items()}, F, self.nvars)
+        if not c:
+            return Poly.zero(self.nvars)
+        return Poly({m: c * v for m, v in self.terms.items()}, self.nvars)
 
     def __pow__(self, n: int) -> "Poly":
-        return power(self, n, Poly.constant(self.field.one, self.field, self.nvars))
+        return power(self, n, Poly.constant(_ONE, self.nvars))
 
     def mul_term(self, m: Monomial, c) -> "Poly":
-        F = self.field
         return Poly(
-            {mono_mul(m, m0): F.mul(c, c0) for m0, c0 in self.terms.items()},
-            F,
-            self.nvars,
+            {mono_mul(m, m0): c * c0 for m0, c0 in self.terms.items()}, self.nvars
         )
 
     def leading(self, order) -> tuple[Monomial, Any]:
@@ -245,12 +203,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        F = self.field
-        return all(
-            F.is_zero(F.sub(c, other.terms[m])) for m, c in self.terms.items()
-        )
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms))
@@ -264,24 +217,12 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _sub_in_place(work: dict, m: Monomial, c, F) -> None:
-    d = F.sub(work.get(m, F.zero), c)
-    if F.is_zero(d):
-        work.pop(m, None)
-    else:
-        work[m] = d
-
-
 def reduce_poly(f: Poly, basis: Sequence[Poly], order) -> Poly:
     """Full multivariate division remainder of f by the basis.
 
     The working polynomial and the remainder are plain dicts updated in
-    place; only the result is built as a Poly.  The field sees the calls of
-    `work - g.mul_term(...)` in their order (every product, then the
-    subtractions of the nonzero ones), so a `LaurentField` run raises
-    PrecisionExhausted exactly where the Poly arithmetic would.
+    place; only the result is built as a Poly.
     """
-    F = f.field
     rem: dict = {}
     work = dict(f.terms)
     lead = [(g,) + g.leading(order) for g in basis if not g.is_zero()]
@@ -290,27 +231,27 @@ def reduce_poly(f: Poly, basis: Sequence[Poly], order) -> Poly:
         lc = work[lm]
         for g, gm, gc in lead:
             if mono_divides(gm, lm):
-                q = F.div(lc, gc)
+                q = lc / gc
                 shift = mono_div(lm, gm)
-                prods = [(mono_mul(shift, m0), F.mul(q, c0)) for m0, c0 in g.terms.items()]
-                for m, c in prods:
-                    if not F.is_zero(c):
-                        _sub_in_place(work, m, c, F)
+                for m0, c0 in g.terms.items():
+                    m = mono_mul(shift, m0)
+                    d = work.get(m, _ZERO) - q * c0
+                    if d:
+                        work[m] = d
+                    else:
+                        del work[m]
                 break
         else:
-            rem[lm] = F.add(F.zero, lc)
-            _sub_in_place(work, lm, lc, F)
-    return Poly(rem, F, f.nvars)
+            rem[lm] = lc
+            del work[lm]
+    return Poly(rem, f.nvars)
 
 
 def s_poly(f: Poly, g: Poly, order) -> Poly:
-    F = f.field
     fm, fc = f.leading(order)
     gm, gc = g.leading(order)
     l = mono_lcm(fm, gm)
-    return f.mul_term(mono_div(l, fm), F.div(F.one, fc)) - g.mul_term(
-        mono_div(l, gm), F.div(F.one, gc)
-    )
+    return f.mul_term(mono_div(l, fm), 1 / fc) - g.mul_term(mono_div(l, gm), 1 / gc)
 
 
 def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
@@ -335,11 +276,11 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         return []
-    F, nvars = polys[0].field, polys[0].nvars
+    nvars = polys[0].nvars
     unit = (0,) * nvars
     lms = [g.leading(order)[0] for g in polys]
     if unit in lms:
-        return [Poly.constant(F.one, F, nvars)]
+        return [Poly.constant(_ONE, nvars)]
     greater = order.greater
     active: list[int] = []  # indices of the reducers
     pairs: list = []  # (lcm, i, j), in insertion order
@@ -388,7 +329,7 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
             continue
         rm = r.leading(order)[0]
         if rm == unit:
-            return [Poly.constant(F.one, F, nvars)]
+            return [Poly.constant(_ONE, nvars)]
         polys.append(r)
         lms.append(rm)
         update(len(polys) - 1)
@@ -406,7 +347,7 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
         others = [polys[h] for h in minimal if h != g]
         r = reduce_poly(polys[g], others, order) if others else polys[g]
         _, lc = r.leading(order)
-        final.append(r.scale(F.div(F.one, lc)))
+        final.append(r.scale(1 / lc))
     final.sort(key=lambda p: sorted(p.terms), reverse=True)
     return final
 
@@ -431,4 +372,4 @@ def escapes_origin(polys: Sequence[Poly]) -> bool:
     the condition I ⊄ ⟨u, v⟩, i.e. I becomes the unit ideal in the local
     ring at the origin.
     """
-    return any(not p.field.is_zero(p.constant_coeff()) for p in polys)
+    return any(p.constant_coeff() for p in polys)

@@ -43,6 +43,14 @@ GHOST_WITNESS = (
 TAMPERED_WITNESS = GHOST_WITNESS.replace(
     '"h1":{"1":"1","S":"x"}', '"h1":{"1":"1","S":"2*x"}'
 )
+# hand-edited: a truncated excluded generator whose residue is 1, so the
+# cover query passes the residue fibre with no base-constant shortcut
+TRUNCATED_WITNESS = (
+    '{"type":"ghost","shift":0,"blown_center":"x","v2_unit":"0",'
+    '"excluded_ideal_v1":[{"1":"1 + O(x)","S":"x + O(x^2)"}],'
+    '"h1":{"1":"1","S":"x"},"h2":{"1":"1"},'
+    '"hw_num":{"1":"1","S*T":"x"},"hw_den":{"1":"1","S":"x"}}\n'
+)
 CONSTANT_WITNESS = '{"type":"straight-line","chart":"finite","path":{"1":"x"}}\n'
 
 
@@ -223,6 +231,15 @@ class TestExitCodes:
         )
         assert code == 1
         assert "gluing: FAIL" in out
+
+    def test_truncated_witness_coefficients_leave_a_clause_undetermined(self):
+        code, out, err = invoke(
+            ["witness", "verify", "--r0", "x^2", "--s1", "x", "--s2", "x + x^2"],
+            TRUNCATED_WITNESS,
+        )
+        assert code == 1
+        assert "determinism: FAIL (undetermined: " in out
+        assert "Traceback" not in out + err
 
     def test_witness_build_without_a_witness_is_one(self):
         # build prints the verdict that says why no witness exists

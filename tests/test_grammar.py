@@ -15,12 +15,12 @@ from nodalwitness.grammar import (
     poly_to_text,
 )
 from nodalwitness.localring import MODEL_BIVARIATE, MODEL_DVR, parse_element
-from nodalwitness.polyring import QQ, Poly
+from nodalwitness.polyring import Poly
 from test_cli import invoke
 
 
 def one(nvars):
-    return Poly.constant(Fraction(1), QQ, nvars)
+    return Poly.constant(Fraction(1), nvars)
 
 
 def fraction_sum(n):
@@ -40,7 +40,7 @@ def sparse_polys(draw, nvars):
     monos = draw(
         st.lists(st.tuples(*[st.integers(0, 12)] * nvars), max_size=8, unique=True)
     )
-    return Poly({m: draw(coeffs) for m in monos}, QQ, nvars)
+    return Poly({m: draw(coeffs) for m in monos}, nvars)
 
 
 @given(st.data())
@@ -183,7 +183,7 @@ def test_sums_over_denominators(text, want):
 def test_constant_denominators_fold_into_the_numerator():
     num, den, _ = parse_rational_function("x/2 - 2/3*x^2 + x/(4/3)", ["x"])
     assert den == one(1)
-    assert num == Poly({(1,): Fraction(5, 4), (2,): Fraction(-2, 3)}, QQ, 1)
+    assert num == Poly({(1,): Fraction(5, 4), (2,): Fraction(-2, 3)}, 1)
 
 
 # --- input budgets ------------------------------------------------------------

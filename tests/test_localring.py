@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodalwitness import localring
-from nodalwitness.dvrseries import LaurentField, Series
+from nodalwitness.dvrseries import Series
 from nodalwitness.errors import (
     DivisionImpossible,
     ModelMismatch,
@@ -43,7 +43,7 @@ from nodalwitness.localring import (
     substitute_base,
     unit_multiple,
 )
-from nodalwitness.polyring import QQ, Poly
+from nodalwitness.polyring import Poly
 
 MODELS = [MODEL_DVR, MODEL_BIVARIATE]
 
@@ -93,7 +93,7 @@ def large_height_polys(draw, min_size=0):
         Fraction, st.integers(-(2**80), 2**80), st.integers(1, 10**6)
     ).filter(lambda c: c != 0)
     terms = draw(st.dictionaries(monos, coeffs, min_size=min_size, max_size=4))
-    return Poly(terms, QQ, 2)
+    return Poly(terms, 2)
 
 
 def sympy_ring_uv(sympy):
@@ -286,7 +286,7 @@ class TestArithmetic:
         assert repr(x**n) == repr(reduce(operator.mul, [x] * n, one))
 
     def test_negative_pow_rejected(self):
-        for x in (dvr("1+x"), dvr("1+x").payload, biv("u"), Poly.variable(0, QQ, 2)):
+        for x in (dvr("1+x"), dvr("1+x").payload, biv("u"), Poly.variable(0, 2)):
             with pytest.raises(PreconditionViolated):
                 x**-1
 
@@ -483,7 +483,7 @@ class TestGcd:
         monos = st.sampled_from([(i, j) for i in range(3) for j in range(3 - i)])
 
         def draw_poly():
-            return Poly(data.draw(st.dictionaries(monos, small_q, max_size=4)), QQ, 2)
+            return Poly(data.draw(st.dictionaries(monos, small_q, max_size=4)), 2)
 
         def to_sympy(p):
             return sum(
@@ -510,9 +510,9 @@ class TestGcd:
 
         monkeypatch.setattr(localring, "_rec_prem", no_prem)
         p = biv("u^2 + 3*u*v - v").payload.num
-        three = Poly.constant(Fraction(3), QQ, 2)
-        for x, y in [(p, three), (three, p), (Poly.zero(QQ, 2), three)]:
-            assert gcd2(x, y) == Poly.constant(Fraction(1), QQ, 2)
+        three = Poly.constant(Fraction(3), 2)
+        for x, y in [(p, three), (three, p), (Poly.zero(2), three)]:
+            assert gcd2(x, y) == Poly.constant(Fraction(1), 2)
 
     def test_gcd2_of_a_shared_factor_enters_the_remainder_sequence(self, monkeypatch):
         # positive control for the guard above: the same patch is reached
@@ -595,7 +595,7 @@ N_UNIT_FACTORS = 4
 
 
 def p2(terms) -> Poly:
-    return Poly({m: Fraction(c) for m, c in terms.items()}, QQ, 2)
+    return Poly({m: Fraction(c) for m, c in terms.items()}, 2)
 
 
 @st.composite
@@ -608,7 +608,7 @@ def shared_factor_fractions(draw):
     num = p2(draw(st.dictionaries(monos, small_q, max_size=3)) or {(0, 0): 1})
     for k in draw(st.lists(factor, max_size=2)):
         num = num * p2(BIV_FACTORS[k])
-    den = Poly.constant(draw(small_q.filter(lambda c: c != 0)), QQ, 2)
+    den = Poly.constant(draw(small_q.filter(lambda c: c != 0)), 2)
     for k in draw(st.lists(unit, max_size=2)):
         den = den * p2(BIV_FACTORS[k])
     if draw(st.booleans()):
@@ -1053,16 +1053,23 @@ class TestLaurentGenericFibre:
             return
         assert got == exact, (tf, tgens)
 
-    def test_truncated_coefficients_run_laurent_arithmetic(self, monkeypatch):
-        # positive control: the property above reaches LaurentField
-        calls = []
-        div = LaurentField.div
+    # The property above returns early on PrecisionExhausted, so these pin
+    # where a truncated query may raise: only after the residue fibre
+    # and the base-constant shortcut have both left it open.
 
-        def recording(field, a, b):
-            calls.append((a, b))
-            return div(field, a, b)
-
-        monkeypatch.setattr(LaurentField, "div", recording)
+    def test_truncated_query_past_the_residue_fibre_abstains(self):
         g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR)
+        with pytest.raises(PrecisionExhausted):
+            ext_unit_ideal([g])
+
+    def test_truncated_query_refused_by_the_residue_fibre_answers(self):
+        g = polyext_from_json({"S": "1 + x + O(x^2)"}, MODEL_DVR)
         assert not ext_unit_ideal([g])
-        assert calls
+        assert not ext_radical_membership(parse_polyext("1", MODEL_DVR), [g])
+
+    def test_truncated_query_with_a_base_constant_answers(self):
+        gens = [
+            polyext_from_json({"1": "x + O(x^2)"}, MODEL_DVR),
+            polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR),
+        ]
+        assert ext_unit_ideal(gens)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from nodalwitness import polyring
 from nodalwitness.errors import DegreeCapExceeded
 from nodalwitness.polyring import (
-    QQ,
     BlockOrder,
     Grevlex,
     Poly,
@@ -34,7 +33,7 @@ def small_polys(nvars, first=0):
         lambda idx: tuple(idx.count(i) for i in range(nvars))
     )
     return st.dictionaries(monos, small_q, min_size=1, max_size=3).map(
-        lambda t: Poly(t, QQ, nvars)
+        lambda t: Poly(t, nvars)
     )
 
 
@@ -51,13 +50,13 @@ def padded_ideals(draw, nvars):
     gens = draw(small_ideals(nvars))
     kind = draw(st.sampled_from(["zero", "constant", "multiple", "combination"]))
     if kind == "zero":
-        extra = Poly.zero(QQ, nvars)
+        extra = Poly.zero(nvars)
     elif kind == "constant":
-        extra = Poly.constant(draw(small_q), QQ, nvars)
+        extra = Poly.constant(draw(small_q), nvars)
     elif kind == "multiple":
         extra = draw(st.sampled_from(gens)) * draw(small_polys(nvars))
     else:
-        extra = Poly.zero(QQ, nvars)
+        extra = Poly.zero(nvars)
         for g in gens:
             extra = extra + g * draw(small_polys(nvars))
     gens.insert(draw(st.integers(0, len(gens))), extra)
@@ -74,8 +73,8 @@ def rabinowitsch_queries(draw):
     f = draw(small_polys(nvars, first=1))
     if draw(st.booleans()):
         f = f * draw(st.sampled_from(gens))
-    one = Poly.constant(Fraction(1), QQ, nvars)
-    return nvars - 2, gens + [one - Poly.variable(0, QQ, nvars) * f]
+    one = Poly.constant(Fraction(1), nvars)
+    return nvars - 2, gens + [one - Poly.variable(0, nvars) * f]
 
 
 def to_sympy(sympy, p: Poly, syms):
@@ -91,7 +90,6 @@ def from_sympy(sympy, expr, syms) -> Poly:
     terms = sympy.Poly(expr, *syms, domain=sympy.QQ).as_dict()
     return Poly(
         {m: Fraction(int(c.numerator), int(c.denominator)) for m, c in terms.items()},
-        QQ,
         len(syms),
     )
 
@@ -168,11 +166,11 @@ class TestAgainstSympy:
 class TestReductionCost:
     def test_reduction_builds_only_its_result(self, monkeypatch):
         order = Grevlex(3)
-        t, u, v = (Poly.variable(i, QQ, 3) for i in range(3))
+        t, u, v = (Poly.variable(i, 3) for i in range(3))
         basis = buchberger([t * t - u * v, u * u * u - t * v + v], order)
         monos = sorted((m for m in product(range(5), repeat=3)
                         if sum(m) <= 4), reverse=True)[:30]
-        f = Poly({m: Fraction(k + 1, k % 4 + 2) for k, m in enumerate(monos)}, QQ, 3)
+        f = Poly({m: Fraction(k + 1, k % 4 + 2) for k, m in enumerate(monos)}, 3)
         assert len(f.terms) == 30
         built = []
         init = Poly.__init__
@@ -205,16 +203,16 @@ def counting(monkeypatch, name):
 
 class TestPairCriteria:
     def test_unit_ideal_with_redundant_inputs_reduces_nothing(self, monkeypatch):
-        t = Poly.variable(0, QQ, 3)
-        zero, one = Poly.zero(QQ, 3), Poly.constant(Fraction(1), QQ, 3)
+        t = Poly.variable(0, 3)
+        zero, one = Poly.zero(3), Poly.constant(Fraction(1), 3)
         reductions = counting(monkeypatch, "reduce_poly")
         assert buchberger([zero, one, one - t], BlockOrder(3, 3)) == [one]
         assert not reductions
 
     def test_budget_counts_only_the_pairs_reduced(self, monkeypatch):
         # a Rabinowitsch query whose run skips pairs by the criteria
-        t, u, v = (Poly.variable(i, QQ, 3) for i in range(3))
-        one = Poly.constant(Fraction(1), QQ, 3)
+        t, u, v = (Poly.variable(i, 3) for i in range(3))
+        one = Poly.constant(Fraction(1), 3)
         gens = [u * u * v - v, u * v * v + u, one - t * u]
         order = BlockOrder(1, 3)
         spolys = counting(monkeypatch, "s_poly")
