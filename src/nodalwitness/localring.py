@@ -266,7 +266,7 @@ def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
         if not mono_divides(glm, rm):
             return None
         t = Poly({mono_div(rm, glm): rc / (n * glc)}, 2)
-        if order.greater(t.leading(order)[0], g.leading(order)[0]):
+        if order.key(t.leading(order)[0]) < order.key(g.leading(order)[0]):
             return None
         g = g + t
     return None
@@ -847,20 +847,18 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> 
     and T at st_offset and the base variables (x, or u and v) from
     base_offset.  DVR coefficients must be exact; their den is 1."""
     dens = [c.payload.den for c in g.terms.values()]
-    out = Poly.zero(nvars)
+    terms = {}  # the S/T exponents keep the buckets' monomials apart
     for idx, ((i, j), c) in enumerate(g.terms.items()):
         contrib = c.payload.num
         for k, d in enumerate(dens):
             if k != idx:
                 contrib = contrib * d
-        shifted = {}
-        for mono, coeff in _embed(contrib, nvars, base_offset).terms.items():
-            mm = list(mono)
-            mm[st_offset] += i
-            mm[st_offset + 1] += j
-            shifted[tuple(mm)] = coeff
-        out = out + Poly(shifted, nvars)
-    return out
+        for mono, coeff in contrib.terms.items():
+            mm = [0] * nvars
+            mm[base_offset : base_offset + len(mono)] = mono
+            mm[st_offset], mm[st_offset + 1] = i, j
+            terms[tuple(mm)] = coeff
+    return Poly(terms, nvars)
 
 
 def _fibre_query(gens: Sequence[PolyExt], f: Optional[PolyExt]) -> bool:

@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials over the rationals.
 
 This is the small Groebner engine behind ideal-membership and radical
-queries.  Coefficients are `Fraction`s, monomials are exponent tuples, and
-bases are computed by Buchberger's algorithm with the pair criteria of
-Gebauer and Möller, the normal selection strategy and a budget on the
-S-pairs reduced.  Desk-scale inputs only; no homogenization, no F4-style
-batching.
+queries.  Monomials are exponent tuples and coefficients are `Fraction`s or
+ints.  Bases are computed by Buchberger's algorithm with the pair criteria
+of Gebauer and Möller, the normal selection strategy and a budget on the
+S-pairs reduced.  The kernel computes in Z: `buchberger` clears each
+generator's denominators once, S-polynomials and reductions are
+fraction-free and reductions return primitive polynomials, and Q comes back
+only at the end, where the reduced basis is made monic.  Desk-scale inputs
+only; no homogenization, no F4-style batching.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Any, Iterable, Sequence
 
@@ -57,22 +62,17 @@ def power(x, n: int, one):
     return one if out is None else out
 
 
-def _grevlex_greater(m1: Monomial, m2: Monomial) -> bool:
-    d1, d2 = sum(m1), sum(m2)
-    if d1 != d2:
-        return d1 > d2
-    # graded reverse lex: rightmost nonzero difference decides, reversed sign
-    return m1[::-1] < m2[::-1]
-
-
 class Grevlex:
     """Degree-reverse-lexicographic order."""
 
     def __init__(self, nvars: int):
         self.nvars = nvars
 
-    def greater(self, m1: Monomial, m2: Monomial) -> bool:
-        return _grevlex_greater(m1, m2)
+    @staticmethod
+    def key(m: Monomial) -> tuple:
+        """Sort key putting greater monomials first: higher degree, then
+        the smaller exponent in the rightmost place where two differ."""
+        return (-sum(m), *m[::-1])
 
 
 class BlockOrder:
@@ -87,14 +87,11 @@ class BlockOrder:
         self.nelim = nelim
         self.nvars = nvars
 
-    def greater(self, m1: Monomial, m2: Monomial) -> bool:
-        h1, h2 = m1[: self.nelim], m2[: self.nelim]
-        if h1 != h2:
-            if _grevlex_greater(h1, h2):
-                return True
-            if _grevlex_greater(h2, h1):
-                return False
-        return _grevlex_greater(m1[self.nelim :], m2[self.nelim :])
+    def key(self, m: Monomial) -> tuple:
+        """Sort key putting greater monomials first: grevlex on the first
+        block, ties broken by grevlex on the rest."""
+        h, r = m[: self.nelim], m[self.nelim :]
+        return (-sum(h), *h[::-1], -sum(r), *r[::-1])
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -113,17 +110,8 @@ def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(map(max, m1, m2))
 
 
-def _leading_monomial(terms: dict, order) -> Monomial:
-    greater = order.greater
-    lm = None
-    for m in terms:
-        if lm is None or greater(m, lm):
-            lm = m
-    return lm
-
-
 class Poly:
-    """Immutable sparse polynomial over Q: {monomial: nonzero Fraction}."""
+    """Immutable sparse polynomial over Q: {monomial: nonzero Fraction or int}."""
 
     __slots__ = ("terms", "nvars", "_lead")
 
@@ -196,7 +184,7 @@ class Poly:
         basis element's once."""
         cached = self._lead
         if cached is None or cached[0] is not order:
-            cached = self._lead = (order, _leading_monomial(self.terms, order))
+            cached = self._lead = (order, min(self.terms, key=order.key))
         lm = cached[1]
         return lm, self.terms[lm]
 
@@ -217,41 +205,89 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def reduce_poly(f: Poly, basis: Sequence[Poly], order) -> Poly:
-    """Full multivariate division remainder of f by the basis.
+def _integral(terms: dict) -> dict:
+    """The terms times the lcm of their denominators, as ints."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
-    The working polynomial and the remainder are plain dicts updated in
-    place; only the result is built as a Poly.
+
+def _primitive(terms: dict) -> dict:
+    """Integer terms divided by their (positive) content."""
+    g = gcd(*terms.values())
+    return terms if g == 1 else {m: c // g for m, c in terms.items()}
+
+
+def reduce_poly(f: Poly, basis: Sequence[Poly], order) -> Poly:
+    """Full multivariate division remainder of f by the basis, computed in Z.
+
+    f and any reducer with `Fraction` coefficients are cleared to integers
+    on entry, the reducers as plain dicts.  To cancel a leading term c·m by
+    a reducer with leading coefficient gc, the working polynomial and the
+    remainder are multiplied by gc/gcd(c, gc) instead of divided, and the
+    result's integer content is divided out at the end.  So the remainder
+    is a primitive integer polynomial, a nonzero rational multiple of the
+    remainder over Q.  The next leading term comes off a heap of
+    `order.key`s, pushed once for each monomial that enters the working
+    dict.  Only the result is built as a Poly.
     """
+    key = order.key
+    lead = []
+    for g in basis:
+        if g.terms:
+            gm = g.leading(order)[0]
+            t = g.terms
+            if any(type(c) is not int for c in t.values()):
+                t = _integral(t)
+            lead.append((t, gm, t[gm]))
+    work = _integral(f.terms)
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
     rem: dict = {}
-    work = dict(f.terms)
-    lead = [(g,) + g.leading(order) for g in basis if not g.is_zero()]
-    while work:
-        lm = _leading_monomial(work, order)
+    while heap:
+        lm = heappop(heap)[1]
         lc = work[lm]
-        for g, gm, gc in lead:
-            if mono_divides(gm, lm):
-                q = lc / gc
-                shift = mono_div(lm, gm)
-                for m0, c0 in g.terms.items():
-                    m = mono_mul(shift, m0)
-                    d = work.get(m, _ZERO) - q * c0
-                    if d:
-                        work[m] = d
-                    else:
-                        del work[m]
-                break
-        else:
-            rem[lm] = lc
-            del work[lm]
-    return Poly(rem, f.nvars)
+        if lc:
+            for g, gm, gc in lead:
+                if mono_divides(gm, lm):
+                    k = gcd(lc, gc) if gc > 0 else -gcd(lc, gc)
+                    a, b = gc // k, lc // k  # a > 0 and a*lc == b*gc
+                    if a != 1:
+                        work = {m: a * c for m, c in work.items()}
+                        rem = {m: a * c for m, c in rem.items()}
+                    shift = mono_div(lm, gm)
+                    for m0, c0 in g.items():
+                        m = mono_mul(shift, m0)
+                        c = work.get(m)
+                        if c is None:
+                            heappush(heap, (key(m), m))
+                            work[m] = -b * c0
+                        else:
+                            work[m] = c - b * c0
+                    break
+            else:
+                rem[lm] = lc
+        del work[lm]
+    return Poly(_primitive(rem), f.nvars)
 
 
 def s_poly(f: Poly, g: Poly, order) -> Poly:
+    """S-polynomial of two integer polynomials, computed in Z.
+
+    With leading coefficients fc and gc and k = gcd(fc, gc), the cofactors
+    are gc/k and fc/k, so the result is fc·gc/k times the S-polynomial over
+    Q and nothing is divided.
+    """
     fm, fc = f.leading(order)
     gm, gc = g.leading(order)
+    k = gcd(fc, gc)
+    a, b = gc // k, fc // k
     l = mono_lcm(fm, gm)
-    return f.mul_term(mono_div(l, fm), 1 / fc) - g.mul_term(mono_div(l, gm), 1 / gc)
+    sf, sg = mono_div(l, fm), mono_div(l, gm)
+    t = {mono_mul(sf, m): a * c for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        m = mono_mul(sg, m)
+        t[m] = t.get(m, 0) - b * c
+    return Poly(t, f.nvars)
 
 
 def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
@@ -265,7 +301,10 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     it with either new pair; and the reducer set drops every element whose
     leading monomial the new one divides.  The pair with the smallest lcm
     goes next (normal strategy; ties in insertion order).  A constant
-    generator or remainder answers [1] at once.
+    generator or remainder answers [1] at once.  The generators enter as
+    primitive integer polynomials and the run stays in Z; the final
+    inter-reduction makes each element monic over Q, so the basis is the
+    one a computation over Q returns.
 
     Raises DegreeCapExceeded once more S-pairs than the process-wide budget
     (see set_spair_cap) have been reduced; pairs the criteria drop cost
@@ -273,7 +312,7 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     default budget, so tripping the cap signals a malformed query.
     """
     cap = current_spair_cap()
-    polys = [g for g in gens if not g.is_zero()]
+    polys = [Poly(_primitive(_integral(g.terms)), g.nvars) for g in gens if g.terms]
     if not polys:
         return []
     nvars = polys[0].nvars
@@ -281,9 +320,9 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     lms = [g.leading(order)[0] for g in polys]
     if unit in lms:
         return [Poly.constant(_ONE, nvars)]
-    greater = order.greater
+    key = order.key
     active: list[int] = []  # indices of the reducers
-    pairs: list = []  # (lcm, i, j), in insertion order
+    pairs: list = []  # (key of the lcm, lcm, i, j), in insertion order
 
     def update(k: int) -> None:
         hm = lms[k]
@@ -296,14 +335,14 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
                     for b, (lb, _) in enumerate(new)
                 )
         pairs[:] = [
-            (l, i, j)
-            for l, i, j in pairs
+            (s, l, i, j)
+            for s, l, i, j in pairs
             if not mono_divides(hm, l)
             or l == mono_lcm(lms[i], hm)
             or l == mono_lcm(lms[j], hm)
         ]
         pairs.extend(
-            (l, g, k)
+            (key(l), l, g, k)
             for (l, g), kept in zip(new, keep)
             if kept and l != mono_mul(lms[g], hm)
         )
@@ -314,11 +353,8 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
         update(k)
     reduced = 0
     while pairs:
-        best = 0
-        for p in range(1, len(pairs)):
-            if greater(pairs[best][0], pairs[p][0]):
-                best = p
-        _, i, j = pairs.pop(best)
+        best = max(range(len(pairs)), key=lambda p: pairs[p][0])
+        _, _, i, j = pairs.pop(best)
         reduced += 1
         if reduced > cap:
             raise DegreeCapExceeded(f"S-pair budget {cap} exhausted")
@@ -347,7 +383,7 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
         others = [polys[h] for h in minimal if h != g]
         r = reduce_poly(polys[g], others, order) if others else polys[g]
         _, lc = r.leading(order)
-        final.append(r.scale(1 / lc))
+        final.append(r.scale(Fraction(1, lc)))
     final.sort(key=lambda p: sorted(p.terms), reverse=True)
     return final
 
