@@ -1,6 +1,7 @@
 """Ring-model facade: divisibility, ideals, roots, and the S/T extension."""
 
 import operator
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -1029,6 +1030,37 @@ class TestExtEngineAgainstSympy:
         assert got == sympy_ext_answer(sympy, gens, f), query
 
 
+# An exact DVR radical query of S/T-degree 2: its elimination in Q[t, S, T, x]
+# reduces 125 S-pairs, with coefficients of up to 439 bits.
+STRETCH_F = "-x*T^2 + (2/3*x - 1/3*x^2 + 4*x^3)*S*T + (4*x - x^2)*S^2"
+STRETCH_GENS = (
+    "(1 - x - 1/3*x^2)*T^2 + (7/2 - x - 2/3*x^2)*S + (3 - 3*x)*S*T",
+    "1 + 2/3*x - 1/3*x^2 - T^2 + (2/3 - 1/3*x + 4*x^2)*S*T + (2/3 - 1/3*x)*S^2",
+)
+# 1.5-1.8 s with the integer Groebner kernel, 20 s when S-pairs and
+# reductions computed with Fractions (2-core x86-64 VM, Python 3.11.7)
+STRETCH_BUDGET_S = 5.0
+
+
+def stretch_query():
+    return pe(STRETCH_F), [pe(g) for g in STRETCH_GENS]
+
+
+class TestDegreeTwoExactQuery:
+    def test_answers_false_within_its_budget(self):
+        f, gens = stretch_query()
+        start = time.perf_counter()
+        got = ext_radical_membership(f, gens)
+        elapsed = time.perf_counter() - start
+        assert got is False
+        assert elapsed < STRETCH_BUDGET_S, elapsed
+
+    def test_sympy_agrees(self):
+        sympy = pytest.importorskip("sympy")
+        f, gens = stretch_query()
+        assert sympy_ext_answer(sympy, gens, f) is False
+
+
 def truncated_copy(draw, g: PolyExt) -> PolyExt:
     """g with each coefficient c read back as c + O(x^k), k past deg c."""
     blob = {}
@@ -1039,7 +1071,12 @@ def truncated_copy(draw, g: PolyExt) -> PolyExt:
     return polyext_from_json(blob, MODEL_DVR)
 
 
-class TestLaurentGenericFibre:
+class TestTruncatedCoefficients:
+    """A DVR extension query with a truncated coefficient answers only where
+    the residue fibre or a nonzero base constant settles it, and then as the
+    exact query does.  Past both it abstains with PrecisionExhausted: the
+    elimination decides the generic fibre only from exact coefficients."""
+
     @given(generic_fibre_queries(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_truncation_never_flips_the_answer(self, query, data):
@@ -1053,9 +1090,31 @@ class TestLaurentGenericFibre:
             return
         assert got == exact, (tf, tgens)
 
-    # The property above returns early on PrecisionExhausted, so these pin
-    # where a truncated query may raise: only after the residue fibre
-    # and the base-constant shortcut have both left it open.
+    @given(generic_fibre_queries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_abstains_exactly_when_fibre_and_base_constant_leave_it_open(
+        self, query, data
+    ):
+        f, gens = query
+        base = data.draw(st.none() | x_coeffs)
+        if base is not None:  # a nonzero multiple of x: a base constant
+            gens = gens + [PolyExt(MODEL_DVR, {(0, 0): dvr_coeff([Fraction(0)] + base)})]
+        tgens = [truncated_copy(data.draw, g) for g in gens]
+        tf = None if f is None else truncated_copy(data.draw, f)
+        open_past_both = localring._fibre_query(gens, f) and not any(
+            g.is_st_constant() and not g.constant_part().is_zero() for g in gens
+        )
+        try:
+            got = ext_unit_ideal(tgens) if f is None else ext_radical_membership(tf, tgens)
+        except PrecisionExhausted:
+            assert open_past_both, (tf, tgens)
+            return
+        assert not open_past_both, (tf, tgens)
+        exact = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+        assert got == exact, (tf, tgens)
+
+    # Fixed inputs for the rule: a truncated query raises only after the
+    # residue fibre and the base-constant shortcut have both left it open.
 
     def test_truncated_query_past_the_residue_fibre_abstains(self):
         g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR)
