@@ -173,11 +173,6 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         return power(self, n, Poly.constant(_ONE, self.nvars))
 
-    def mul_term(self, m: Monomial, c) -> "Poly":
-        return Poly(
-            {mono_mul(m, m0): c * c0 for m0, c0 in self.terms.items()}, self.nvars
-        )
-
     def leading(self, order) -> tuple[Monomial, Any]:
         """(monomial, coefficient) of the leading term; the monomial is
         cached for the last order object asked, so a Groebner run finds each
@@ -353,6 +348,7 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
         update(k)
     reduced = 0
     while pairs:
+        # keys put greater monomials first: the smallest lcm has the largest
         best = max(range(len(pairs)), key=lambda p: pairs[p][0])
         _, _, i, j = pairs.pop(best)
         reduced += 1
