@@ -179,7 +179,9 @@ class Poly:
         basis element's once."""
         cached = self._lead
         if cached is None or cached[0] is not order:
-            cached = self._lead = (order, min(self.terms, key=order.key))
+            t = self.terms
+            lm = next(iter(t)) if len(t) == 1 else min(t, key=order.key)
+            cached = self._lead = (order, lm)
         lm = cached[1]
         return lm, self.terms[lm]
 
@@ -307,7 +309,7 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     default budget, so tripping the cap signals a malformed query.
     """
     cap = current_spair_cap()
-    polys = [Poly(_primitive(_integral(g.terms)), g.nvars) for g in gens if g.terms]
+    polys = [g for g in gens if g.terms]
     if not polys:
         return []
     nvars = polys[0].nvars
@@ -315,6 +317,7 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     lms = [g.leading(order)[0] for g in polys]
     if unit in lms:
         return [Poly.constant(_ONE, nvars)]
+    polys = [Poly(_primitive(_integral(g.terms)), nvars) for g in polys]
     key = order.key
     active: list[int] = []  # indices of the reducers
     pairs: list = []  # (key of the lcm, lcm, i, j), in insertion order
