@@ -188,8 +188,8 @@ class TestFractionFreeReduction:
         # the remainder by a Groebner basis is unique over Q; ours is a
         # primitive integer multiple of it, for Fraction reducers (as
         # buchberger returns them), for their primitive integer copies and
-        # for integer multiples of those, whose leading coefficients make
-        # every reduction step scale the remainder
+        # for integer multiples of those, whose larger leading coefficients
+        # make more reduction steps scale the remainder
         sympy = pytest.importorskip("sympy")
         nvars = data.draw(st.sampled_from([2, 3]))
         syms = sympy.symbols(NAMES[-nvars:])
