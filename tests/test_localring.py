@@ -1031,14 +1031,14 @@ class TestExtEngineAgainstSympy:
 
 
 # An exact DVR radical query of S/T-degree 2: its elimination in Q[t, S, T, x]
-# reduces 125 S-pairs, with coefficients of up to 439 bits.
+# makes 125 reductions, with remainder coefficients of up to 439 bits.
 STRETCH_F = "-x*T^2 + (2/3*x - 1/3*x^2 + 4*x^3)*S*T + (4*x - x^2)*S^2"
 STRETCH_GENS = (
     "(1 - x - 1/3*x^2)*T^2 + (7/2 - x - 2/3*x^2)*S + (3 - 3*x)*S*T",
     "1 + 2/3*x - 1/3*x^2 - T^2 + (2/3 - 1/3*x + 4*x^2)*S*T + (2/3 - 1/3*x)*S^2",
 )
-# 1.5-1.8 s with the integer Groebner kernel, 20 s when S-pairs and
-# reductions computed with Fractions (2-core x86-64 VM, Python 3.11.7)
+# 1.5-1.8 s with the integer Groebner kernel, 20-23 s when S-pairs and
+# reductions were computed with Fractions (2-core x86-64 VM, Python 3.11.7)
 STRETCH_BUDGET_S = 5.0
 
 
