@@ -33,7 +33,6 @@ from .errors import (
     ConsistencyFailure,
     DegreeCapExceeded,
     DivisionImpossible,
-    EngineError,
     LiftRequired,
     ModelMismatch,
     ParseError,
@@ -243,9 +242,6 @@ class StraightLine:
     chart: str = CHART_FINITE
     offset: Optional[RingElement] = None  # only for the infinite chart
 
-    def model(self) -> str:
-        return self.path.model
-
 
 @dataclass(frozen=True)
 class GhostWitness:
@@ -266,16 +262,10 @@ class GhostWitness:
     hw_num: PolyExt
     hw_den: PolyExt
 
-    def model(self) -> str:
-        return self.blown_center.model
-
 
 @dataclass(frozen=True)
 class ChainWitness:
     pieces: tuple
-
-    def model(self) -> str:
-        return self.pieces[0].model()
 
 
 HomotopyWitness = Union[StraightLine, GhostWitness, ChainWitness]
@@ -330,16 +320,13 @@ class Undecidable:
 Verdict = Union[Homotopic, NotHomotopic, Undecidable]
 
 
-def _undecidable_from(exc: EngineError) -> Undecidable:
-    kind = {
-        RootUnavailable: UNDECIDABLE_ROOT,
-        UnsupportedSupport: UNDECIDABLE_SUPPORT,
-        DegreeCapExceeded: UNDECIDABLE_CAP,
-        PrecisionExhausted: UNDECIDABLE_PRECISION,
-    }.get(type(exc))
-    if kind is None:
-        raise exc
-    return Undecidable(kind, str(exc))
+# the engine errors a decision reports as an abstention, and the reason it gives
+_ABSTENTIONS = {
+    RootUnavailable: UNDECIDABLE_ROOT,
+    UnsupportedSupport: UNDECIDABLE_SUPPORT,
+    DegreeCapExceeded: UNDECIDABLE_CAP,
+    PrecisionExhausted: UNDECIDABLE_PRECISION,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +334,11 @@ def _undecidable_from(exc: EngineError) -> Undecidable:
 # ---------------------------------------------------------------------------
 
 
-def _const(e: RingElement) -> PolyExt:
-    return PolyExt.constant(e)
-
-
-def _t_var(model: str) -> PolyExt:
-    return PolyExt.variable("T", model)
-
-
-def _s_var(model: str) -> PolyExt:
-    return PolyExt.variable("S", model)
-
-
 def _line_path(v1: RingElement, v0: RingElement) -> PolyExt:
     """v1*T + v0*(1 - T): value v1 at T=1, v0 at T=0."""
     model = v1.model
-    t = _t_var(model)
-    one = _const(RingElement.one(model))
+    t = PolyExt.variable("T", model)
+    one = PolyExt.constant(RingElement.one(model))
     return t.scale(v1) + (one - t).scale(v0)
 
 
@@ -380,10 +355,6 @@ def build_straightline(s1: SectionData, s2: SectionData) -> StraightLine:
                     "straight-line construction needs r0 to divide both values"
                 )
     return StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
-
-
-def _infinite_line(w1: RingElement, w2: RingElement, offset=None) -> StraightLine:
-    return StraightLine(_line_path(w1, w2), CHART_INFINITE, offset)
 
 
 def build_ghost_witness(s1: SectionData, s2: SectionData) -> GhostWitness:
@@ -441,15 +412,15 @@ def _blown_center_verdict(
             delta=delta,
             ideal=ideal,
         )
-    s = _s_var(model)
-    one_pe = _const(one)
+    s = PolyExt.variable("S", model)
+    one_pe = PolyExt.constant(one)
     one_plus_ds = one_pe + s.scale(delta)
-    t = _t_var(model)
+    t = PolyExt.variable("T", model)
     witness = GhostWitness(
         shift=shift,
         blown_center=r1,
         v2_unit=r1,
-        excluded=(_const(r0_over_r1), one_plus_ds),
+        excluded=(PolyExt.constant(r0_over_r1), one_plus_ds),
         h1=one_plus_ds,
         h2=one_pe,
         hw_num=one_pe + (s * t).scale(delta),
@@ -548,11 +519,7 @@ def _witness_ends(w: HomotopyWitness, g: GammaData):
     return (ends[0][0], ends[-1][1])
 
 
-def _const_one_like(p: PolyExt) -> PolyExt:
-    return PolyExt.constant(RingElement.one(p.model))
-
-
-def _clear_content(ps: list, prec: int) -> list:
+def _clear_content(ps: list) -> list:
     """Divide out the common factor of all coefficients of all of ps.
 
     Homogeneous forms pulled back through a chart map y = x^k * c * (Y0/Y1)
@@ -567,7 +534,7 @@ def _clear_content(ps: list, prec: int) -> list:
     if d.is_zero() or d.is_unit():
         return ps
     return [
-        PolyExt(p.model, {k: c.divide_in_ring(d, prec) for k, c in p.terms.items()})
+        PolyExt(p.model, {k: c.divide_in_ring(d) for k, c in p.terms.items()})
         for p in ps
     ]
 
@@ -589,14 +556,13 @@ def _coerce_avoid(entries) -> list:
 def _avoid_clause(
     pieces,  # list of (piece_name, phi0, phi1, E_gens: list[PolyExt])
     entries,  # list of AvoidIdeal
-    prec: int,
 ) -> tuple:
     for name, phi0, phi1, e_gens in pieces:
         for entry in entries:
-            j_gens = [_const(b) for b in entry.base]
+            j_gens = [PolyExt.constant(b) for b in entry.base]
             for form in entry.forms:
                 pulled = _pullback_form_pe(form, phi0, phi1)
-                j_gens.extend(_clear_content([pulled], prec))
+                j_gens.extend(_clear_content([pulled]))
             for e in e_gens:
                 if not ext_radical_membership(e, j_gens):
                     label = entry.label or "center"
@@ -607,7 +573,7 @@ def _avoid_clause(
 def _straightline_map(w: StraightLine):
     """Homogeneous [Y0 : Y1] coordinates of the path."""
     model = w.path.model
-    one = _const_one_like(w.path)
+    one = PolyExt.constant(RingElement.one(model))
     if w.chart == CHART_FINITE:
         return (w.path, one)
     offset = w.offset if w.offset is not None else RingElement.zero(model)
@@ -620,7 +586,6 @@ def _line_body_clauses(
     w: StraightLine,
     avoid,
     report: VerificationReport,
-    prec: int,
 ) -> None:
     """Per-piece clauses of a straight line: liftability and avoidance."""
     if w.chart == CHART_INFINITE:
@@ -638,8 +603,8 @@ def _line_body_clauses(
             for t in X.lines[:-1]:
                 if t == ZERO:
                     continue
-                gens = [_const(r0 ** t.a), w.path ** t.b]
-                if not ext_unit_ideal(_clear_content(gens, prec)):
+                gens = [PolyExt.constant(r0 ** t.a), w.path ** t.b]
+                if not ext_unit_ideal(_clear_content(gens)):
                     ok = False
                     detail = f"pulled-back node ideal at l_{t} is not principal"
                     break
@@ -647,9 +612,8 @@ def _line_body_clauses(
 
     if avoid:
         phi0, phi1 = _straightline_map(w)
-        ok, detail = _avoid_clause(
-            [("path", phi0, phi1, [_const_one_like(w.path)])], avoid, prec
-        )
+        one = PolyExt.constant(RingElement.one(w.path.model))
+        ok, detail = _avoid_clause([("path", phi0, phi1, [one])], avoid)
         report.add("avoidance", ok, detail)
 
 
@@ -661,7 +625,6 @@ def _verify_straightline(
     s2: SectionData,
     avoid,
     report: VerificationReport,
-    prec: int,
 ) -> None:
     end1, end0 = _witness_ends(w, g)
     ok1 = _points_agree(end1, _section_homogeneous(s1))
@@ -671,7 +634,7 @@ def _verify_straightline(
         ok1 and ok0,
         "" if ok1 and ok0 else "path ends do not match the sections",
     )
-    _line_body_clauses(X, g, w, avoid, report, prec)
+    _line_body_clauses(X, g, w, avoid, report)
 
 
 def _verify_ghost(
@@ -708,7 +671,8 @@ def _verify_ghost(
     )
 
     # (ii) the two pieces cover the S-line
-    gens = [_const(w.v2_unit)] + list(w.excluded)
+    v2 = PolyExt.constant(w.v2_unit)
+    gens = [v2] + list(w.excluded)
     ok = ext_unit_ideal(gens)
     report.add("cover", ok, "" if ok else "V1 and V2 do not cover the S-line")
 
@@ -726,13 +690,13 @@ def _verify_ghost(
     )
 
     # (iv) avoidance: default centers plus any caller-provided loci
-    one_pe = _const(one)
+    one_pe = PolyExt.constant(one)
     pieces = [
         ("V1", w.h1, one_pe, list(w.excluded)),
-        ("V2", w.h2, one_pe, [_const(w.v2_unit)]),
+        ("V2", w.h2, one_pe, [v2]),
         # the overlap sits inside both pieces, so its complement ideal is
         # the product of the two complements
-        ("W", w.hw_den, w.hw_num, [_const(w.v2_unit) * e for e in w.excluded]),
+        ("W", w.hw_den, w.hw_num, [v2 * e for e in w.excluded]),
     ]
     entries = list(avoid or [])
     try:
@@ -750,7 +714,7 @@ def _verify_ghost(
             label="center <r0/r, Y0>",
         )
     )
-    ok, detail = _avoid_clause(pieces, entries, prec)
+    ok, detail = _avoid_clause(pieces, entries)
     report.add("avoidance", ok, detail)
 
 
@@ -762,7 +726,6 @@ def _verify_chain(
     s2: SectionData,
     avoid,
     report: VerificationReport,
-    prec: int,
 ) -> None:
     if not w.pieces:
         ok = _points_agree(_section_homogeneous(s1), _section_homogeneous(s2))
@@ -785,7 +748,7 @@ def _verify_chain(
         if isinstance(piece, StraightLine):
             # the joint checks above already pin the endpoints; only the
             # per-piece lift and avoidance clauses remain
-            _line_body_clauses(X, g, piece, avoid, sub, prec)
+            _line_body_clauses(X, g, piece, avoid, sub)
         else:
             sub.add("shape", False, "chains are built from straight lines only")
         for c in sub.clauses:
@@ -811,11 +774,11 @@ def verify_witness(
     report = VerificationReport()
     try:
         if isinstance(w, StraightLine):
-            _verify_straightline(X, g, w, s1, s2, avoid, report, prec)
+            _verify_straightline(X, g, w, s1, s2, avoid, report)
         elif isinstance(w, GhostWitness):
             _verify_ghost(X, g, w, s1, s2, avoid, report, prec)
         elif isinstance(w, ChainWitness):
-            _verify_chain(X, g, w, s1, s2, avoid, report, prec)
+            _verify_chain(X, g, w, s1, s2, avoid, report)
         else:
             report.add("shape", False, f"unknown witness type {type(w).__name__}")
     except (PrecisionExhausted, DegreeCapExceeded) as exc:
@@ -852,10 +815,6 @@ def _nonmain_chain(s1: SectionData, s2: SectionData) -> HomotopyWitness:
     )
 
 
-def _top_slope(X: NodalSurface) -> Slope:
-    return X.lines[-2]
-
-
 def decide_nodal(
     X: NodalSurface,
     s1: SectionData,
@@ -867,8 +826,8 @@ def decide_nodal(
     g = s1.gamma
     try:
         return _decide_nodal_core(X, s1, s2, g, prec)
-    except (RootUnavailable, DegreeCapExceeded, PrecisionExhausted) as exc:
-        return _undecidable_from(exc)
+    except tuple(_ABSTENTIONS) as exc:
+        return Undecidable(_ABSTENTIONS[type(exc)], str(exc))
 
 
 def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
@@ -891,13 +850,13 @@ def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
             StraightLine(_line_path(s1.r, s2.r), s1.chart), LEVEL_CHAIN
         )
 
-    top = _top_slope(X)
+    top = X.lines[-2]
 
     # free region around the pole section: always connected
     if set1 == frozenset({ZERO}):
         w1 = _wtilde_value(s1, prec)
         w2 = _wtilde_value(s2, prec)
-        return Homotopic(_infinite_line(w1, w2), LEVEL_CHAIN)
+        return Homotopic(StraightLine(_line_path(w1, w2), CHART_INFINITE), LEVEL_CHAIN)
 
     # free region at the top of the chain: always connected
     if set1 == frozenset({top}):
@@ -910,9 +869,8 @@ def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
     if len(set1) == 1:
         (t,) = set1
         if t.is_integer:
-            k = t.a
-            w1 = s1.r.divide_in_ring(g.r0 ** k, prec)
-            w2 = s2.r.divide_in_ring(g.r0 ** k, prec)
+            w1 = shift_section(s1, t.a, prec).r
+            w2 = shift_section(s2, t.a, prec).r
             u = unit_multiple(w1, w2, prec)
             if u is None:
                 return NotHomotopic(
@@ -1025,7 +983,7 @@ def _interior_coordinate(
 
 
 def _puncture_avoid_entry(
-    root_mark: LinePoint, g: GammaData, shift_k: int, center: RingElement, prec: int
+    root_mark: LinePoint, g: GammaData, shift_k: int, center: RingElement
 ) -> AvoidIdeal:
     """Ideal cutting the puncture's fiber locus, in the witness chart.
 
@@ -1039,8 +997,8 @@ def _puncture_avoid_entry(
     A = g.r0 ** a
     B = (g.r0 ** shift_k * center) ** b
     d = elements_gcd([A, B])
-    a_red = A.divide_in_ring(d, prec)
-    b_red = B.divide_in_ring(d, prec)
+    a_red = A.divide_in_ring(d)
+    b_red = B.divide_in_ring(d)
     lam_el = RingElement.from_fraction(lam, model)
     form = YForm(-(lam_el * b_red), a_red, b)
     return AvoidIdeal(
@@ -1150,13 +1108,8 @@ def decide_general(
     g = s1.gamma
     try:
         return _decide_general_core(t, s1, s2, g, prec)
-    except (
-        RootUnavailable,
-        DegreeCapExceeded,
-        PrecisionExhausted,
-        UnsupportedSupport,
-    ) as exc:
-        return _undecidable_from(exc)
+    except tuple(_ABSTENTIONS) as exc:
+        return Undecidable(_ABSTENTIONS[type(exc)], str(exc))
 
 
 def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
@@ -1250,7 +1203,7 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
                             "section passes through a residual blowup center"
                         )
 
-    top = _top_slope(x_prime)
+    top = x_prime.lines[-2]
     punctures = [
         rr.position
         for rr in residual.roots
@@ -1260,12 +1213,12 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
     if set1 == frozenset({top}) and punctures:
         # the free top region is punctured: an affine line minus >= 1 points
         # is rigid over the residue field, so interior residues must agree
-        w1 = s1.r.divide_in_ring(g.r0 ** top.a, prec)
-        w2 = s2.r.divide_in_ring(g.r0 ** top.a, prec)
+        w1 = shift_section(s1, top.a, prec).r
+        w2 = shift_section(s2, top.a, prec).r
         if (w2 - w1).is_zero() or not (w2 - w1).is_unit():
             witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
             entries = [
-                _puncture_avoid_entry(pm, g, 0, RingElement.one(g.r0.model), prec)
+                _puncture_avoid_entry(pm, g, 0, RingElement.one(g.r0.model))
                 for pm in punctures
             ]
             _verify_or_raise(
@@ -1292,7 +1245,7 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
         for rr in residual.roots:
             mark = rr.position
             if isinstance(mark, LinePoint):
-                entries.append(_puncture_avoid_entry(mark, g, k, center, prec))
+                entries.append(_puncture_avoid_entry(mark, g, k, center))
         _verify_or_raise(
             "residual avoidance", x_prime, g, verdict.witness, (s1, s2), entries, prec
         )
