@@ -1349,41 +1349,60 @@ def witness_to_json(w: HomotopyWitness) -> dict:
     return {"type": "chain", "pieces": [witness_to_json(p) for p in w.pieces]}
 
 
+def _json_int(v) -> int:
+    if type(v) is not int:
+        raise ParseError(f"expected a JSON integer, got {type(v).__name__}")
+    return v
+
+
+def _json_list(v) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"expected a JSON list, got {type(v).__name__}")
+    return v
+
+
 def witness_from_json(blob: dict, model: str, prec: int = DEFAULT_PREC):
     if not isinstance(blob, dict) or "type" not in blob:
         raise ParseError("witness JSON needs a type tag")
     kind = blob["type"]
+
+    def read(name: str, parse):
+        """The field parsed; a ParseError names the field."""
+        if name not in blob:
+            raise ParseError(f"{kind} witness missing field {name!r}")
+        try:
+            return parse(blob[name])
+        except ParseError as exc:
+            raise ParseError(f"{kind} witness field {name!r}: {exc}") from exc
+
+    def element(text) -> RingElement:
+        return parse_element(text, model, prec)
+
+    def poly(d) -> PolyExt:
+        return polyext_from_json(d, model, prec)
+
     if kind == "straight-line":
         chart = blob.get("chart", CHART_FINITE)
         if chart not in (CHART_FINITE, CHART_INFINITE):
             raise ParseError(f"unknown chart {chart!r}")
-        offset = None
-        if "offset" in blob:
-            offset = parse_element(blob["offset"], model, prec)
-        return StraightLine(
-            polyext_from_json(blob["path"], model, prec), chart, offset
-        )
+        offset = read("offset", element) if "offset" in blob else None
+        return StraightLine(read("path", poly), chart, offset)
     if kind == "ghost":
-        try:
-            return GhostWitness(
-                shift=int(blob["shift"]),
-                blown_center=parse_element(blob["blown_center"], model, prec),
-                v2_unit=parse_element(blob["v2_unit"], model, prec),
-                excluded=tuple(
-                    polyext_from_json(p, model, prec)
-                    for p in blob["excluded_ideal_v1"]
-                ),
-                h1=polyext_from_json(blob["h1"], model, prec),
-                h2=polyext_from_json(blob["h2"], model, prec),
-                hw_num=polyext_from_json(blob["hw_num"], model, prec),
-                hw_den=polyext_from_json(blob["hw_den"], model, prec),
-            )
-        except KeyError as exc:
-            raise ParseError(f"ghost witness missing field {exc}") from exc
-    if kind == "chain":
-        return ChainWitness(
-            tuple(witness_from_json(p, model, prec) for p in blob.get("pieces", []))
+        return GhostWitness(
+            shift=read("shift", _json_int),
+            blown_center=read("blown_center", element),
+            v2_unit=read("v2_unit", element),
+            excluded=read(
+                "excluded_ideal_v1", lambda v: tuple(map(poly, _json_list(v)))
+            ),
+            h1=read("h1", poly),
+            h2=read("h2", poly),
+            hw_num=read("hw_num", poly),
+            hw_den=read("hw_den", poly),
         )
+    if kind == "chain":
+        pieces = read("pieces", _json_list) if "pieces" in blob else []
+        return ChainWitness(tuple(witness_from_json(p, model, prec) for p in pieces))
     raise ParseError(f"unknown witness type {kind!r}")
 
 

@@ -980,6 +980,8 @@ def _from_raw(
 
 def parse_element(text: str, model: str, prec: int = DEFAULT_PREC) -> RingElement:
     """Parse the element grammar into the requested model."""
+    if not isinstance(text, str):
+        raise ParseError(f"an element is written as text, got {type(text).__name__}")
     cls = _payload_class(model)
     num, den, otrunc = grammar.parse_rational_function(text, cls.variables, cls.allow_o)
     return _from_raw(model, [num], den, otrunc, prec)[0]
@@ -1028,6 +1030,8 @@ def polyext_to_json(p: PolyExt) -> dict:
 
 
 def polyext_from_json(d: dict, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
+    if not isinstance(d, dict):
+        raise ParseError(f"an S/T polynomial is a JSON object, got {type(d).__name__}")
     terms = {}
     for key, text in d.items():
         terms[_st_key_parse(key)] = parse_element(text, model, prec)

@@ -256,6 +256,36 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "blob, field",
+        [
+            ('{"type":"straight-line"}', "path"),
+            ('{"type":"straight-line","path":5}', "path"),
+            ('{"type":"straight-line","path":{"T":5}}', "path"),
+            ('{"type":"straight-line","path":{"T":"x"},"offset":5}', "offset"),
+            (GHOST_WITNESS.replace('"blown_center":"x"', '"blown_center":5'),
+             "blown_center"),
+            (GHOST_WITNESS.replace('"shift":0', '"shift":[1]'), "shift"),
+            (GHOST_WITNESS.replace(
+                '"excluded_ideal_v1":[{"1":"x"},{"1":"1","S":"x"}]',
+                '"excluded_ideal_v1":5'),
+             "excluded_ideal_v1"),
+            ('{"type":"chain","pieces":5}', "pieces"),
+        ],
+        ids=[
+            "no-path", "int-path", "int-coefficient", "int-offset",
+            "int-blown-center", "list-shift", "int-excluded", "int-pieces",
+        ],
+    )
+    def test_malformed_witness_field_is_two(self, blob, field):
+        code, out, err = invoke(
+            ["witness", "verify", "--r0", "x^2", "--s1", "x", "--s2", "x*(1+x)"],
+            blob,
+        )
+        assert code == 2
+        assert err.startswith("error:") and f"'{field}'" in err
+        assert "Traceback" not in out + err
+
 
 # --- output invariants ----------------------------------------------------------
 
