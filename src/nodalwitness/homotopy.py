@@ -59,6 +59,7 @@ from .localring import (
     polyext_to_json,
     radical_membership,
     unit_multiple,
+    _order,
 )
 from .surface import NodalSurface
 
@@ -500,25 +501,6 @@ def _straightline_end(w: StraightLine, at_one: bool):
     return (offset * value + one, value)
 
 
-def _ghost_end(w: GhostWitness, g: GammaData, at_one: bool):
-    model = w.blown_center.model
-    zero = RingElement.zero(model)
-    one = RingElement.one(model)
-    sval = one if at_one else zero
-    h1val = w.h1.eval_st(sval, zero)
-    y = g.r0 ** w.shift * w.blown_center * h1val
-    return (y, one)
-
-
-def _witness_ends(w: HomotopyWitness, g: GammaData):
-    if isinstance(w, StraightLine):
-        return (_straightline_end(w, True), _straightline_end(w, False))
-    if isinstance(w, GhostWitness):
-        return (_ghost_end(w, g, False), _ghost_end(w, g, True))
-    ends = [_witness_ends(p, g) for p in w.pieces]
-    return (ends[0][0], ends[-1][1])
-
-
 def _clear_content(ps: list) -> list:
     """Divide out the common factor of all coefficients of all of ps.
 
@@ -626,7 +608,7 @@ def _verify_straightline(
     avoid,
     report: VerificationReport,
 ) -> None:
-    end1, end0 = _witness_ends(w, g)
+    end1, end0 = _straightline_end(w, True), _straightline_end(w, False)
     ok1 = _points_agree(end1, _section_homogeneous(s1))
     ok0 = _points_agree(end0, _section_homogeneous(s2))
     report.add(
@@ -635,6 +617,21 @@ def _verify_straightline(
         "" if ok1 and ok0 else "path ends do not match the sections",
     )
     _line_body_clauses(X, g, w, avoid, report)
+
+
+def _shifted_value(r0: RingElement, k: int, r: RingElement, prec: int) -> RingElement:
+    """r / r0^k, or DivisionImpossible.  When k*ord(r0) > ord(r), orders of
+    vanishing at the closed point refuse it before r0^k is built."""
+    if k == 0:
+        return r
+    if not (r0.is_zero() or r.is_zero()):
+        if r.model == MODEL_DVR:
+            ord0, ord_r = r0.valuation(), r.valuation()
+        else:
+            ord0, ord_r = _order(r0.payload.num), _order(r.payload.num)
+        if k * ord0 > ord_r:
+            raise DivisionImpossible(f"r0^{k} vanishes to a higher order than r")
+    return r.divide_in_ring(r0 ** k, prec)
 
 
 def _verify_ghost(
@@ -654,9 +651,7 @@ def _verify_ghost(
 
     # (i) endpoints, cross-multiplied in the shifted chart
     try:
-        shifted = [
-            s.r.divide_in_ring(r0 ** k, prec) if k else s.r for s in (s1, s2)
-        ]
+        shifted = [_shifted_value(r0, k, s.r, prec) for s in (s1, s2)]
     except DivisionImpossible:
         report.add("endpoints", False, "sections do not shift by the recorded k")
         return
@@ -731,7 +726,10 @@ def _verify_chain(
         ok = _points_agree(_section_homogeneous(s1), _section_homogeneous(s2))
         report.add("endpoints", ok, "" if ok else "empty chain with distinct ends")
         return
-    ends = [_witness_ends(p, g) for p in w.pieces]
+    if not all(isinstance(p, StraightLine) for p in w.pieces):
+        report.add("shape", False, "chains are built from straight lines only")
+        return
+    ends = [(_straightline_end(p, True), _straightline_end(p, False)) for p in w.pieces]
     ok = _points_agree(ends[0][0], _section_homogeneous(s1))
     report.add("endpoints", ok, "" if ok else "first piece misses section 1")
     for i in range(len(ends) - 1):
@@ -745,12 +743,9 @@ def _verify_chain(
     report.add("endpoints-tail", ok, "" if ok else "last piece misses section 2")
     for i, piece in enumerate(w.pieces):
         sub = VerificationReport()
-        if isinstance(piece, StraightLine):
-            # the joint checks above already pin the endpoints; only the
-            # per-piece lift and avoidance clauses remain
-            _line_body_clauses(X, g, piece, avoid, sub)
-        else:
-            sub.add("shape", False, "chains are built from straight lines only")
+        # the joint checks above already pin the endpoints; only the
+        # per-piece lift and avoidance clauses remain
+        _line_body_clauses(X, g, piece, avoid, sub)
         for c in sub.clauses:
             report.add(f"piece-{i}-{c.name}", c.ok, c.detail)
 

@@ -12,6 +12,7 @@ import json
 import os
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and f"'{field}'" in err
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "blob, detail",
+        [
+            (GHOST_WITNESS.replace('"shift":0', '"shift":3000'),
+             "endpoints: FAIL (sections do not shift by the recorded k)"),
+            ('{"type":"chain","pieces":[%s]}'
+             % GHOST_WITNESS.strip().replace('"shift":0', '"shift":3000'),
+             "shape: FAIL (chains are built from straight lines only)"),
+        ],
+        ids=["ghost", "chain"],
+    )
+    def test_huge_ghost_shift_is_rejected_fast(self, blob, detail):
+        # r0^3000 takes tens of seconds to build; orders of vanishing
+        # (3000 * 2 > 1) refuse the shift first, and a chain refuses a
+        # ghost piece by its shape
+        start = time.perf_counter()
+        code, out, _ = invoke(
+            ["witness", "verify", "--r0", "x^2+x^3", "--s1", "x", "--s2", "x*(1+x)"],
+            blob,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert detail in out
 
 
 # --- output invariants ----------------------------------------------------------
