@@ -15,9 +15,9 @@ the data the general decision procedure needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ParseError, PreconditionViolated, UnsupportedSupport
 from .farey import INF, ZERO, Slope, mediant
