@@ -19,9 +19,13 @@ from nodalwitness.dvrseries import Series
 from nodalwitness import homotopy, polyring
 from nodalwitness.errors import (
     ConsistencyFailure,
+    DegreeCapExceeded,
     DivisionImpossible,
     LiftRequired,
+    PrecisionExhausted,
     PreconditionViolated,
+    RootUnavailable,
+    UnsupportedSupport,
 )
 from nodalwitness.farey import INF, ZERO, Slope
 from nodalwitness.homotopy import (
@@ -43,6 +47,7 @@ from nodalwitness.homotopy import (
     OffNodal,
     SectionData,
     StraightLine,
+    Undecidable,
     VerificationReport,
     YForm,
     build_ghost_witness,
@@ -968,6 +973,48 @@ class TestDecideGeneral:
         with pytest.raises(ConsistencyFailure, match=site) as info:
             decide_general(tower(*marks), sec(G2, s1), sec(G2, s2))
         assert "avoidance: forced failure" in str(info.value)
+
+
+DECISIONS = {
+    "nodal": (decide_nodal, "_decide_nodal_core", lambda: X1),
+    "general": (decide_general, "_decide_general_core", lambda: tower(ORIGIN)),
+}
+
+
+class TestAbstentions:
+    """The engine errors both decisions turn into Undecidable, by reason."""
+
+    @pytest.mark.parametrize("which", DECISIONS)
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (RootUnavailable, "root-unavailable"),
+            (UnsupportedSupport, "unsupported-support"),
+            (DegreeCapExceeded, "degree-cap-exceeded"),
+            (PrecisionExhausted, "precision-exhausted"),
+        ],
+    )
+    def test_engine_error_abstains(self, monkeypatch, which, error, reason):
+        decide, core, target = DECISIONS[which]
+
+        def raising(*args):
+            raise error("the engine stopped here")
+
+        monkeypatch.setattr(homotopy, core, raising)
+        v = decide(target(), sec(G2, "x"), sec(G2, "x + x^2"))
+        assert isinstance(v, Undecidable)
+        assert (v.reason, v.detail) == (reason, "the engine stopped here")
+
+    @pytest.mark.parametrize("which", DECISIONS)
+    def test_lift_required_propagates(self, monkeypatch, which):
+        decide, core, target = DECISIONS[which]
+
+        def raising(*args):
+            raise LiftRequired("the section does not lift")
+
+        monkeypatch.setattr(homotopy, core, raising)
+        with pytest.raises(LiftRequired):
+            decide(target(), sec(G2, "x"), sec(G2, "x + x^2"))
 
 
 class TestCoverTransform:
