@@ -303,6 +303,31 @@ def counting(monkeypatch, name):
 
 
 class TestPairCriteria:
+    @pytest.mark.parametrize(
+        "gens, pairs",
+        [
+            ([{(0, 1, 2): -3, (0, 2, 0): -1, (2, 0, 2): -2},
+              {(0, 0, 2): 1, (0, 1, 1): -3},
+              {(2, 0, 0): 2, (2, 2, 0): 1}], 12),
+            ([{(0, 0, 1): 1, (2, 2, 0): -3, (2, 2, 1): 2},
+              {(0, 2, 0): 1, (1, 0, 1): -1, (1, 2, 1): 2},
+              {(0, 1, 0): 2, (0, 1, 1): 3}], 12),
+            ([{(2, 2, 0): 1, (2, 2, 2): 2},
+              {(0, 0, 0): 1, (1, 1, 1): -3, (1, 2, 1): -3},
+              {(0, 0, 2): -2, (0, 1, 2): -3}], 11),
+            ([{(0, 1, 1): 1, (2, 1, 2): -3},
+              {(2, 1, 1): 1, (2, 1, 2): -2},
+              {(1, 0, 1): 1, (1, 0, 2): -2, (2, 0, 1): -2}], 5),
+        ],
+    )
+    def test_normal_selection_fixes_the_pair_count(self, monkeypatch, gens, pairs):
+        # the smallest lcm goes first; taking the largest first reduces
+        # 15, 15, 30 and 7 S-pairs on these ideals instead
+        polys = [Poly({m: Fraction(c) for m, c in g.items()}, 3) for g in gens]
+        spolys = counting(monkeypatch, "s_poly")
+        buchberger(polys, Grevlex(3))
+        assert len(spolys) == pairs
+
     def test_unit_ideal_with_redundant_inputs_reduces_nothing(self, monkeypatch):
         t = Poly.variable(0, 3)
         zero, one = Poly.zero(3), Poly.constant(Fraction(1), 3)
