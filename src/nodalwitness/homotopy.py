@@ -621,17 +621,12 @@ def _verify_straightline(
 
 def _shifted_value(r0: RingElement, k: int, r: RingElement, prec: int) -> RingElement:
     """r / r0^k, or DivisionImpossible.  When k*ord(r0) > ord(r), orders of
-    vanishing at the closed point refuse it before r0^k is built."""
-    if k == 0:
-        return r
-    if not (r0.is_zero() or r.is_zero()):
-        if r.model == MODEL_DVR:
-            ord0, ord_r = r0.valuation(), r.valuation()
-        else:
-            ord0, ord_r = _order(r0.payload.num), _order(r.payload.num)
-        if k * ord0 > ord_r:
+    vanishing at the closed point refuse it before r0^k is built; in both
+    models an element's numerator `num` vanishes to the element's order."""
+    if k and not (r0.is_zero() or r.is_zero()):
+        if k * _order(r0.payload.num) > _order(r.payload.num):
             raise DivisionImpossible(f"r0^{k} vanishes to a higher order than r")
-    return r.divide_in_ring(r0 ** k, prec)
+    return r.divide_in_ring(r0 ** k, prec) if k else r
 
 
 def _verify_ghost(

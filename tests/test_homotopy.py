@@ -1,6 +1,7 @@
 """Decision procedures and witness verification on the blown-up fiber."""
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -482,6 +483,26 @@ class TestVerify:
         flipped = ChainWitness((w.pieces[0], w.pieces[0]))
         report2 = verify_witness(X1, g, flipped, (s1, s2))
         assert not report2
+
+    @pytest.mark.parametrize(
+        "model, r0, s1, s2",
+        [
+            (MODEL_DVR, "x^2 + x^3", "x", "x + x^2"),
+            (MODEL_BIVARIATE, "u^2 + u^2*v", "u", "u + u^2 + u^2*v"),
+        ],
+    )
+    def test_huge_shift_is_refused_by_orders(self, model, r0, s1, s2):
+        # 3000 * ord(r0) > ord(r): refused before r0^3000, which takes tens
+        # of seconds to build in either model
+        g = GammaData(parse_element(r0, model))
+        sections = (sec(g, s1, model=model), sec(g, s2, model=model))
+        w = dataclasses.replace(build_ghost_witness(*sections), shift=3000)
+        start = time.perf_counter()
+        report = verify_witness(X1, g, w, sections)
+        assert time.perf_counter() - start < 2.0
+        assert [(c.name, c.detail) for c in report.clauses] == [
+            ("endpoints", "sections do not shift by the recorded k")
+        ]
 
     def test_chain_rejects_non_line_pieces(self):
         w, s1, s2 = fresh_ghost()
