@@ -182,9 +182,9 @@ class Series:
             raise ZeroDivisionError("inverse of zero series")
         c0 = self.coeffs[0]
         if self.is_monomial():
-            return Series(-self.val, (1 / c0,), True)
+            return Series(-self.val, (Fraction(1) / c0,), True)
         n = self.rel_prec if self.rel_prec is not None else prec
-        inv = [1 / c0] + [Fraction(0)] * (n - 1)
+        inv = [Fraction(1) / c0] + [Fraction(0)] * (n - 1)
         for k in range(1, n):
             s = Fraction(0)
             for j in range(1, k + 1):
@@ -269,15 +269,19 @@ class Series:
         """The radical is the whole ring or the maximal ideal."""
         return min(g.val for g in gens) == 0 or self.val >= 1
 
+    def order(self) -> int:
+        """Order of vanishing at the closed point, for self != 0."""
+        return self.val
+
     @property
     def num(self) -> Poly:
         """The stored coefficients as a polynomial in x.  For an exact
-        series of valuation >= 0 this is its value, with `den` 1."""
+        series of valuation >= 0 this is its value."""
         return Poly({(self.val + i,): c for i, c in enumerate(self.coeffs)}, 1)
 
-    @property
-    def den(self) -> Poly:
-        return Poly.constant(Fraction(1), 1)
+    def polys(self) -> tuple[Poly, None]:
+        """(num, den) as polynomials in x, the den None of the constant 1."""
+        return self.num, None
 
     def to_text(self) -> str:
         if self.is_zero():

@@ -112,7 +112,7 @@ class _Parser:
         self.vars = varnames
         self.allow_o = allow_o
         self.n = len(varnames)
-        self.one = Poly.constant(Fraction(1), self.n)
+        self.one = Poly.constant(1, self.n)
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -147,7 +147,7 @@ class _Parser:
         num, den = _mul_polys(a.num, b.den), _mul_polys(a.den, b.num)
         if den.is_constant() and not _is_one(den):
             # b.num is a constant: fold it into the numerator
-            return _RF(num.scale(1 / den.constant_coeff()), self.one)
+            return _RF(num.scale(Fraction(1) / den.constant_coeff()), self.one)
         return _RF(num, den)
 
     # -- grammar --------------------------------------------------------------
@@ -238,7 +238,7 @@ class _Parser:
                 c = int(t)
             except ValueError as exc:  # beyond the interpreter's digit limit
                 raise ParseError(f"integer of {len(t)} digits is too long") from exc
-            return _RF(Poly.constant(Fraction(c), self.n), self.one)
+            return _RF(Poly.constant(c, self.n), self.one)
         if t == "(":
             rf = self.expr()
             self._no_o(rf)

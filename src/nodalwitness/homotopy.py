@@ -59,7 +59,6 @@ from .localring import (
     polyext_to_json,
     radical_membership,
     unit_multiple,
-    _order,
 )
 from .surface import NodalSurface
 
@@ -620,11 +619,14 @@ def _verify_straightline(
 
 
 def _shifted_value(r0: RingElement, k: int, r: RingElement, prec: int) -> RingElement:
-    """r / r0^k, or DivisionImpossible.  When k*ord(r0) > ord(r), orders of
-    vanishing at the closed point refuse it before r0^k is built; in both
-    models an element's numerator `num` vanishes to the element's order."""
+    """r / r0^k, or DivisionImpossible, refused before r0^k is built in two
+    cases: a unit r0 (ghosts live in the main regime, where r0 is not a
+    unit, so no shift over a unit is recorded), and k*ord(r0) > ord(r), by
+    the orders of vanishing at the closed point."""
+    if k and r0.is_unit():
+        raise DivisionImpossible(f"a shift by r0^{k} needs a non-unit r0")
     if k and not (r0.is_zero() or r.is_zero()):
-        if k * _order(r0.payload.num) > _order(r.payload.num):
+        if k * r0.payload.order() > r.payload.order():
             raise DivisionImpossible(f"r0^{k} vanishes to a higher order than r")
     return r.divide_in_ring(r0 ** k, prec) if k else r
 
@@ -910,7 +912,7 @@ def _closed_point(s: SectionData) -> BasePoint:
     res = s.r.residue()
     if res == 0:
         return BasePoint(Fraction(1), Fraction(0))
-    return BasePoint(1 / res, Fraction(1))
+    return BasePoint(Fraction(1) / res, Fraction(1))
 
 
 def _mobius_delta(s1: SectionData, s2: SectionData) -> RingElement:
@@ -1067,7 +1069,7 @@ def _recenter(t, s1, s2, target: BasePoint, prec):
                 return BasePoint.distinguished()
             if p.c0 == 0:
                 return BasePoint(Fraction(1), Fraction(0))
-            return BasePoint(1 / p.c0, Fraction(1))
+            return BasePoint(Fraction(1) / p.c0, Fraction(1))
         if p.c1 == 0:
             return p
         return BasePoint(p.c0 - target.c0, Fraction(1))

@@ -3,9 +3,9 @@
 DVR model: truncated power series in one parameter x (see `dvrseries`);
 the computable stand-in for a one-dimensional henselian local ring.
 
-BIVARIATE model: fractions p/q of exact-rational polynomials in u, v with
+BIVARIATE model: fractions p/q of integer polynomials in u, v with
 q(0,0) != 0 — the local ring of a smooth surface germ, where interesting
-non-principal ideals exist.
+non-principal ideals exist.  Its arithmetic runs on Python ints.
 
 Both models sit behind one `RingElement` facade with ideal arithmetic
 (`IdealHandle`), the S/T-polynomial extension used by homotopy witnesses
@@ -21,8 +21,9 @@ truncated coefficient that neither this check nor a base constant settles.
 Each model's element rules live on its payload class (`Series`, `BiFrac`):
 the class attributes `model`, `variables` and `allow_o`, and `zero`,
 `from_fraction`, ring arithmetic, `divide_in_ring`, `divides`, `gcd`,
-`in_ideal`, `in_radical`, `nth_root_unit` and `to_text`.  `RingElement`
-holds only its payload, and `PAYLOADS` maps a model string to its class.
+`order`, `polys`, `in_ideal`, `in_radical`, `nth_root_unit` and
+`to_text`.  `RingElement` holds only its payload, and `PAYLOADS` maps a
+model string to its class.
 Five sites still compare model strings, each for a reason: `valuation` and
 `substitute_base` are DVR-only and raise ModelMismatch otherwise;
 `_ext_query` checks the DVR residue fibre first and abstains on truncated
@@ -33,6 +34,7 @@ reads valuations instead of building powers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -62,11 +64,13 @@ MODEL_BIVARIATE = "bivariate"
 
 
 # ---------------------------------------------------------------------------
-# exact gcd and division for Q[u,v], computed in Z[u][v]
+# exact gcd and division in Z[u][v]
 # ---------------------------------------------------------------------------
 # A polynomial here is a list over v-degree of rows, each row a list of
 # Python ints over u-degree (an element of Z[u]); zero is [] at both levels.
-# Fractions enter only in `_z_rows`; results become Fraction Polys again.
+# `BiFrac` stores its numerator and denominator in this form, so gcd2 and
+# divide_exact_p2 take and return it; `_cleared` and `_poly` convert at the
+# parser and at the Groebner engine.
 
 
 def _trim(a: list) -> list:
@@ -84,9 +88,18 @@ def _u_mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
+
+
+def _u_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] += y
+    return _trim(out)
 
 
 def _u_sub(a: list, b: list) -> list:
@@ -133,25 +146,6 @@ def _z_gcd(a: list, b: list) -> list:
     return [x * k if a[-1] > 0 else -x * k for x in a]
 
 
-def _z_rows(p: Poly) -> tuple[list, Fraction]:
-    """(f, s) with p = s·f and f primitive in Z[u][v], for p != 0."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    k = gcd(*ints.values())
-    rows: list = [[] for _ in range(1 + max(ev for _, ev in ints))]
-    for (eu, ev), c in ints.items():
-        row = rows[ev]
-        row.extend([0] * (eu + 1 - len(row)))
-        row[eu] = c // k
-    return rows, Fraction(k, den)
-
-
-def _from_rows(rows: list, s) -> Poly:
-    """s·f as a Poly, for f in Z[u][v]."""
-    return Poly({(eu, ev): c * s for ev, row in enumerate(rows)
-                 for eu, c in enumerate(row) if c}, 2)
-
-
 def _primitive(f: list) -> tuple[list, list]:
     """(content in Z[u], primitive part) of f in Z[u][v]."""
     c: list = []
@@ -160,6 +154,36 @@ def _primitive(f: list) -> tuple[list, list]:
         if c == [1]:
             return c, f
     return c, [_u_quo(row, c) for row in f]
+
+
+def _rec_add(f: list, g: list) -> list:
+    """Sum in Z[u][v]."""
+    if len(f) < len(g):
+        f, g = g, f
+    out = f[:]
+    for i, row in enumerate(g):
+        out[i] = _u_add(out[i], row)
+    return _trim(out)
+
+
+def _rec_mul(f: list, g: list) -> list:
+    """Product in Z[u][v], accumulated in rows as wide as the widest product."""
+    if not f or not g:
+        return []
+    width = max(map(len, f)) + max(map(len, g)) - 1
+    out = [[0] * width for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g, i):
+            row = out[j]
+            for k, x in enumerate(a):
+                if x:
+                    for l, y in enumerate(b, k):
+                        row[l] += x * y
+    return [_trim(row) for row in out]
+
+
+def _rec_neg(f: list) -> list:
+    return [[-x for x in row] for row in f]
 
 
 def _rec_prem(f: list, g: list) -> list:
@@ -189,57 +213,84 @@ def _rec_quo(f: list, g: list) -> Optional[list]:
     return q
 
 
-_ONE2 = Poly.constant(Fraction(1), 2)  # shared: a Poly is never mutated
+_ONE2 = [[1]]  # shared: rows are never mutated once built
 
 
-def _is_nonzero_constant(p: Poly) -> bool:
-    return len(p.terms) == 1 and (0, 0) in p.terms
+def _is_constant(f: list) -> bool:
+    return len(f) <= 1 and all(len(row) <= 1 for row in f)
 
 
-def gcd2(p: Poly, q: Poly) -> Poly:
-    """Monic-normalized gcd in the UFD Q[u,v].
+def _is_nonzero_constant(f: list) -> bool:
+    return len(f) == 1 and len(f[0]) == 1
+
+
+def _order(f: list) -> int:
+    """Order of vanishing at the origin (lowest total degree) of f != 0."""
+    return min(ev + eu for ev, row in enumerate(f) for eu, c in enumerate(row) if c)
+
+
+def gcd2(p: list, q: list) -> list:
+    """A gcd in Q[u,v] of p and q in Z[u][v], itself in Z[u][v].
 
     A nonzero constant argument answers 1 at once, without the
-    pseudo-remainder sequence: most denominators in sight are 1.  Otherwise
-    Fractions stop at the door: `_z_rows` clears each operand's
-    denominators and integer content, and the primitive pseudo-remainder
-    sequence runs in Z[u][v] on Python ints, each remainder divided by its
-    content in Z[u].  By Gauss's lemma that gives the gcd over Q up to a
-    rational factor, and the monic (grevlex) normalisation removes it, so
-    the result is the one a computation over Q would give.
+    pseudo-remainder sequence: most denominators in sight are constants.
+    Otherwise the primitive pseudo-remainder sequence runs in Z[u][v], each
+    remainder divided by its content in Z[u], and the result is the product
+    of the two contents' gcd and the last primitive remainder.  By Gauss's
+    lemma that is the gcd in Z[u][v] up to sign, so it divides p and q there
+    (divide_exact_p2 finds the cofactors), and a gcd over Q up to a rational
+    factor.  Its leading coefficient is positive.
     """
     if _is_nonzero_constant(p) or _is_nonzero_constant(q):
         return _ONE2
-    if p.is_zero():
-        g = q
-    elif q.is_zero():
-        g = p
-    else:
-        (c1, f1), (c2, f2) = _primitive(_z_rows(p)[0]), _primitive(_z_rows(q)[0])
-        while f2:
-            f1, f2 = f2, _primitive(_rec_prem(f1, f2))[1]
-        g = _from_rows([_u_mul(row, _z_gcd(c1, c2)) for row in f1], 1)
-    if g.is_zero():
-        return g
-    _, lc = g.leading(Grevlex(2))
-    return g.scale(Fraction(1) / lc)
+    if not p or not q:
+        return p or q
+    (c1, f1), (c2, f2) = _primitive(p), _primitive(q)
+    while f2:
+        f1, f2 = f2, _primitive(_rec_prem(f1, f2))[1]
+    c = _z_gcd(c1, c2)
+    if f1[-1][-1] < 0:
+        c = [-x for x in c]
+    return [_u_mul(row, c) for row in f1]
 
 
-def divide_exact_p2(p: Poly, d: Poly) -> Optional[Poly]:
-    """Exact quotient p/d in Q[u,v], or None.
+def divide_exact_p2(p: list, d: list) -> Optional[list]:
+    """Exact quotient p/d in Z[u][v], or None when d does not divide p there.
 
-    Computed in Z[u][v]: p = s·P and d = t·D with P and D primitive integer
-    polynomials (`_z_rows`).  By Gauss's lemma D divides P over Q exactly
-    when it does over Z, so a division step that leaves Z means "not
-    divisible"; otherwise the quotient is (s/t)·P/D, Fractions again.
+    For a d that is primitive in Z (a gcd2 result dividing p, or a
+    polynomial with its integer content removed) this is divisibility in
+    Q[u,v] too, by Gauss's lemma.
     """
-    if p.is_zero():
+    if not p:
         return p
-    if d.is_zero():
+    if not d:
         return None
-    (P, s), (D, t) = _z_rows(p), _z_rows(d)
-    Q = _rec_quo(P, D)
-    return None if Q is None else _from_rows(Q, s / t)
+    return _rec_quo(p, d)
+
+
+def _cleared(*polys: Poly) -> list:
+    """Each polynomial of Q[u,v] times the lcm of all their coefficients'
+    denominators, in Z[u][v]: the integer form of a fraction's two
+    polynomials, which leaves their quotient unchanged."""
+    m = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    out = []
+    for p in polys:
+        rows: list = [[] for _ in range(1 + max((ev for _, ev in p.terms), default=-1))]
+        for (eu, ev), c in p.terms.items():
+            row = rows[ev]
+            row.extend([0] * (eu + 1 - len(row)))
+            row[eu] = c.numerator * (m // c.denominator)
+        out.append(rows)
+    return out
+
+
+def _poly(f: list, pad: tuple = (), scale: int = 1) -> Poly:
+    """f/scale as a Poly in u, v, after the variables whose exponents pad
+    gives (the Rabinowitsch t)."""
+    terms = {pad + (eu, ev): c for ev, row in enumerate(f) for eu, c in enumerate(row) if c}
+    if scale != 1:
+        terms = {m: Fraction(c, scale) for m, c in terms.items()}
+    return Poly(terms, len(pad) + 2)
 
 
 def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
@@ -265,7 +316,7 @@ def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
         glm, glc = gl.leading(order)
         if not mono_divides(glm, rm):
             return None
-        t = Poly({mono_div(rm, glm): rc / (n * glc)}, 2)
+        t = Poly({mono_div(rm, glm): Fraction(rc) / (n * glc)}, 2)
         if order.key(t.leading(order)[0]) < order.key(g.leading(order)[0]):
             return None
         g = g + t
@@ -275,16 +326,6 @@ def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
 # ---------------------------------------------------------------------------
 # bivariate payload
 # ---------------------------------------------------------------------------
-
-
-def _embed(p: Poly, nvars: int, offset: int) -> Poly:
-    terms = {}
-    for m, c in p.terms.items():
-        mm = [0] * nvars
-        for i, e in enumerate(m):
-            mm[offset + i] = e
-        terms[tuple(mm)] = c
-    return Poly(terms, nvars)
 
 
 def _strip_vars(p: Poly, keep_from: int) -> Poly:
@@ -306,29 +347,36 @@ def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
     return escapes_origin(eliminate(polys, nelim))
 
 
-def _cofactor(p: Poly, g: Poly) -> Poly:
-    """p/g for a monic gcd2 result g that divides p."""
-    return p if g.is_constant() else divide_exact_p2(p, g)
+def _cofactor(p: list, g: list) -> list:
+    """p/g for a gcd2 result g that divides p."""
+    return p if _is_constant(g) else divide_exact_p2(p, g)
 
 
-def _order(p: Poly) -> int:
-    """Order of vanishing at the origin (lowest total degree) of p != 0."""
-    return min(sum(m) for m in p.terms)
+def _constant(f: list) -> int:
+    """f(0,0)."""
+    return f[0][0] if f and f[0] else 0
+
+
+def _content(*fs: list) -> int:
+    """The gcd of all the integer coefficients of the fs."""
+    return gcd(*(gcd(*row) for f in fs for row in f))
 
 
 class BiFrac:
-    """Fraction num/den in Q[u,v] in lowest terms, with den(0,0) = 1.
+    """Fraction num/den of two polynomials in Z[u][v], in lowest terms.
 
-    Invariant: gcd2(num, den) is constant and den(0,0) = 1 (zero is 0/1).
-    That form is unique, so equality, hashing and text compare polynomials.
-    `make` reduces raw polynomials by one full gcd2.  The arithmetic keeps
-    the invariant with Henrici's cross-gcd rule, as `fractions.Fraction`
-    does: operands are already reduced, so a product can only cancel a
-    numerator against the other operand's denominator, and a sum only by a
-    factor of gcd2 of the two denominators.  num and den keep Fraction
-    coefficients; gcd2 and divide_exact_p2 compute on integers inside and
-    return what a computation over Q returns (Gauss's lemma, and gcd2's
-    monic normalisation), so this form is the same either way.
+    num and den are rows (see gcd2) of Python ints, in the one form that
+    makes each element unique: num and den are coprime over Q, the integer
+    content of their coefficients taken together is 1, and den(0,0) > 0
+    (zero is 0/1).  So equality and hashing compare rows.  `make` reduces
+    raw polynomials by one full gcd2.  The arithmetic keeps the form with
+    Henrici's cross-gcd rule, as `fractions.Fraction` does: operands are
+    already reduced, so a product can only cancel a numerator against the
+    other operand's denominator, and a sum only by a factor of gcd2 of the
+    two denominators; `_canonical` then divides out the joint content, so
+    integers do not grow.  Fractions appear only where a rational leaves:
+    `residue`, `to_text` (which divides by den(0,0), the text of the
+    element's den(0,0) = 1 form) and `nth_root_unit`.
     """
 
     model = MODEL_BIVARIATE
@@ -336,81 +384,90 @@ class BiFrac:
     allow_o = False
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
+    def __init__(self, num: list, den: list):
         self.num = num
         self.den = den
 
     @staticmethod
     def zero() -> "BiFrac":
-        return BiFrac(Poly.zero(2), _ONE2)
+        return BiFrac([], _ONE2)
 
     @staticmethod
     def from_fraction(c) -> "BiFrac":
-        return BiFrac(Poly.constant(Fraction(c), 2), _ONE2)
+        c = Fraction(c)
+        return BiFrac([[c.numerator]] if c else [], [[c.denominator]])
 
     @staticmethod
-    def make(num: Poly, den: Poly) -> "BiFrac":
-        if den.is_zero():
+    def make(num: list, den: list) -> "BiFrac":
+        if not den:
             raise DivisionImpossible("zero denominator")
-        if num.is_zero():
+        if not num:
             return BiFrac.zero()
         g = gcd2(num, den)
-        return BiFrac._scaled(_cofactor(num, g), _cofactor(den, g))
+        return BiFrac._canonical(_cofactor(num, g), _cofactor(den, g))
 
     @staticmethod
-    def _scaled(num: Poly, den: Poly) -> "BiFrac":
-        """Coprime num/den, scaled so that den(0,0) = 1."""
-        c = den.constant_coeff()
+    def _canonical(num: list, den: list) -> "BiFrac":
+        """Coprime num/den, divided by their joint integer content and
+        signed so that den(0,0) > 0."""
+        c = _constant(den)
         if c == 0:
             raise DivisionImpossible("denominator vanishes at the origin")
-        if c == 1:
+        k = _content(num, den)
+        if c < 0:
+            k = -k
+        if k == 1:
             return BiFrac(num, den)
-        s = Fraction(1) / c
-        return BiFrac(num.scale(s), den.scale(s))
+        return BiFrac([[x // k for x in row] for row in num],
+                      [[x // k for x in row] for row in den])
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def is_unit(self) -> bool:
-        return self.num.constant_coeff() != 0
+        return _constant(self.num) != 0
 
     def residue(self) -> Fraction:
-        return self.num.constant_coeff()
+        return Fraction(_constant(self.num), self.den[0][0])
 
-    def _plus(self, n2: Poly, d2: Poly) -> "BiFrac":
+    def order(self) -> int:
+        """Order of vanishing at the closed point, for self != 0."""
+        return _order(self.num)
+
+    def _plus(self, n2: list, d2: list) -> "BiFrac":
         """self + n2/d2, for coprime n2 and d2."""
         n1, d1 = self.num, self.den
         g = gcd2(d1, d2)
-        if g.is_constant():
-            t, den = n1 * d2 + n2 * d1, d1 * d2
+        if _is_constant(g):
+            t, den = _rec_add(_rec_mul(n1, d2), _rec_mul(n2, d1)), _rec_mul(d1, d2)
         else:
             s = divide_exact_p2(d1, g)
-            t = n1 * divide_exact_p2(d2, g) + n2 * s
+            t = _rec_add(_rec_mul(n1, divide_exact_p2(d2, g)), _rec_mul(n2, s))
             g2 = gcd2(t, g)
-            t, den = _cofactor(t, g2), s * _cofactor(d2, g2)
-        if t.is_zero():
+            t, den = _cofactor(t, g2), _rec_mul(s, _cofactor(d2, g2))
+        if not t:
             return BiFrac.zero()
-        return BiFrac._scaled(t, den)
+        return BiFrac._canonical(t, den)
 
-    def _times(self, n2: Poly, d2: Poly) -> "BiFrac":
+    def _times(self, n2: list, d2: list) -> "BiFrac":
         """self * n2/d2, for coprime n2 and d2."""
-        if self.num.is_zero() or n2.is_zero():
+        if not self.num or not n2:
             return BiFrac.zero()
         g1 = gcd2(self.num, d2)
         g2 = gcd2(n2, self.den)
-        return BiFrac._scaled(
-            _cofactor(self.num, g1) * _cofactor(n2, g2),
-            _cofactor(self.den, g2) * _cofactor(d2, g1),
+        return BiFrac._canonical(
+            _rec_mul(_cofactor(self.num, g1), _cofactor(n2, g2)),
+            _rec_mul(_cofactor(self.den, g2), _cofactor(d2, g1)),
         )
 
     def __add__(self, o: "BiFrac") -> "BiFrac":
         return self._plus(o.num, o.den)
 
     def __sub__(self, o: "BiFrac") -> "BiFrac":
-        return self._plus(-o.num, o.den)
+        return self._plus(_rec_neg(o.num), o.den)
 
     def __neg__(self) -> "BiFrac":
-        return BiFrac(-self.num, self.den)
+        return BiFrac(_rec_neg(self.num), self.den)
 
     def __mul__(self, o: "BiFrac") -> "BiFrac":
         return self._times(o.num, o.den)
@@ -426,7 +483,7 @@ class BiFrac:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
+        return hash((tuple(map(tuple, self.num)), tuple(map(tuple, self.den))))
 
     # -- the model's rules, for nonzero operands ------------------------------
 
@@ -437,11 +494,11 @@ class BiFrac:
         self.num divides, and ord(self.num) > ord(o.num) does not (the
         order of vanishing at the origin is additive and zero on units)."""
         an, bn = self.num, o.num
-        if an.constant_coeff() != 0:
+        if _constant(an) != 0:
             return True
         if _order(an) > _order(bn):
             return False
-        return _cofactor(an, gcd2(an, bn)).constant_coeff() != 0
+        return _constant(_cofactor(an, gcd2(an, bn))) != 0
 
     @staticmethod
     def gcd(gens: list) -> "BiFrac":
@@ -450,50 +507,54 @@ class BiFrac:
             acc = gcd2(acc, g.num)
         return BiFrac.make(acc, _ONE2)
 
+    def polys(self) -> tuple[Poly, Optional[Poly]]:
+        """num and den as integer polynomials in u, v; den None when it is 1."""
+        return _poly(self.num), None if self.den == _ONE2 else _poly(self.den)
+
     def in_ideal(self, gens: list) -> bool:
         """self in I·R_m  iff  (I : self) escapes <u, v>; (I : self) is
-        computed as (I ∩ <self>)/self via the t-trick in Q[t, u, v]."""
+        computed as (I ∩ <self>)/self via the t-trick in Q[t, u, v].  Each
+        quotient is taken in Z[u][v], by the primitive part of self.num."""
         p = self.num
-        n = 3
-        t = Poly.variable(0, n)
-        one = Poly.constant(Fraction(1), n)
-        gens3 = [t * _embed(g.num, n, 1) for g in gens]
-        gens3.append((one - t) * _embed(p, n, 1))
-        inter = eliminate(gens3, 1)
+        gens3 = [_poly(g.num, (1,)) for g in gens]
+        gens3.append(_poly(p, (0,)) - _poly(p, (1,)))
+        k = _content(p)
+        p = [[c // k for c in row] for row in p]
         quotient = []
-        for q3 in inter:
-            q2 = _strip_vars(q3, 1)
-            qq = divide_exact_p2(q2, p)
+        for q3 in eliminate(gens3, 1):
+            qq = divide_exact_p2(_cleared(_strip_vars(q3, 1))[0], p)
             assert qq is not None, "intersection member must be divisible"
             quotient.append(qq)
-        return escapes_origin(quotient)
+        return any(_constant(q) for q in quotient)
 
     def in_radical(self, gens: list) -> bool:
         """Rabinowitsch, localized, in Q[t, u, v]."""
-        gens3 = [_embed(g.num, 3, 1) for g in gens]
-        return _unit_query(gens3, 1, _embed(self.num, 3, 1))
+        gens3 = [_poly(g.num, (0,)) for g in gens]
+        return _unit_query(gens3, 1, _poly(self.num, (0,)))
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> Optional["BiFrac"]:
         res = _rational_root(self.residue(), n)
         if res is None:
             raise RootUnavailable(f"residue {self.residue()} has no rational {n}-th root")
-        if self.num.is_constant() and self.den.is_constant():
+        if _is_constant(self.num) and _is_constant(self.den):
             return BiFrac.from_fraction(res)
-        rn = _poly_nth_root(self.num, n)
-        rd = _poly_nth_root(self.den, n)
+        rn = _poly_nth_root(_poly(self.num), n)
+        rd = _poly_nth_root(_poly(self.den), n)
         if rn is None or rd is None:
             return None
-        g = BiFrac.make(rn, rd)
+        g = BiFrac.make(*_cleared(rn, rd))
         for root in (g, -g):
             if power(root, n, BiFrac.from_fraction(1)) == self:
                 return root
         return None
 
     def to_text(self) -> str:
-        num = grammar.poly_to_text(self.num, self.variables)
-        if self.den.is_constant():
+        c = self.den[0][0]
+        num = grammar.poly_to_text(_poly(self.num, scale=c), self.variables)
+        if _is_constant(self.den):
             return num
-        return f"({num})/({grammar.poly_to_text(self.den, self.variables)})"
+        den = grammar.poly_to_text(_poly(self.den, scale=c), self.variables)
+        return f"({num})/({den})"
 
 
 PAYLOADS = {MODEL_DVR: Series, MODEL_BIVARIATE: BiFrac}
@@ -845,13 +906,13 @@ class PolyExt:
 def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> Poly:
     """Clear the coefficients' denominators and embed g into Q[...], with S
     and T at st_offset and the base variables (x, or u and v) from
-    base_offset.  DVR coefficients must be exact; their den is 1."""
-    dens = [c.payload.den for c in g.terms.values()]
+    base_offset.  A denominator 1 multiplies nothing; a DVR coefficient,
+    which must be exact, always has that one."""
+    parts = [c.payload.polys() for c in g.terms.values()]
     terms = {}  # the S/T exponents keep the buckets' monomials apart
-    for idx, ((i, j), c) in enumerate(g.terms.items()):
-        contrib = c.payload.num
-        for k, d in enumerate(dens):
-            if k != idx:
+    for idx, ((i, j), (contrib, _)) in enumerate(zip(g.terms, parts)):
+        for k, (_, d) in enumerate(parts):
+            if k != idx and d is not None:
                 contrib = contrib * d
         for mono, coeff in contrib.terms.items():
             mm = [0] * nvars
@@ -973,7 +1034,7 @@ def _from_raw(
     if model == MODEL_DVR:
         return [RingElement(q) for q in _series_from_raw(nums, den, otrunc, prec)]
     try:
-        return [RingElement(BiFrac.make(n, den)) for n in nums]
+        return [RingElement(BiFrac.make(*_cleared(n, den))) for n in nums]
     except DivisionImpossible as exc:
         raise ParseError(str(exc)) from exc
 
@@ -1005,20 +1066,21 @@ def _st_key_text(i: int, j: int) -> str:
     return "*".join(bits) if bits else "1"
 
 
+_ST_FACTOR = re.compile(r"([ST])(?:\^([0-9]+))?")
+
+
 def _st_key_parse(key: str) -> tuple[int, int]:
-    i = j = 0
-    key = key.strip()
+    """(i, j) of a key S^i*T^j as `_st_key_text` writes it: "1", or factors
+    S, T, S^n, T^n (n a digit string) joined by "*", each variable once."""
     if key == "1":
         return (0, 0)
+    exps: dict = {}
     for part in key.split("*"):
-        part = part.strip()
-        if part.startswith("S"):
-            i = int(part[2:]) if part.startswith("S^") else 1
-        elif part.startswith("T"):
-            j = int(part[2:]) if part.startswith("T^") else 1
-        else:
-            raise ParseError(f"bad S/T monomial key {part!r}")
-    return (i, j)
+        m = _ST_FACTOR.fullmatch(part)
+        if m is None or m[1] in exps:
+            raise ParseError(f"bad S/T monomial key {key!r}")
+        exps[m[1]] = int(m[2] or 1)
+    return exps.get("S", 0), exps.get("T", 0)
 
 
 def polyext_to_json(p: PolyExt) -> dict:

@@ -131,7 +131,7 @@ class Poly:
     @classmethod
     def variable(cls, i: int, nvars: int) -> "Poly":
         m = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls({m: _ONE}, nvars)
+        return cls({m: 1}, nvars)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,13 +145,13 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         t = dict(self.terms)
         for m, c in other.terms.items():
-            t[m] = t.get(m, _ZERO) + c
+            t[m] = t.get(m, 0) + c
         return Poly(t, self.nvars)
 
     def __sub__(self, other: "Poly") -> "Poly":
         t = dict(self.terms)
         for m, c in other.terms.items():
-            t[m] = t.get(m, _ZERO) - c
+            t[m] = t.get(m, 0) - c
         return Poly(t, self.nvars)
 
     def __neg__(self) -> "Poly":
@@ -162,7 +162,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                t[m] = t.get(m, _ZERO) + c1 * c2
+                t[m] = t.get(m, 0) + c1 * c2
         return Poly(t, self.nvars)
 
     def scale(self, c) -> "Poly":

@@ -287,24 +287,38 @@ class TestExitCodes:
         assert err.startswith("error:") and f"'{field}'" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("key", ["S^x", "S^-1", "S*S"])
+    def test_malformed_st_key_is_two(self, key):
+        blob = GHOST_WITNESS.replace('{"1":"1","S":"x"}]', '{"1":"1","%s":"x"}]' % key)
+        code, out, err = invoke(
+            ["witness", "verify", "--r0", "x^2+x^3", "--s1", "x", "--s2", "x*(1+x)"],
+            blob,
+        )
+        assert code == 2
+        assert err.startswith("error:") and f"'{key}'" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize(
-        "blob, detail",
+        "blob, r0, detail",
         [
-            (GHOST_WITNESS.replace('"shift":0', '"shift":3000'),
+            (GHOST_WITNESS.replace('"shift":0', '"shift":3000'), "x^2+x^3",
+             "endpoints: FAIL (sections do not shift by the recorded k)"),
+            (GHOST_WITNESS.replace('"shift":0', '"shift":3000'), "1+x",
              "endpoints: FAIL (sections do not shift by the recorded k)"),
             ('{"type":"chain","pieces":[%s]}'
-             % GHOST_WITNESS.strip().replace('"shift":0', '"shift":3000'),
+             % GHOST_WITNESS.strip().replace('"shift":0', '"shift":3000'), "x^2+x^3",
              "shape: FAIL (chains are built from straight lines only)"),
         ],
-        ids=["ghost", "chain"],
+        ids=["ghost", "ghost-unit-r0", "chain"],
     )
-    def test_huge_ghost_shift_is_rejected_fast(self, blob, detail):
+    def test_huge_ghost_shift_is_rejected_fast(self, blob, r0, detail):
         # r0^3000 takes tens of seconds to build; orders of vanishing
-        # (3000 * 2 > 1) refuse the shift first, and a chain refuses a
-        # ghost piece by its shape
+        # (3000 * 2 > 1) refuse the shift first, a unit r0 (outside the
+        # main regime, where ghosts live) is refused before its orders are
+        # read, and a chain refuses a ghost piece by its shape
         start = time.perf_counter()
         code, out, _ = invoke(
-            ["witness", "verify", "--r0", "x^2+x^3", "--s1", "x", "--s2", "x*(1+x)"],
+            ["witness", "verify", "--r0", r0, "--s1", "x", "--s2", "x*(1+x)"],
             blob,
         )
         assert time.perf_counter() - start < 2.0

@@ -494,9 +494,31 @@ class TestVerify:
     def test_huge_shift_is_refused_by_orders(self, model, r0, s1, s2):
         # 3000 * ord(r0) > ord(r): refused before r0^3000, which takes tens
         # of seconds to build in either model
+        self.assert_huge_shift_refused_fast(model, r0, s1, s2, r0)
+
+    @pytest.mark.parametrize(
+        "model, r0, s1, s2, unit",
+        [
+            (MODEL_DVR, "x^2 + x^3", "x", "x + x^2", "1 + x"),
+            (MODEL_BIVARIATE, "u^2 + u^2*v", "u", "u + u^2 + u^2*v", "1 + u"),
+        ],
+    )
+    def test_huge_shift_over_a_unit_r0_is_refused(self, model, r0, s1, s2, unit):
+        # orders refuse nothing when ord(r0) = 0, but ghosts live in the
+        # main regime, where r0 is not a unit: the same ghost, checked
+        # against a unit r0, is refused before r0^3000 is built
+        self.assert_huge_shift_refused_fast(model, r0, s1, s2, unit)
+
+    @staticmethod
+    def assert_huge_shift_refused_fast(model, r0, s1, s2, verify_r0):
+        """A ghost built over r0, with shift 3000, verified over verify_r0."""
         g = GammaData(parse_element(r0, model))
+        w = dataclasses.replace(
+            build_ghost_witness(sec(g, s1, model=model), sec(g, s2, model=model)),
+            shift=3000,
+        )
+        g = GammaData(parse_element(verify_r0, model))
         sections = (sec(g, s1, model=model), sec(g, s2, model=model))
-        w = dataclasses.replace(build_ghost_witness(*sections), shift=3000)
         start = time.perf_counter()
         report = verify_witness(X1, g, w, sections)
         assert time.perf_counter() - start < 2.0

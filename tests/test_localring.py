@@ -4,6 +4,7 @@ import operator
 import time
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,32 @@ def large_height_polys(draw, min_size=0):
     ).filter(lambda c: c != 0)
     terms = draw(st.dictionaries(monos, coeffs, min_size=min_size, max_size=4))
     return Poly(terms, 2)
+
+
+def int_rows(p: Poly, m: int) -> list:
+    """m·p in the row form BiFrac stores (a list over v-degree of lists of
+    ints over u-degree), for m a multiple of every denominator of p."""
+    rows: list = [[] for _ in range(1 + max((ev for _, ev in p.terms), default=-1))]
+    for (eu, ev), c in p.terms.items():
+        rows[ev] += [0] * (eu + 1 - len(rows[ev]))
+        rows[ev][eu] = int(c * m)
+    return rows
+
+
+def z_rows(p: Poly) -> tuple:
+    """(rows, s) with p = s·rows and rows primitive in Z[u][v]."""
+    m = lcm(*(c.denominator for c in p.terms.values()))
+    k = gcd(*(int(c * m) for c in p.terms.values())) or 1
+    return int_rows(p, Fraction(m, k)), Fraction(k, m)
+
+
+def rows_poly(rows) -> Poly:
+    return Poly({(eu, ev): Fraction(c) for ev, row in enumerate(rows)
+                 for eu, c in enumerate(row) if c}, 2)
+
+
+def constant_of(rows) -> int:
+    return rows[0][0] if rows and rows[0] else 0
 
 
 def sympy_ring_uv(sympy):
@@ -493,16 +520,25 @@ class TestGcd:
                 sympy.Integer(0),
             )
 
-        # a shared factor makes the gcd nontrivial; empty dicts give zeros
+        # a shared factor makes the gcd nontrivial; empty dicts give zeros;
+        # integer multiples of primitive rows give gcd2 integer contents
         common = draw_poly()
         p, q = draw_poly() * common, draw_poly() * common
+        kp, kq = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        rp, rq = (
+            [[c * k for c in row] for row in z_rows(x)[0]] for x, k in ((p, kp), (q, kq))
+        )
         expect = sympy.gcd(to_sympy(p), to_sympy(q))
-        got = to_sympy(gcd2(p, q))
+        g = gcd2(rp, rq)
+        got = to_sympy(rows_poly(g))
         if expect == 0:
             assert got == 0
         else:
             ratio = sympy.cancel(got / expect)
             assert ratio.is_Rational and ratio != 0, (p, q, got, expect)
+            # the cofactors BiFrac takes are exact in Z[u][v]
+            assert divide_exact_p2(rp, g) is not None
+            assert divide_exact_p2(rq, g) is not None
 
 
     def test_gcd2_with_a_constant_skips_the_remainder_sequence(self, monkeypatch):
@@ -511,9 +547,9 @@ class TestGcd:
 
         monkeypatch.setattr(localring, "_rec_prem", no_prem)
         p = biv("u^2 + 3*u*v - v").payload.num
-        three = Poly.constant(Fraction(3), 2)
-        for x, y in [(p, three), (three, p), (Poly.zero(2), three)]:
-            assert gcd2(x, y) == Poly.constant(Fraction(1), 2)
+        three = [[3]]
+        for x, y in [(p, three), (three, p), ([], three)]:
+            assert gcd2(x, y) == [[1]]
 
     def test_gcd2_of_a_shared_factor_enters_the_remainder_sequence(self, monkeypatch):
         # positive control for the guard above: the same patch is reached
@@ -535,7 +571,8 @@ class TestGcd:
         common = data.draw(large_height_polys())
         p = data.draw(large_height_polys()) * common
         q = data.draw(large_height_polys()) * common
-        expect, got = to_sympy(p).gcd(to_sympy(q)), to_sympy(gcd2(p, q))
+        got = to_sympy(rows_poly(gcd2(z_rows(p)[0], z_rows(q)[0])))
+        expect = to_sympy(p).gcd(to_sympy(q))
         if expect == 0:
             assert got == 0
         else:
@@ -554,11 +591,14 @@ class TestGcd:
         elif kind == "independent":
             p = data.draw(large_height_polys())
         q, r = divmod(to_sympy(p), to_sympy(d))
-        got = divide_exact_p2(p, d)
+        # p = s·P and d = t·D with D primitive, so Z[u][v] answers as Q[u,v]
+        (P, s), (D, t) = z_rows(p), z_rows(d)
+        got = divide_exact_p2(P, D)
         if r:
             assert got is None, (p, d)
         else:
-            assert got is not None and to_sympy(got) == q, (p, d)
+            assert got is not None, (p, d)
+            assert to_sympy(rows_poly(got).scale(s / t)) == q, (p, d)
 
     def test_primitive_remainders_keep_u_degrees_small(self, monkeypatch):
         # without removing each remainder's content in Q[u], the largest
@@ -618,6 +658,12 @@ def shared_factor_fractions(draw):
     return num, den
 
 
+def int_fraction(n: Poly, d: Poly) -> RingElement:
+    """n/d through BiFrac.make, from integer rows over a common denominator."""
+    m = lcm(*(c.denominator for e in (n, d) for c in e.terms.values()))
+    return RingElement(BiFrac.make(int_rows(n, m), int_rows(d, m)))
+
+
 class TestBivariateAgainstSympy:
     @given(shared_factor_fractions(), shared_factor_fractions())
     @settings(max_examples=100, deadline=None)
@@ -629,22 +675,30 @@ class TestBivariateAgainstSympy:
             return R({m: sympy.QQ(c.numerator, c.denominator) for m, c in p.terms.items()})
 
         def reduced(n, d):
-            """sympy's lowest terms of n/d, scaled to den(0,0) = 1; None off the ring."""
+            """sympy's lowest terms of n/d as integer rows, jointly primitive
+            with den(0,0) > 0; None off the ring."""
             n, d = n.cancel(d)
             c = d.get((0, 0), 0)
             if c == 0:
                 return None
-            return [{m: Fraction(int(x.numerator), int(x.denominator))
-                     for m, x in e.quo_ground(c).items()} for e in (n, d)]
+            polys = [Poly({m: Fraction(int(x.numerator), int(x.denominator))
+                           for m, x in e.quo_ground(c).items()}, 2) for e in (n, d)]
+            coeffs = [x for e in polys for x in e.terms.values()]
+            m = lcm(*(x.denominator for x in coeffs))
+            return [int_rows(e, Fraction(m, gcd(*(int(x * m) for x in coeffs))))
+                    for e in polys]
 
         def check(got: RingElement, expect):
             b = got.payload
-            assert [b.num.terms, b.den.terms] == expect
-            # canonical: coprime (sympy's gcd, the faster of the two) and den(0,0) = 1
-            assert to_sympy(b.num).gcd(to_sympy(b.den)).is_ground
-            assert b.den.constant_coeff() == 1
+            assert [b.num, b.den] == expect
+            # canonical: integer rows, coprime (sympy's gcd, the faster of
+            # the two), jointly primitive, and den(0,0) > 0
+            ints = [x for f in (b.num, b.den) for row in f for x in row]
+            assert all(type(x) is int for x in ints)
+            assert to_sympy(rows_poly(b.num)).gcd(to_sympy(rows_poly(b.den))).is_ground
+            assert gcd(*ints) == 1 and constant_of(b.den) > 0
 
-        a, b = (RingElement(BiFrac.make(*f)) for f in (fa, fb))
+        a, b = (int_fraction(*f) for f in (fa, fb))
         (na, da), (nb, db) = ((to_sympy(n), to_sympy(d)) for n, d in (fa, fb))
         check(a, reduced(na, da))
         check(a + b, reduced(na * db + nb * da, da * db))
@@ -665,10 +719,34 @@ class TestBivariateAgainstSympy:
         # divides(b, a) asks whether a/b lies in the ring
         assert divides(b, a) == (quotient is not None)
         w = unit_multiple(b, a)
-        if quotient is None or quotient[0].get((0, 0), 0) == 0:
+        if quotient is None or constant_of(quotient[0]) == 0:
             assert w is None
         else:
             check(w, quotient)
+
+
+class TestBivariateStaysIntegral:
+    """Every stored coefficient is an int, so no `1 / c` meets a float, and
+    a residue leaves as a Fraction."""
+
+    @given(shared_factor_fractions(), biv_elements())
+    @settings(max_examples=100, deadline=None)
+    def test_operations_store_ints(self, fa, b):
+        a = int_fraction(*fa)
+        got = [a, b, a + b, a - b, a * b, -a]
+        if not b.is_zero():
+            try:
+                got.append(a.divide_in_ring(b))
+            except DivisionImpossible:
+                pass
+        for e in got:
+            again = parse_element(element_to_text(e), MODEL_BIVARIATE)
+            assert again == e
+            for x in (e, again):
+                f = x.payload
+                assert all(type(c) is int for rows in (f.num, f.den)
+                           for row in rows for c in row), f
+                assert type(x.residue()) is Fraction
 
 
 # --- ideals -------------------------------------------------------------------
