@@ -394,7 +394,7 @@ class BiFrac:
 
     @staticmethod
     def from_fraction(c) -> "BiFrac":
-        c = Fraction(c)
+        """c, an int or a Fraction (whose denominator is positive)."""
         return BiFrac([[c.numerator]] if c else [], [[c.denominator]])
 
     @staticmethod
