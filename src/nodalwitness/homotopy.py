@@ -53,7 +53,6 @@ from .localring import (
     ext_radical_membership,
     ext_unit_ideal,
     nth_root_unit,
-    pair_principal,
     parse_element,
     polyext_from_json,
     polyext_to_json,
@@ -201,16 +200,22 @@ def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
 
 
 def lifts(X: NodalSurface, s: SectionData) -> bool:
-    """Whether the section factors through X: each node ideal pulls back
-    principal, label by label."""
-    if s.chart == CHART_INFINITE:
-        return True  # the pole-side chart misses every blown-up center
-    r, r0 = s.r, s.gamma.r0
-    for t in X.lines[:-1]:
-        if t == ZERO:
-            continue
-        if pair_principal(r0 ** t.a, r ** t.b) is None:
-            return False
+    """Whether the section factors through X: each node ideal <r0^a, r^b>
+    pulls back principal.
+
+    Outside the main regime r0 is zero or a unit, so each of them is.  In a
+    local domain a pair generates a principal ideal exactly when one member
+    divides the other, which is the comparison closed_point_image makes
+    line by line, raising LiftRequired where it fails; in a UFD (both
+    models are) comparability at the first line that is not "down" carries
+    to every line above it.
+    """
+    if classify_gamma(s.gamma) != REGIME_MAIN:
+        return True
+    try:
+        closed_point_image(X, s)
+    except LiftRequired:
+        return False
     return True
 
 
@@ -489,15 +494,10 @@ def _points_agree(p, q) -> bool:
 
 
 def _straightline_end(w: StraightLine, at_one: bool):
-    model = w.path.model
-    zero = RingElement.zero(model)
-    one = RingElement.one(model)
-    value = w.path.eval_st(zero, one if at_one else zero)
-    if w.chart == CHART_FINITE:
-        return (value, one)
-    offset = w.offset if w.offset is not None else zero
-    # coordinate z = 1/(y - offset): the point is [offset*z + 1 : z]
-    return (offset * value + one, value)
+    """[Y0 : Y1] of the path at T = 1 (at_one) or T = 0."""
+    zero = RingElement.zero(w.path.model)
+    t = RingElement.one(w.path.model) if at_one else zero
+    return tuple(p.eval_st(zero, t) for p in _straightline_map(w))
 
 
 def _clear_content(ps: list) -> list:
@@ -823,81 +823,74 @@ def decide_nodal(
 
 
 def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
-    regime = classify_gamma(g)
-    if regime != REGIME_MAIN:
+    if classify_gamma(g) != REGIME_MAIN:
         return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
+    _, region = _locate_pair(X, s1, s2)
+    if isinstance(region, NotHomotopic):
+        return region
+    return _decide_in_region(X, s1, s2, g, region, prec)
 
-    loc1 = closed_point_image(X, s1)
-    loc2 = closed_point_image(X, s2)
-    set1, set2 = location_slopes(loc1), location_slopes(loc2)
-    if set1 != set2:
-        return NotHomotopic(
-            f"sections pass through different fiber regions: {loc1} vs {loc2}"
+
+def _locate_pair(X: NodalSurface, s1: SectionData, s2: SectionData):
+    """Where both sections land, and the region they share or the
+    NotHomotopic verdict for different regions.  closed_point_image is the
+    decision's one comparability check: it raises LiftRequired exactly for
+    a section that does not lift (see `lifts`)."""
+    locs = closed_point_image(X, s1), closed_point_image(X, s2)
+    region = location_slopes(locs[0])
+    if region != location_slopes(locs[1]):
+        return locs, NotHomotopic(
+            f"sections pass through different fiber regions: {locs[0]} vs {locs[1]}"
         )
+    return locs, region
 
+
+def _decide_in_region(X, s1, s2, g, region: frozenset, prec) -> Verdict:
+    """Decide two main-regime sections that `_locate_pair` put in `region`.
+
+    Locating compared r0^a with r^b, and both models are UFDs, so nothing
+    here checks it again.  On an integer middle line t, r = unit*r0^t, so
+    the unit_multiple of the shifted values is a unit.  Elsewhere "down"
+    at the left slope (>= k) gives r0^k | r, so the shift by k succeeds,
+    and "up" at the right end (<= k+1, as a unimodular chain has a line at
+    every integer from 0 to its top) gives r | r0^(k+1), so <r0, r/r0^k>
+    is principal.
+    """
     # identical sections connect by the constant path; skipping the general
     # branches keeps unit values away from needless series inversion
     if s1.chart == s2.chart and s1.r == s2.r:
-        return Homotopic(
-            StraightLine(_line_path(s1.r, s2.r), s1.chart), LEVEL_CHAIN
-        )
-
-    top = X.lines[-2]
+        return Homotopic(StraightLine(_line_path(s1.r, s2.r), s1.chart), LEVEL_CHAIN)
 
     # free region around the pole section: always connected
-    if set1 == frozenset({ZERO}):
-        w1 = _wtilde_value(s1, prec)
-        w2 = _wtilde_value(s2, prec)
+    if region == frozenset({ZERO}):
+        w1, w2 = _wtilde_value(s1, prec), _wtilde_value(s2, prec)
         return Homotopic(StraightLine(_line_path(w1, w2), CHART_INFINITE), LEVEL_CHAIN)
 
     # free region at the top of the chain: always connected
-    if set1 == frozenset({top}):
-        return Homotopic(
-            StraightLine(_line_path(s1.r, s2.r), CHART_FINITE), LEVEL_CHAIN
-        )
+    if region == frozenset({X.lines[-2]}):
+        witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
+        return Homotopic(witness, LEVEL_CHAIN)
 
     # middle line with integer slope: the interior is a torsor under units,
     # so the residues must agree exactly
-    if len(set1) == 1:
-        (t,) = set1
-        if t.is_integer:
-            w1 = shift_section(s1, t.a, prec).r
-            w2 = shift_section(s2, t.a, prec).r
-            u = unit_multiple(w1, w2, prec)
-            if u is None:
-                return NotHomotopic(
-                    "values are not unit multiples over the middle line",
-                    delta=w2 - w1,
-                )
-            delta = u - RingElement.one(u.model)
-            if delta.is_zero() or not delta.is_unit():
-                witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
-                return Homotopic(witness, LEVEL_CHAIN)
-            return NotHomotopic(
-                "interior residues differ on a middle line "
-                "(the region is rigid there)",
-                delta=delta,
-            )
+    left = min(region)
+    if len(region) == 1 and left.is_integer:
+        w1, w2 = (shift_section(s, left.a, prec).r for s in (s1, s2))
+        delta = unit_multiple(w1, w2, prec) - RingElement.one(g.r0.model)
+        if delta.is_zero() or not delta.is_unit():
+            witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
+            return Homotopic(witness, LEVEL_CHAIN)
+        return NotHomotopic(
+            "interior residues differ on a middle line "
+            "(the region is rigid there)",
+            delta=delta,
+        )
 
     # node or fractional interior: shift into the small-slope window and
     # run the radical criterion on the blown center
-    left = min(set1)
     k = left.floor()
-    try:
-        sh1 = shift_section(s1, k, prec)
-        sh2 = shift_section(s2, k, prec)
-    except DivisionImpossible as exc:
-        raise LiftRequired(f"sections do not shift by {k}: {exc}") from exc
-    r0 = g.r0
-    r1h, r2h = sh1.r, sh2.r
-    p1 = pair_principal(r0, r1h)
-    p2 = pair_principal(r0, r2h)
-    if p1 is None or p2 is None:
-        return NotHomotopic(
-            "a section fails the principality requirement after shifting",
-            ideal=IdealHandle([r0, r1h if p1 is None else r2h]),
-        )
-    return _blown_center_verdict(r0, r1h, r2h, k, prec)
+    r1h, r2h = (shift_section(s, k, prec).r for s in (s1, s2))
+    return _blown_center_verdict(g.r0, r1h, r2h, k, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -907,12 +900,7 @@ def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
 
 def _closed_point(s: SectionData) -> BasePoint:
     """Where on the original fiber the section lands at the closed point."""
-    if s.chart == CHART_FINITE:
-        return BasePoint(s.r.residue(), Fraction(1))
-    res = s.r.residue()
-    if res == 0:
-        return BasePoint(Fraction(1), Fraction(0))
-    return BasePoint(Fraction(1) / res, Fraction(1))
+    return BasePoint(*(c.residue() for c in _section_homogeneous(s)))
 
 
 def _mobius_delta(s1: SectionData, s2: SectionData) -> RingElement:
@@ -963,15 +951,10 @@ def _root_avoid_entries(roots, g: GammaData) -> list:
     return out
 
 
-def _interior_coordinate(
-    s: SectionData, t: Slope, prec: int
-) -> Optional[Fraction]:
-    """Residue of x^a/y^b along the section, when that ratio is a unit."""
-    r0 = s.gamma.r0
-    u = unit_multiple(s.r ** t.b, r0 ** t.a, prec)
-    if u is None:
-        return None
-    return u.residue()
+def _interior_coordinate(s: SectionData, t: Slope, prec: int) -> Fraction:
+    """Residue of x^a/y^b along a section located in the interior of l_t,
+    where r^b and r0^a differ by a unit."""
+    return unit_multiple(s.r ** t.b, s.gamma.r0 ** t.a, prec).residue()
 
 
 def _puncture_avoid_entry(
@@ -1115,11 +1098,8 @@ def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
 
 
 def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
-    regime = classify_gamma(g)
-    if regime != REGIME_MAIN:
-        return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
-    if t.is_empty():
-        # nothing is blown up: the fiber is a projective line
+    if classify_gamma(g) != REGIME_MAIN or t.is_empty():
+        # an empty tree blows up nothing: the fiber is a projective line
         return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
 
     root_points = [r.position for r in t.roots]
@@ -1172,25 +1152,17 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
     tower = BlowupTree((the_root,))
     x_prime, residual = normalize_pure_nodes(tower)
 
-    # closed_point_image raises LiftRequired exactly when `lifts` fails: in
-    # a local UFD <r0^a, r^b> is principal iff the two are comparable, and
-    # comparability at the first line that is not "down" carries upward
-    loc1 = closed_point_image(x_prime, s1)
-    loc2 = closed_point_image(x_prime, s2)
-    set1, set2 = location_slopes(loc1), location_slopes(loc2)
-    if set1 != set2:
-        return NotHomotopic(
-            f"sections pass through different fiber regions: {loc1} vs {loc2}"
-        )
+    locs, region = _locate_pair(x_prime, s1, s2)
+    if isinstance(region, NotHomotopic):
+        return region
 
     # sections sitting exactly on a residual center are out of scope
-    for s, loc in ((s1, loc1), (s2, loc2)):
+    for s, loc in zip((s1, s2), locs):
         if isinstance(loc, Interior):
             for rr in residual.roots:
                 mark = rr.position
                 if isinstance(mark, LinePoint) and mark.slope == loc.slope:
-                    coord = _interior_coordinate(s, loc.slope, prec)
-                    if coord is not None and coord == mark.coord:
+                    if _interior_coordinate(s, loc.slope, prec) == mark.coord:
                         raise UnsupportedSupport(
                             "section passes through a residual blowup center"
                         )
@@ -1202,7 +1174,7 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
         if isinstance(rr.position, LinePoint) and rr.position.slope == top
     ]
 
-    if set1 == frozenset({top}) and punctures:
+    if region == frozenset({top}) and punctures:
         # the free top region is punctured: an affine line minus >= 1 points
         # is rigid over the residue field, so interior residues must agree
         w1 = shift_section(s1, top.a, prec).r
@@ -1223,7 +1195,7 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
             delta=w2 - w1,
         )
 
-    verdict = _decide_nodal_core(x_prime, s1, s2, g, prec)
+    verdict = _decide_in_region(x_prime, s1, s2, g, region, prec)
 
     # certify Homotopic witnesses against the residual punctures
     if isinstance(verdict, Homotopic) and not residual.is_empty():

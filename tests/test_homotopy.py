@@ -72,7 +72,9 @@ from nodalwitness.localring import (
     MODEL_DVR,
     IdealHandle,
     RingElement,
+    pair_principal,
     parse_element,
+    unit_multiple,
     parse_polyext,
     polyext_to_text,
 )
@@ -157,6 +159,74 @@ def node_window_pairs(draw):
     if draw(st.booleans()):
         return s1, SectionData(g, s1.r * tail)
     return s1, draw(values)
+
+
+@st.composite
+def chains(draw, max_lines=5):
+    """A unimodular chain with 1 to max_lines finite lines past l_0: the
+    integer lines up to a top of at most 3, then blowups of nodes below it."""
+    top = draw(st.integers(1, min(3, max_lines)))
+    X = chain_surface(*range(top + 1))
+    n = draw(st.integers(top, max_lines))
+    while len(X.lines) - 2 < n:
+        X = X.blowup_node(draw(st.integers(0, X.node_count - 2)))
+    return X
+
+
+# primes of the bivariate base, all in its maximal ideal
+BIV_PRIMES = ("u", "v", "u + v", "u - v^2")
+
+
+BIV_UNITS = st.sampled_from(["1", "2", "1 + u", "1 - v", "3 + u*v"])
+
+
+def biv_product(exps, unit):
+    factors = [f"({p})^{e}" for p, e in zip(BIV_PRIMES, exps) if e]
+    return biv("*".join(factors + [f"({unit})"]))
+
+
+@st.composite
+def biv_exponents(draw):
+    """Exponents of BIV_PRIMES, of total degree at most 3."""
+    exps = [0] * len(BIV_PRIMES)
+    for _ in range(draw(st.integers(0, 3))):
+        exps[draw(st.integers(0, len(BIV_PRIMES) - 1))] += 1
+    return exps
+
+
+@st.composite
+def main_pairs(draw):
+    """A chain X and two finite-chart sections over a main-regime r0 in one
+    ring model.  r0 is a power b^j of one element, and most values are
+    powers b^i strictly between 1 and the top of X, so that they compare
+    with r0 on every line and land in the shift branches; half the time
+    the second value is the first times a unit, in the same region."""
+    X = draw(chains())
+    top = X.lines[-2].a
+    j = draw(st.integers(2, 3))  # so that values take fractional slopes
+
+    def exponent():
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.integers(0, top * j))
+        return draw(st.integers(1, max(1, top * j - 1)))
+
+    if draw(st.booleans()):
+        g = GammaData(dvr(f"x^{j}") * draw(dvr_units()))
+        value = lambda: dvr(f"x^{exponent()}") * draw(dvr_units())
+        unit = lambda: draw(dvr_units())
+    else:
+        base = draw(st.sampled_from(["u", "u + v", "u*v", "u - v^2"]))
+        g = GammaData(biv(f"({base})^{j}*({draw(BIV_UNITS)})"))
+        unit = lambda: biv(draw(BIV_UNITS))
+
+        def value():
+            if draw(st.integers(0, 3)) == 0:  # often incomparable with r0
+                return biv_product(draw(biv_exponents()), draw(BIV_UNITS))
+            return biv(f"({base})^{exponent()}*({draw(BIV_UNITS)})")
+
+    s1 = SectionData(g, value())
+    r2 = s1.r * unit() if draw(st.booleans()) else value()
+    return X, (s1, SectionData(g, r2))
 
 
 # --- regimes ---------------------------------------------------------------
@@ -272,6 +342,52 @@ class TestLifts:
         g = GammaData(biv("u"))
         assert not lifts(X1, SectionData(g, biv("v")))
         assert lifts(X1, SectionData(g, biv("u + u*v")))
+
+    @pytest.mark.parametrize("model", [MODEL_DVR, MODEL_BIVARIATE])
+    def test_the_zero_ideal_is_principal(self, model):
+        # r0 = r = 0: every node ideal is <0, 0>, generated by 0
+        zero = parse_element("0", model)
+        assert lifts(X2, SectionData(GammaData(zero), zero))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=main_pairs())
+    def test_lifts_agrees_with_the_node_ideals(self, case):
+        # the definition, kept here as the oracle: every <r0^a, r^b> on a
+        # line of X is principal
+        X, pair = case
+        for s in pair:
+            r, r0 = s.r, s.gamma.r0
+            principal = all(
+                pair_principal(r0**t.a, r**t.b) is not None for t in X.lines[1:-1]
+            )
+            assert lifts(X, s) == principal
+
+
+class TestLocatedRegions:
+    """What locating a pair settles, so the decision never checks it again."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=main_pairs())
+    def test_location_settles_every_later_comparison(self, case):
+        X, pair = case
+        try:
+            regions = {location_slopes(closed_point_image(X, s)) for s in pair}
+        except LiftRequired:
+            return
+        if len(regions) != 1:
+            return
+        (region,) = regions
+        if region in ({ZERO}, {X.lines[-2]}):
+            return  # the free regions shift nothing
+        left = min(region)
+        k = left.floor()
+        shifted = [shift_section(s, k).r for s in pair]  # never DivisionImpossible
+        r0 = pair[0].gamma.r0
+        for w in shifted:
+            assert pair_principal(r0, w) is not None
+        if len(region) == 1 and left.is_integer:
+            assert all(w.is_unit() for w in shifted)
+            assert unit_multiple(*shifted).is_unit()
 
 
 class TestShift:
@@ -766,6 +882,31 @@ class TestDecideNodal:
             X1, shift_section(s1, k), shift_section(s2, k)
         )
         assert v_long.tag == v_short.tag
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=chains(), data=st.data())
+    def test_exact_polynomials_decide_alike_in_both_models(self, X, data):
+        # x -> u maps the DVR base faithfully flatly into the bivariate one,
+        # so exact polynomial input gets one verdict tag in both models,
+        # and both witnesses verify
+        def poly(min_val):
+            v = data.draw(st.integers(min_val, 4))
+            cs = data.draw(st.lists(st.integers(-3, 3), max_size=2))
+            cs.insert(0, data.draw(st.sampled_from([-2, -1, 1, 3])))
+            return f"x^{v}*(" + " + ".join(f"({c})*x^{i}" for i, c in enumerate(cs)) + ")"
+
+        r0t, r1t = poly(1), poly(0)
+        r2t = data.draw(st.sampled_from([poly(0), f"({r1t})*(1 + x)", f"2*({r1t})"]))
+        verdicts = []
+        for model, var in ((MODEL_DVR, "x"), (MODEL_BIVARIATE, "u")):
+            el = lambda t: parse_element(t.replace("x", var), model)
+            g = GammaData(el(r0t))
+            ss = (SectionData(g, el(r1t)), SectionData(g, el(r2t)))
+            v = decide_nodal(X, *ss)
+            if isinstance(v, Homotopic):
+                assert verify_witness(X, g, v.witness, ss), (model, r0t, r1t, r2t)
+            verdicts.append(v.tag)
+        assert verdicts[0] == verdicts[1] != "undecidable", (r0t, r1t, r2t)
 
     def test_cross_model_coherence(self):
         # the same decision data expressed in both ring models must agree,
