@@ -859,7 +859,7 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, prec) -> Verdict:
     # identical sections connect by the constant path; skipping the general
     # branches keeps unit values away from needless series inversion
     if s1.chart == s2.chart and s1.r == s2.r:
-        return Homotopic(StraightLine(_line_path(s1.r, s2.r), s1.chart), LEVEL_CHAIN)
+        return Homotopic(StraightLine(PolyExt.constant(s1.r), s1.chart), LEVEL_CHAIN)
 
     # free region around the pole section: always connected
     if region == frozenset({ZERO}):

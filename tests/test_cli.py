@@ -167,6 +167,16 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_identical_truncated_sections_are_homotopic(self):
+        # x/(1+x) parses to a truncated series; the pair connects by the
+        # constant path, with no subtraction of equal truncated values
+        pair = ["--r0", "x^2", "--s1", "x/(1+x)", "--s2", "x/(1+x)"]
+        code, out, _ = invoke(["decide", "nodal"] + pair)
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        assert list(witness["path"]) == ["1"]
+        assert invoke(["witness", "verify"] + pair, json.dumps(witness))[0] == 0
+
     def test_not_homotopic_is_one(self):
         code, out, _ = invoke(
             ["decide", "nodal", "--r0", "x^2", "--s1", "x", "--s2", "2*x"]

@@ -843,6 +843,17 @@ class TestDecideNodal:
             s = sec(G2, text)
             assert decide_nodal(X1, s, s).tag == "homotopic"
 
+    @pytest.mark.parametrize("chart", [CHART_FINITE, CHART_INFINITE])
+    def test_identical_truncated_sections_connect_by_the_constant_path(self, chart):
+        # a truncated value minus itself is zero only to the tracked order,
+        # so the path must not be built as a difference
+        s = sec(G2, "x/(1+x)", chart)
+        assert not s.r.payload.exact
+        v = decide_nodal(X2, s, s)
+        assert isinstance(v, Homotopic) and v.level == LEVEL_CHAIN
+        assert v.witness.path == pe("x/(1+x)") and v.witness.chart == chart
+        assert verify_witness(X2, G2, v.witness, (s, s))
+
     @settings(max_examples=60, deadline=None)
     @given(u1=dvr_units(), u2=dvr_units())
     def test_node_criterion_matches_the_residue_oracle(self, u1, u2):

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RESULT_PIN = "e1e0313d7735484321104a93f5b485686abf02db19f4a2c184001bf96c2d74d2 1456"
+RESULT_PIN = "d6d2d8c9c83503aca1784321ac19c51a5d6d0f77d0800d0b53a8bf676f80279b 1456"
 COUNTS_PIN = [
     "polyring.s_poly 5656",
     "polyring.reduce_poly 7096",
