@@ -203,10 +203,9 @@ class Series:
         Exact operands whose polynomial quotient leaves no remainder give an
         exact quotient; all others get the truncated series quotient.
         """
-        if self.exact and other.exact and self.val >= other.val:
-            q = _polynomial_quotient(self.coeffs, other.coeffs)
-            if q is not None:
-                return Series.make(self.val - other.val, q, True)
+        q = _polynomial_quotient(self, other)
+        if q is not None:
+            return q
         q = self.divide(other, prec)
         if not q.is_zero() and q.val < 0:
             raise DivisionImpossible(
@@ -323,22 +322,24 @@ class Series:
 _ZERO = Series(0, (), True)
 
 
-def _polynomial_quotient(a: tuple, b: tuple) -> Optional[list]:
-    """Coefficients of a/b when the polynomial b divides a, else None.
+def _polynomial_quotient(a: Series, b: Series) -> Optional[Series]:
+    """a/b as an exact series when a and b are exact and the polynomial b
+    divides a, else None.
 
     Long division from the top; b's leading coefficient is nonzero, because
     exact coefficient tuples carry no trailing zeros.
     """
-    if not a or not b or len(a) < len(b):
+    a_c, b_c = a.coeffs, b.coeffs
+    if not (a.exact and b.exact) or a.val < b.val or not b_c or len(a_c) < len(b_c):
         return None
-    rem = list(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    rem = list(a_c)
+    q = [Fraction(0)] * (len(a_c) - len(b_c) + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = rem[k + len(b) - 1] / b[-1]
+        c = rem[k + len(b_c) - 1] / b_c[-1]
         q[k] = c
-        for j, bj in enumerate(b):
+        for j, bj in enumerate(b_c):
             rem[k + j] -= c * bj
-    return None if any(rem) else q
+    return None if any(rem) else Series.make(a.val - b.val, q, True)
 
 
 def _integer_nth_root(m: int, n: int) -> Optional[int]:

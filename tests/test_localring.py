@@ -415,6 +415,14 @@ class TestExactDivision:
         q = dvr("x^3 + x^4").payload.divide_in_ring(dvr("x^2 + x^3").payload)
         assert q.exact and q == dvr("x").payload
 
+    @given(dvr_elements(), dvr_elements(allow_zero=False))
+    @settings(max_examples=80)
+    def test_parsed_quotient_that_divides_stays_exact(self, p, q):
+        # the grammar's p/q follows divide_in_ring's rule: (p*q)/q is p
+        text = f"({element_to_text(p * q)})/({element_to_text(q)})"
+        got = parse_element(text, MODEL_DVR)
+        assert got.payload.exact and got == p
+
     def test_remainder_falls_back_to_series(self):
         q = dvr("1 + x").payload.divide_in_ring(dvr("1 + x + x^2").payload)
         assert not q.exact and q == dvr("(1+x)/(1+x+x^2)").payload
