@@ -1098,9 +1098,13 @@ def polyext_to_json(p: PolyExt) -> dict:
 def polyext_from_json(d: dict, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
     if not isinstance(d, dict):
         raise ParseError(f"an S/T polynomial is a JSON object, got {type(d).__name__}")
-    terms = {}
+    terms, keys = {}, {}
     for key, text in d.items():
-        terms[_st_key_parse(key)] = parse_element(text, model, prec)
+        st = _st_key_parse(key)
+        if st in keys:
+            raise ParseError(f"S/T keys {keys[st]!r} and {key!r} name one monomial")
+        keys[st] = key
+        terms[st] = parse_element(text, model, prec)
     return PolyExt(model, terms)
 
 

@@ -297,6 +297,18 @@ class TestExitCodes:
         assert err.startswith("error:") and f"'{field}'" in err
         assert "Traceback" not in out + err
 
+    def test_duplicate_st_monomial_is_two(self):
+        blob = GHOST_WITNESS.replace(
+            '{"1":"1","S":"x"}]', '{"1":"1","S":"x","S^1":"x"}]'
+        )
+        code, out, err = invoke(
+            ["witness", "verify", "--r0", "x^2", "--s1", "x", "--s2", "x*(1+x)"],
+            blob,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "'S' and 'S^1'" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("key", ["S^x", "S^-1", "S*S"])
     def test_malformed_st_key_is_two(self, key):
         blob = GHOST_WITNESS.replace('{"1":"1","S":"x"}]', '{"1":"1","%s":"x"}]' % key)

@@ -1,6 +1,7 @@
 """Ring-model facade: divisibility, ideals, roots, and the S/T extension."""
 
 import operator
+import re
 import time
 from fractions import Fraction
 from functools import reduce
@@ -222,6 +223,19 @@ class TestParsing:
         assert got.terms == {
             k: dvr(f"({c})/({den})") for c, k in zip(coeffs, keys)
         }
+
+    @pytest.mark.parametrize(
+        "d, first, second",
+        [
+            ({"S": "x", "S^1": "2*x"}, "S", "S^1"),
+            ({"1": "5", "T": "x", "S^0": "3"}, "1", "S^0"),
+            ({"S*T": "x", "T^1*S^1": "x"}, "S*T", "T^1*S^1"),
+        ],
+    )
+    def test_two_keys_naming_one_monomial_are_refused(self, d, first, second):
+        with pytest.raises(ParseError, match=f"'{re.escape(first)}' and "
+                           f"'{re.escape(second)}'"):
+            polyext_from_json(d, MODEL_DVR)
 
     def test_unit_denominator_ok(self):
         e = biv("v/(1+u)")
