@@ -7,9 +7,12 @@ RESULT_PIN and lists each changed result in CHANGES.md.  With `--counts` it
 also prints how often the pass called the Groebner and gcd kernels; those
 counts depend only on the code, so COUNTS_PIN catches a change of work that
 leaves every result alone.  A change meant to alter them updates COUNTS_PIN
-and says why in CHANGES.md.
+and says why in CHANGES.md.  `--lines` prints each operation's result line
+before the hash, so a `diff` of two checkouts' output names every changed
+result.
 """
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -27,9 +30,15 @@ COUNTS_PIN = [
 
 def test_results_match_the_pin():
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "result_dump.py"), "--counts"],
+        [sys.executable, str(ROOT / "tools" / "result_dump.py"),
+         "--counts", "--lines"],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.splitlines() == [RESULT_PIN] + COUNTS_PIN
+    out = done.stdout.splitlines()
+    ops, tail = out[: -1 - len(COUNTS_PIN)], out[-1 - len(COUNTS_PIN) :]
+    assert tail == [RESULT_PIN] + COUNTS_PIN
+    # --lines prints exactly the lines the hash covers
+    digest = hashlib.sha256("".join(f"{line}\n" for line in ops).encode())
+    assert f"{digest.hexdigest()} {len(ops)}" == RESULT_PIN

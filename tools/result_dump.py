@@ -1,6 +1,6 @@
 """Hash the results of every operation in the benchmark's instance pools.
 
-    python3 tools/result_dump.py [--root CHECKOUT] [--counts]
+    python3 tools/result_dump.py [--root CHECKOUT] [--counts] [--lines]
 
 Builds the three pools of `perfbench/workloads.py` (nodal-dvr 6 rounds,
 witness-dvr 1, bivariate 15) at seeds 1 and 2, runs each operation once in
@@ -17,8 +17,10 @@ dumped from its own copy.  `--counts` also prints, one per line, how often
 the pass called each function in COUNTED: `s_poly`, `reduce_poly` and
 `buchberger` of polyring, `gcd2` and `divide_exact_p2` of localring.
 These counts depend only on the code and the pools, never on the machine
-or a time limit, so two versions can be compared on them.  Nothing is written: no result file, and no
-bytecode beside the imported sources.
+or a time limit, so two versions can be compared on them.  `--lines` first
+prints each operation's JSON line, in pool order, so that a `diff` of two
+checkouts' output names every result that changed.  Nothing is written: no
+result file, and no bytecode beside the imported sources.
 """
 
 from __future__ import annotations
@@ -115,6 +117,8 @@ def main() -> None:
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--counts", action="store_true",
                         help="also print the call count of each function in COUNTED")
+    parser.add_argument("--lines", action="store_true",
+                        help="print each operation's JSON line before the hash")
     args = parser.parse_args()
     root = args.root.resolve()
     sys.dont_write_bytecode = True
@@ -126,6 +130,8 @@ def main() -> None:
     counts = count_calls() if args.counts else {}
     h, count = hashlib.sha256(), 0
     for line in dump(root):
+        if args.lines:
+            print(line)
         h.update(line.encode() + b"\n")
         count += 1
     print(f"{h.hexdigest()} {count}")
