@@ -823,7 +823,8 @@ def decide_nodal(
 
 
 def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
-    if classify_gamma(g) != REGIME_MAIN:
+    if classify_gamma(g) != REGIME_MAIN or X.node_count == 1:
+        # on X = P^1 nothing is blown up, so no path has anything to lift
         return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
     _, region = _locate_pair(X, s1, s2)
     if isinstance(region, NotHomotopic):

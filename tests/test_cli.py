@@ -177,6 +177,15 @@ class TestExitCodes:
         assert list(witness["path"]) == ["1"]
         assert invoke(["witness", "verify"] + pair, json.dumps(witness))[0] == 0
 
+    def test_sections_of_the_unblown_line_are_homotopic(self):
+        code, out, err = invoke(
+            ["decide", "nodal", "--surface", "-", "--r0", "x^2", "--s1", "x",
+             "--s2", "x^2"],
+            P1,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "homotopic"
+
     def test_not_homotopic_is_one(self):
         code, out, _ = invoke(
             ["decide", "nodal", "--r0", "x^2", "--s1", "x", "--s2", "2*x"]

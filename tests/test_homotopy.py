@@ -162,12 +162,13 @@ def node_window_pairs(draw):
 
 
 @st.composite
-def chains(draw, max_lines=5):
-    """A unimodular chain with 1 to max_lines finite lines past l_0: the
-    integer lines up to a top of at most 3, then blowups of nodes below it."""
-    top = draw(st.integers(1, min(3, max_lines)))
+def chains(draw, min_lines=1, max_lines=5):
+    """A unimodular chain with min_lines to max_lines finite lines past l_0:
+    the integer lines up to a top of at most 3, then blowups of nodes below
+    it."""
+    top = draw(st.integers(min_lines, min(3, max_lines)))
     X = chain_surface(*range(top + 1))
-    n = draw(st.integers(top, max_lines))
+    n = draw(st.integers(top, max_lines)) if top else 0  # P^1 has no node below
     while len(X.lines) - 2 < n:
         X = X.blowup_node(draw(st.integers(0, X.node_count - 2)))
     return X
@@ -705,6 +706,19 @@ class TestDecideNodal:
         assert isinstance(v, Homotopic)
         assert verify_witness(X1, g, v.witness, (s1, s2))
 
+    @pytest.mark.parametrize(
+        "t1, t2, chart2",
+        [("x", "x^2", CHART_FINITE), ("x", "1 + x", CHART_FINITE),
+         ("x", "x", CHART_INFINITE), ("0", "x", CHART_FINITE)],
+    )
+    def test_the_unblown_line_connects_everything(self, t1, t2, chart2):
+        # P^1 has no node, so no section is pinned to a region
+        X = NodalSurface.p1()
+        s1, s2 = sec(G2, t1), sec(G2, t2, chart2)
+        v = decide_nodal(X, s1, s2)
+        assert isinstance(v, Homotopic) and v.level == LEVEL_CHAIN
+        assert verify_witness(X, G2, v.witness, (s1, s2))
+
     def test_location_mismatch(self):
         v = decide_nodal(X1, sec(G2, "x"), sec(G2, "1 + x"))
         assert isinstance(v, NotHomotopic)
@@ -895,7 +909,7 @@ class TestDecideNodal:
         assert v_long.tag == v_short.tag
 
     @settings(max_examples=60, deadline=None)
-    @given(X=chains(), data=st.data())
+    @given(X=chains(min_lines=0), data=st.data())
     def test_exact_polynomials_decide_alike_in_both_models(self, X, data):
         # x -> u maps the DVR base faithfully flatly into the bivariate one,
         # so exact polynomial input gets one verdict tag in both models,
