@@ -1004,11 +1004,11 @@ def _series_from_raw(nums: list, den: Poly, otrunc: Optional[int], prec: int) ->
     sd = poly1_to_series(den)
     if sd.is_zero():
         raise ParseError("zero denominator")
-    unit_den, inv = sd == Series.from_fraction(1), None
+    den_is_one, inv = sd == Series.from_fraction(1), None
     out = []
     for num in nums:
         q = poly1_to_series(num)
-        if not (unit_den or q.is_zero()):
+        if not (den_is_one or q.is_zero()):
             exact = _polynomial_quotient(q, sd)
             if exact is None and inv is None:
                 inv = sd.inverse(prec)
