@@ -178,24 +178,29 @@ class Series:
         return Series.make(self.val + other.val, out, exact)
 
     def inverse(self, prec: int = DEFAULT_PREC) -> "Series":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero series")
-        c0 = self.coeffs[0]
-        if self.is_monomial():
-            return Series(-self.val, (Fraction(1) / c0,), True)
-        n = self.rel_prec if self.rel_prec is not None else prec
-        inv = [Fraction(1) / c0] + [Fraction(0)] * (n - 1)
-        for k in range(1, n):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                aj = self.coeffs[j] if j < len(self.coeffs) else Fraction(0)
-                s += aj * inv[k - j]
-            inv[k] = -s / c0
-        return Series(-self.val, tuple(inv), False)
+        """1/self: the quotient `divide` gives for the exact numerator 1."""
+        return _ONE.divide(self, prec)
 
     def divide(self, other: "Series", prec: int = DEFAULT_PREC) -> "Series":
-        """Field division; the result may have negative valuation."""
-        return self * other.inverse(prec)
+        """Field division; the result may have negative valuation.  A monomial
+        divisor scales and shifts; otherwise q_k = (a_k - sum_{1<=j<len b}
+        b_j q_{k-j}) / b_0 for k below `prec` or a truncated operand's window."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero series")
+        if self.is_zero():
+            return _ZERO
+        a, b, val = self.coeffs, other.coeffs, self.val - other.val
+        if other.is_monomial():
+            return Series(val, tuple(c / b[0] for c in a), self.exact)
+        n = other.rel_prec or prec
+        n = min(n, self.rel_prec or n)
+        q = []
+        for k in range(n):
+            s = a[k] if k < len(a) else 0
+            for j in range(1, min(k + 1, len(b))):
+                s -= b[j] * q[k - j]
+            q.append(s / b[0])
+        return Series(val, tuple(q), False)
 
     def divide_in_ring(self, other: "Series", prec: int = DEFAULT_PREC) -> "Series":
         """Exact division within the ring (quotient valuation >= 0).
@@ -320,6 +325,7 @@ class Series:
 
 
 _ZERO = Series(0, (), True)
+_ONE = Series(0, (Fraction(1),), True)
 
 
 def _polynomial_quotient(a: Series, b: Series) -> Optional[Series]:

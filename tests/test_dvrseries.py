@@ -1,9 +1,10 @@
-"""The DVR series kernel: inverses and unit roots against sympy's series."""
+"""The DVR series kernel: quotients, inverses and unit roots against
+sympy's series."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nodalwitness.dvrseries import Series
 
@@ -54,6 +55,52 @@ class TestAgainstSympy:
         # a truncated operand's unknown tail cannot reach the first n terms
         expect = coefficients(sympy, 1 / polynomial(sympy, s.coeffs, x), x, n)
         assert list(inv.coeffs) == expect, (s, inv)
+
+    @given(
+        a_shape=st.sampled_from(["exact", "truncated", "zero"]),
+        a_val=st.integers(0, 3),
+        a=st.lists(small_q, min_size=1, max_size=6).filter(lambda c: c[0] != 0),
+        b_val=st.integers(0, 3),
+        b=st.lists(small_q, min_size=1, max_size=11).filter(lambda c: c[0] != 0),
+        b_exact=st.booleans(),
+        prec=st.integers(2, 8),
+    )
+    # a monomial divisor, a negative valuation, a divisor longer than prec
+    @example(a_shape="truncated", a_val=1, a=[2, 1], b_val=0, b=[3], b_exact=True, prec=4)
+    @example(a_shape="exact", a_val=0, a=[1, -1], b_val=2, b=[1, 1], b_exact=True, prec=5)
+    @example(a_shape="exact", a_val=1, a=[1], b_val=0, b=[1] * 9, b_exact=True, prec=3)
+    @example(a_shape="zero", a_val=0, a=[1], b_val=1, b=[1, 2], b_exact=False, prec=4)
+    @settings(max_examples=40, deadline=None)
+    def test_divide(self, a_shape, a_val, a, b_val, b, b_exact, prec):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        num = (
+            Series.zero() if a_shape == "zero"
+            else Series.make(a_val, a, a_shape == "exact")
+        )
+        den = Series.make(b_val, b, b_exact)
+        q = num.divide(den, prec)
+        if num.is_zero():
+            assert q.is_zero() and q.exact
+            return
+        assert q.val == a_val - b_val
+        if den.is_monomial():
+            n = len(num.coeffs)
+            assert q.exact == num.exact
+        else:
+            n = window(den, prec)
+            if not num.exact:
+                n = min(n, len(num.coeffs))
+            assert not q.exact
+        assert len(q.coeffs) == n
+        # a truncated operand's unknown tail cannot reach the first n terms
+        expect = coefficients(
+            sympy,
+            polynomial(sympy, num.coeffs, x) / polynomial(sympy, den.coeffs, x),
+            x,
+            n,
+        )
+        assert list(q.coeffs) == expect, (num, den, q)
 
     @given(
         n=st.integers(2, 3),
