@@ -879,10 +879,10 @@ class PolyExt:
             e = c
             ii, jj = i, j
             if s is not None:
-                e = e * s**i
+                e = e * s**i if i else e
                 ii = 0
             if t is not None:
-                e = e * t**j
+                e = e * t**j if j else e
                 jj = 0
             k = (ii, jj)
             out[k] = out[k] + e if k in out else e

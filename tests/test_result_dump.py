@@ -23,7 +23,7 @@ COUNTS_PIN = [
     "polyring.s_poly 5656",
     "polyring.reduce_poly 7096",
     "polyring.buchberger 4183",
-    "localring.gcd2 11852",
+    "localring.gcd2 9272",
     "localring.divide_exact_p2 1881",
 ]
 
