@@ -675,9 +675,12 @@ def divides(a: RingElement, b: RingElement) -> bool:
 def unit_multiple(
     a: RingElement, b: RingElement, prec: int = DEFAULT_PREC
 ) -> Optional[RingElement]:
-    """The unit w with b = w*a, when a and b generate the same ideal."""
+    """The unit w with b = w*a, when a and b generate the same ideal.
+    In both models orders add and a unit's is 0: unequal orders give None."""
     if a.is_zero() or b.is_zero():
         raise PreconditionViolated("unit_multiple needs nonzero arguments")
+    if a.payload.order() != b.payload.order():
+        return None
     try:
         w = b.divide_in_ring(a, prec)
     except DivisionImpossible:

@@ -23,8 +23,8 @@ COUNTS_PIN = [
     "polyring.s_poly 5656",
     "polyring.reduce_poly 7096",
     "polyring.buchberger 4183",
-    "localring.gcd2 9272",
-    "localring.divide_exact_p2 1881",
+    "localring.gcd2 9212",
+    "localring.divide_exact_p2 1821",
 ]
 
 
