@@ -28,7 +28,7 @@ def polynomial(sympy, coeffs, x):
 
 
 def window(s: Series, prec: int) -> int:
-    """How many coefficients an inverse or root of s determines."""
+    """How many coefficients an inverse, root or quotient by s determines."""
     return prec if s.exact else len(s.coeffs)
 
 
@@ -65,7 +65,8 @@ class TestAgainstSympy:
         b_exact=st.booleans(),
         prec=st.integers(2, 8),
     )
-    # a monomial divisor, a negative valuation, a divisor longer than prec
+    # a monomial divisor, a negative valuation, a divisor longer than prec,
+    # a zero numerator
     @example(a_shape="truncated", a_val=1, a=[2, 1], b_val=0, b=[3], b_exact=True, prec=4)
     @example(a_shape="exact", a_val=0, a=[1, -1], b_val=2, b=[1, 1], b_exact=True, prec=5)
     @example(a_shape="exact", a_val=1, a=[1], b_val=0, b=[1] * 9, b_exact=True, prec=3)

@@ -219,7 +219,7 @@ class TestParsing:
         got = parse_polyext(f"({text})/({den})", MODEL_DVR)
         assert len(inverses) == 1
         monkeypatch.undo()
-        # Series.divide multiplies by the inverse: the per-monomial parse
+        # the shared inverse gives each coefficient what parsing it alone gives
         assert got.terms == {
             k: dvr(f"({c})/({den})") for c, k in zip(coeffs, keys)
         }
