@@ -184,33 +184,35 @@ class Series:
     def divide(self, other: "Series", prec: int = DEFAULT_PREC) -> "Series":
         """Field division; the result may have negative valuation.  A monomial
         divisor scales and shifts; otherwise q_k = (a_k - sum_{1<=j<len b}
-        b_j q_{k-j}) / b_0 for k below `prec` or a truncated operand's window."""
+        b_j q_{k-j}) / b_0.  Exact operands with len a >= len b whose q_k
+        vanish for len a - len b < k < len a have a polynomial quotient (every
+        later q_k vanishes too), returned exact; all others get q_k for k
+        below `prec` or a truncated operand's window."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero series")
         if self.is_zero():
             return _ZERO
         a, b, val = self.coeffs, other.coeffs, self.val - other.val
         if other.is_monomial():
+            if other.val == 0 and b[0] == 1:
+                return self
             return Series(val, tuple(c / b[0] for c in a), self.exact)
         n = other.rel_prec or prec
         n = min(n, self.rel_prec or n)
+        m = len(a) - len(b) + 1  # the quotient's length if b divides a
+        stop = len(a) if self.exact and other.exact and m > 0 else 0
         q = []
-        for k in range(n):
+        for k in range(max(n, stop)):
             s = a[k] if k < len(a) else 0
             for j in range(1, min(k + 1, len(b))):
                 s -= b[j] * q[k - j]
             q.append(s / b[0])
-        return Series(val, tuple(q), False)
+            if k + 1 == stop and not any(q[m:]):
+                return Series(val, tuple(q[:m]), True)
+        return Series(val, tuple(q[:n]), False)
 
     def divide_in_ring(self, other: "Series", prec: int = DEFAULT_PREC) -> "Series":
-        """Exact division within the ring (quotient valuation >= 0).
-
-        Exact operands whose polynomial quotient leaves no remainder give an
-        exact quotient; all others get the truncated series quotient.
-        """
-        q = _polynomial_quotient(self, other)
-        if q is not None:
-            return q
+        """`divide` within the ring: a quotient of negative valuation raises."""
         q = self.divide(other, prec)
         if not q.is_zero() and q.val < 0:
             raise DivisionImpossible(
@@ -326,26 +328,6 @@ class Series:
 
 _ZERO = Series(0, (), True)
 _ONE = Series(0, (Fraction(1),), True)
-
-
-def _polynomial_quotient(a: Series, b: Series) -> Optional[Series]:
-    """a/b as an exact series when a and b are exact and the polynomial b
-    divides a, else None.
-
-    Long division from the top; b's leading coefficient is nonzero, because
-    exact coefficient tuples carry no trailing zeros.
-    """
-    a_c, b_c = a.coeffs, b.coeffs
-    if not (a.exact and b.exact) or a.val < b.val or not b_c or len(a_c) < len(b_c):
-        return None
-    rem = list(a_c)
-    q = [Fraction(0)] * (len(a_c) - len(b_c) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + len(b_c) - 1] / b_c[-1]
-        q[k] = c
-        for j, bj in enumerate(b_c):
-            rem[k + j] -= c * bj
-    return None if any(rem) else Series.make(a.val - b.val, q, True)
 
 
 def _integer_nth_root(m: int, n: int) -> Optional[int]:

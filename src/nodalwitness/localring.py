@@ -40,7 +40,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import grammar
-from .dvrseries import DEFAULT_PREC, Series, _polynomial_quotient, _rational_root
+from .dvrseries import DEFAULT_PREC, Series, _rational_root
 from .errors import (
     DivisionImpossible,
     ModelMismatch,
@@ -992,9 +992,8 @@ def ext_radical_membership(f: PolyExt, gens: Sequence[PolyExt]) -> bool:
 
 
 def _series_from_raw(nums: list, den: Poly, otrunc: Optional[int], prec: int) -> list:
-    """The series n/den [+ O(x^otrunc)] for each n in nums: exact when the
-    polynomial den divides n, as in `Series.divide_in_ring`, and otherwise
-    the product with den's inverse, which is built at most once."""
+    """The series n/den [+ O(x^otrunc)] for each n in nums, each the
+    `Series.divide` quotient: exact when the polynomial den divides n."""
     def poly1_to_series(p: Poly) -> Series:
         if p.is_zero():
             return Series.zero()
@@ -1007,15 +1006,9 @@ def _series_from_raw(nums: list, den: Poly, otrunc: Optional[int], prec: int) ->
     sd = poly1_to_series(den)
     if sd.is_zero():
         raise ParseError("zero denominator")
-    den_is_one, inv = sd == Series.from_fraction(1), None
     out = []
     for num in nums:
-        q = poly1_to_series(num)
-        if not (den_is_one or q.is_zero()):
-            exact = _polynomial_quotient(q, sd)
-            if exact is None and inv is None:
-                inv = sd.inverse(prec)
-            q = q * inv if exact is None else exact
+        q = poly1_to_series(num).divide(sd, prec)
         if not q.is_zero() and q.val < 0:
             raise ParseError("element has a pole at the origin (negative valuation)")
         if otrunc is not None:

@@ -28,7 +28,8 @@ def polynomial(sympy, coeffs, x):
 
 
 def window(s: Series, prec: int) -> int:
-    """How many coefficients an inverse, root or quotient by s determines."""
+    """How many coefficients an inverse, root or quotient by s carries when
+    it is not exact."""
     return prec if s.exact else len(s.coeffs)
 
 
@@ -66,11 +67,15 @@ class TestAgainstSympy:
         prec=st.integers(2, 8),
     )
     # a monomial divisor, a negative valuation, a divisor longer than prec,
-    # a zero numerator
+    # a zero numerator, an exact quotient, an exact quotient of negative
+    # valuation, an exact numerator shorter than the divisor
     @example(a_shape="truncated", a_val=1, a=[2, 1], b_val=0, b=[3], b_exact=True, prec=4)
     @example(a_shape="exact", a_val=0, a=[1, -1], b_val=2, b=[1, 1], b_exact=True, prec=5)
     @example(a_shape="exact", a_val=1, a=[1], b_val=0, b=[1] * 9, b_exact=True, prec=3)
     @example(a_shape="zero", a_val=0, a=[1], b_val=1, b=[1, 2], b_exact=False, prec=4)
+    @example(a_shape="exact", a_val=0, a=[1, 2, 1], b_val=0, b=[1, 1], b_exact=True, prec=4)
+    @example(a_shape="exact", a_val=1, a=[1, 2, 1], b_val=2, b=[1, 1], b_exact=True, prec=4)
+    @example(a_shape="exact", a_val=0, a=[1, 1], b_val=0, b=[1, 2, 1], b_exact=True, prec=4)
     @settings(max_examples=40, deadline=None)
     def test_divide(self, a_shape, a_val, a, b_val, b, b_exact, prec):
         sympy = pytest.importorskip("sympy")
@@ -85,22 +90,25 @@ class TestAgainstSympy:
             assert q.is_zero() and q.exact
             return
         assert q.val == a_val - b_val
+        top = polynomial(sympy, num.coeffs, x)
+        bottom = polynomial(sympy, den.coeffs, x)
         if den.is_monomial():
             n = len(num.coeffs)
             assert q.exact == num.exact
         else:
+            # exact exactly when both operands are and the polynomials divide
+            quotient, remainder = sympy.div(top, bottom, x)
+            assert q.exact == (num.exact and den.exact and remainder == 0)
+            if q.exact:
+                expect = sympy.Poly(quotient, x).all_coeffs()[::-1]
+                assert list(q.coeffs) == [Fraction(str(c)) for c in expect]
+                return
             n = window(den, prec)
             if not num.exact:
                 n = min(n, len(num.coeffs))
-            assert not q.exact
         assert len(q.coeffs) == n
         # a truncated operand's unknown tail cannot reach the first n terms
-        expect = coefficients(
-            sympy,
-            polynomial(sympy, num.coeffs, x) / polynomial(sympy, den.coeffs, x),
-            x,
-            n,
-        )
+        expect = coefficients(sympy, top / bottom, x, n)
         assert list(q.coeffs) == expect, (num, den, q)
 
     @given(

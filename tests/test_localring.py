@@ -203,23 +203,28 @@ class TestParsing:
             (["x", "2*x - x^2", "x^2", "-3*x", "1/2*x + x^3", "x"], "x + x^2/3"),
         ],
     )
-    def test_polyext_inverts_its_denominator_once(self, monkeypatch, coeffs, den):
+    def test_polyext_divides_each_coefficient_once(self, monkeypatch, coeffs, den):
         keys = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
         text = " + ".join(
             f"({c})*S^{i}*T^{j}" for c, (i, j) in zip(coeffs, keys)
         )
-        inverses = []
-        inverse = Series.inverse
+        calls = {"inverse": 0, "divide": 0}
+        inverse, divide = Series.inverse, Series.divide
 
-        def counting(s, prec):
-            inverses.append(s)
+        def counting_inverse(s, prec):
+            calls["inverse"] += 1
             return inverse(s, prec)
 
-        monkeypatch.setattr(Series, "inverse", counting)
+        def counting_divide(s, other, prec):
+            calls["divide"] += 1
+            return divide(s, other, prec)
+
+        monkeypatch.setattr(Series, "inverse", counting_inverse)
+        monkeypatch.setattr(Series, "divide", counting_divide)
         got = parse_polyext(f"({text})/({den})", MODEL_DVR)
-        assert len(inverses) == 1
+        assert calls == {"inverse": 0, "divide": len(keys)}
         monkeypatch.undo()
-        # the shared inverse gives each coefficient what parsing it alone gives
+        # each S/T bucket's quotient is what parsing that coefficient alone gives
         assert got.terms == {
             k: dvr(f"({c})/({den})") for c, k in zip(coeffs, keys)
         }
