@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .dvrseries import _rational_root
 from .errors import ParseError, PreconditionViolated, UnsupportedSupport
 from .farey import INF, ZERO, Slope, mediant
 from .surface import NodalSurface
@@ -236,8 +237,6 @@ def normalize_pure_nodes(t: BlowupTree):
 
 def _rational_nth_roots(c: Fraction, b: int):
     """All rational mu with mu^b = c, ascending."""
-    from .dvrseries import _rational_root
-
     if c == 0:
         return [Fraction(0)]
     r = _rational_root(c, b)
