@@ -224,27 +224,27 @@ class Series:
         return power(self, n, Series.from_fraction(1))
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> "Series":
-        """Hensel/Newton n-th root of a unit; rational-root residue required."""
+        """n-th root g of a unit f with rational residue g_0, by the power
+        recurrence g_k = sum_{1<=j<=k} ((n+1) j - n k) f_j g_{k-j} / (n k f_0)."""
         if not self.is_unit():
             raise PreconditionViolated("n-th root defined for units only")
-        c0 = _rational_root(self.coeffs[0], n)
+        f = self.coeffs
+        c0 = _rational_root(f[0], n)
         if c0 is None:
-            raise RootUnavailable(f"{self.coeffs[0]} has no rational {n}-th root")
+            raise RootUnavailable(f"{f[0]} has no rational {n}-th root")
         window = self.rel_prec if self.rel_prec is not None else prec
-        g = [c0] + [Fraction(0)] * (window - 1)
-        # lift order by order: given g correct mod x^k, fix coefficient k
+        g = [c0]
         for k in range(1, window):
-            # (g + e x^k)^n = g^n + n g0^{n-1} e x^k mod x^{k+1}
-            gn = Series.make(0, g[: k + 1], False) ** n
-            want = self.coeff(self.val + k)  # val is 0
-            err = want - gn.coeff(k)
-            g[k] = err / (n * c0 ** (n - 1))
-        root = Series.make(0, g, False)
+            s = sum(
+                ((n + 1) * j - n * k) * f[j] * g[k - j]
+                for j in range(1, min(k + 1, len(f)))
+            )
+            g.append(s / (n * k * f[0]))
         if self.exact:
             cand = Series.make(0, g, True)
             if (cand**n) == self and (cand**n).exact:
                 return cand
-        return root
+        return Series.make(0, g, False)
 
     def substitute_base(self, b: int) -> "Series":
         """Image under x -> x^b."""
