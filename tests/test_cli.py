@@ -330,6 +330,34 @@ class TestExitCodes:
         assert "Traceback" not in out + err
 
     @pytest.mark.parametrize(
+        "pair",
+        [
+            ["--r0=x", "--s1=0", "--s2=x + O(x^3)"],
+            ["--r0=x", "--s1=x^5", "--s2=x + O(x^3)"],
+            ["--r0=x", "--s1=0", "--s2=x + O(x^3)",
+             "--chart1=infinite", "--chart2=infinite"],
+            ["--r0=x^2 - 64*x", "--s1=0", "--s2=1 + x/40", "--chart1=infinite"],
+        ],
+        ids=["zero", "past-the-window", "pole-side", "exact-pole-side"],
+    )
+    def test_built_witness_whose_end_cancels_reverifies(self, pair):
+        # the path's coefficients sum to O(x^k) at T = 1, which no series
+        # holds; the section there agrees with it to the tracked order
+        code, witness, _ = invoke(["witness", "build"] + pair)
+        assert code == 0
+        code, out, err = invoke(["witness", "verify"] + pair, witness)
+        assert code == 0, out + err
+
+    def test_cancelling_end_still_misses_a_visible_section(self):
+        blob = ('{"type":"straight-line","chart":"finite",'
+                '"path":{"1":"x + O(x^3)","T":"-x + O(x^3)"}}')
+        code, out, _ = invoke(
+            ["witness", "verify", "--r0=x", "--s1=x^2", "--s2=x + O(x^3)"], blob
+        )
+        assert code == 1
+        assert "endpoints: FAIL" in out
+
+    @pytest.mark.parametrize(
         "blob, r0, detail",
         [
             (GHOST_WITNESS.replace('"shift":0', '"shift":3000'), "x^2+x^3",
