@@ -72,10 +72,7 @@ class Series:
 
     @staticmethod
     def from_fraction(c) -> "Series":
-        c = Fraction(c)
-        if c == 0:
-            return _ZERO
-        return Series(0, (c,), True)
+        return Series.monomial(0, c)
 
     @staticmethod
     def monomial(val: int, c=Fraction(1)) -> "Series":
@@ -240,11 +237,8 @@ class Series:
                 for j in range(1, min(k + 1, len(f)))
             )
             g.append(s / (n * k * f[0]))
-        if self.exact:
-            cand = Series.make(0, g, True)
-            if (cand**n) == self and (cand**n).exact:
-                return cand
-        return Series.make(0, g, False)
+        # exact exactly when the truncated root's n-th power is self
+        return Series.make(0, g, self.exact and Series.make(0, g, True) ** n == self)
 
     def substitute_base(self, b: int) -> "Series":
         """Image under x -> x^b."""

@@ -995,13 +995,8 @@ def _series_from_raw(nums: list, den: Poly, otrunc: Optional[int], prec: int) ->
     """The series n/den [+ O(x^otrunc)] for each n in nums, each the
     `Series.divide` quotient: exact when the polynomial den divides n."""
     def poly1_to_series(p: Poly) -> Series:
-        if p.is_zero():
-            return Series.zero()
-        top = max(m[0] for m in p.terms)
-        coeffs = [Fraction(0)] * (top + 1)
-        for (k,), c in p.terms.items():
-            coeffs[k] = c
-        return Series.make(0, coeffs, True)
+        top = max((k for (k,) in p.terms), default=-1)
+        return Series.make(0, [p.terms.get((k,), 0) for k in range(top + 1)], True)
 
     sd = poly1_to_series(den)
     if sd.is_zero():
@@ -1016,11 +1011,9 @@ def _series_from_raw(nums: list, den: Poly, otrunc: Optional[int], prec: int) ->
                 raise ParseError(
                     f"O(x^{otrunc}) leaves no determined leading coefficient"
                 )
-            rel = otrunc - q.val
-            known = list(q.coeffs[:rel])
-            if len(known) < rel and not q.exact:
-                rel = len(known)
-            known = known + [Fraction(0)] * (rel - len(known))
+            known = list(q.coeffs[: otrunc - q.val])
+            if q.exact:
+                known += [0] * (otrunc - q.val - len(known))
             q = Series.make(q.val, known, False)
         out.append(q)
     return out
