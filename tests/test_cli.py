@@ -16,8 +16,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalwitness import cli
+from nodalwitness.errors import ConsistencyFailure
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -524,3 +526,122 @@ class TestFlags:
              "--r0", "u^2", "--s1", "u", "--s2", "u + u^2 + u^2*v"]
         )
         assert code == 0
+
+
+# --- fuzzing ----------------------------------------------------------------------
+
+
+def joined(parts, ops):
+    """One to three parts with an operator from ops between neighbours."""
+    return st.tuples(
+        st.lists(parts, min_size=1, max_size=3),
+        st.lists(st.sampled_from(ops), min_size=2, max_size=2),
+    ).map(lambda t: t[0][0] + "".join(o + p for o, p in zip(t[1], t[0][1:])))
+
+
+def element_texts(variables, tails):
+    """Texts of the element grammar, small enough for its budgets: signed
+    factors with exponents up to 2, nested at most a few levels, and an
+    optional O(x^k) tail drawn from tails."""
+    def nest(inner):
+        factor = st.builds(
+            "{}{}{}".format,
+            st.sampled_from(["", "-"]),
+            inner,
+            st.sampled_from(["", "^0", "^2"]),
+        )
+        return joined(joined(factor, "*/"), "+-").map("({})".format)
+
+    atom = st.one_of(st.integers(0, 9).map(str), st.sampled_from(variables))
+    expr = st.recursive(atom, nest, max_leaves=6)
+    return st.builds("{}{}".format, expr, st.sampled_from(tails))
+
+
+@st.composite
+def instances(draw):
+    """(global flags, instance flags): a ring, an r0 that is mostly in the
+    maximal ideal, two sections and their charts, all as --flag=value so a
+    value may start with '-'."""
+    ring = draw(st.sampled_from(["dvr", "dvr", "bivariate"]))
+    if ring == "dvr":
+        texts = element_texts(["x"], ["", "", " + O(x^3)", " + O(x^8)"])
+        var = "x"
+    else:
+        texts = element_texts(["u", "v"], [""])
+        var = "u"
+    r0 = draw(st.one_of(texts, texts.map(f"{var}*{{}}".format)))
+    flags = ["--ring", ring]
+    if draw(st.booleans()):
+        flags.append(f"--trunc={draw(st.integers(4, 24))}")
+    argv = [f"--r0={r0}"]
+    argv += [f"--s{i}={draw(texts)}" for i in (1, 2)]
+    for i in (1, 2):
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"--chart{i}=infinite")
+    return flags, argv
+
+
+def invoke_fuzzed(argv, stdin_text=""):
+    """invoke, with every exit code in {0, 1, 2, 3}; None when the engine
+    reports itself unsound (ConsistencyFailure, the one traceback allowed)."""
+    try:
+        code, out, err = invoke(argv, stdin_text)
+    except ConsistencyFailure:
+        return None
+    assert code in (0, 1, 2, 3), (argv, stdin_text, code, err)
+    assert "Traceback" not in out + err
+    return code, out, err
+
+
+def mutated(draw, blob: str, texts) -> str:
+    """blob's JSON with one field replaced, dropped or retyped, or its text
+    cut short."""
+    how = draw(st.sampled_from(["replace", "drop", "retype", "cut", "nest"]))
+    if how == "cut":
+        return blob[: draw(st.integers(0, len(blob)))]
+    data = json.loads(blob)
+    if how == "nest":
+        return json.dumps({"type": "chain", "pieces": [data, data][: draw(st.integers(0, 2))]})
+    key = draw(st.sampled_from(sorted(data)))
+    if how == "drop":
+        del data[key]
+    elif how == "retype":
+        data[key] = draw(st.sampled_from([None, 0, -1, 3000, [], {}, "", "S", {"1": 5}]))
+    elif isinstance(data[key], dict) and data[key]:
+        inner = draw(st.sampled_from(sorted(data[key])))
+        data[key][inner] = draw(texts)
+    else:
+        data[key] = draw(texts)
+    return json.dumps(data)
+
+
+class TestFuzz:
+    """In-process CLI runs on drawn input end in an exit code, never a crash."""
+
+    @given(case=instances(), command=st.sampled_from(["decide", "build", "classes"]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_instances_exit_cleanly(self, case, command):
+        flags, argv = case
+        if command == "decide":
+            invoke_fuzzed(flags + ["decide", "nodal"] + argv)
+        elif command == "classes":
+            # positional sections follow --, so they may start with '-'
+            sections = [a.split("=", 1)[1] for a in argv if a.startswith("--s")]
+            invoke_fuzzed(flags + ["classes", argv[0], "--"] + sections)
+        else:
+            built = invoke_fuzzed(flags + ["witness", "build"] + argv)
+            if built is not None and built[0] == 0:
+                # a built witness re-verifies against its own instance
+                verified = invoke_fuzzed(flags + ["witness", "verify"] + argv, built[1])
+                assert verified is not None and verified[0] == 0, (argv, built[1], verified)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_witnesses_exit_cleanly(self, data):
+        argv, blob = data.draw(st.sampled_from([
+            (["--r0=x^2", "--s1=x", "--s2=x*(1+x)"], GHOST_WITNESS),
+            (["--r0=x^2", "--s1=x", "--s2=x + x^2"], TRUNCATED_WITNESS),
+            (["--r0=x", "--s1=x", "--s2=x"], CONSTANT_WITNESS),
+        ]))
+        texts = element_texts(["x"], ["", " + O(x^4)"])
+        invoke_fuzzed(["witness", "verify"] + argv, mutated(data.draw, blob, texts))
