@@ -267,10 +267,10 @@ def test_04_homotopy_verdicts_form_an_equivalence():
                 min(rng.randint(0, 2), max_shift(vals[0]), max_shift(vals[1])),
             )
             if k:
-                # the shift divides away r0^k, turning exact polynomial
-                # values into truncated series; when the two shifted values
-                # agree to the tracked order the engine rightly abstains
-                # rather than certify a witness, so count those separately
+                # the shift divides away r0^k; a non-monomial r0^k that
+                # does not divide a value leaves a truncated series.  Equal
+                # shifted values connect by the constant path, so no shift
+                # abstains now; any that did would be counted separately
                 shifted = tag(
                     decide_nodal(
                         short[k],
