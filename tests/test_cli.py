@@ -559,9 +559,9 @@ def element_texts(variables, tails):
 
 @st.composite
 def instances(draw):
-    """(global flags, instance flags): a ring, an r0 that is mostly in the
-    maximal ideal, two sections and their charts, all as --flag=value so a
-    value may start with '-'."""
+    """(global flags, instance flags): a ring, an r0 that is often a
+    multiple of the first variable, two sections and their charts, all as
+    --flag=value so a value may start with '-'."""
     ring = draw(st.sampled_from(["dvr", "dvr", "bivariate"]))
     if ring == "dvr":
         texts = element_texts(["x"], ["", "", " + O(x^3)", " + O(x^8)"])
@@ -594,19 +594,21 @@ def invoke_fuzzed(argv, stdin_text=""):
 
 
 def mutated(draw, blob: str, texts) -> str:
-    """blob's JSON with one field replaced, dropped or retyped, or its text
-    cut short."""
+    """blob's JSON with one field replaced, dropped or retyped, its text cut
+    short, or the witness repeated in a chain."""
     how = draw(st.sampled_from(["replace", "drop", "retype", "cut", "nest"]))
     if how == "cut":
         return blob[: draw(st.integers(0, len(blob)))]
     data = json.loads(blob)
     if how == "nest":
-        return json.dumps({"type": "chain", "pieces": [data, data][: draw(st.integers(0, 2))]})
+        pieces = [data] * draw(st.integers(0, 2))
+        return json.dumps({"type": "chain", "pieces": pieces})
     key = draw(st.sampled_from(sorted(data)))
     if how == "drop":
         del data[key]
     elif how == "retype":
-        data[key] = draw(st.sampled_from([None, 0, -1, 3000, [], {}, "", "S", {"1": 5}]))
+        junk = [None, 0, -1, 3000, [], {}, "", "S", {"1": 5}]
+        data[key] = draw(st.sampled_from(junk))
     elif isinstance(data[key], dict) and data[key]:
         inner = draw(st.sampled_from(sorted(data[key])))
         data[key][inner] = draw(texts)
@@ -632,8 +634,9 @@ class TestFuzz:
             built = invoke_fuzzed(flags + ["witness", "build"] + argv)
             if built is not None and built[0] == 0:
                 # a built witness re-verifies against its own instance
-                verified = invoke_fuzzed(flags + ["witness", "verify"] + argv, built[1])
-                assert verified is not None and verified[0] == 0, (argv, built[1], verified)
+                verify = flags + ["witness", "verify"] + argv
+                verified = invoke_fuzzed(verify, built[1])
+                assert verified is not None and verified[0] == 0, (argv, built, verified)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
