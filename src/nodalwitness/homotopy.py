@@ -802,9 +802,10 @@ def verify_witness(
 # ---------------------------------------------------------------------------
 
 
-def _wtilde_value(s: SectionData, prec: int) -> RingElement:
-    """The pole-side coordinate 1/y of a section in the zero-slope region."""
-    if s.chart == CHART_INFINITE:
+def _chart_value(s: SectionData, chart: str, prec: int) -> RingElement:
+    """The section's coordinate in `chart`: y in the finite chart, 1/y in the
+    pole chart."""
+    if s.chart == chart:
         return s.r
     return RingElement.one(s.r.model).divide_in_ring(s.r, prec)
 
@@ -881,7 +882,7 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, prec) -> Verdict:
 
     # free region around the pole section: always connected
     if region == frozenset({ZERO}):
-        w1, w2 = _wtilde_value(s1, prec), _wtilde_value(s2, prec)
+        w1, w2 = (_chart_value(s, CHART_INFINITE, prec) for s in (s1, s2))
         return Homotopic(StraightLine(_line_path(w1, w2), CHART_INFINITE), LEVEL_CHAIN)
 
     # free region at the top of the chain: always connected
@@ -931,9 +932,7 @@ def _mobius_delta(s1: SectionData, s2: SectionData) -> RingElement:
 def _caseI_witness(roots, s1, s2, prec) -> StraightLine:
     """A line avoiding all root towers, in a chart anchored at one root."""
     model = s1.r.model
-    finite_coords = [
-        rp.c0 for rp in roots if isinstance(rp, BasePoint) and rp.c1 != 0
-    ]
+    finite_coords = [rp.c0 for rp in roots if rp.c1 != 0]
     if not finite_coords:
         # only [1:0] is blown up; the plain y-line misses it
         return StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
@@ -957,8 +956,6 @@ def _root_avoid_entries(roots, g: GammaData) -> list:
     one = RingElement.one(model)
     zero = RingElement.zero(model)
     for rp in roots:
-        if not isinstance(rp, BasePoint):
-            continue
         if rp.c1 == 0:
             form = YForm(zero, one, 1)
             label = "tower over [1:0]"
@@ -1051,46 +1048,16 @@ def _bezout(a: int, b: int):
     return old_s, old_t
 
 
-def _recenter(t, s1, s2, target: BasePoint, prec):
-    """Move a blown-up fiber point to [0:1] by a fiberwise automorphism.
-
-    y -> y - mu for a finite target [mu:1], and y -> 1/y for [1:0].  The
-    automorphism fixes the base, so gamma and every verdict transfer
-    verbatim; top-level tree positions move with the point and subtrees
-    ride along unchanged (the automorphism acts trivially on exceptional
-    coordinates over the moved point).
-    """
-    model = s1.r.model
-    one = RingElement.one(model)
-    flip = target.c1 == 0
-
-    def move_point(p: BasePoint) -> BasePoint:
-        if flip:
-            if p.c1 == 0:
-                return BasePoint.distinguished()
-            if p.c0 == 0:
-                return BasePoint(Fraction(1), Fraction(0))
-            return BasePoint(Fraction(1) / p.c0, Fraction(1))
-        if p.c1 == 0:
-            return p
-        return BasePoint(p.c0 - target.c0, Fraction(1))
-
-    def move_section(s: SectionData) -> SectionData:
-        if flip:
-            # only pole-chart sections reach [1:0]; their recorded value is
-            # exactly the flipped coordinate
-            return SectionData(s.gamma, s.r, CHART_FINITE)
-        if s.chart == CHART_INFINITE:
-            # the section meets a finite point, so its pole-chart value is
-            # a unit and the height coordinate is its inverse
-            y = one.divide_in_ring(s.r, prec)
-        else:
-            y = s.r
-        mu = RingElement.from_fraction(target.c0, model)
-        return SectionData(s.gamma, y - mu, CHART_FINITE)
-
-    roots = tuple(TreeVertex(move_point(r.position), r.children) for r in t.roots)
-    return BlowupTree(roots), move_section(s1), move_section(s2)
+def _moved_section(s: SectionData, target: BasePoint, prec) -> SectionData:
+    """The section after the fiberwise automorphism moving target to [0:1]:
+    y -> y - mu for a finite target [mu:1], and y -> 1/y for [1:0].  It
+    fixes the base, so gamma and every verdict transfer verbatim."""
+    if target.c1 == 0:
+        y = _chart_value(s, CHART_INFINITE, prec)
+    else:
+        mu = RingElement.from_fraction(target.c0, s.r.model)
+        y = _chart_value(s, CHART_FINITE, prec) - mu
+    return SectionData(s.gamma, y, CHART_FINITE)
 
 
 def decide_general(
@@ -1154,83 +1121,54 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
             f"{p1} vs {p2}"
         )
 
-    # both hit the same root; if it is not the distinguished point, move it
-    # there by a fiberwise Moebius automorphism (y -> y - mu, or y -> 1/y
-    # for the point at infinity) and decide the recentred problem, which is
-    # isomorphic to this one
+    # both hit the same root: move it to [0:1] by a fiberwise Moebius
+    # automorphism and keep only its tower; towers over other points cannot
+    # obstruct a tower-local homotopy (witness sweeps stay in their region)
     if not hit1.is_distinguished():
-        t_moved, s1m, s2m = _recenter(t, s1, s2, hit1, prec)
-        return _decide_general_core(t_moved, s1m, s2m, g, prec)
-
-    # keep the distinguished tower; towers over other points cannot obstruct
-    # a tower-local homotopy (witness sweeps stay in their region)
-    the_root = next(
-        r for r in t.roots if r.position == BasePoint.distinguished()
-    )
-    tower = BlowupTree((the_root,))
+        s1, s2 = (_moved_section(s, hit1, prec) for s in (s1, s2))
+    hit_root = next(r for r in t.roots if r.position == hit1)
+    tower = BlowupTree((TreeVertex(BasePoint.distinguished(), hit_root.children),))
     x_prime, residual = normalize_pure_nodes(tower)
 
     locs, region = _locate_pair(x_prime, s1, s2)
     if isinstance(region, NotHomotopic):
         return region
 
-    # sections sitting exactly on a residual center are out of scope
+    # sections sitting exactly on a residual center are out of scope; every
+    # residual root is a LinePoint on a line of x_prime
+    marks = [rr.position for rr in residual.roots]
     for s, loc in zip((s1, s2), locs):
-        if isinstance(loc, Interior):
-            for rr in residual.roots:
-                mark = rr.position
-                if isinstance(mark, LinePoint) and mark.slope == loc.slope:
-                    if _interior_coordinate(s, loc.slope, prec) == mark.coord:
-                        raise UnsupportedSupport(
-                            "section passes through a residual blowup center"
-                        )
+        on_line = isinstance(loc, Interior) and [
+            m.coord for m in marks if m.slope == loc.slope
+        ]
+        if on_line and _interior_coordinate(s, loc.slope, prec) in on_line:
+            raise UnsupportedSupport("section passes through a residual blowup center")
 
     top = x_prime.lines[-2]
-    punctures = [
-        rr.position
-        for rr in residual.roots
-        if isinstance(rr.position, LinePoint) and rr.position.slope == top
-    ]
-
+    punctures = [m for m in marks if m.slope == top]
     if region == frozenset({top}) and punctures:
         # the free top region is punctured: an affine line minus >= 1 points
         # is rigid over the residue field, so interior residues must agree
-        w1 = shift_section(s1, top.a, prec).r
-        w2 = shift_section(s2, top.a, prec).r
-        if (w2 - w1).is_zero() or not (w2 - w1).is_unit():
-            witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
-            entries = [
-                _puncture_avoid_entry(pm, g, 0, RingElement.one(g.r0.model))
-                for pm in punctures
-            ]
-            _verify_or_raise(
-                "its own avoidance check", x_prime, g, witness, (s1, s2), entries, prec
+        w1, w2 = (shift_section(s, top.a, prec).r for s in (s1, s2))
+        delta = w2 - w1
+        if not delta.is_zero() and delta.is_unit():
+            return NotHomotopic(
+                "interior residues differ in a punctured free region "
+                f"({len(punctures)} puncture(s) on l_{top})",
+                delta=delta,
             )
-            return Homotopic(witness, LEVEL_CHAIN)
-        return NotHomotopic(
-            "interior residues differ in a punctured free region "
-            f"({len(punctures)} puncture(s) on l_{top})",
-            delta=w2 - w1,
-        )
 
     verdict = _decide_in_region(x_prime, s1, s2, g, region, prec)
 
     # certify Homotopic witnesses against the residual punctures
-    if isinstance(verdict, Homotopic) and not residual.is_empty():
-        entries = []
-        k = verdict.witness.shift if isinstance(verdict.witness, GhostWitness) else 0
-        center = (
-            verdict.witness.blown_center
-            if isinstance(verdict.witness, GhostWitness)
-            else RingElement.one(g.r0.model)
-        )
-        for rr in residual.roots:
-            mark = rr.position
-            if isinstance(mark, LinePoint):
-                entries.append(_puncture_avoid_entry(mark, g, k, center))
-        _verify_or_raise(
-            "residual avoidance", x_prime, g, verdict.witness, (s1, s2), entries, prec
-        )
+    if isinstance(verdict, Homotopic) and marks:
+        w = verdict.witness
+        if isinstance(w, GhostWitness):
+            k, center = w.shift, w.blown_center
+        else:
+            k, center = 0, RingElement.one(g.r0.model)
+        entries = [_puncture_avoid_entry(m, g, k, center) for m in marks]
+        _verify_or_raise("residual avoidance", x_prime, g, w, (s1, s2), entries, prec)
     return verdict
 
 

@@ -1164,7 +1164,7 @@ class TestDecideGeneral:
         "marks, s1, s2, site",
         [
             ((ORIGIN, NodePos(NODE_LEFT)), "1 + x", "1 + x + x^2", "tower avoidance"),
-            ((ORIGIN, FreePoint(Fraction(2))), "x^2", "x^2 + x^3", "its own avoidance"),
+            ((ORIGIN, FreePoint(Fraction(2))), "x^2", "x^2 + x^3", "residual avoidance"),
             ((ORIGIN, FreePoint(Fraction(2))), "x", "x + x^2", "residual avoidance"),
         ],
     )
