@@ -340,7 +340,10 @@ _ABSTENTIONS = {
 
 
 def _line_path(v1: RingElement, v0: RingElement) -> PolyExt:
-    """v1*T + v0*(1 - T): value v1 at T=1, v0 at T=0."""
+    """v1*T + v0*(1 - T): value v1 at T=1, v0 at T=0.  Equal values give the
+    constant path, which subtracts nothing, so truncated ones cannot cancel."""
+    if v1 == v0:
+        return PolyExt.constant(v1)
     model = v1.model
     t = PolyExt.variable("T", model)
     one = PolyExt.constant(RingElement.one(model))
@@ -538,8 +541,19 @@ def _clear_content(ps: list) -> list:
     ]
 
 
-def _pullback_form_pe(form: YForm, phi0: PolyExt, phi1: PolyExt) -> PolyExt:
-    return (phi0**form.degree).scale(form.c0) + (phi1**form.degree).scale(form.c1)
+def _pullback_form_pe(form: YForm, phi0: PolyExt, phi1: PolyExt, offset=None):
+    """The form at [phi0 : phi1].  A chart with an offset o has phi0 = o*phi1 + 1;
+    there the form is first pulled back along [o*z + 1 : z] for a formal z,
+    so that exact coefficients cancel exactly, and only then is z = phi1
+    put in: a truncated path would cancel them only to its tracked order."""
+    if offset is None:
+        return (phi0**form.degree).scale(form.c0) + (phi1**form.degree).scale(form.c1)
+    model = offset.model
+    z = PolyExt.variable("T", model)
+    one = PolyExt.constant(RingElement.one(model))
+    in_z = _pullback_form_pe(form, z.scale(offset) + one, z)
+    terms = [(phi1**j).scale(c) for (_, j), c in in_z.terms.items()]
+    return sum(terms, PolyExt(model, {}))
 
 
 def _coerce_avoid(entries) -> list:
@@ -555,12 +569,13 @@ def _coerce_avoid(entries) -> list:
 def _avoid_clause(
     pieces,  # list of (piece_name, phi0, phi1, E_gens: list[PolyExt])
     entries,  # list of AvoidIdeal
+    offset=None,  # the pole-side chart's offset, see _pullback_form_pe
 ) -> tuple:
     for name, phi0, phi1, e_gens in pieces:
         for entry in entries:
             j_gens = [PolyExt.constant(b) for b in entry.base]
             for form in entry.forms:
-                pulled = _pullback_form_pe(form, phi0, phi1)
+                pulled = _pullback_form_pe(form, phi0, phi1, offset)
                 j_gens.extend(_clear_content([pulled]))
             for e in e_gens:
                 if not ext_radical_membership(e, j_gens):
@@ -612,7 +627,8 @@ def _line_body_clauses(
     if avoid:
         phi0, phi1 = _straightline_map(w)
         one = PolyExt.constant(RingElement.one(w.path.model))
-        ok, detail = _avoid_clause([("path", phi0, phi1, [one])], avoid)
+        offset = w.offset if w.chart == CHART_INFINITE else None
+        ok, detail = _avoid_clause([("path", phi0, phi1, [one])], avoid, offset)
         report.add("avoidance", ok, detail)
 
 
@@ -935,35 +951,34 @@ def _caseI_witness(roots, s1, s2, prec) -> StraightLine:
     finite_coords = [rp.c0 for rp in roots if rp.c1 != 0]
     if not finite_coords:
         # only [1:0] is blown up; the plain y-line misses it
-        return StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
+        y1, y2 = (_chart_value(s, CHART_FINITE, prec) for s in (s1, s2))
+        return StraightLine(_line_path(y1, y2), CHART_FINITE)
     rho = RingElement.from_fraction(finite_coords[0], model)
-    vals = []
-    for s in (s1, s2):
-        if s.chart == CHART_FINITE:
-            z = RingElement.one(model).divide_in_ring(s.r - rho, prec)
-        else:
-            # y = 1/w, so 1/(y - rho) = w/(1 - rho*w)
-            one = RingElement.one(model)
-            z = s.r.divide_in_ring(one - rho * s.r, prec)
-        vals.append(z)
-    return StraightLine(_line_path(vals[0], vals[1]), CHART_INFINITE, rho)
+    one = RingElement.one(model)
+    # the chart coordinate 1/(y - rho); a pole-chart value w = 1/y gives
+    # w/(1 - rho*w)
+    z1, z2 = (
+        one.divide_in_ring(s.r - rho, prec)
+        if s.chart == CHART_FINITE
+        else s.r.divide_in_ring(one - rho * s.r, prec)
+        for s in (s1, s2)
+    )
+    return StraightLine(_line_path(z1, z2), CHART_INFINITE, rho)
 
 
 def _root_avoid_entries(roots, g: GammaData) -> list:
-    """One avoid-ideal per blown-up fiber point: <r0, point equation>."""
-    out = []
-    model = g.r0.model
-    one = RingElement.one(model)
-    zero = RingElement.zero(model)
-    for rp in roots:
-        if rp.c1 == 0:
-            form = YForm(zero, one, 1)
-            label = "tower over [1:0]"
-        else:
-            form = YForm(one, -RingElement.from_fraction(rp.c0, model), 1)
-            label = f"tower over [{rp.c0}:1]"
-        out.append(AvoidIdeal(base=(g.r0,), forms=(form,), label=label))
-    return out
+    """One avoid-ideal per blown-up fiber point [c0:c1]: <r0, c1*Y0 - c0*Y1>."""
+    def el(c):
+        return RingElement.from_fraction(c, g.r0.model)
+
+    return [
+        AvoidIdeal(
+            base=(g.r0,),
+            forms=(YForm(el(rp.c1), el(-rp.c0), 1),),
+            label=f"tower over {rp}",
+        )
+        for rp in roots
+    ]
 
 
 def _interior_coordinate(s: SectionData, t: Slope, prec: int) -> Fraction:

@@ -581,6 +581,29 @@ def instances(draw):
     return flags, argv
 
 
+@st.composite
+def forests(draw):
+    """Tree JSON: one to three roots at distinct points of the fiber, each
+    with node and free children down to two levels below it."""
+    def children(depth):
+        at = st.sampled_from(["node-left", "node-right", "1", "2", "-3/2"])
+        kids = []
+        for pos in draw(st.lists(at, max_size=2 if depth else 0, unique=True)):
+            kid = {"at": pos if pos.startswith("node") else {"free": pos}}
+            below = children(depth - 1)
+            if below:
+                kid["children"] = below
+            kids.append(kid)
+        return kids
+
+    bases = st.sampled_from(["[0:1]", "[2:1]", "[1:0]", "[-1:1]", "[1:2]"])
+    roots = []
+    for base in draw(st.lists(bases, min_size=1, max_size=3, unique=True)):
+        below = children(2)
+        roots.append({"base": base, "children": below} if below else {"base": base})
+    return json.dumps({"roots": roots}) + "\n"
+
+
 def invoke_fuzzed(argv, stdin_text=""):
     """invoke, with every exit code in {0, 1, 2, 3}; None when the engine
     reports itself unsound (ConsistencyFailure, the one traceback allowed)."""
@@ -637,6 +660,23 @@ class TestFuzz:
                 verify = flags + ["witness", "verify"] + argv
                 verified = invoke_fuzzed(verify, built[1])
                 assert verified is not None and verified[0] == 0, (argv, built, verified)
+
+    @given(case=instances(), tree=forests(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_forests_exit_cleanly(self, case, tree, data):
+        # sections are often moved onto the roots' points; decide general
+        # certifies the witnesses it builds, so ConsistencyFailure fails here
+        flags, argv = case
+        offsets = st.sampled_from(["", "", "2 + ", "-1 + ", "1/2 + "])
+        argv = [
+            a.replace("=", "=" + data.draw(offsets), 1) if a.startswith("--s") else a
+            for a in argv
+        ]
+        code, out, err = invoke(
+            flags + ["decide", "general"] + argv + ["--tree", "-"], tree
+        )
+        assert code in (0, 1, 2, 3), (argv, tree, code, err)
+        assert "Traceback" not in out + err
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

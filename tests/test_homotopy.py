@@ -868,6 +868,18 @@ class TestDecideNodal:
         assert v.witness.path == pe("x/(1+x)") and v.witness.chart == chart
         assert verify_witness(X2, G2, v.witness, (s, s))
 
+    def test_sections_equal_to_the_tracked_order_connect_outside_the_main_regime(
+        self,
+    ):
+        # r0 = 1 skips the regions; the pair agrees to the tracked order, so
+        # the path must not be built as their difference
+        g = GammaData(dvr("1"))
+        s1, s2 = sec(g, "x + O(x^3)"), sec(g, "x + x^5")
+        v = decide_nodal(X1, s1, s2)
+        assert isinstance(v, Homotopic) and v.level == LEVEL_CHAIN
+        assert v.witness.path.terms == {(0, 0): s1.r}
+        assert verify_witness(X1, g, v.witness, (s1, s2))
+
     @settings(max_examples=60, deadline=None)
     @given(u1=dvr_units(), u2=dvr_units())
     def test_node_criterion_matches_the_residue_oracle(self, u1, u2):
@@ -1040,6 +1052,22 @@ AT_TWO = BasePoint(Fraction(2), Fraction(1))
 POLE = BasePoint(Fraction(1), Fraction(0))
 
 
+# node-left with free(5) below it, and free(2) on the root's own line
+PUNCTURED_TOP = (
+    TreeVertex(NodePos(NODE_LEFT), (TreeVertex(FreePoint(Fraction(5))),)),
+    TreeVertex(FreePoint(Fraction(2))),
+)
+
+
+def in_model(text, model):
+    """A DVR text in x, rewritten in u for the bivariate model."""
+    return text.replace("x", "u") if model == MODEL_BIVARIATE else text
+
+
+def model_sec(g, text, model, chart=CHART_FINITE):
+    return sec(g, in_model(text, model), chart, model)
+
+
 class TestDecideGeneral:
     def test_empty_tree_connects_everything(self):
         v = decide_general(BlowupTree(()), sec(G2, "x"), sec(G2, "5"))
@@ -1159,6 +1187,83 @@ class TestDecideGeneral:
     def test_gamma_mismatch_is_rejected(self):
         with pytest.raises(PreconditionViolated):
             decide_general(tower(ORIGIN), sec(G2, "x"), sec(G3, "x"))
+
+    @pytest.mark.parametrize("model", [MODEL_DVR, MODEL_BIVARIATE])
+    def test_case_one_offset_chart_verifies_on_exact_input(self, model):
+        # the chart anchored at [2:1] runs through 1/(y - 2), a truncated
+        # series in the DVR model; the anchor's own form Y0 - 2*Y1 must
+        # still pull back to an exact unit, not to zero at the tracked order
+        g = GammaData(parse_element(in_model("x", model), model))
+        s1, s2 = model_sec(g, "x", model), model_sec(g, "2*x", model)
+        v = decide_general(tower(AT_TWO), s1, s2)
+        assert isinstance(v, Homotopic)
+        assert v.witness.chart == CHART_INFINITE and v.witness.offset.residue() == 2
+
+    @pytest.mark.parametrize("model", [MODEL_DVR, MODEL_BIVARIATE])
+    @pytest.mark.parametrize("chart1", [CHART_FINITE, CHART_INFINITE])
+    def test_case_one_under_a_pole_tower_reads_pole_chart_values(self, model, chart1):
+        # with only [1:0] blown up the witness is the plain y-line, so a
+        # pole-chart section enters it as y = 1/w
+        g = GammaData(parse_element(in_model("x^2", model), model))
+        s1 = model_sec(g, "1 + x", model, chart1)
+        s2 = model_sec(g, "1 + x + x^2", model, CHART_INFINITE)
+        v = decide_general(tower(POLE), s1, s2)
+        assert isinstance(v, Homotopic) and v.witness.chart == CHART_FINITE
+        assert verify_witness(NodalSurface.p1(), g, v.witness, (s1, s2))
+
+    @pytest.mark.parametrize("t", [BlowupTree(()), tower(ORIGIN)])
+    def test_sections_equal_to_the_tracked_order_connect(self, t):
+        # the empty forest and Case I both build a line between the values
+        g = GammaData(dvr("x"))
+        s1, s2 = sec(g, "1 + x + O(x^3)"), sec(g, "1 + x + x^5")
+        v = decide_general(t, s1, s2)
+        assert isinstance(v, Homotopic) and v.level == LEVEL_CHAIN
+        assert verify_witness(NodalSurface.p1(), g, v.witness, (s1, s2))
+
+    @pytest.mark.parametrize("model", [MODEL_DVR, MODEL_BIVARIATE])
+    @pytest.mark.parametrize(
+        "hit, chart, s1, s2, tag",
+        [
+            (AT_TWO, CHART_FINITE, "2 + x", "2 + x + x^2", "homotopic"),
+            (AT_TWO, CHART_FINITE, "2 + x", "2 + 3*x", "not-homotopic"),
+            (AT_TWO, CHART_FINITE, "2 + x^2", "2 + x^2 + x^3", "homotopic"),
+            (AT_TWO, CHART_FINITE, "2 + x^2", "2 + 3*x^2", "not-homotopic"),
+            (POLE, CHART_INFINITE, "x", "x + x^2", "homotopic"),
+            (POLE, CHART_INFINITE, "x", "3*x", "not-homotopic"),
+            (POLE, CHART_INFINITE, "x^3", "x^3 + x^4", "homotopic"),
+        ],
+    )
+    def test_towers_over_other_points_do_not_change_the_verdict(
+        self, model, hit, chart, s1, s2, tag
+    ):
+        # the hit tower decides alone: re-rooting it at [0:1] must give the
+        # verdict of the forest holding only that tower
+        children = PUNCTURED_TOP
+        forest = BlowupTree(
+            tuple(TreeVertex(p, children) for p in (ORIGIN, AT_TWO, POLE))
+        )
+        alone = BlowupTree((TreeVertex(hit, children),))
+        g = GammaData(parse_element(in_model("x^2", model), model))
+        pair = model_sec(g, s1, model, chart), model_sec(g, s2, model, chart)
+        v = decide_general(forest, *pair)
+        assert v.tag == tag
+        assert verdict_to_json(v) == verdict_to_json(decide_general(alone, *pair))
+
+    @pytest.mark.parametrize("model", [MODEL_DVR, MODEL_BIVARIATE])
+    def test_punctured_top_with_a_residual_below(self, model):
+        # free(2) punctures the top line l_1 and free(5) sits on l_1/2 below
+        # it: the rigidity test refuses differing residues, and the line it
+        # lets through is certified against both centers
+        t = BlowupTree((TreeVertex(ORIGIN, PUNCTURED_TOP),))
+        g = GammaData(parse_element(in_model("x^2", model), model))
+        s1, s2 = model_sec(g, "x^2", model), model_sec(g, "x^2 + x^3", model)
+        v = decide_general(t, s1, s2)
+        assert isinstance(v, Homotopic)
+        surface = NodalSurface((ZERO, Slope(1, 2), Slope(1, 1), INF))
+        assert verify_witness(surface, g, v.witness, (s1, s2))
+        v2 = decide_general(t, s1, model_sec(g, "3*x^2", model))
+        assert isinstance(v2, NotHomotopic)
+        assert "punctur" in v2.reason
 
     @pytest.mark.parametrize(
         "marks, s1, s2, site",
