@@ -664,12 +664,17 @@ class TestFuzz:
     @given(case=instances(), tree=forests(), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_drawn_forests_exit_cleanly(self, case, tree, data):
-        # sections are often moved onto the roots' points; decide general
-        # certifies the witnesses it builds, so ConsistencyFailure fails here
+        # sections are often moved onto the roots' points, and into the
+        # maximal ideal; decide general certifies the witnesses it builds,
+        # so ConsistencyFailure fails here
         flags, argv = case
+        var = "u" if "bivariate" in flags else "x"
         offsets = st.sampled_from(["", "", "2 + ", "-1 + ", "1/2 + "])
+        lifts = st.sampled_from(["", f"{var}*"])
         argv = [
-            a.replace("=", "=" + data.draw(offsets), 1) if a.startswith("--s") else a
+            a.replace("=", "=" + data.draw(offsets) + data.draw(lifts), 1)
+            if a.startswith("--s")
+            else a
             for a in argv
         ]
         code, out, err = invoke(
