@@ -457,6 +457,8 @@ class ClauseReport:
 @dataclass
 class VerificationReport:
     clauses: list = field(default_factory=list)
+    # the budget error behind a `determinism` clause, when one stopped the replay
+    undetermined: Optional[Exception] = None
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.clauses.append(ClauseReport(name, ok, detail))
@@ -808,6 +810,7 @@ def verify_witness(
             report.add("shape", False, f"unknown witness type {type(w).__name__}")
     except (PrecisionExhausted, DegreeCapExceeded) as exc:
         report.add("determinism", False, f"undetermined: {exc}")
+        report.undetermined = exc
     except (DivisionImpossible, ModelMismatch, PreconditionViolated) as exc:
         report.add("well-formed", False, str(exc))
     return report
@@ -1088,8 +1091,12 @@ def decide_general(
 
 
 def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
-    """Replay a witness the engine just built; a failed clause is an engine bug."""
+    """Replay a witness the engine just built; a failed clause is an engine
+    bug.  A replay that only a budget stopped re-raises that error, for the
+    decision to abstain on."""
     rep = verify_witness(X, g, witness, sections, entries, prec)
+    if rep.undetermined is not None and len(rep.failures()) == 1:
+        raise rep.undetermined
     if not rep:
         raise ConsistencyFailure(
             f"constructed witness failed {what}: "

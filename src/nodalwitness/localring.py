@@ -9,10 +9,12 @@ non-principal ideals exist.  Its arithmetic runs on Python ints.
 
 Both models sit behind one `RingElement` facade with ideal arithmetic
 (`IdealHandle`), the S/T-polynomial extension used by homotopy witnesses
-(`PolyExt`), and the Groebner-backed membership tests.  Membership in the
-localized ring reduces to plain polynomial computations in two ways: an
-ideal-quotient escaping the maximal ideal, or an elimination ideal escaping
-the origin (a localized Rabinowitsch trick).  An extended query over
+(`PolyExt`), and the membership tests.  Radical membership in the base ring
+is read from its structure: valuations in the DVR model, a gcd in the
+bivariate one.  The other queries reduce to plain polynomial computations
+in two ways: an ideal-quotient escaping the maximal ideal, or an
+elimination ideal escaping the origin (a localized Rabinowitsch trick),
+which stops at the first member that escapes.  An extended query over
 R[S, T] with exact coefficients is one elimination in both models, the
 base variables (x, or u and v) kept last.  The DVR model asks the residue
 fiber over the rationals first, and abstains (PrecisionExhausted) on a
@@ -286,7 +288,7 @@ def _cleared(*polys: Poly) -> list:
 
 def _poly(f: list, pad: tuple = (), scale: int = 1) -> Poly:
     """f/scale as a Poly in u, v, after the variables whose exponents pad
-    gives (the Rabinowitsch t)."""
+    gives (the t of `in_ideal`)."""
     terms = {pad + (eu, ev): c for ev, row in enumerate(f) for eu, c in enumerate(row) if c}
     if scale != 1:
         terms = {m: Fraction(c, scale) for m, c in terms.items()}
@@ -339,12 +341,14 @@ def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
     With `f` given, the Rabinowitsch generator 1 - t*f is appended first (t
     is the first variable), so the answer is radical membership of f.  With
     nelim equal to the number of variables the block order is grevlex and
-    the question is whether the ideal is the unit ideal.
+    the question is whether the ideal is the unit ideal.  The elimination
+    stops at its first member with a nonzero constant term, which answers
+    yes; only a no takes the whole basis.
     """
     if f is not None:
         n = f.nvars
         polys = polys + [Poly.constant(Fraction(1), n) - Poly.variable(0, n) * f]
-    return escapes_origin(eliminate(polys, nelim))
+    return escapes_origin(eliminate(polys, nelim, Poly.constant_coeff))
 
 
 def _cofactor(p: list, g: list) -> list:
@@ -355,6 +359,27 @@ def _cofactor(p: list, g: list) -> list:
 def _constant(f: list) -> int:
     """f(0,0)."""
     return f[0][0] if f and f[0] else 0
+
+
+def _divides(a: list, b: list) -> bool:
+    """Whether a divides b in R, for nonzero a and b in Z[u][v]: exactly when
+    a / gcd2(a, b) has a nonzero constant term; no quotient is built.  Two
+    cases answer before any gcd: a unit a divides, and ord(a) > ord(b) does
+    not (the order of vanishing at the origin is additive and zero on
+    units)."""
+    if _constant(a) != 0:
+        return True
+    if _order(a) > _order(b):
+        return False
+    return _constant(_cofactor(a, gcd2(a, b))) != 0
+
+
+def _d_du(f: list) -> list:
+    return _trim([[i * c for i, c in enumerate(row)][1:] for row in f])
+
+
+def _d_dv(f: list) -> list:
+    return [[j * c for c in row] for j, row in enumerate(f)][1:]
 
 
 def _content(*fs: list) -> int:
@@ -488,24 +513,15 @@ class BiFrac:
     # -- the model's rules, for nonzero operands ------------------------------
 
     def divides(self, o: "BiFrac") -> bool:
-        """Denominators are units, so self | o exactly when
-        self.num / gcd2(self.num, o.num) has a nonzero constant term; no
-        quotient is built.  Two cases answer before any gcd: a unit
-        self.num divides, and ord(self.num) > ord(o.num) does not (the
-        order of vanishing at the origin is additive and zero on units)."""
-        an, bn = self.num, o.num
-        if _constant(an) != 0:
-            return True
-        if _order(an) > _order(bn):
-            return False
-        return _constant(_cofactor(an, gcd2(an, bn))) != 0
+        """Denominators are units, so the numerators decide (`_divides`)."""
+        return _divides(self.num, o.num)
 
     @staticmethod
     def gcd(gens: list) -> "BiFrac":
         acc = gens[0].num
         for g in gens[1:]:
             acc = gcd2(acc, g.num)
-        return BiFrac.make(acc, _ONE2)
+        return BiFrac._canonical(acc, _ONE2)
 
     def polys(self) -> tuple[Poly, Optional[Poly]]:
         """num and den as integer polynomials in u, v; den None when it is 1."""
@@ -528,9 +544,19 @@ class BiFrac:
         return any(_constant(q) for q in quotient)
 
     def in_radical(self, gens: list) -> bool:
-        """Rabinowitsch, localized, in Q[t, u, v]."""
-        gens3 = [_poly(g.num, (0,)) for g in gens]
-        return _unit_query(gens3, 1, _poly(self.num, (0,)))
+        """By gcd, with no Groebner run.  R is a two-dimensional regular
+        local ring, hence a UFD (Auslander–Buchsbaum), so J = h·J' with h
+        the gcd of the generators and J' m-primary or the unit ideal.  So
+        √J is R when a generator is a unit, m when h is one, and √h
+        otherwise, whose generator rad(h) = h / gcd(h, ∂h/∂u, ∂h/∂v) in
+        characteristic 0 (Yun, SYMSAC 1976)."""
+        if any(_constant(g.num) for g in gens):
+            return True
+        h = BiFrac.gcd(gens).num
+        if _constant(h):
+            return _constant(self.num) == 0
+        rad = _cofactor(h, gcd2(gcd2(h, _d_du(h)), _d_dv(h)))
+        return _divides(rad, self.num)
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> Optional["BiFrac"]:
         res = _rational_root(self.residue(), n)

@@ -287,7 +287,7 @@ def s_poly(f: Poly, g: Poly, order) -> Poly:
     return Poly(t, f.nvars)
 
 
-def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
+def buchberger(gens: Iterable[Poly], order, stop=None) -> list[Poly]:
     """Reduced, monic Groebner basis of the ideal the generators span.
 
     Each polynomial joining the basis updates the pair set by the criteria
@@ -302,6 +302,10 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     primitive integer polynomials and the run stays in Z; the final
     inter-reduction makes each element monic over Q, so the basis is the
     one a computation over Q returns.
+
+    `stop`, a predicate, ends the run at the first primitive integer input
+    or remainder p it accepts, and the answer is [p]: an element of the
+    ideal, for a caller that needs only one such element, not a basis.
 
     Raises DegreeCapExceeded once more S-pairs than the process-wide budget
     (see set_spair_cap) have been reduced; pairs the criteria drop cost
@@ -318,6 +322,10 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     if unit in lms:
         return [Poly.constant(_ONE, nvars)]
     polys = [Poly(_primitive(_integral(g.terms)), nvars) for g in polys]
+    if stop is not None:
+        for g in polys:
+            if stop(g):
+                return [g]
     key = order.key
     active: list[int] = []  # indices of the reducers
     pairs: list = []  # (key of the lcm, lcm, i, j), in insertion order
@@ -365,6 +373,8 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
         rm = r.leading(order)[0]
         if rm == unit:
             return [Poly.constant(_ONE, nvars)]
+        if stop is not None and stop(r):
+            return [r]
         polys.append(r)
         lms.append(rm)
         update(len(polys) - 1)
@@ -387,17 +397,24 @@ def buchberger(gens: Iterable[Poly], order) -> list[Poly]:
     return final
 
 
-def eliminate(gens: Sequence[Poly], nelim: int) -> list[Poly]:
-    """Basis of the ideal's intersection with the last-variables subring."""
+def eliminate(gens: Sequence[Poly], nelim: int, stop=None) -> list[Poly]:
+    """Basis of the ideal's intersection with the last-variables subring.
+
+    The block order puts every monomial touching the first nelim variables
+    before every other, so a polynomial whose leading monomial is free of
+    them lies in that subring.  With a predicate `stop`, the first input or
+    remainder in the subring that it accepts ends the Groebner run, and the
+    answer is that one element of the intersection.
+    """
     if not gens:
         return []
-    nvars = gens[0].nvars
-    gb = buchberger(gens, BlockOrder(nelim, nvars))
-    return [
-        p
-        for p in gb
-        if all(all(e == 0 for e in m[:nelim]) for m in p.terms)
-    ]
+    order = BlockOrder(nelim, gens[0].nvars)
+
+    def in_subring(p: Poly) -> bool:
+        return not any(p.leading(order)[0][:nelim])
+
+    found = None if stop is None else (lambda p: in_subring(p) and stop(p))
+    return [p for p in buchberger(gens, order, found) if in_subring(p)]
 
 
 def escapes_origin(polys: Sequence[Poly]) -> bool:

@@ -34,6 +34,16 @@ TREE_SPLITTING = (
     '{"roots":[{"base":"[4:1]","children":[{"at":{"free":"5"}}]},'
     '{"base":"[1:0]"}]}\n'
 )
+# a node tower with residual punctures at 5 and 2: deciding this pair runs
+# no Groebner, and certifying its ghost witness against the punctures runs
+# it 21 times, the first run reducing 2 S-pairs (pinned in test_homotopy),
+# so a budget of 1 trips inside the self-certification
+TREE_PUNCTURED = (
+    '{"roots":[{"base":"[0:1]","children":[{"at":"node-left","children":'
+    '[{"at":{"free":"5"}}]},{"at":{"free":"2"}}]}]}\n'
+)
+BUDGET_PAIR = ["decide", "general", "--r0", "u^2", "--s1", "u", "--s2", "u+u^2",
+               "--tree", "-"]
 
 GHOST_WITNESS = (
     '{"type":"ghost","shift":0,"blown_center":"x","v2_unit":"x",'
@@ -196,14 +206,28 @@ class TestExitCodes:
         assert json.loads(out)["obstruction"]["delta"] == "1"
 
     def test_undecidable_is_three(self):
-        # deciding this pair runs Groebner once and reduces 2 S-pairs there
-        # (pinned in test_homotopy), so a budget of 1 trips
+        # the budget trips while decide general certifies its own witness
+        # (TREE_PUNCTURED): an abstention, not a ConsistencyFailure
         code, out, _ = invoke(
-            ["--ring", "bivariate", "--groebner-cap", "1", "decide", "nodal",
-             "--r0", "u^2", "--s1", "u", "--s2", "u + u^2 + u^2*v"]
+            ["--ring", "bivariate", "--groebner-cap", "1"] + BUDGET_PAIR,
+            TREE_PUNCTURED,
         )
         assert code == 3
         assert json.loads(out)["verdict"] == "undecidable"
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_budget_tripped_in_self_certification_abstains(self, cap):
+        # no run of that certification reduces more than 4 S-pairs; a
+        # smaller budget is an Undecidable, never a ConsistencyFailure
+        code, out, _ = invoke(
+            ["--ring", "bivariate", f"--groebner-cap={cap}"] + BUDGET_PAIR,
+            TREE_PUNCTURED,
+        )
+        verdict = json.loads(out)
+        if cap == 4:
+            assert (code, verdict["verdict"]) == (0, "homotopic")
+        else:
+            assert (code, verdict["reason"]) == (3, "degree-cap-exceeded")
 
     def test_bad_stdin_is_two(self):
         code, _, err = invoke(["surface", "show"], "not json\n")
@@ -515,16 +539,14 @@ class TestFlags:
 
     def test_groebner_cap_resets_between_runs(self):
         # a run that trips the budget must not poison the next invocation;
-        # the pair's one Groebner run reduces 2 S-pairs, so a budget of 1 trips
+        # the pair's first Groebner run reduces 2 S-pairs, so a budget of 1
+        # trips (TREE_PUNCTURED)
         code, _, _ = invoke(
-            ["--ring", "bivariate", "--groebner-cap", "1", "decide", "nodal",
-             "--r0", "u^2", "--s1", "u", "--s2", "u + u^2 + u^2*v"]
+            ["--ring", "bivariate", "--groebner-cap", "1"] + BUDGET_PAIR,
+            TREE_PUNCTURED,
         )
         assert code == 3
-        code, out, _ = invoke(
-            ["--ring", "bivariate", "decide", "nodal",
-             "--r0", "u^2", "--s1", "u", "--s2", "u + u^2 + u^2*v"]
-        )
+        code, _, _ = invoke(["--ring", "bivariate"] + BUDGET_PAIR, TREE_PUNCTURED)
         assert code == 0
 
 
@@ -661,13 +683,17 @@ class TestFuzz:
                 verified = invoke_fuzzed(verify, built[1])
                 assert verified is not None and verified[0] == 0, (argv, built, verified)
 
-    @given(case=instances(), tree=forests(), data=st.data())
+    @given(case=instances(), tree=forests(), data=st.data(),
+           cap=st.sampled_from([None, *range(1, 9)]))
     @settings(max_examples=40, deadline=None)
-    def test_drawn_forests_exit_cleanly(self, case, tree, data):
+    def test_drawn_forests_exit_cleanly(self, case, tree, data, cap):
         # sections are often moved onto the roots' points, and into the
         # maximal ideal; decide general certifies the witnesses it builds,
-        # so ConsistencyFailure fails here
+        # so ConsistencyFailure fails here, also when a small S-pair budget
+        # trips inside that certification
         flags, argv = case
+        if cap is not None:
+            flags = flags + [f"--groebner-cap={cap}"]
         var = "u" if "bivariate" in flags else "x"
         offsets = st.sampled_from(["", "", "2 + ", "-1 + ", "1/2 + "])
         lifts = st.sampled_from(["", f"{var}*"])

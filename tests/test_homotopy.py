@@ -807,7 +807,10 @@ class TestDecideNodal:
 
     def test_cli_budget_pair_reduces_two_s_pairs(self, monkeypatch):
         # the premise of the --groebner-cap 1 tests in test_cli: deciding
-        # this pair runs Groebner once, and that run reduces 2 S-pairs
+        # this pair (TREE_PUNCTURED there) runs no Groebner, its radical
+        # query being a gcd; certifying the ghost witness against the two
+        # residual punctures runs it 21 times, the first run reducing 2
+        # S-pairs and none more than 4
         runs = []
         buchberger, s_poly = polyring.buchberger, polyring.s_poly
 
@@ -823,9 +826,12 @@ class TestDecideNodal:
         monkeypatch.setattr(polyring, "s_poly", counting_pair)
         g = GammaData(biv("u^2"))
         s1 = SectionData(g, biv("u"))
-        s2 = SectionData(g, biv("u + u^2 + u^2*v"))
+        s2 = SectionData(g, biv("u + u^2"))
+        t = BlowupTree((TreeVertex(ORIGIN, PUNCTURED_TOP),))
         assert isinstance(decide_nodal(X1, s1, s2), Homotopic)
-        assert runs == [2]
+        assert runs == []
+        assert isinstance(decide_general(t, s1, s2), Homotopic)
+        assert runs == [2, 3, 3, 3, 4, 0, 0, 1, 1, 0, 0, 0, 0, 1, 4, 1, 4, 1, 1, 1, 1]
 
     def test_bivariate_radical_without_membership(self):
         # r0 = u^4, values u^2*unit: the blown-center ideal is <u^2> and

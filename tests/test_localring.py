@@ -10,7 +10,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodalwitness import localring
+from nodalwitness import localring, polyring
 from nodalwitness.dvrseries import Series
 from nodalwitness.errors import (
     DivisionImpossible,
@@ -46,7 +46,7 @@ from nodalwitness.localring import (
     substitute_base,
     unit_multiple,
 )
-from nodalwitness.polyring import Poly
+from nodalwitness.polyring import Poly, eliminate, escapes_origin
 
 MODELS = [MODEL_DVR, MODEL_BIVARIATE]
 
@@ -776,6 +776,105 @@ class TestBivariateStaysIntegral:
                 assert type(x.residue()) is Fraction
 
 
+# --- bivariate radical membership: the gcd rule against Groebner ---------------
+
+
+@st.composite
+def radical_queries(draw):
+    """(f, gens) over shared and repeated factors: one or two non-unit
+    BIV_FACTORS make a core, each of one to three generators is the core
+    (now and then a core of its own) with every factor raised to a power
+    from 1 to 3, times 1, a unit factor or a small free part in the
+    maximal ideal, or else a unit generator; f is a product of core
+    factors, each at most once, times a unit, and sometimes one more
+    factor."""
+    factor = st.sampled_from(range(len(BIV_FACTORS)))
+    nonunit = range(N_UNIT_FACTORS, len(BIV_FACTORS))
+    cores = st.lists(st.sampled_from(nonunit), min_size=1, max_size=2, unique=True)
+    core = draw(cores)
+    monos = st.sampled_from([(i, j) for i in range(3) for j in range(3 - i) if i + j])
+    extras = st.one_of(
+        st.sampled_from(BIV_FACTORS[:N_UNIT_FACTORS] + [{(0, 0): 1}]),
+        st.dictionaries(monos, small_q.filter(lambda c: c != 0), min_size=1, max_size=2),
+    )
+
+    def product(ks, extra):
+        out = p2(extra)
+        for k in ks:
+            out = out * p2(BIV_FACTORS[k])
+        return out
+
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 9)) == 0:
+            gens.append(product([], draw(st.sampled_from(BIV_FACTORS[:N_UNIT_FACTORS]))))
+        else:
+            own = draw(cores) if draw(st.integers(0, 3)) == 0 else core
+            ks = [k for k in own for _ in range(draw(st.integers(1, 3)))]
+            gens.append(product(ks, draw(extras)))
+    ks = [k for k in core if draw(st.booleans())] + draw(st.lists(factor, max_size=1))
+    f = product(ks, draw(st.sampled_from(BIV_FACTORS[:N_UNIT_FACTORS])))
+    one = p2({(0, 0): 1})
+    return int_fraction(f, one), [int_fraction(g, one) for g in gens]
+
+
+def rabinowitsch_in_radical(f: RingElement, gens: list) -> bool:
+    """f in the radical of <gens> by the localized Rabinowitsch query that
+    `BiFrac.in_radical` made before its gcd rule: 1 - t*f joins the
+    generators in Q[t, u, v], the whole reduced basis eliminates t, and the
+    answer is whether the result escapes the origin."""
+    def with_t(e):
+        return Poly({(0,) + m: c for m, c in e.payload.polys()[0].terms.items()}, 3)
+
+    one = Poly.constant(Fraction(1), 3)
+    rabinowitsch = one - Poly.variable(0, 3) * with_t(f)
+    return escapes_origin(eliminate([with_t(g) for g in gens] + [rabinowitsch], 1))
+
+
+def sympy_in_radical(sympy, f: RingElement, gens: list) -> bool:
+    """The same Rabinowitsch ideal, eliminated by sympy's lex basis."""
+    t, u, v = sympy.symbols("t u v")
+
+    def expr(e):
+        return sum((sympy.Rational(c) * u**i * v**j
+                    for (i, j), c in e.payload.polys()[0].terms.items()), sympy.Integer(0))
+
+    basis = sympy.groebner([expr(g) for g in gens] + [1 - t * expr(f)], t, u, v,
+                           order="lex", domain=sympy.QQ)
+    return any(
+        sympy.Poly(e, u, v).as_dict().get((0, 0), 0) != 0
+        for e in basis.exprs if t not in e.free_symbols
+    )
+
+
+class TestRadicalByGcd:
+    @given(radical_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_rule_agrees_with_rabinowitsch_and_sympy(self, query):
+        sympy = pytest.importorskip("sympy")
+        f, gens = query
+        got = radical_membership(f, IdealHandle(gens))
+        assert got == rabinowitsch_in_radical(f, gens), query
+        assert got == sympy_in_radical(sympy, f, gens), query
+
+    def test_repeated_factor_needs_its_radical(self):
+        # h = u^2*v^3*(1+u): rad(h) = u*v up to a unit, so u*v lies in the
+        # radical and neither u nor v^3 does
+        ideal = IdealHandle([biv("u^2*v^3*(1+u)"), biv("u^3*v^4")])
+        assert radical_membership(biv("u*v*(2+v)"), ideal)
+        assert not radical_membership(biv("u"), ideal)
+        assert not radical_membership(biv("v^3"), ideal)
+
+    def test_radical_query_runs_no_groebner(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(localring, "eliminate", lambda *a: runs.append(a))
+        ideal = IdealHandle([biv("u^2*(u+v)"), biv("u*(u+v)^3")])
+        assert radical_membership(biv("u^2 + u*v"), ideal)
+        assert not radical_membership(biv("u^2"), ideal)
+        assert radical_membership(biv("u + v^2"), IdealHandle([biv("u"), biv("v")]))
+        assert not runs
+
+
 # --- ideals -------------------------------------------------------------------
 
 
@@ -1133,6 +1232,62 @@ class TestExtEngineAgainstSympy:
         f, gens = query
         got = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
         assert got == sympy_ext_answer(sympy, gens, f), query
+
+
+@st.composite
+def biv_ext_queries(draw):
+    """(f, gens) for a bivariate radical query, f None for a unit-ideal
+    query: biv_elements coefficients on 1, S, T and S*T."""
+    keys = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+    def st_poly():
+        terms = draw(st.dictionaries(keys, biv_elements(allow_zero=False),
+                                     min_size=1, max_size=3))
+        return PolyExt(MODEL_BIVARIATE, terms)
+
+    gens = [st_poly() for _ in range(draw(st.integers(1, 3)))]
+    return (st_poly() if draw(st.booleans()) else None), gens
+
+
+class TestEarlyExit:
+    """An elimination behind `_unit_query` stops at its first member with a
+    nonzero constant term; it must answer as the whole reduced basis does."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_answers_as_the_full_elimination(self, data):
+        model = data.draw(st.sampled_from(MODELS))
+        queries = generic_fibre_queries() if model == MODEL_DVR else biv_ext_queries()
+        f, gens = data.draw(queries)
+        seen = []
+        full = localring.eliminate
+
+        def recording(polys, nelim, stop=None):
+            seen.append((polys, nelim, stop))
+            return full(polys, nelim, stop)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localring, "eliminate", recording)
+            ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+        for polys, nelim, stop in seen:
+            assert stop is not None
+            expect = escapes_origin(full(polys, nelim))
+            assert escapes_origin(full(polys, nelim, stop)) == expect, (f, gens)
+
+    def test_stop_saves_s_pairs(self, monkeypatch):
+        # the third remainder, 1 + u, answers; the whole basis takes 39
+        gens = [pe(g, MODEL_BIVARIATE)
+                for g in ("1 + u - T + (u - 1)*S*T", "T^2", "u + (1 + v)*S*T")]
+        full = localring.eliminate
+        pairs = []
+        s_poly = polyring.s_poly
+        monkeypatch.setattr(polyring, "s_poly", lambda *a: pairs.append(0) or s_poly(*a))
+        assert ext_unit_ideal(gens)
+        assert len(pairs) == 3
+        pairs.clear()
+        monkeypatch.setattr(localring, "eliminate", lambda polys, nelim, stop: full(polys, nelim))
+        assert ext_unit_ideal(gens)
+        assert len(pairs) == 39
 
 
 # An exact DVR radical query of S/T-degree 2: its elimination in Q[t, S, T, x]
