@@ -362,24 +362,15 @@ def _constant(f: list) -> int:
 
 
 def _divides(a: list, b: list) -> bool:
-    """Whether a divides b in R, for nonzero a and b in Z[u][v]: exactly when
-    a / gcd2(a, b) has a nonzero constant term; no quotient is built.  Two
-    cases answer before any gcd: a unit a divides, and ord(a) > ord(b) does
-    not (the order of vanishing at the origin is additive and zero on
-    units)."""
+    """Whether a | b in R, for nonzero a, b in Z[u][v]: exactly when
+    a / gcd2(a, b) has a nonzero constant term; no quotient is built.  A
+    unit a divides, and ord(a) > ord(b) does not, before any gcd (the order
+    of vanishing at the origin is additive and zero on units)."""
     if _constant(a) != 0:
         return True
     if _order(a) > _order(b):
         return False
     return _constant(_cofactor(a, gcd2(a, b))) != 0
-
-
-def _d_du(f: list) -> list:
-    return _trim([[i * c for i, c in enumerate(row)][1:] for row in f])
-
-
-def _d_dv(f: list) -> list:
-    return [[j * c for c in row] for j, row in enumerate(f)][1:]
 
 
 def _content(*fs: list) -> int:
@@ -555,8 +546,9 @@ class BiFrac:
         h = BiFrac.gcd(gens).num
         if _constant(h):
             return _constant(self.num) == 0
-        rad = _cofactor(h, gcd2(gcd2(h, _d_du(h)), _d_dv(h)))
-        return _divides(rad, self.num)
+        h_u = _trim([[i * c for i, c in enumerate(row)][1:] for row in h])
+        h_v = [[j * c for c in row] for j, row in enumerate(h)][1:]
+        return _divides(_cofactor(h, gcd2(gcd2(h, h_u), h_v)), self.num)
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> Optional["BiFrac"]:
         res = _rational_root(self.residue(), n)

@@ -322,10 +322,9 @@ def buchberger(gens: Iterable[Poly], order, stop=None) -> list[Poly]:
     if unit in lms:
         return [Poly.constant(_ONE, nvars)]
     polys = [Poly(_primitive(_integral(g.terms)), nvars) for g in polys]
-    if stop is not None:
-        for g in polys:
-            if stop(g):
-                return [g]
+    hit = [g for g in polys if stop is not None and stop(g)]
+    if hit:
+        return hit[:1]
     key = order.key
     active: list[int] = []  # indices of the reducers
     pairs: list = []  # (key of the lcm, lcm, i, j), in insertion order
