@@ -858,8 +858,8 @@ class TestRadicalByGcd:
         assert got == sympy_in_radical(sympy, f, gens), query
 
     def test_repeated_factor_needs_its_radical(self):
-        # h = u^2*v^3*(1+u): rad(h) = u*v up to a unit, so u*v lies in the
-        # radical and neither u nor v^3 does
+        # h = u^2*v^3, so rad(h) = u*v: u*v times a unit lies in the
+        # radical, and neither u nor v^3 does
         ideal = IdealHandle([biv("u^2*v^3*(1+u)"), biv("u^3*v^4")])
         assert radical_membership(biv("u*v*(2+v)"), ideal)
         assert not radical_membership(biv("u"), ideal)
@@ -1275,7 +1275,8 @@ class TestEarlyExit:
             assert escapes_origin(full(polys, nelim, stop)) == expect, (f, gens)
 
     def test_stop_saves_s_pairs(self, monkeypatch):
-        # the third remainder, 1 + u, answers; the whole basis takes 39
+        # the third S-pair leaves a remainder in u and v alone with constant
+        # term -1, which answers; the whole basis takes 39
         gens = [pe(g, MODEL_BIVARIATE)
                 for g in ("1 + u - T + (u - 1)*S*T", "T^2", "u + (1 + v)*S*T")]
         full = localring.eliminate
