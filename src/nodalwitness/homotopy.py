@@ -573,16 +573,20 @@ def _avoid_clause(
     entries,  # list of AvoidIdeal
     offset=None,  # the pole-side chart's offset, see _pullback_form_pe
 ) -> tuple:
+    """Each piece misses each excluded locus: E ⊆ √J in R[S, T], with E the
+    piece's complement generators and J the entry pulled back along the
+    piece's map.  One radical query per (piece, entry) decides the whole
+    of E (see `ext_radical_membership`); the first failing pair names the
+    piece and the entry."""
     for name, phi0, phi1, e_gens in pieces:
         for entry in entries:
             j_gens = [PolyExt.constant(b) for b in entry.base]
             for form in entry.forms:
                 pulled = _pullback_form_pe(form, phi0, phi1, offset)
                 j_gens.extend(_clear_content([pulled]))
-            for e in e_gens:
-                if not ext_radical_membership(e, j_gens):
-                    label = entry.label or "center"
-                    return False, f"{name} meets the excluded locus {label}"
+            if not ext_radical_membership(e_gens, j_gens):
+                label = entry.label or "center"
+                return False, f"{name} meets the excluded locus {label}"
     return True, ""
 
 
@@ -910,14 +914,22 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, prec) -> Verdict:
         return Homotopic(witness, LEVEL_CHAIN)
 
     # middle line with integer slope: the interior is a torsor under units,
-    # so the residues must agree exactly
+    # so the residues must agree exactly.  The straight line stays in the
+    # interior over all of r0 = 0 exactly when delta lies in sqrt(r0); over
+    # a two-dimensional base delta may vanish at the closed point only, and
+    # then no witness is built
     left = min(region)
     if len(region) == 1 and left.is_integer:
         w1, w2 = (shift_section(s, left.a, prec).r for s in (s1, s2))
         delta = unit_multiple(w1, w2, prec) - RingElement.one(g.r0.model)
-        if delta.is_zero() or not delta.is_unit():
+        if radical_membership(delta, IdealHandle([g.r0])):
             witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
             return Homotopic(witness, LEVEL_CHAIN)
+        if not delta.is_unit():
+            raise UnsupportedSupport(
+                f"interior residues on l_{left} agree at the closed point "
+                "but differ along r0 = 0"
+            )
         return NotHomotopic(
             "interior residues differ on a middle line "
             "(the region is rigid there)",

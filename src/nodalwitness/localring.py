@@ -335,19 +335,25 @@ def _strip_vars(p: Poly, keep_from: int) -> Poly:
     return Poly(terms, p.nvars - keep_from)
 
 
-def _unit_query(polys: list, nelim: int, f: Optional[Poly]) -> bool:
+def _unit_query(polys: list, nelim: int, fs: Sequence[Poly]) -> bool:
     """Whether the ideal, eliminated to its last variables, escapes the origin.
 
-    With `f` given, the Rabinowitsch generator 1 - t*f is appended first (t
-    is the first variable), so the answer is radical membership of f.  With
-    nelim equal to the number of variables the block order is grevlex and
-    the question is whether the ideal is the unit ideal.  The elimination
-    stops at its first member with a nonzero constant term, which answers
-    yes; only a no takes the whole basis.
+    With fs = [f_1, ..., f_m] nonempty, the generator 1 - Σ t_i·f_i is
+    appended (t_1, ..., t_m are the first variables), so the answer is
+    whether every f_i lies in the radical: modulo a prime p it is a unit
+    when every f_i lies in p, and otherwise a non-constant linear
+    polynomial over the residue field of p, which has a zero (Rabinowitsch's
+    trick, one variable per element).  With nelim equal to the number of
+    variables the block order is grevlex and the question is whether the
+    ideal is the unit ideal.  The elimination stops at its first member
+    with a nonzero constant term, which answers yes; only a no takes the
+    whole basis.
     """
-    if f is not None:
-        n = f.nvars
-        polys = polys + [Poly.constant(Fraction(1), n) - Poly.variable(0, n) * f]
+    if fs:
+        rab = Poly.constant(Fraction(1), fs[0].nvars)
+        for i, f in enumerate(fs):
+            rab = rab - Poly.variable(i, f.nvars) * f
+        polys = polys + [rab]
     return escapes_origin(eliminate(polys, nelim, Poly.constant_coeff))
 
 
@@ -943,29 +949,32 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> 
     return Poly(terms, nvars)
 
 
-def _fibre_query(gens: Sequence[PolyExt], f: Optional[PolyExt]) -> bool:
+def _fibre_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
     """`_ext_query` on the DVR residue fiber: over Q, in the variables
-    [t,] S, T, with each coefficient replaced by its residue."""
-    pad = () if f is None else (0,)  # the exponent of t
+    t_1, ..., t_m, S, T, with each coefficient replaced by its residue."""
+    pad = (0,) * len(fs)  # the exponents of the t's
 
     def placed(g: PolyExt) -> Poly:
         return Poly({pad + k: c.residue() for k, c in g.terms.items()}, len(pad) + 2)
 
-    fp = None if f is None else placed(f)
-    return _unit_query([placed(g) for g in gens], len(pad) + 2, fp)
+    return _unit_query([placed(g) for g in gens], len(pad) + 2, [placed(f) for f in fs])
 
 
-def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt]) -> bool:
-    """Whether 1 (f None) or f (radically) lies in <gens> of R_loc[S, T].
+def _ext_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
+    """Whether 1 (fs empty) or every f in fs (radically) lies in <gens> of
+    R_loc[S, T].
 
-    Exact coefficients, both models: clear denominators, embed into
-    Q[S, T, x] or Q[S, T, u, v], eliminate S and T and ask whether the
-    resulting ideal of Q[x] or Q[u,v] escapes the origin.  This is exact:
-    for generators J with polynomial coefficients, J·R[S,T] = (1) iff
+    A generator free of S and T with a unit coefficient answers yes at once:
+    it is a unit of R[S, T].  Otherwise, with exact coefficients, both
+    models: clear denominators, embed into Q[t, S, T, x] or
+    Q[t, S, T, u, v], eliminate t, S and T and ask whether the resulting
+    ideal of Q[x] or Q[u,v] escapes the origin.  This is exact: for
+    generators J with polynomial coefficients, J·R[S,T] = (1) iff
     J ∩ Q[base] ⊄ (base variables), since clearing the denominators of
     1 = Σ aᵢgᵢ gives such an element, and the polynomial ring localized at
-    the origin maps faithfully flatly to R.  A radical query puts the
-    Rabinowitsch variable t in front of S and T.
+    the origin maps faithfully flatly to R.  A radical query puts one
+    Rabinowitsch variable per f in front of S and T (see `_unit_query`), so
+    a set of m elements is one elimination, not m.
 
     The DVR model asks the residue fiber (coefficients replaced by
     residues, over Q) first, which must answer yes; a nonzero S/T-constant
@@ -977,31 +986,36 @@ def _ext_query(gens: Sequence[PolyExt], f: Optional[PolyExt]) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
+    if any(g.is_st_constant() and g.constant_part().is_unit() for g in gens):
+        return True
     model = gens[0].model
     if model == MODEL_DVR:
-        if not _fibre_query(gens, f):
+        if not _fibre_query(gens, fs):
             return False
         for g in gens:
             if g.is_st_constant() and not g.constant_part().is_zero():
                 return True  # a nonzero base constant is a generic-fiber unit
-        exts = gens if f is None else gens + [f]
+        exts = [*gens, *fs]
         if not all(c.payload.exact for g in exts for c in g.terms.values()):
             raise PrecisionExhausted("truncated coefficient past the residue fiber")
-    off = 0 if f is None else 1
-    n = off + 2 + len(PAYLOADS[model].variables)  # [t,] S, T, base variables
+    off = len(fs)
+    n = off + 2 + len(PAYLOADS[model].variables)  # t's, S, T, base variables
     polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
-    fp = None if f is None else _polyext_clear(f, n, off, off + 2)
-    return _unit_query(polys, off + 2, fp)
+    return _unit_query(polys, off + 2, [_polyext_clear(f, n, off, off + 2) for f in fs])
 
 
 def ext_unit_ideal(gens: Sequence[PolyExt]) -> bool:
     """Whether the generators span the unit ideal of R_loc[S, T]."""
-    return _ext_query(gens, None)
+    return _ext_query(gens, ())
 
 
-def ext_radical_membership(f: PolyExt, gens: Sequence[PolyExt]) -> bool:
-    """Whether f lies in the radical of the generators' ideal in R_loc[S, T]."""
-    return f.is_zero() or _ext_query(gens, f)
+def ext_radical_membership(fs: Sequence[PolyExt], gens: Sequence[PolyExt]) -> bool:
+    """Whether every f in fs lies in the radical of the generators' ideal in
+    R_loc[S, T]: one query for the whole set, with one Rabinowitsch variable
+    per nonzero f.  An empty set, or one of zeros only, lies in every
+    radical."""
+    fs = [f for f in fs if not f.is_zero()]
+    return not fs or _ext_query(gens, fs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nodalwitness import cli
 from nodalwitness.errors import ConsistencyFailure
@@ -29,6 +29,12 @@ TREE_NODAL = (
     '{"roots":[{"base":"[0:1]","children":'
     '[{"at":"node-left"},{"at":{"free":"3/2"}}]}]}\n'
 )
+# a node tower over [0:1] that normalizes to [0, 1/2, 1, 3/2, 2, inf] with a
+# residual puncture on l_2 at 1
+V_LINEAR_TOWER = (
+    '{"roots":[{"base":"[0:1]","children":[{"at":"node-left"},{"at":"node-right",'
+    '"children":[{"at":"node-left"},{"at":{"free":"1"}}]}]}]}\n'
+)
 TREE_TWO_ROOTS = '{"roots":[{"base":"[0:1]"},{"base":"[1:0]"}]}\n'
 TREE_SPLITTING = (
     '{"roots":[{"base":"[4:1]","children":[{"at":{"free":"5"}}]},'
@@ -36,7 +42,7 @@ TREE_SPLITTING = (
 )
 # a node tower with residual punctures at 5 and 2: deciding this pair runs
 # no Groebner, and certifying its ghost witness against the punctures runs
-# it 21 times, the first run reducing 2 S-pairs (pinned in test_homotopy),
+# it 8 times, the first run reducing 2 S-pairs (pinned in test_homotopy),
 # so a budget of 1 trips inside the self-certification
 TREE_PUNCTURED = (
     '{"roots":[{"base":"[0:1]","children":[{"at":"node-left","children":'
@@ -683,26 +689,47 @@ class TestFuzz:
                 verified = invoke_fuzzed(verify, built[1])
                 assert verified is not None and verified[0] == 0, (argv, built, verified)
 
-    @given(case=instances(), tree=forests(), data=st.data(),
+    # a bivariate pair on the interior of the middle line l_1 whose residues
+    # agree at the closed point only (delta = v), under a tower whose
+    # normalization puts l_3/2 above l_1 and a puncture on l_2: the straight
+    # line used to leave the interior and fail its own certification; the
+    # second is the same defect as the fuzz first found it, moved to [-1:1]
+    @example(
+        case=(["--ring", "bivariate"], ["--r0=u", "--s1=u", "--s2=u*(1+v)"]),
+        tree=V_LINEAR_TOWER,
+        edits=[("", False), ("", False)],
+        cap=None,
+    )
+    @example(
+        case=(["--ring", "bivariate"], ["--r0=u*1", "--s1=u", "--s2=(0+0^0+v)",
+                                        "--chart1=infinite", "--chart2=infinite"]),
+        tree='{"roots": [{"base": "[0:1]"}, {"base": "[-1:1]", "children": '
+             '[{"at": "node-left"}, {"at": "node-right", "children": '
+             '[{"at": "node-left"}, {"at": {"free": "1"}}]}]}]}\n',
+        edits=[("-1 + ", False), ("-1 + ", True)],
+        cap=None,
+    )
+    @given(case=instances(), tree=forests(),
+           edits=st.lists(st.tuples(st.sampled_from(["", "", "2 + ", "-1 + ", "1/2 + "]),
+                                    st.booleans()), min_size=2, max_size=2),
            cap=st.sampled_from([None, *range(1, 9)]))
     @settings(max_examples=40, deadline=None)
-    def test_drawn_forests_exit_cleanly(self, case, tree, data, cap):
-        # sections are often moved onto the roots' points, and into the
-        # maximal ideal; decide general certifies the witnesses it builds,
-        # so ConsistencyFailure fails here, also when a small S-pair budget
-        # trips inside that certification
+    def test_drawn_forests_exit_cleanly(self, case, tree, edits, cap):
+        # sections are often moved onto the roots' points (an offset), and
+        # into the maximal ideal (a lift); decide general certifies the
+        # witnesses it builds, so ConsistencyFailure fails here, also when a
+        # small S-pair budget trips inside that certification
         flags, argv = case
         if cap is not None:
             flags = flags + [f"--groebner-cap={cap}"]
         var = "u" if "bivariate" in flags else "x"
-        offsets = st.sampled_from(["", "", "2 + ", "-1 + ", "1/2 + "])
-        lifts = st.sampled_from(["", f"{var}*"])
-        argv = [
-            a.replace("=", "=" + data.draw(offsets) + data.draw(lifts), 1)
-            if a.startswith("--s")
-            else a
-            for a in argv
-        ]
+        edit = iter(edits)
+
+        def moved(a):
+            offset, lift = next(edit)
+            return a.replace("=", "=" + offset + (f"{var}*" if lift else ""), 1)
+
+        argv = [moved(a) if a.startswith("--s") else a for a in argv]
         code, out, err = invoke(
             flags + ["decide", "general"] + argv + ["--tree", "-"], tree
         )

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nodalwitness.blowuptree import (
     NODE_LEFT,
+    NODE_RIGHT,
     BasePoint,
     BlowupTree,
     FreePoint,
@@ -672,6 +673,73 @@ class TestVerify:
         assert isinstance(bool(report), bool)
 
 
+def corrupted(model, r0, a, b, how):
+    """Instance and witness decide_nodal builds on X1, the ghost's first
+    piece optionally rerouted (how="h1") or its second piece bent
+    (how="h2"); the overlap data follow the first piece."""
+    g = GammaData(parse_element(r0, model))
+    s1, s2 = sec(g, a, model=model), sec(g, b, model=model)
+    w = decide_nodal(X1, s1, s2).witness
+    one, S, T = (pe(t, model) for t in ("1", "S", "T"))
+    if how == "h1":
+        h1m = w.h1 + S * S - S
+        w = dataclasses.replace(w, h1=h1m, hw_den=h1m, hw_num=one + (h1m - one) * T)
+    elif how == "h2":
+        w = dataclasses.replace(w, h2=w.h2 + S * S - S)
+    return g, w, (s1, s2)
+
+
+class TestAvoidanceDetail:
+    """A witness that meets an excluded locus fails `avoidance` with a
+    detail naming the piece and the entry's label, as when the clause
+    asked once per complement generator."""
+
+    @pytest.mark.parametrize("model, r0, a, b, how, points, detail", [
+        (MODEL_DVR, "x^2", "x", "x + x^2", "h1", (),
+         "V1 meets the excluded locus center <r0/r, Y0>"),
+        (MODEL_DVR, "x^3", "x", "x*(1+x)", "h1", (),
+         "V1 meets the excluded locus center <r0/r, Y0>"),
+        (MODEL_DVR, "x^3", "x^2", "x^2*(1+2*x)", None,
+         (("3", "miss"), ("1", "unit point")), "V1 meets the excluded locus unit point"),
+        (MODEL_DVR, "x^2", "x", "x + x^2", None, (("1", None),),
+         "V1 meets the excluded locus center"),
+        (MODEL_BIVARIATE, "u^2", "u", "u*(1+u)", "h1", (),
+         "V1 meets the excluded locus center <r0/r, Y0>"),
+        (MODEL_BIVARIATE, "u*v", "u", "u*(1+v)", "h2", (),
+         "V2 meets the excluded locus center <r0/r, Y0>"),
+        (MODEL_BIVARIATE, "u*v", "u", "u*(1+v)", None,
+         (("3", "miss"), ("1", "unit point")), "V1 meets the excluded locus miss"),
+        (MODEL_BIVARIATE, "u^2", "u", "u*(1+u)", None,
+         (("3", "miss"), ("1", "unit point")), "V1 meets the excluded locus unit point"),
+        (MODEL_BIVARIATE, "u^2", "u^2", "u^2 + u^2*v", None, (("0", "zero section"),),
+         "path meets the excluded locus zero section"),
+    ])
+    def test_detail_names_the_piece_and_the_entry(self, model, r0, a, b, how, points, detail):
+        g, w, sections = corrupted(model, r0, a, b, how)
+        one = RingElement.one(model)
+        entries = [
+            AvoidIdeal(base=(g.r0,), forms=(YForm(one, -parse_element(c, model), 1),),
+                       label=label)
+            for c, label in points
+        ]
+        report = verify_witness(X1, g, w, sections, entries)
+        assert [c.detail for c in report.failures() if c.name == "avoidance"] == [detail]
+
+    @pytest.mark.parametrize("model, r0, a, b", [
+        (MODEL_DVR, "x^2", "x", "x + x^2"),
+        (MODEL_BIVARIATE, "u*v", "u", "u*(1+v)"),
+    ])
+    def test_one_radical_query_per_piece_and_entry(self, model, r0, a, b, monkeypatch):
+        # three pieces (V1, V2 and their overlap W) times the two centers
+        calls = []
+        query = homotopy.ext_radical_membership
+        monkeypatch.setattr(homotopy, "ext_radical_membership",
+                            lambda fs, gens: calls.append(len(fs)) or query(fs, gens))
+        g, w, sections = corrupted(model, r0, a, b, None)
+        assert verify_witness(X1, g, w, sections)
+        assert len(calls) == 6 and max(calls) == len(w.excluded)
+
+
 # --- the nodal decision -----------------------------------------------------
 
 
@@ -809,8 +877,9 @@ class TestDecideNodal:
         # the premise of the --groebner-cap 1 tests in test_cli: deciding
         # this pair (TREE_PUNCTURED there) runs no Groebner, its radical
         # query being a gcd; certifying the ghost witness against the two
-        # residual punctures runs it 21 times, the first run reducing 2
-        # S-pairs and none more than 4
+        # residual punctures runs it 8 times (one radical query per piece
+        # and entry, 21 when it was one per complement generator), the
+        # first run reducing 2 S-pairs and none more than 4
         runs = []
         buchberger, s_poly = polyring.buchberger, polyring.s_poly
 
@@ -831,7 +900,7 @@ class TestDecideNodal:
         assert isinstance(decide_nodal(X1, s1, s2), Homotopic)
         assert runs == []
         assert isinstance(decide_general(t, s1, s2), Homotopic)
-        assert runs == [2, 3, 3, 3, 4, 0, 0, 1, 1, 0, 0, 0, 0, 1, 4, 1, 4, 1, 1, 1, 1]
+        assert runs == [2, 3, 4, 1, 4, 4, 1, 1]
 
     def test_bivariate_radical_without_membership(self):
         # r0 = u^4, values u^2*unit: the blown-center ideal is <u^2> and
@@ -1254,6 +1323,40 @@ class TestDecideGeneral:
         v = decide_general(forest, *pair)
         assert v.tag == tag
         assert verdict_to_json(v) == verdict_to_json(decide_general(alone, *pair))
+
+    def test_residues_agreeing_only_at_the_closed_point_abstain(self):
+        # the tower normalizes to [0, 1/2, 1, 3/2, 2, inf] with a puncture
+        # on l_2 at 1; u and u*(1+v) sit on the interior of the middle line
+        # l_1 with delta = v, outside sqrt(r0) = (u): the straight line
+        # leaves the interior along u = 0 (its node ideal on l_3/2 is not
+        # principal), so the decision abstains instead of building it
+        # (it raised ConsistencyFailure), and so does decide nodal on the
+        # normalized chain (it returned that line, which verify rejected)
+        t = BlowupTree((TreeVertex(ORIGIN, (
+            TreeVertex(NodePos(NODE_LEFT)),
+            TreeVertex(NodePos(NODE_RIGHT), (
+                TreeVertex(NodePos(NODE_LEFT)), TreeVertex(FreePoint(Fraction(1))),
+            )),
+        )),))
+        g = GammaData(biv("u"))
+        s1 = SectionData(g, biv("u"))
+        X = NodalSurface((ZERO, Slope(1, 2), Slope(1, 1), Slope(3, 2), Slope(2, 1), INF))
+        for s2 in ("u*(1+v)", "u*(1+v)*(1+u)", "u + 2*u*v"):
+            pair = s1, SectionData(g, biv(s2))
+            for v in (decide_general(t, *pair), decide_nodal(X, *pair)):
+                assert isinstance(v, Undecidable), s2
+                assert v.reason == "unsupported-support"
+                assert "l_1" in v.detail
+        # delta in sqrt(r0): the line certifies against the puncture, in
+        # both models
+        for model, r0, s2 in ((MODEL_BIVARIATE, "u", "u*(1+u)"),
+                              (MODEL_BIVARIATE, "u", "u + u^2*v"),
+                              (MODEL_DVR, "x", "x*(1+x)")):
+            g = GammaData(parse_element(r0, model))
+            pair = SectionData(g, parse_element(r0, model)), SectionData(g, parse_element(s2, model))
+            v = decide_general(t, *pair)
+            assert isinstance(v, Homotopic) and v.level == LEVEL_CHAIN
+            assert verify_witness(X, g, v.witness, pair)
 
     @pytest.mark.parametrize("model", [MODEL_DVR, MODEL_BIVARIATE])
     def test_punctured_top_with_a_residual_below(self, model):

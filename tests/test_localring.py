@@ -945,7 +945,7 @@ class TestIdeals:
         gens = data.draw(st.lists(any_elements(model), max_size=3))
         expect = radical_membership(f, IdealHandle(gens, model=model))
         got = ext_radical_membership(
-            PolyExt.constant(f), [PolyExt.constant(g) for g in gens]
+            [PolyExt.constant(f)], [PolyExt.constant(g) for g in gens]
         )
         assert got == expect
 
@@ -1104,22 +1104,22 @@ class TestExtEngine:
         assert not ext_unit_ideal([pe("x"), pe("x^2"), pe("1 + S")])
 
     def test_radical_dvr(self):
-        assert ext_radical_membership(pe("x*S"), [pe("x^2*S^2")])
-        assert not ext_radical_membership(pe("S"), [pe("x*S")])
-        assert not ext_radical_membership(pe("T"), [pe("S^2"), pe("x*T")])
-        assert ext_radical_membership(pe("S*T"), [pe("S^2")])
+        assert ext_radical_membership([pe("x*S")], [pe("x^2*S^2")])
+        assert not ext_radical_membership([pe("S")], [pe("x*S")])
+        assert not ext_radical_membership([pe("T")], [pe("S^2"), pe("x*T")])
+        assert ext_radical_membership([pe("S*T")], [pe("S^2")])
 
     def test_radical_biv(self):
         assert ext_radical_membership(
-            pe("u*S", MODEL_BIVARIATE), [pe("u^2*S^2", MODEL_BIVARIATE)]
+            [pe("u*S", MODEL_BIVARIATE)], [pe("u^2*S^2", MODEL_BIVARIATE)]
         )
         assert not ext_radical_membership(
-            pe("u", MODEL_BIVARIATE), [pe("v*S", MODEL_BIVARIATE)]
+            [pe("u", MODEL_BIVARIATE)], [pe("v*S", MODEL_BIVARIATE)]
         )
 
     def test_zero_member(self):
         assert ext_radical_membership(
-            PolyExt(MODEL_DVR, {}), [pe("S")]
+            [PolyExt(MODEL_DVR, {})], [pe("S")]
         )
 
     @given(st.data())
@@ -1145,7 +1145,7 @@ class TestExtEngine:
         g1 = s.scale(a)
         g2 = t.scale(b) + PolyExt.constant(a)
         f = g1 * g2  # manifestly in the ideal
-        assert ext_radical_membership(f, [g1, g2])
+        assert ext_radical_membership([f], [g1, g2])
 
 
 # --- the DVR extension engine against sympy ---------------------------------------
@@ -1230,7 +1230,7 @@ class TestExtEngineAgainstSympy:
     def test_exact_queries(self, query):
         sympy = pytest.importorskip("sympy")
         f, gens = query
-        got = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+        got = ext_unit_ideal(gens) if f is None else ext_radical_membership([f], gens)
         assert got == sympy_ext_answer(sympy, gens, f), query
 
 
@@ -1268,7 +1268,7 @@ class TestEarlyExit:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(localring, "eliminate", recording)
-            ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+            ext_unit_ideal(gens) if f is None else ext_radical_membership([f], gens)
         for polys, nelim, stop in seen:
             assert stop is not None
             expect = escapes_origin(full(polys, nelim))
@@ -1291,6 +1291,104 @@ class TestEarlyExit:
         assert len(pairs) == 39
 
 
+def sympy_biv_ext_answer(sympy, gens, f):
+    """Radical membership of f in <gens>·R[S, T] in the bivariate model, by
+    one Rabinowitsch variable: 1 - t*f joins the generators, each times a
+    unit that clears its denominators, in Q[t, S, T, u, v]; sympy's lex
+    basis eliminates t, S and T, and f is a member exactly when a basis
+    element free of them has a nonzero constant term."""
+    t, S, T, u, v = sympy.symbols("t S T u v")
+
+    def poly(p):
+        return sum((sympy.Rational(c) * u**i * v**j for (i, j), c in p.terms.items()),
+                   sympy.Integer(0))
+
+    def expr(g):
+        total = sympy.Integer(0)
+        for (i, j), c in g.terms.items():
+            num, den = c.payload.polys()
+            total += poly(num) / (1 if den is None else poly(den)) * S**i * T**j
+        return sympy.fraction(sympy.together(total))[0]
+
+    basis = sympy.groebner([expr(g) for g in gens] + [1 - t * expr(f)],
+                           t, S, T, u, v, order="lex", domain=sympy.QQ)
+    return any(
+        sympy.Poly(e, u, v).as_dict().get((0, 0), 0) != 0
+        for e in basis.exprs if not e.free_symbols & {t, S, T}
+    )
+
+
+@st.composite
+def two_element_queries(draw):
+    """(fs, gens) for a radical query of two elements in either model, with
+    at most two generators.  Half the time the first is the sum of the
+    generators, in the ideal by construction, so that only the second can
+    leave the radical."""
+    model = draw(st.sampled_from(MODELS))
+    queries = generic_fibre_queries() if model == MODEL_DVR else biv_ext_queries()
+    queries = queries.filter(lambda q: q[0] is not None)
+    f2, gens = draw(queries)
+    gens = gens[:2]
+    f1 = gens[0] + gens[-1] if draw(st.booleans()) else draw(queries)[0]
+    return [f1, f2], gens
+
+
+class TestOneQueryPerSet:
+    """E ⊆ √J is one query, J + (1 - Σ tᵢeᵢ) = (1) with one variable per
+    element, where the verifier used to ask once per element."""
+
+    @given(two_element_queries())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_multi_t_query_agrees_with_one_query_per_element_and_sympy(self, query):
+        sympy = pytest.importorskip("sympy")
+        fs, gens = query
+        each = [ext_radical_membership([f], gens) for f in fs]
+        assert ext_radical_membership(fs, gens) == all(each), query
+        oracle = sympy_ext_answer if gens[0].model == MODEL_DVR else sympy_biv_ext_answer
+        assert each == [oracle(sympy, gens, f) for f in fs], query
+
+    @pytest.mark.parametrize("model, gens, inside, outside", [
+        (MODEL_DVR, ["S^2"], "S*T", "T"),
+        (MODEL_DVR, ["x*S", "x^2*T"], "x*S*T", "S"),
+        (MODEL_BIVARIATE, ["u*S"], "u^2*S*T", "S"),
+        (MODEL_BIVARIATE, ["u*v*S", "v*T"], "v*S*T", "u*S"),
+    ])
+    def test_only_the_second_element_leaves_the_radical(self, model, gens, inside, outside):
+        gens = [pe(g, model) for g in gens]
+        inside, outside = pe(inside, model), pe(outside, model)
+        assert ext_radical_membership([inside], gens)
+        assert not ext_radical_membership([outside], gens)
+        assert not ext_radical_membership([inside, outside], gens)
+        assert not ext_radical_membership([outside, inside], gens)
+        assert ext_radical_membership([inside, inside * inside], gens)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_set_is_one_elimination(self, model, monkeypatch):
+        # the DVR model also asks its residue fibre, one more elimination
+        runs = []
+        full = localring.eliminate
+        monkeypatch.setattr(localring, "eliminate",
+                            lambda *a: runs.append(a[1]) or full(*a))
+        var = "x" if model == MODEL_DVR else "u"
+        gens = [pe(f"{var}^2*S^2", model), pe(f"{var}*T", model)]
+        fs = [pe(f"{var}*S", model), pe(f"{var}*T", model), pe(f"{var}*S*T", model)]
+        assert ext_radical_membership(fs, gens)
+        assert runs == ([5, 5] if model == MODEL_DVR else [5])
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_unit_base_generator_answers_without_elimination(self, model, monkeypatch):
+        monkeypatch.setattr(localring, "eliminate", lambda *a: pytest.fail("eliminated"))
+        var = "x" if model == MODEL_DVR else "u"
+        gens = [pe(f"{var}*S", model), pe(f"1 + {var}", model)]
+        assert ext_radical_membership([pe("S", model), pe("T", model)], gens)
+        assert ext_unit_ideal(gens)
+
+    def test_empty_and_zero_sets_lie_in_every_radical(self, monkeypatch):
+        monkeypatch.setattr(localring, "eliminate", lambda *a: pytest.fail("eliminated"))
+        assert ext_radical_membership([], [pe("S")])
+        assert ext_radical_membership([PolyExt(MODEL_DVR, {})], [pe("S")])
+
+
 # An exact DVR radical query of S/T-degree 2: its elimination in Q[t, S, T, x]
 # makes 125 reductions, with remainder coefficients of up to 439 bits.
 STRETCH_F = "-x*T^2 + (2/3*x - 1/3*x^2 + 4*x^3)*S*T + (4*x - x^2)*S^2"
@@ -1311,7 +1409,7 @@ class TestDegreeTwoExactQuery:
     def test_answers_false_within_its_budget(self):
         f, gens = stretch_query()
         start = time.perf_counter()
-        got = ext_radical_membership(f, gens)
+        got = ext_radical_membership([f], gens)
         elapsed = time.perf_counter() - start
         assert got is False
         assert elapsed < STRETCH_BUDGET_S, elapsed
@@ -1344,9 +1442,9 @@ class TestTruncatedCoefficients:
         f, gens = query
         tgens = [truncated_copy(data.draw, g) for g in gens]
         tf = None if f is None else truncated_copy(data.draw, f)
-        exact = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+        exact = ext_unit_ideal(gens) if f is None else ext_radical_membership([f], gens)
         try:
-            got = ext_unit_ideal(tgens) if f is None else ext_radical_membership(tf, tgens)
+            got = ext_unit_ideal(tgens) if f is None else ext_radical_membership([tf], tgens)
         except PrecisionExhausted:
             return
         assert got == exact, (tf, tgens)
@@ -1362,16 +1460,16 @@ class TestTruncatedCoefficients:
             gens = gens + [PolyExt(MODEL_DVR, {(0, 0): dvr_coeff([Fraction(0)] + base)})]
         tgens = [truncated_copy(data.draw, g) for g in gens]
         tf = None if f is None else truncated_copy(data.draw, f)
-        open_past_both = localring._fibre_query(gens, f) and not any(
+        open_past_both = localring._fibre_query(gens, [] if f is None else [f]) and not any(
             g.is_st_constant() and not g.constant_part().is_zero() for g in gens
         )
         try:
-            got = ext_unit_ideal(tgens) if f is None else ext_radical_membership(tf, tgens)
+            got = ext_unit_ideal(tgens) if f is None else ext_radical_membership([tf], tgens)
         except PrecisionExhausted:
             assert open_past_both, (tf, tgens)
             return
         assert not open_past_both, (tf, tgens)
-        exact = ext_unit_ideal(gens) if f is None else ext_radical_membership(f, gens)
+        exact = ext_unit_ideal(gens) if f is None else ext_radical_membership([f], gens)
         assert got == exact, (tf, tgens)
 
     # Fixed inputs for the rule: a truncated query raises only after the
@@ -1385,7 +1483,7 @@ class TestTruncatedCoefficients:
     def test_truncated_query_refused_by_the_residue_fibre_answers(self):
         g = polyext_from_json({"S": "1 + x + O(x^2)"}, MODEL_DVR)
         assert not ext_unit_ideal([g])
-        assert not ext_radical_membership(parse_polyext("1", MODEL_DVR), [g])
+        assert not ext_radical_membership([parse_polyext("1", MODEL_DVR)], [g])
 
     def test_truncated_query_with_a_base_constant_answers(self):
         gens = [

@@ -246,7 +246,7 @@ class TestCoefficientGrowth:
     def test_stretch_query_remainders_stay_small(self, monkeypatch):
         f, gens = stretch_query()
         bits = record_coefficient_bits(monkeypatch)
-        assert not ext_radical_membership(f, gens)
+        assert not ext_radical_membership([f], gens)
         assert max(bits) <= STRETCH_BITS
 
     def test_guard_trips_without_the_content_division(self, monkeypatch):
@@ -258,7 +258,7 @@ class TestCoefficientGrowth:
         set_spair_cap(30)
         try:
             with pytest.raises(DegreeCapExceeded):
-                ext_radical_membership(f, gens)
+                ext_radical_membership([f], gens)
         finally:
             set_spair_cap(None)
         assert max(bits) > STRETCH_BITS
