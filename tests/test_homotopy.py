@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nodalwitness.blowuptree import (
     NODE_LEFT,
@@ -390,6 +390,27 @@ class TestLocatedRegions:
         if len(region) == 1 and left.is_integer:
             assert all(w.is_unit() for w in shifted)
             assert unit_multiple(*shifted).is_unit()
+
+
+    @example(case=(chain_surface(0, 1, 2), (
+        SectionData(GammaData(biv("u^2")), biv("u^2")),
+        SectionData(GammaData(biv("u^2")), biv("u^2*(1 - v)")),
+    )))
+    @settings(max_examples=100, deadline=None)
+    @given(case=main_pairs())
+    def test_every_built_witness_verifies(self, case):
+        # a bivariate pair on a middle integer line whose residues agree
+        # only at the closed point (delta a nonunit outside sqrt(r0), as
+        # r0 = u^2, values u^2 and u^2*(1 - v) on [0, 1, 2, inf]) used to
+        # get a straight line that fails line-lift; it now abstains
+        X, pair = case
+        try:
+            v = decide_nodal(X, *pair)
+        except LiftRequired:
+            return
+        if isinstance(v, Homotopic):
+            report = verify_witness(X, pair[0].gamma, v.witness, pair)
+            assert report, (X.lines, [s.r for s in pair], str(report))
 
 
 class TestShift:
