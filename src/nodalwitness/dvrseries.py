@@ -258,6 +258,11 @@ class Series:
         leading term of a series is always known), with no precision."""
         return other.val >= self.val
 
+    def powers_divide(self, m: int, other: "Series", n: int) -> tuple:
+        """(self^m | other^n, other^n | self^m), with no powers built."""
+        vm, vn = m * self.val, n * other.val
+        return vm <= vn, vn <= vm
+
     @staticmethod
     def gcd(gens: list) -> "Series":
         return Series.monomial(min(g.val for g in gens))

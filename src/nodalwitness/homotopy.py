@@ -43,7 +43,6 @@ from .errors import (
 )
 from .farey import INF, ZERO, Slope
 from .localring import (
-    MODEL_DVR,
     IdealHandle,
     PolyExt,
     RingElement,
@@ -56,6 +55,7 @@ from .localring import (
     parse_element,
     polyext_from_json,
     polyext_to_json,
+    powers_divide,
     radical_membership,
     unit_multiple,
 )
@@ -169,22 +169,12 @@ def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
         return NodeLoc(X.lines[-2], INF)
     if r.is_unit():
         return Interior(ZERO)
-    dvr = r.model == MODEL_DVR
-    if dvr:
-        v0, v = r0.valuation(), r.valuation()
     prev = ZERO
     for t in X.lines[:-1]:
         if t == ZERO:
             continue
-        if dvr:
-            # r0^a | r^b  <=>  a*v(r0) <= b*v(r): no powers, no precision
-            down = t.a * v0 <= t.b * v  # section at slope >= t
-            up = t.b * v <= t.a * v0  # section at slope <= t
-        else:
-            a_pow = r0 ** t.a
-            b_pow = r ** t.b
-            down = divides(a_pow, b_pow)  # section at slope >= t
-            up = divides(b_pow, a_pow)  # section at slope <= t
+        # r0^a | r^b puts the section at slope >= t, r^b | r0^a at <= t
+        down, up = powers_divide(r0, t.a, r, t.b)
         if down and up:
             return Interior(t)
         if down:

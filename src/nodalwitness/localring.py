@@ -22,16 +22,15 @@ truncated coefficient that neither this check nor a base constant settles.
 
 Each model's element rules live on its payload class (`Series`, `BiFrac`):
 the class attributes `model`, `variables` and `allow_o`, and `zero`,
-`from_fraction`, ring arithmetic, `divide_in_ring`, `divides`, `gcd`,
-`order`, `polys`, `in_ideal`, `in_radical`, `nth_root_unit` and
-`to_text`.  `RingElement` holds only its payload, and `PAYLOADS` maps a
-model string to its class.
-Five sites still compare model strings, each for a reason: `valuation` and
+`from_fraction`, ring arithmetic, `divide_in_ring`, `divides`,
+`powers_divide`, `gcd`, `order`, `polys`, `in_ideal`, `in_radical`,
+`nth_root_unit` and `to_text`.  `RingElement` holds only its payload, and
+`PAYLOADS` maps a model string to its class.
+Four sites still compare model strings, each for a reason: `valuation` and
 `substitute_base` are DVR-only and raise ModelMismatch otherwise;
 `_ext_query` checks the DVR residue fibre first and abstains on truncated
-coefficients; `_from_raw` calls the module global
-`_series_from_raw`, which tests patch; and `homotopy.closed_point_image`
-reads valuations instead of building powers.
+coefficients; and `_from_raw` calls the module global `_series_from_raw`,
+which tests patch.
 """
 
 from __future__ import annotations
@@ -513,6 +512,12 @@ class BiFrac:
         """Denominators are units, so the numerators decide (`_divides`)."""
         return _divides(self.num, o.num)
 
+    def powers_divide(self, m: int, o: "BiFrac", n: int) -> tuple:
+        """(self^m | o^n, o^n | self^m), on the numerators of both powers."""
+        one = BiFrac.from_fraction(1)
+        p, q = power(self, m, one).num, power(o, n, one).num
+        return _divides(p, q), _divides(q, p)
+
     @staticmethod
     def gcd(gens: list) -> "BiFrac":
         acc = gens[0].num
@@ -694,6 +699,12 @@ def divides(a: RingElement, b: RingElement) -> bool:
     if b.is_zero():
         return True
     return a.payload.divides(b.payload)
+
+
+def powers_divide(a: RingElement, m: int, b: RingElement, n: int) -> tuple:
+    """(a^m | b^n, b^n | a^m) for nonzero a and b; the payload answers."""
+    a._match(b)
+    return a.payload.powers_divide(m, b.payload, n)
 
 
 def unit_multiple(
