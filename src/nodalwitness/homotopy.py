@@ -18,7 +18,6 @@ as an explicit Undecidable tag rather than a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .blowuptree import (
@@ -548,16 +547,6 @@ def _pullback_form_pe(form: YForm, phi0: PolyExt, phi1: PolyExt, offset=None):
     return sum(terms, PolyExt(model, {}))
 
 
-def _coerce_avoid(entries) -> list:
-    out = []
-    for entry in entries or []:
-        if isinstance(entry, IdealHandle):
-            out.append(AvoidIdeal(base=tuple(entry.gens), forms=()))
-        else:
-            out.append(entry)
-    return out
-
-
 def _avoid_clause(
     pieces,  # list of (piece_name, phi0, phi1, E_gens: list[PolyExt])
     entries,  # list of AvoidIdeal
@@ -784,14 +773,14 @@ def verify_witness(
     avoid=None,
     prec: int = DEFAULT_PREC,
 ) -> VerificationReport:
-    """Independent clause-by-clause check of a homotopy witness.
+    """Independent clause-by-clause check of a homotopy witness, whose
+    pieces must also miss each AvoidIdeal in `avoid`.
 
     Returns a truthy report when every clause holds; on well-formed input
     it records failures (including honest "could not be determined" ones)
     instead of raising.
     """
     s1, s2 = endpoints
-    avoid = _coerce_avoid(avoid)
     report = VerificationReport()
     try:
         if isinstance(w, StraightLine):
@@ -844,41 +833,80 @@ def decide_nodal(
     s2: SectionData,
     prec: int = DEFAULT_PREC,
 ) -> Verdict:
-    """Are the two sections connected on X, and by what witness?"""
+    """Are the two sections connected on X, and by what witness?  The tower
+    step with no residual centers."""
+    return _decide(
+        s1, s2, X.node_count == 1, lambda: _decide_tower(X, (), s1, s2, prec)
+    )
+
+
+def _decide(s1: SectionData, s2: SectionData, blank: bool, step) -> Verdict:
+    """The driver of both decisions.  Off the main regime, or when nothing
+    is blown up (`blank`: X = P^1, or an empty tree), no path has anything
+    to lift; otherwise `step()` decides, and an engine error it raises
+    becomes the abstention `_ABSTENTIONS` names."""
     _require_shared_gamma(s1, s2)
-    g = s1.gamma
     try:
-        return _decide_nodal_core(X, s1, s2, g, prec)
+        if classify_gamma(s1.gamma) != REGIME_MAIN or blank:
+            return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
+        return step()
     except tuple(_ABSTENTIONS) as exc:
         return Undecidable(_ABSTENTIONS[type(exc)], str(exc))
 
 
-def _decide_nodal_core(X, s1, s2, g, prec) -> Verdict:
-    if classify_gamma(g) != REGIME_MAIN or X.node_count == 1:
-        # on X = P^1 nothing is blown up, so no path has anything to lift
-        return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
-    _, region = _locate_pair(X, s1, s2)
-    if isinstance(region, NotHomotopic):
-        return region
-    return _decide_in_region(X, s1, s2, g, region, prec)
-
-
-def _locate_pair(X: NodalSurface, s1: SectionData, s2: SectionData):
-    """Where both sections land, and the region they share or the
-    NotHomotopic verdict for different regions.  closed_point_image is the
-    decision's one comparability check: it raises LiftRequired exactly for
-    a section that does not lift (see `lifts`)."""
+def _decide_tower(X: NodalSurface, marks, s1, s2, prec) -> Verdict:
+    """The tower step: two main-regime sections on X, whose lines carry the
+    residual free centers `marks` (LinePoints).  It locates both sections
+    (closed_point_image is the decision's one comparability check: it
+    raises LiftRequired exactly for a section that does not lift, see
+    `lifts`), checks them against the marks, decides in their shared
+    region, and certifies a Homotopic witness against the marks."""
+    g = s1.gamma
     locs = closed_point_image(X, s1), closed_point_image(X, s2)
     region = location_slopes(locs[0])
     if region != location_slopes(locs[1]):
-        return locs, NotHomotopic(
+        return NotHomotopic(
             f"sections pass through different fiber regions: {locs[0]} vs {locs[1]}"
         )
-    return locs, region
+
+    # sections sitting exactly on a residual center are out of scope
+    for s, loc in zip((s1, s2), locs):
+        on_line = isinstance(loc, Interior) and [
+            m.coord for m in marks if m.slope == loc.slope
+        ]
+        if on_line and _slope_unit(g.r0, s.r, loc.slope, prec).residue() in on_line:
+            raise UnsupportedSupport("section passes through a residual blowup center")
+
+    top = X.lines[-2]
+    punctures = [m for m in marks if m.slope == top]
+    if region == frozenset({top}) and punctures:
+        # the free top region is punctured: an affine line minus >= 1 points
+        # is rigid over the residue field, so interior residues must agree
+        w1, w2 = (shift_section(s, top.a, prec).r for s in (s1, s2))
+        delta = w2 - w1
+        if not delta.is_zero() and delta.is_unit():
+            return NotHomotopic(
+                "interior residues differ in a punctured free region "
+                f"({len(punctures)} puncture(s) on l_{top})",
+                delta=delta,
+            )
+
+    verdict = _decide_in_region(X, s1, s2, g, region, prec)
+
+    # certify Homotopic witnesses against the residual punctures
+    if isinstance(verdict, Homotopic) and marks:
+        w = verdict.witness
+        if isinstance(w, GhostWitness):
+            k, center = w.shift, w.blown_center
+        else:
+            k, center = 0, RingElement.one(g.r0.model)
+        entries = [_puncture_avoid_entry(m, g, k, center) for m in marks]
+        _verify_or_raise("residual avoidance", X, g, w, (s1, s2), entries, prec)
+    return verdict
 
 
 def _decide_in_region(X, s1, s2, g, region: frozenset, prec) -> Verdict:
-    """Decide two main-regime sections that `_locate_pair` put in `region`.
+    """Decide two main-regime sections that `_decide_tower` put in `region`.
 
     Locating compared r0^a with r^b, and both models are UFDs, so nothing
     here checks it again.  On an integer middle line t, r = unit*r0^t, so
@@ -986,10 +1014,11 @@ def _root_avoid_entries(roots, g: GammaData) -> list:
     ]
 
 
-def _interior_coordinate(s: SectionData, t: Slope, prec: int) -> Fraction:
-    """Residue of x^a/y^b along a section located in the interior of l_t,
-    where r^b and r0^a differ by a unit."""
-    return unit_multiple(s.r ** t.b, s.gamma.r0 ** t.a, prec).residue()
+def _slope_unit(r0: RingElement, r: RingElement, t: Slope, prec: int):
+    """The unit w = r0^a / r^b at t = a/b, or None: a section with value r
+    lies in the interior of l_t exactly when w exists, and its residue is
+    the section's coordinate on l_t there."""
+    return unit_multiple(r ** t.b, r0 ** t.a, prec)
 
 
 def _puncture_avoid_entry(
@@ -1030,7 +1059,7 @@ def cover_transform(
     """
     a, b = t.a, t.b
     r0, r = g.r0, s1.r
-    w = unit_multiple(r ** b, r0 ** a, prec)
+    w = _slope_unit(r0, r, t, prec)
     if w is None:
         raise PreconditionViolated("section is not located at the given slope")
     rho = nth_root_unit(w, b, prec)
@@ -1084,12 +1113,7 @@ def decide_general(
     t: BlowupTree, s1: SectionData, s2: SectionData, prec: int = DEFAULT_PREC
 ) -> Verdict:
     """Homotopy decision in the presence of arbitrary infinitely near centers."""
-    _require_shared_gamma(s1, s2)
-    g = s1.gamma
-    try:
-        return _decide_general_core(t, s1, s2, g, prec)
-    except tuple(_ABSTENTIONS) as exc:
-        return Undecidable(_ABSTENTIONS[type(exc)], str(exc))
+    return _decide(s1, s2, t.is_empty(), lambda: _decide_general_core(t, s1, s2, prec))
 
 
 def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
@@ -1106,11 +1130,8 @@ def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
         )
 
 
-def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
-    if classify_gamma(g) != REGIME_MAIN or t.is_empty():
-        # an empty tree blows up nothing: the fiber is a projective line
-        return Homotopic(_nonmain_chain(s1, s2), LEVEL_CHAIN)
-
+def _decide_general_core(t, s1, s2, prec) -> Verdict:
+    g = s1.gamma
     root_points = [r.position for r in t.roots]
     if not all(isinstance(rp, BasePoint) for rp in root_points):
         raise UnsupportedSupport(
@@ -1153,47 +1174,8 @@ def _decide_general_core(t, s1, s2, g, prec) -> Verdict:
     hit_root = next(r for r in t.roots if r.position == hit1)
     tower = BlowupTree((TreeVertex(BasePoint.distinguished(), hit_root.children),))
     x_prime, residual = normalize_pure_nodes(tower)
-
-    locs, region = _locate_pair(x_prime, s1, s2)
-    if isinstance(region, NotHomotopic):
-        return region
-
-    # sections sitting exactly on a residual center are out of scope; every
-    # residual root is a LinePoint on a line of x_prime
     marks = [rr.position for rr in residual.roots]
-    for s, loc in zip((s1, s2), locs):
-        on_line = isinstance(loc, Interior) and [
-            m.coord for m in marks if m.slope == loc.slope
-        ]
-        if on_line and _interior_coordinate(s, loc.slope, prec) in on_line:
-            raise UnsupportedSupport("section passes through a residual blowup center")
-
-    top = x_prime.lines[-2]
-    punctures = [m for m in marks if m.slope == top]
-    if region == frozenset({top}) and punctures:
-        # the free top region is punctured: an affine line minus >= 1 points
-        # is rigid over the residue field, so interior residues must agree
-        w1, w2 = (shift_section(s, top.a, prec).r for s in (s1, s2))
-        delta = w2 - w1
-        if not delta.is_zero() and delta.is_unit():
-            return NotHomotopic(
-                "interior residues differ in a punctured free region "
-                f"({len(punctures)} puncture(s) on l_{top})",
-                delta=delta,
-            )
-
-    verdict = _decide_in_region(x_prime, s1, s2, g, region, prec)
-
-    # certify Homotopic witnesses against the residual punctures
-    if isinstance(verdict, Homotopic) and marks:
-        w = verdict.witness
-        if isinstance(w, GhostWitness):
-            k, center = w.shift, w.blown_center
-        else:
-            k, center = 0, RingElement.one(g.r0.model)
-        entries = [_puncture_avoid_entry(m, g, k, center) for m in marks]
-        _verify_or_raise("residual avoidance", x_prime, g, w, (s1, s2), entries, prec)
-    return verdict
+    return _decide_tower(x_prime, marks, s1, s2, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ from nodalwitness.homotopy import (
 from nodalwitness.localring import (
     MODEL_BIVARIATE,
     MODEL_DVR,
-    IdealHandle,
     RingElement,
     pair_principal,
     parse_element,
@@ -605,9 +604,17 @@ class TestVerify:
         assert not verify_witness(X1, G2, w, (s1, s2), [hit])
         assert verify_witness(X1, G2, w, (s1, s2), [miss])
 
-    def test_plain_ideal_handles_are_accepted_as_avoid_entries(self):
+    def test_ghost_endpoints_must_be_in_the_finite_chart(self):
         w, s1, s2 = fresh_ghost()
-        entry = IdealHandle([dvr("1")])  # the empty locus obstructs nothing
+        pole_side = SectionData(s2.gamma, s2.r, CHART_INFINITE)
+        report = verify_witness(X1, G2, w, (s1, pole_side))
+        assert [(c.name, c.detail) for c in report.failures()] == [
+            ("endpoints", "ghost endpoints live in the finite chart")
+        ]
+
+    def test_unit_ideal_avoid_entry_obstructs_nothing(self):
+        w, s1, s2 = fresh_ghost()
+        entry = AvoidIdeal(base=(dvr("1"),), forms=())  # the empty locus
         assert verify_witness(X1, G2, w, (s1, s2), [entry])
 
     def test_chain_verification(self):
@@ -1209,6 +1216,19 @@ class TestDecideGeneral:
         v = decide_general(t, sec(G2, "x"), sec(G2, "1 + x"))
         assert isinstance(v, NotHomotopic)
 
+    @pytest.mark.parametrize("model, var", [(MODEL_DVR, "x"), (MODEL_BIVARIATE, "u")])
+    def test_same_root_different_regions(self, model, var):
+        # both sections hit [0:1], whose tower normalizes to [0, 1/2, 1, inf]:
+        # r = r0^(1/2) lands in the interior of l_1/2, r = r0 in that of l_1
+        g = GammaData(parse_element(f"{var}^2", model))
+        s1, s2 = sec(g, var, model=model), sec(g, f"{var}^2", model=model)
+        v = decide_general(tower(ORIGIN, NodePos(NODE_LEFT)), s1, s2)
+        assert isinstance(v, NotHomotopic)
+        assert v.reason == (
+            "sections pass through different fiber regions: "
+            "interior(l_1/2) vs interior(l_1)"
+        )
+
     def test_distinguished_tower_ghost(self):
         t = tower(ORIGIN, NodePos(NODE_LEFT))
         s1, s2 = sec(G2, "x"), sec(G2, "x + x^2")
@@ -1420,7 +1440,7 @@ class TestDecideGeneral:
 
 
 DECISIONS = {
-    "nodal": (decide_nodal, "_decide_nodal_core", lambda: X1),
+    "nodal": (decide_nodal, "_decide_tower", lambda: X1),
     "general": (decide_general, "_decide_general_core", lambda: tower(ORIGIN)),
 }
 
@@ -1480,6 +1500,20 @@ class TestCoverTransform:
             up2 = SectionData(g_up, s2.r)
             lifted = decide_nodal(x_up, up1, up2)
             assert direct.tag == lifted.tag
+
+    @pytest.mark.parametrize("model, var", [(MODEL_DVR, "x"), (MODEL_BIVARIATE, "u")])
+    @pytest.mark.parametrize("e0, e, t", [(2, 3, Slope(3, 2)), (3, 2, Slope(2, 3))])
+    def test_bezout_exponent_below_zero(self, model, var, e0, e, t):
+        # r0 = var^e0 and r = var^e meet at slope e/e0; the Bezout pair of
+        # 3/2 or 2/3 has a negative exponent, so the new base r0~ = var is
+        # an exact quotient of two monomials
+        g = GammaData(parse_element(f"{var}^{e0}", model))
+        s = sec(g, f"{var}^{e}", model=model)
+        g_up, x_up = cover_transform(g, s, s, t)
+        assert g_up.r0 ** t.b == g.r0
+        assert g_up.r0 == parse_element(var, model)
+        integers = [Slope(i, 1) for i in range(1, t.a + 2)]
+        assert list(x_up.lines) == [ZERO, *integers, INF]
 
     def test_missing_root_is_flagged(self):
         # sqrt(2) does not exist over the rationals
