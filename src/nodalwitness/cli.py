@@ -57,22 +57,17 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _read_stdin_json():
-    try:
-        return json.loads(sys.stdin.read())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"stdin is not JSON: {exc}") from exc
-
-
 def _read_json(path: str):
+    """JSON from the file at path, or from stdin for '-'."""
     if path == "-":
-        return _read_stdin_json()
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        text, where = sys.stdin.read(), "stdin"
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text, where = fh.read(), path
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not JSON: {exc}") from exc
+        raise ParseError(f"{where} is not JSON: {exc}") from exc
 
 
 def _parse_slope(text: str) -> Slope:
@@ -113,7 +108,7 @@ def cmd_surface(args) -> int:
     if args.subaction == "new":
         _print_json(NodalSurface.p1().to_json_dict())
         return 0
-    X = NodalSurface.from_json_dict(_read_stdin_json())
+    X = NodalSurface.from_json_dict(_read_json("-"))
     if args.subaction == "blowup":
         _print_json(X.blowup_node(args.node).to_json_dict())
     elif args.subaction == "show":
@@ -143,7 +138,7 @@ def _tree_outline(t: BlowupTree) -> str:
 
 
 def cmd_tree(args) -> int:
-    t = tree_from_json(_read_stdin_json())
+    t = tree_from_json(_read_json("-"))
     if args.subaction == "show":
         if args.output == "json":
             _print_json(tree_to_json(t))
@@ -181,7 +176,7 @@ def cmd_witness(args) -> int:
         # no witness exists (or the engine could not decide): report why
         _print_json(verdict_to_json(verdict))
         return _verdict_exit(verdict)
-    w = witness_from_json(_read_stdin_json(), args.ring, args.trunc)
+    w = witness_from_json(_read_json("-"), args.ring, args.trunc)
     report = verify_witness(X, g, w, (s1, s2), prec=args.trunc)
     if args.output == "json":
         _print_json(

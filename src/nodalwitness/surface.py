@@ -229,10 +229,6 @@ class OpenPatch:
         return f"{self.kind}_{{{inner}}}"
 
 
-def shift_patch(p: OpenPatch, k: int) -> OpenPatch:
-    return p.shift(k)
-
-
 # --- etale covers -------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from nodalwitness.surface import (
     etale_cover_degree,
     etale_cover_target,
     line_label,
-    shift_patch,
 )
 
 
@@ -247,23 +246,23 @@ class TestSerialization:
 class TestOpenPatch:
     def test_shift_single(self):
         p = OpenPatch(PATCH_PLAIN, (Slope(3, 2),))
-        assert shift_patch(p, 1) == OpenPatch(PATCH_PLAIN, (Slope(1, 2),))
+        assert p.shift(1) == OpenPatch(PATCH_PLAIN, (Slope(1, 2),))
 
     def test_shift_pair(self):
         p = OpenPatch(PATCH_PLAIN, (Slope(3, 2), Slope(4, 3)))
-        q = shift_patch(p, 1)
+        q = p.shift(1)
         assert q == OpenPatch(PATCH_PLAIN, (Slope(1, 2), Slope(1, 3)))
 
     def test_shift_identity(self):
         p = OpenPatch(PATCH_TILDE, (Slope(1, 2),))
-        assert shift_patch(p, 0) == p
+        assert p.shift(0) == p
 
     def test_shift_out_of_range(self):
         p = OpenPatch(PATCH_PLAIN, (Slope(1, 2),))
         with pytest.raises(ShiftOutOfRange):
-            shift_patch(p, 1)
+            p.shift(1)
         with pytest.raises(ShiftOutOfRange):
-            shift_patch(p, -1)
+            p.shift(-1)
 
     def test_pair_constraint(self):
         with pytest.raises(PreconditionViolated):
@@ -289,12 +288,12 @@ class TestOpenPatch:
         s = Slope(a // g if a else 0, b // g if a else 1)
         p = OpenPatch(PATCH_PLAIN, (s,))
         try:
-            two_step = shift_patch(shift_patch(p, j), k)
+            two_step = p.shift(j).shift(k)
         except ShiftOutOfRange:
             with pytest.raises(ShiftOutOfRange):
-                shift_patch(p, j + k)
+                p.shift(j + k)
             return
-        assert two_step == shift_patch(p, j + k)
+        assert two_step == p.shift(j + k)
 
 
 class TestEtaleCover:
@@ -312,4 +311,4 @@ class TestEtaleCover:
         t = etale_cover_target(Slope(2, 3))
         assert t == OpenPatch(PATCH_PLAIN, (Slope(2, 1),))
         # and that patch shifts all the way to U_0
-        assert shift_patch(t, 2) == OpenPatch(PATCH_PLAIN, (ZERO,))
+        assert t.shift(2) == OpenPatch(PATCH_PLAIN, (ZERO,))
