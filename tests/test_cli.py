@@ -610,6 +610,25 @@ def instances(draw):
 
 
 @st.composite
+def chains(draw):
+    """Surface JSON for a sub-chain of [0, 1/2, 1, 3/2, 2, inf]: lines at
+    the integers up to a drawn top, each gap split at its midpoint or not."""
+    lines = [[0, 1]]
+    for k in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            lines.append([2 * k + 1, 2])
+        lines.append([k + 1, 1])
+    return json.dumps({"lines": lines + [[1, 0]]}) + "\n"
+
+
+@pytest.fixture(scope="session")
+def surface_file(tmp_path_factory):
+    """A file for the drawn surface: `witness verify` reads its witness
+    from stdin, so --surface cannot."""
+    return tmp_path_factory.mktemp("fuzz") / "surface.json"
+
+
+@st.composite
 def forests(draw):
     """Tree JSON: one to three roots at distinct points of the fiber, each
     with node and free children down to two levels below it."""
@@ -671,21 +690,32 @@ def mutated(draw, blob: str, texts) -> str:
 class TestFuzz:
     """In-process CLI runs on drawn input end in an exit code, never a crash."""
 
-    @given(case=instances(), command=st.sampled_from(["decide", "build", "classes"]))
+    # a bivariate pair on the interior of the middle line l_1 whose residues
+    # agree at the closed point only: `witness build` once built a line that
+    # `witness verify` rejected
+    @example(
+        case=(["--ring", "bivariate"], ["--r0=u", "--s1=u", "--s2=u*(1+v)"]),
+        command="build",
+        chain='{"lines": [[0, 1], [1, 2], [1, 1], [3, 2], [2, 1], [1, 0]]}\n',
+    )
+    @given(case=instances(), command=st.sampled_from(["decide", "build", "classes"]),
+           chain=chains())
     @settings(max_examples=40, deadline=None)
-    def test_drawn_instances_exit_cleanly(self, case, command):
+    def test_drawn_instances_exit_cleanly(self, surface_file, case, command, chain):
         flags, argv = case
+        surface_file.write_text(chain)
+        surface = ["--surface", str(surface_file)]
         if command == "decide":
-            invoke_fuzzed(flags + ["decide", "nodal"] + argv)
+            invoke_fuzzed(flags + ["decide", "nodal"] + argv + surface)
         elif command == "classes":
             # positional sections follow --, so they may start with '-'
             sections = [a.split("=", 1)[1] for a in argv if a.startswith("--s")]
-            invoke_fuzzed(flags + ["classes", argv[0], "--"] + sections)
+            invoke_fuzzed(flags + ["classes", argv[0]] + surface + ["--"] + sections)
         else:
-            built = invoke_fuzzed(flags + ["witness", "build"] + argv)
+            built = invoke_fuzzed(flags + ["witness", "build"] + argv + surface)
             if built is not None and built[0] == 0:
                 # a built witness re-verifies against its own instance
-                verify = flags + ["witness", "verify"] + argv
+                verify = flags + ["witness", "verify"] + argv + surface
                 verified = invoke_fuzzed(verify, built[1])
                 assert verified is not None and verified[0] == 0, (argv, built, verified)
 
