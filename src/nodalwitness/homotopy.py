@@ -54,7 +54,6 @@ from .localring import (
     parse_element,
     polyext_from_json,
     polyext_to_json,
-    powers_divide,
     radical_membership,
     unit_multiple,
 )
@@ -172,8 +171,9 @@ def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
     for t in X.lines[:-1]:
         if t == ZERO:
             continue
-        # r0^a | r^b puts the section at slope >= t, r^b | r0^a at <= t
-        down, up = powers_divide(r0, t.a, r, t.b)
+        # r0^a | r^b puts the section at slope >= t, r^b | r0^a at <= t;
+        # the model's payload answers both (SectionData shares one model)
+        down, up = r0.payload.powers_divide(t.a, r.payload, t.b)
         if down and up:
             return Interior(t)
         if down:
@@ -879,7 +879,7 @@ def _decide_tower(X: NodalSurface, marks, s1, s2, prec) -> Verdict:
 
     top = X.lines[-2]
     punctures = [m for m in marks if m.slope == top]
-    if region == frozenset({top}) and punctures:
+    if punctures and region == frozenset({top}):
         # the free top region is punctured: an affine line minus >= 1 points
         # is rigid over the residue field, so interior residues must agree
         w1, w2 = (shift_section(s, top.a, prec).r for s in (s1, s2))

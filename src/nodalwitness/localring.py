@@ -701,12 +701,6 @@ def divides(a: RingElement, b: RingElement) -> bool:
     return a.payload.divides(b.payload)
 
 
-def powers_divide(a: RingElement, m: int, b: RingElement, n: int) -> tuple:
-    """(a^m | b^n, b^n | a^m) for nonzero a and b; the payload answers."""
-    a._match(b)
-    return a.payload.powers_divide(m, b.payload, n)
-
-
 def unit_multiple(
     a: RingElement, b: RingElement, prec: int = DEFAULT_PREC
 ) -> Optional[RingElement]:
