@@ -1014,7 +1014,7 @@ def _root_avoid_entries(roots, g: GammaData) -> list:
     ]
 
 
-def _slope_unit(r0: RingElement, r: RingElement, t: Slope, prec: int):
+def _slope_unit(r0, r, t: Slope, prec: int) -> Optional[RingElement]:
     """The unit w = r0^a / r^b at t = a/b, or None: a section with value r
     lies in the interior of l_t exactly when w exists, and its residue is
     the section's coordinate on l_t there."""
