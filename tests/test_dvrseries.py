@@ -143,3 +143,45 @@ class TestAgainstSympy:
         assert g.exact == (s.exact and sympy.expand(trunc**n - P) == 0), (s, n, g)
         if not g.exact:
             assert g.val == 0 and len(g.coeffs) == w
+
+
+def convolution(s: Series, t: Series) -> Series:
+    """s*t as the full convolution of the stored windows, canonicalized by
+    `Series.make`: the general product, the reference for monomial factors."""
+    if s.is_zero() or t.is_zero():
+        return Series.zero()
+    if s.exact and t.exact:
+        n, exact = len(s.coeffs) + len(t.coeffs) - 1, True
+    else:
+        n, exact = min(len(u.coeffs) for u in (s, t) if not u.exact), False
+    out = [Fraction(0)] * n
+    for i, a in enumerate(s.coeffs[:n]):
+        for j, b in enumerate(t.coeffs[: n - i]):
+            out[i + j] += a * b
+    return Series.make(s.val + t.val, out, exact)
+
+
+class TestMonomialProduct:
+    @given(
+        val=st.integers(0, 3),
+        coeffs=st.lists(small_q, min_size=1, max_size=6).filter(lambda c: c[0] != 0),
+        exact=st.booleans(),
+        m_val=st.integers(0, 3),
+        c=nonzero_q,
+    )
+    # the exact 1 against an exact and a truncated operand; c != 1 at val 0;
+    # a truncated window ending in a zero; both operands monomials
+    @example(val=1, coeffs=[2, -1, 3], exact=True, m_val=0, c=1)
+    @example(val=0, coeffs=[1, 0, 2], exact=False, m_val=0, c=1)
+    @example(val=2, coeffs=[Fraction(1, 3), 1], exact=True, m_val=0, c=Fraction(-3, 2))
+    @example(val=0, coeffs=[1, 2, 0], exact=False, m_val=2, c=Fraction(2, 3))
+    @example(val=3, coeffs=[-2], exact=True, m_val=1, c=3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_convolution(self, val, coeffs, exact, m_val, c):
+        s = Series.make(val, coeffs, exact)
+        m = Series.monomial(m_val, c)
+        want = convolution(s, m)
+        if not exact:
+            assert len(want.coeffs) == len(s.coeffs)  # the window is kept
+        for got in (s * m, m * s):
+            assert (got.val, got.coeffs, got.exact) == (want.val, want.coeffs, want.exact)

@@ -135,6 +135,17 @@ def sympy_ring_uv(sympy):
     return R, to_sympy
 
 
+@st.composite
+def drawn_series(draw):
+    """DVR series, exact or truncated, of valuation 0-6 with 1-16 stored
+    coefficients (a truncated window may end in zeros)."""
+    q = st.fractions(min_value=Fraction(-100), max_value=Fraction(100),
+                     max_denominator=60)
+    lead = draw(q.filter(lambda c: c != 0))
+    tail = draw(st.lists(q, max_size=15))
+    return Series.make(draw(st.integers(0, 6)), [lead] + tail, draw(st.booleans()))
+
+
 def elements_for(model, **kw):
     return dvr_elements(**kw) if model == MODEL_DVR else biv_elements(
         allow_zero=kw.get("allow_zero", True)
@@ -277,6 +288,22 @@ class TestParsing:
     @given(biv_elements())
     def test_biv_print_parse(self, e):
         assert parse_element(element_to_text(e), MODEL_BIVARIATE) == e
+
+    @given(drawn_series())
+    def test_printed_series_parse_back_identically(self, s):
+        # identical, not only equal to the shorter window as == allows
+        got = parse_element(element_to_text(RingElement(s)), MODEL_DVR).payload
+        assert (got.val, got.coeffs, got.exact) == (s.val, s.coeffs, s.exact)
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           drawn_series(), max_size=4))
+    def test_polyext_json_round_trip(self, terms):
+        p = PolyExt(MODEL_DVR, {k: RingElement(s) for k, s in terms.items()})
+        got = polyext_from_json(polyext_to_json(p), MODEL_DVR)
+        assert got.terms.keys() == p.terms.keys()
+        for k, e in p.terms.items():
+            s, g = e.payload, got.terms[k].payload
+            assert (g.val, g.coeffs, g.exact) == (s.val, s.coeffs, s.exact)
 
 
 class TestArithmetic:
