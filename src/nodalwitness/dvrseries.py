@@ -155,6 +155,13 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         if self.is_zero() or other.is_zero():
             return _ZERO
+        s, m = (other, self) if self.is_monomial() else (self, other)
+        if m.is_monomial():
+            # c*x^v scales and shifts s; a truncated s keeps its window
+            c = m.coeffs[0]
+            if m.val == 0 and c == 1:
+                return s
+            return Series(s.val + m.val, tuple(a * c for a in s.coeffs), s.exact)
         if self.exact and other.exact:
             n = len(self.coeffs) + len(other.coeffs) - 1
             exact = True

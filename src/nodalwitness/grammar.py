@@ -18,12 +18,13 @@ Grammar, informally:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import prod
 from typing import Optional
 
 from .errors import ParseError
-from .polyring import Poly, power
+from .polyring import Poly, mono_mul, power
 
 # Input budgets, checked on the tokens before anything is built.  Every
 # exponent, O(x^k) order and degree of a power is at most MAX_DEGREE.  A
@@ -34,34 +35,21 @@ from .polyring import Poly, power
 MAX_DEGREE = 10_000
 MAX_EXPANDED_SIZE = 500
 
-_PUNCT = {"+", "-", "*", "/", "^", "(", ")"}
+# One token: an integer, a name or a punctuation mark, all ASCII; any other
+# visible character is caught by the second group.  Whitespace matches
+# neither, so findall skips it.
+_TOKEN = re.compile(r"([0-9]+|[A-Za-z][A-Za-z0-9]*|[-+*/^()])|(\S)")
 
 
 def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCT:
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-    return out
+    pairs = _TOKEN.findall(text)
+    toks = [tok for tok, _ in pairs]
+    if "" in toks:
+        bad = pairs[toks.index("")][1]
+        # a stray character is never part of a token, so its first
+        # occurrence is where it stands
+        raise ParseError(f"unexpected character {bad!r} at position {text.index(bad)}")
+    return toks
 
 
 class _RF:
@@ -106,6 +94,11 @@ def _capped(tok: str, what: str) -> int:
 
 
 class _Parser:
+    """Recursive descent over the tokens.  A factor, and a product of them,
+    is kept as a monomial, a (coefficient, exponent tuple) pair, until it
+    meets a parenthesized sum, an O-tail or a divisor with a variable; from
+    there on it is an `_RF`."""
+
     def __init__(self, tokens: list[str], varnames: list[str], allow_o: bool):
         self.toks = tokens
         self.pos = 0
@@ -113,6 +106,7 @@ class _Parser:
         self.allow_o = allow_o
         self.n = len(varnames)
         self.one = Poly.constant(1, self.n)
+        self.const = (0,) * self.n  # the exponent tuple of a constant
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -130,6 +124,20 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
     # -- combination helpers --------------------------------------------------
+
+    @staticmethod
+    def _over(t, den: int):
+        """The monomial t with its coefficient divided by den; an `_RF` as
+        it is (den is then 1)."""
+        if den == 1:
+            return t
+        return (Fraction(t[0], den), t[1])
+
+    def _rf(self, t) -> _RF:
+        """A monomial as a rational function over 1; an `_RF` as it is."""
+        if type(t) is tuple:
+            return _RF(Poly({t[1]: t[0]}, self.n), self.one)
+        return t
 
     @staticmethod
     def _no_o(*rfs: _RF) -> None:
@@ -150,6 +158,22 @@ class _Parser:
             return _RF(num.scale(Fraction(1) / den.constant_coeff()), self.one)
         return _RF(num, den)
 
+    def _power(self, rf: _RF, k: int) -> _RF:
+        self._no_o(rf)
+        degs = [max(a, b) for a, b in zip(_degrees(rf.num), _degrees(rf.den))]
+        if sum(degs) * k > MAX_DEGREE:
+            raise ParseError(f"power of degree {sum(degs)}*{k} exceeds the cap {MAX_DEGREE}")
+        if len(rf.num.terms) == 1 and _is_one(rf.den):
+            ((m, c),) = rf.num.terms.items()
+            return _RF(Poly({tuple(d * k for d in m): c**k}, self.n), self.one)
+        size = prod(max(1, d * k) for d in degs)
+        if size > MAX_EXPANDED_SIZE:
+            raise ParseError(
+                f"expanded power of degrees {[d * k for d in degs]} "
+                f"exceeds the size cap {MAX_EXPANDED_SIZE}"
+            )
+        return _RF(power(rf.num, k, self.one), power(rf.den, k, self.one))
+
     # -- grammar --------------------------------------------------------------
 
     def parse(self) -> _RF:
@@ -161,84 +185,99 @@ class _Parser:
     def expr(self) -> _RF:
         """Sum the terms into one coefficient dict over a running denominator.
 
-        Terms over the running denominator (most often 1) add their
-        coefficients in place; only a different, non-constant denominator
-        puts the sum over a common one.
+        Monomials, and terms over the running denominator (most often 1),
+        add their coefficients in place; only a different, non-constant
+        denominator puts the sum over a common one.
         """
         acc: dict = {}
         den = self.one
         ot = None
         sign = 1
         while True:
-            rf = self.term()
-            if rf.otrunc is not None:
-                ot = rf.otrunc if ot is None else min(ot, rf.otrunc)
-            num = rf.num if sign > 0 else -rf.num
-            if rf.den != den:
-                if _is_one(rf.den):
-                    num = num * den
-                else:
-                    # copied: _mul_polys may hand back rf.den's own dict
-                    acc = dict(_mul_polys(Poly(acc, self.n), rf.den).terms)
-                    num = _mul_polys(num, den)
-                    den = _mul_polys(den, rf.den)
-            for m, c in num.terms.items():
-                acc[m] = acc.get(m, 0) + c
+            t = self.term()
+            if type(t) is tuple and den is self.one:
+                c, m = t
+                c = c if sign > 0 else -c
+                acc[m] = acc[m] + c if m in acc else c
+            else:
+                rf = self._rf(t)
+                if rf.otrunc is not None:
+                    ot = rf.otrunc if ot is None else min(ot, rf.otrunc)
+                num = rf.num if sign > 0 else -rf.num
+                if rf.den != den:
+                    if _is_one(rf.den):
+                        num = num * den
+                    else:
+                        # copied: _mul_polys may hand back rf.den's own dict
+                        acc = dict(_mul_polys(Poly(acc, self.n), rf.den).terms)
+                        num = _mul_polys(num, den)
+                        den = _mul_polys(den, rf.den)
+                for m, c in num.terms.items():
+                    acc[m] = acc.get(m, 0) + c
             if self.peek() not in ("+", "-"):
                 return _RF(Poly(acc, self.n), den, ot)
             sign = 1 if self.take() == "+" else -1
 
-    def term(self) -> _RF:
-        rf = self.factor()
+    def term(self):
+        """A monomial while every factor is one and every divisor a nonzero
+        integer, with its coefficient's denominator kept apart as an int
+        until the end; otherwise an `_RF`."""
+        t = self.factor()
+        den = 1
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.factor()
-            rf = self._mul(rf, rhs) if op == "*" else self._div(rf, rhs)
-        return rf
+            f = self.factor()
+            if type(t) is tuple and type(f) is tuple:
+                if op == "*":
+                    t = (t[0] * f[0], mono_mul(t[1], f[1]))
+                    continue
+                if f[1] == self.const:
+                    if not f[0]:
+                        raise ParseError("division by zero")
+                    den *= f[0]
+                    continue
+            a, b = self._rf(self._over(t, den)), self._rf(f)
+            den = 1
+            t = self._mul(a, b) if op == "*" else self._div(a, b)
+        return self._over(t, den)
 
-    def factor(self) -> _RF:
+    def factor(self):
         sign = 1
         while self.peek() == "-":
             self.take()
             sign = -sign
-        rf = self.atom()
+        f = self.atom()
         if self.peek() == "^":
             self.take()
             e = self.take()
             if not e.isdigit():
                 raise ParseError(f"exponent must be a non-negative integer, got {e!r}")
             k = _capped(e, "exponent")
-            self._no_o(rf)
-            degs = [max(a, b) for a, b in zip(_degrees(rf.num), _degrees(rf.den))]
-            if sum(degs) * k > MAX_DEGREE:
-                raise ParseError(
-                    f"power of degree {sum(degs)}*{k} exceeds the cap {MAX_DEGREE}"
-                )
-            if len(rf.num.terms) == 1 and _is_one(rf.den):
-                ((m, c),) = rf.num.terms.items()
-                rf = _RF(Poly({tuple(d * k for d in m): c**k}, self.n), self.one)
-            else:
-                size = prod(max(1, d * k) for d in degs)
-                if size > MAX_EXPANDED_SIZE:
+            if type(f) is tuple:
+                c, m = f
+                if sum(m) * k > MAX_DEGREE:
                     raise ParseError(
-                        f"expanded power of degrees {[d * k for d in degs]} "
-                        f"exceeds the size cap {MAX_EXPANDED_SIZE}"
+                        f"power of degree {sum(m)}*{k} exceeds the cap {MAX_DEGREE}"
                     )
-                rf = _RF(power(rf.num, k, self.one), power(rf.den, k, self.one))
-        if sign < 0:
-            if rf.otrunc is not None and rf.num.is_zero():
-                return rf  # -O(x^k) == O(x^k)
-            rf = _RF(-rf.num, rf.den, rf.otrunc)
-        return rf
+                f = (c**k, tuple(d * k for d in m))
+            else:
+                f = self._power(f, k)
+        if sign > 0:
+            return f
+        if type(f) is tuple:
+            return (-f[0], f[1])
+        if f.otrunc is not None and f.num.is_zero():
+            return f  # -O(x^k) == O(x^k)
+        return _RF(-f.num, f.den, f.otrunc)
 
-    def atom(self) -> _RF:
+    def atom(self):
         t = self.take()
         if t.isdigit():
             try:
                 c = int(t)
             except ValueError as exc:  # beyond the interpreter's digit limit
                 raise ParseError(f"integer of {len(t)} digits is too long") from exc
-            return _RF(Poly.constant(c, self.n), self.one)
+            return (c, self.const)
         if t == "(":
             rf = self.expr()
             self._no_o(rf)
@@ -261,7 +300,8 @@ class _Parser:
             self.expect(")")
             return _RF(Poly.zero(self.n), self.one, k)
         if t in self.vars:
-            return _RF(Poly.variable(self.vars.index(t), self.n), self.one)
+            i = self.vars.index(t)
+            return (1, self.const[:i] + (1,) + self.const[i + 1 :])
         raise ParseError(f"unknown symbol {t!r}")
 
 

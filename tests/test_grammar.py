@@ -16,7 +16,7 @@ from nodalwitness.grammar import (
 )
 from nodalwitness.localring import MODEL_BIVARIATE, MODEL_DVR, parse_element
 from nodalwitness.polyring import Poly
-from test_cli import invoke
+from test_cli import GHOST_WITNESS, invoke
 
 
 def one(nvars):
@@ -140,7 +140,10 @@ def test_parse_agrees_with_sympy(tree):
 
 
 def test_sum_parsing_is_linear(monkeypatch):
-    """Monomial products, not seconds: the count does not depend on the machine."""
+    """Monomial products, not seconds: the count does not depend on the machine.
+
+    Both places that multiply monomials are counted: `Poly` products, and
+    the parser's fold of a term's factors into one monomial."""
     calls = 0
     real = polyring.mono_mul
 
@@ -150,6 +153,7 @@ def test_sum_parsing_is_linear(monkeypatch):
         return real(m1, m2)
 
     monkeypatch.setattr(polyring, "mono_mul", counting)
+    monkeypatch.setattr(grammar, "mono_mul", counting)
 
     def cost(n):
         nonlocal calls
@@ -177,6 +181,81 @@ def test_sums_over_denominators(text, want):
     biv = text.replace("x", "u")
     assert parse_element(biv, MODEL_BIVARIATE) == parse_element(
         want.replace("x", "u"), MODEL_BIVARIATE
+    )
+
+
+# --- error messages -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, model, message",
+    [
+        ("x $ 1", MODEL_DVR, "unexpected character '$' at position 2"),
+        ("x^2.5", MODEL_DVR, "unexpected character '.' at position 3"),
+        ("x x", MODEL_DVR, "trailing input at token 'x'"),
+        ("x)", MODEL_DVR, "trailing input at token ')'"),
+        ("x +", MODEL_DVR, "unexpected end of expression"),
+        ("(x x", MODEL_DVR, "expected ')', got 'x'"),
+        ("   ", MODEL_DVR, "empty expression"),
+        ("x*O(x^3)", MODEL_DVR, "O(...) may only appear as a top-level summand"),
+        ("O(x^2)/x", MODEL_DVR, "O(...) may only appear as a top-level summand"),
+        ("x + O(x^0)", MODEL_DVR, "O(...) order must be a positive integer"),
+        ("x + O(y)", MODEL_DVR, "O(...) expects the series variable 'x'"),
+        ("x + O(x)", MODEL_DVR, "O(x^1) leaves no determined leading coefficient"),
+        ("u + O(u^2)", MODEL_BIVARIATE,
+         "O(...) tails are only meaningful for series elements"),
+        ("x^y", MODEL_DVR, "exponent must be a non-negative integer, got 'y'"),
+        ("x^-1", MODEL_DVR, "exponent must be a non-negative integer, got '-'"),
+        ("x^10001", MODEL_DVR, "exponent 10001 exceeds the cap 10000"),
+        ("x + O(x^10001)", MODEL_DVR, "O(...) order 10001 exceeds the cap 10000"),
+        ("(x^2)^5001", MODEL_DVR, "power of degree 2*5001 exceeds the cap 10000"),
+        ("(1+u+v)^23", MODEL_BIVARIATE,
+         "expanded power of degrees [23, 23] exceeds the size cap 500"),
+        ("x/0", MODEL_DVR, "division by zero"),
+        ("x/(x-x)", MODEL_DVR, "division by zero"),
+        ("1/x", MODEL_DVR, "element has a pole at the origin (negative valuation)"),
+        ("y", MODEL_DVR, "unknown symbol 'y'"),
+        ("2*x", MODEL_BIVARIATE, "unknown symbol 'x'"),
+    ],
+)
+def test_parse_error_messages(text, model, message):
+    with pytest.raises(ParseError) as info:
+        parse_element(text, model)
+    assert str(info.value) == message
+
+
+# a digit is 0-9: superscripts and other scripts' digits are not read as numbers
+NON_ASCII_DIGITS = [
+    ("x^²", "unexpected character '²' at position 2"),
+    ("O(x^²)", "unexpected character '²' at position 4"),
+    ("²", "unexpected character '²' at position 0"),
+    ("٣*x", "unexpected character '٣' at position 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_unexpected_characters(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_element(text, MODEL_DVR)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", NON_ASCII_DIGITS)
+def test_cli_names_a_non_ascii_digit(text, message):
+    code, out, err = invoke(["decide", "nodal", "--r0", "x^2", "--s1", "x", "--s2", text])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_cli_names_the_witness_field_with_a_non_ascii_digit():
+    blob = GHOST_WITNESS.replace('"blown_center":"x"', '"blown_center":"x^²"')
+    code, out, err = invoke(
+        ["witness", "verify", "--r0", "x^2", "--s1", "x", "--s2", "x*(1+x)"], blob
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ghost witness field 'blown_center': "
+        "unexpected character '²' at position 2\n"
     )
 
 
