@@ -1047,18 +1047,17 @@ def _puncture_avoid_entry(
     )
 
 
-def cover_transform(
-    g: GammaData, s1: SectionData, s2: SectionData, t: Slope, prec: int = DEFAULT_PREC
-):
+def cover_transform(g: GammaData, s: SectionData, t: Slope, prec: int = DEFAULT_PREC):
     """Untwist a fractional-slope location a/b through the degree-b cover.
 
     Returns (new GammaData, X_up) where the new base pullback r0~ satisfies
     r0~^b = r0 exactly, section values are unchanged, and on the covering
-    surface the sections sit at the integer slope a.  Raises RootUnavailable
-    when the needed unit root does not exist in the residue field.
+    surface s, located at slope a/b, sits at the integer slope a.  Raises
+    RootUnavailable when the needed unit root does not exist in the residue
+    field.
     """
     a, b = t.a, t.b
-    r0, r = g.r0, s1.r
+    r0, r = g.r0, s.r
     w = _slope_unit(r0, r, t, prec)
     if w is None:
         raise PreconditionViolated("section is not located at the given slope")

@@ -457,7 +457,7 @@ def test_08_shift_cover_and_substitution_consistency():
             t2 = SectionData(g2, substitute_base(r2, 2))
             assert tag(decide_nodal(X_half, t1, t2)) == base
 
-            g_up, x_up = cover_transform(g2, t1, t2, Slope(1, 2))
+            g_up, x_up = cover_transform(g2, t1, Slope(1, 2))
             u1 = SectionData(g_up, t1.r)
             u2 = SectionData(g_up, t2.r)
             assert tag(decide_nodal(x_up, u1, u2)) == base

@@ -1485,8 +1485,8 @@ class TestCoverTransform:
     def test_square_root_cover(self):
         # location 1/2 for r0 = x^2, r = x: the cover needs sqrt(1) = 1
         g = G2
-        s1, s2 = sec(g, "x"), sec(g, "x + x^2")
-        g_up, x_up = cover_transform(g, s1, s2, Slope(1, 2))
+        s1 = sec(g, "x")
+        g_up, x_up = cover_transform(g, s1, Slope(1, 2))
         assert g_up.r0 ** 2 == g.r0
         assert x_up.lines[0] == ZERO and x_up.lines[-1] == INF
 
@@ -1495,7 +1495,7 @@ class TestCoverTransform:
         for s2_text in ("x + x^2", "2*x"):
             s1, s2 = sec(G2, "x"), sec(G2, s2_text)
             direct = decide_nodal(X, s1, s2)
-            g_up, x_up = cover_transform(G2, s1, s2, Slope(1, 2))
+            g_up, x_up = cover_transform(G2, s1, Slope(1, 2))
             up1 = SectionData(g_up, s1.r)
             up2 = SectionData(g_up, s2.r)
             lifted = decide_nodal(x_up, up1, up2)
@@ -1509,7 +1509,7 @@ class TestCoverTransform:
         # an exact quotient of two monomials
         g = GammaData(parse_element(f"{var}^{e0}", model))
         s = sec(g, f"{var}^{e}", model=model)
-        g_up, x_up = cover_transform(g, s, s, t)
+        g_up, x_up = cover_transform(g, s, t)
         assert g_up.r0 ** t.b == g.r0
         assert g_up.r0 == parse_element(var, model)
         integers = [Slope(i, 1) for i in range(1, t.a + 2)]
@@ -1524,7 +1524,7 @@ class TestCoverTransform:
         from nodalwitness.errors import RootUnavailable
 
         with pytest.raises(RootUnavailable):
-            cover_transform(g, s1, s1, Slope(1, 2))
+            cover_transform(g, s1, Slope(1, 2))
         assert v.tag == "homotopic"
 
 
