@@ -323,10 +323,13 @@ class TestExitCodes:
                 '"excluded_ideal_v1":5'),
              "excluded_ideal_v1"),
             ('{"type":"chain","pieces":5}', "pieces"),
+            (GHOST_WITNESS.replace('"blown_center":"x"', '"blown_center":"x^²"'),
+             "blown_center"),
         ],
         ids=[
             "no-path", "int-path", "int-coefficient", "int-offset",
             "int-blown-center", "list-shift", "int-excluded", "int-pieces",
+            "non-ascii-digit",
         ],
     )
     def test_malformed_witness_field_is_two(self, blob, field):

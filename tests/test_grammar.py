@@ -16,7 +16,7 @@ from nodalwitness.grammar import (
 )
 from nodalwitness.localring import MODEL_BIVARIATE, MODEL_DVR, parse_element
 from nodalwitness.polyring import Poly
-from test_cli import GHOST_WITNESS, invoke
+from test_cli import invoke
 
 
 def one(nvars):
@@ -245,18 +245,6 @@ def test_cli_names_a_non_ascii_digit(text, message):
     code, out, err = invoke(["decide", "nodal", "--r0", "x^2", "--s1", "x", "--s2", text])
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
-
-
-def test_cli_names_the_witness_field_with_a_non_ascii_digit():
-    blob = GHOST_WITNESS.replace('"blown_center":"x"', '"blown_center":"x^²"')
-    code, out, err = invoke(
-        ["witness", "verify", "--r0", "x^2", "--s1", "x", "--s2", "x*(1+x)"], blob
-    )
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: ghost witness field 'blown_center': "
-        "unexpected character '²' at position 2\n"
-    )
 
 
 def test_constant_denominators_fold_into_the_numerator():
