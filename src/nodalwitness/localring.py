@@ -1029,17 +1029,14 @@ def ext_radical_membership(fs: Sequence[PolyExt], gens: Sequence[PolyExt]) -> bo
 
 
 def _series_from_raw(nums: list, den: Poly, otrunc: Optional[int], prec: int) -> list:
-    """The series n/den [+ O(x^otrunc)] for each n in nums: over the
-    constant 1 with no O-tail, the exact series of n itself; otherwise the
-    `Series.divide` quotient, exact when the polynomial den divides n."""
+    """The series n/den [+ O(x^otrunc)] for each n in nums, each the
+    `Series.divide` quotient: exact when the polynomial den divides n."""
     def poly1_to_series(p: Poly) -> Series:
         if not p.terms:
             return Series.zero()
         lo, hi = min(p.terms)[0], max(p.terms)[0]
         return Series.make(lo, [p.terms.get((k,), 0) for k in range(lo, hi + 1)], True)
 
-    if otrunc is None and den.terms == {(0,): 1}:
-        return [poly1_to_series(num) for num in nums]
     sd = poly1_to_series(den)
     if sd.is_zero():
         raise ParseError("zero denominator")
