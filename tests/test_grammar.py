@@ -143,7 +143,9 @@ def test_sum_parsing_is_linear(monkeypatch):
     """Monomial products, not seconds: the count does not depend on the machine.
 
     Both places that multiply monomials are counted: `Poly` products, and
-    the parser's fold of a term's factors into one monomial."""
+    the parser's fold of a term's factors into one monomial.  The first sum's
+    terms fold into monomials; the second's stay rational functions over a
+    shared denominator, so the sum runs through the cross-multiplying branch."""
     calls = 0
     real = polyring.mono_mul
 
@@ -155,15 +157,20 @@ def test_sum_parsing_is_linear(monkeypatch):
     monkeypatch.setattr(polyring, "mono_mul", counting)
     monkeypatch.setattr(grammar, "mono_mul", counting)
 
-    def cost(n):
-        nonlocal calls
-        calls = 0
-        parse_rational_function(fraction_sum(n), ["x"])
-        return calls
+    def rational_sum(n):
+        return " + ".join(f"({i + 1}+x)*x^{i}/(1+x)" for i in range(n))
 
-    c200, c400 = cost(200), cost(400)
-    assert c200 > 0
-    assert c400 <= 2.2 * c200, (c200, c400)
+    for text in (fraction_sum, rational_sum):
+
+        def cost(n):
+            nonlocal calls
+            calls = 0
+            parse_rational_function(text(n), ["x"])
+            return calls
+
+        c200, c400 = cost(200), cost(400)
+        assert c200 > 0, text.__name__
+        assert c400 <= 2.2 * c200, (text.__name__, c200, c400)
 
 
 @pytest.mark.parametrize(
