@@ -7,9 +7,9 @@ stored window of coefficients is known.  Any operation whose outcome the
 window does not determine raises PrecisionExhausted instead of guessing;
 equality is precision-relative and never raises.
 
-Negative valuations are allowed internally (the fraction field is needed
-for unit inversion) but the public ring model in `localring` keeps
-valuations non-negative.
+A `Series` is the DVR model's `RingElement`.  Negative valuations are
+allowed internally (the fraction field is needed for unit inversion), but
+the ring's elements keep valuations non-negative.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ from .errors import (
     RootUnavailable,
 )
 from .grammar import poly_to_text
-from .polyring import Poly, power
+from .polyring import Poly
+from .ringelement import RingElement
 
 DEFAULT_PREC = 16
 
 
-class Series:
+class Series(RingElement):
     """x^val * (c0 + c1 x + c2 x^2 + ...), c0 != 0; or the exact zero."""
 
-    # the DVR model's payload in `localring`, and how the grammar reads one
+    # the DVR model, and how the grammar reads one
     model = "dvr"
     variables = ["x"]
     allow_o = True
@@ -89,6 +90,9 @@ class Series:
     def is_unit(self) -> bool:
         return bool(self.coeffs) and self.val == 0
 
+    def valuation(self) -> Optional[int]:
+        return None if self.is_zero() else self.val
+
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1 and self.exact
 
@@ -123,6 +127,7 @@ class Series:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
+        self._match(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -153,6 +158,7 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
+        self._match(other)
         if self.is_zero() or other.is_zero():
             return _ZERO
         s, m = (other, self) if self.is_monomial() else (self, other)
@@ -193,7 +199,7 @@ class Series:
         later q_k vanishes too), returned exact; all others get q_k for k
         below `prec` or a truncated operand's window."""
         if other.is_zero():
-            raise ZeroDivisionError("division by the zero series")
+            raise DivisionImpossible("division by zero")
         if self.is_zero():
             return _ZERO
         a, b, val = self.coeffs, other.coeffs, self.val - other.val
@@ -216,16 +222,14 @@ class Series:
         return Series(val, tuple(q[:n]), False)
 
     def divide_in_ring(self, other: "Series", prec: int = DEFAULT_PREC) -> "Series":
-        """`divide` within the ring: a quotient of negative valuation raises."""
+        """`divide` within the ring: a zero divisor or a pole raises."""
+        self._match(other)
         q = self.divide(other, prec)
         if not q.is_zero() and q.val < 0:
             raise DivisionImpossible(
                 f"valuation {self.val} element not divisible (divisor val {other.val})"
             )
         return q
-
-    def __pow__(self, n: int) -> "Series":
-        return power(self, n, Series.from_fraction(1))
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> "Series":
         """n-th root g of a unit f with rational residue g_0, by the power
@@ -327,9 +331,6 @@ class Series:
         if self.is_zero():
             return hash(("series", 0))
         return hash(("series", self.val, self.coeffs[0]))
-
-    def __repr__(self) -> str:
-        return f"Series({self.to_text()})"
 
 
 _ZERO = Series(0, (), True)

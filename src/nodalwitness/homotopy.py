@@ -172,8 +172,8 @@ def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
         if t == ZERO:
             continue
         # r0^a | r^b puts the section at slope >= t, r^b | r0^a at <= t;
-        # the model's payload answers both (SectionData shares one model)
-        down, up = r0.payload.powers_divide(t.a, r.payload, t.b)
+        # the model answers both (SectionData shares one model)
+        down, up = r0.powers_divide(t.a, r, t.b)
         if down and up:
             return Interior(t)
         if down:
@@ -644,7 +644,7 @@ def _shifted_value(r0: RingElement, k: int, r: RingElement, prec: int) -> RingEl
     if k and r0.is_unit():
         raise DivisionImpossible(f"a shift by r0^{k} needs a non-unit r0")
     if k and not (r0.is_zero() or r.is_zero()):
-        if k * r0.payload.order() > r.payload.order():
+        if k * r0.order() > r.order():
             raise DivisionImpossible(f"r0^{k} vanishes to a higher order than r")
     return r.divide_in_ring(r0 ** k, prec) if k else r
 

@@ -7,30 +7,22 @@ BIVARIATE model: fractions p/q of integer polynomials in u, v with
 q(0,0) != 0 — the local ring of a smooth surface germ, where interesting
 non-principal ideals exist.  Its arithmetic runs on Python ints.
 
-Both models sit behind one `RingElement` facade with ideal arithmetic
-(`IdealHandle`), the S/T-polynomial extension used by homotopy witnesses
-(`PolyExt`), and the membership tests.  Radical membership in the base ring
-is read from its structure: valuations in the DVR model, a gcd in the
-bivariate one.  The other queries reduce to plain polynomial computations
-in two ways: an ideal-quotient escaping the maximal ideal, or an
-elimination ideal escaping the origin (a localized Rabinowitsch trick),
-which stops at the first member that escapes.  An extended query over
-R[S, T] with exact coefficients is one elimination in both models, the
-base variables (x, or u and v) kept last.  The DVR model asks the residue
-fiber over the rationals first, and abstains (PrecisionExhausted) on a
-truncated coefficient that neither this check nor a base constant settles.
-
-Each model's element rules live on its payload class (`Series`, `BiFrac`):
-the class attributes `model`, `variables` and `allow_o`, and `zero`,
-`from_fraction`, ring arithmetic, `divide_in_ring`, `divides`,
-`powers_divide`, `gcd`, `order`, `polys`, `in_ideal`, `in_radical`,
-`nth_root_unit` and `to_text`.  `RingElement` holds only its payload, and
-`PAYLOADS` maps a model string to its class.
-Four sites still compare model strings, each for a reason: `valuation` and
-`substitute_base` are DVR-only and raise ModelMismatch otherwise;
-`_ext_query` checks the DVR residue fibre first and abstains on truncated
-coefficients; and `_from_raw` calls the module global `_series_from_raw`,
-which tests patch.
+Elements of both models are `RingElement`s (see `ringelement`): a
+`Series` or a `BiFrac`, each class holding its model's arithmetic and
+rules (`divides`, `powers_divide`, `gcd`, `order`, `in_ideal`,
+`in_radical`, `nth_root_unit`, ...).  This module adds the element-level
+predicates, ideals (`IdealHandle`), the S/T-polynomial extension used by
+homotopy witnesses (`PolyExt`), and the membership tests.  Radical
+membership in the base ring is read from its structure: valuations in the
+DVR model, a gcd in the bivariate one.  The other queries reduce to plain
+polynomial computations in two ways: an ideal-quotient escaping the
+maximal ideal, or an elimination ideal escaping the origin (a localized
+Rabinowitsch trick), which stops at the first member that escapes.  An
+extended query over R[S, T] with exact coefficients is one elimination in
+both models, the base variables (x, or u and v) kept last.  The DVR model
+asks the residue fiber over the rationals first, and abstains
+(PrecisionExhausted) on a truncated coefficient that neither this check
+nor a base constant settles.
 """
 
 from __future__ import annotations
@@ -59,6 +51,7 @@ from .polyring import (
     mono_divides,
     power,
 )
+from .ringelement import RingElement, model_class
 
 MODEL_DVR = Series.model
 MODEL_BIVARIATE = "bivariate"
@@ -325,7 +318,7 @@ def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# bivariate payload
+# bivariate elements
 # ---------------------------------------------------------------------------
 
 
@@ -383,7 +376,7 @@ def _content(*fs: list) -> int:
     return gcd(*(gcd(*row) for f in fs for row in f))
 
 
-class BiFrac:
+class BiFrac(RingElement):
     """Fraction num/den of two polynomials in Z[u][v], in lowest terms.
 
     num and den are rows (see gcd2) of Python ints, in the one form that
@@ -482,18 +475,22 @@ class BiFrac:
         )
 
     def __add__(self, o: "BiFrac") -> "BiFrac":
+        self._match(o)
         return self._plus(o.num, o.den)
 
     def __sub__(self, o: "BiFrac") -> "BiFrac":
+        self._match(o)
         return self._plus(_rec_neg(o.num), o.den)
 
     def __neg__(self) -> "BiFrac":
         return BiFrac(_rec_neg(self.num), self.den)
 
     def __mul__(self, o: "BiFrac") -> "BiFrac":
+        self._match(o)
         return self._times(o.num, o.den)
 
     def divide_in_ring(self, o: "BiFrac", prec: int = DEFAULT_PREC) -> "BiFrac":
+        self._match(o)
         if o.is_zero():
             raise DivisionImpossible("division by zero")
         return self._times(o.den, o.num)
@@ -514,8 +511,7 @@ class BiFrac:
 
     def powers_divide(self, m: int, o: "BiFrac", n: int) -> tuple:
         """(self^m | o^n, o^n | self^m), on the numerators of both powers."""
-        one = BiFrac.from_fraction(1)
-        p, q = power(self, m, one).num, power(o, n, one).num
+        p, q = (self ** m).num, (o ** n).num
         return _divides(p, q), _divides(q, p)
 
     @staticmethod
@@ -573,7 +569,7 @@ class BiFrac:
             return None
         g = BiFrac.make(*_cleared(rn, rd))
         for root in (g, -g):
-            if power(root, n, BiFrac.from_fraction(1)) == self:
+            if root ** n == self:
                 return root
         return None
 
@@ -586,119 +582,17 @@ class BiFrac:
         return f"({num})/({den})"
 
 
-PAYLOADS = {MODEL_DVR: Series, MODEL_BIVARIATE: BiFrac}
-
-
-def _payload_class(model: str):
-    if model not in PAYLOADS:
-        raise ParseError(f"unknown ring model {model!r}")
-    return PAYLOADS[model]
-
-
-# ---------------------------------------------------------------------------
-# the facade
-# ---------------------------------------------------------------------------
-
-
-class RingElement:
-    """An element of the chosen base-ring model: a `Series` or a `BiFrac`."""
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload):
-        self.payload = payload
-
-    @property
-    def model(self) -> str:
-        return self.payload.model
-
-    # construction
-
-    @staticmethod
-    def zero(model: str) -> "RingElement":
-        return RingElement(_payload_class(model).zero())
-
-    @staticmethod
-    def from_fraction(c, model: str) -> "RingElement":
-        return RingElement(_payload_class(model).from_fraction(c))
-
-    @staticmethod
-    def one(model: str) -> "RingElement":
-        return RingElement.from_fraction(1, model)
-
-    def _match(self, other: "RingElement") -> None:
-        if self.model != other.model:
-            raise ModelMismatch(f"cannot mix {self.model} and {other.model} elements")
-
-    # predicates
-
-    def is_zero(self) -> bool:
-        return self.payload.is_zero()
-
-    def is_unit(self) -> bool:
-        return self.payload.is_unit()
-
-    def residue(self) -> Fraction:
-        return self.payload.residue()
-
-    def valuation(self) -> Optional[int]:
-        """DVR order of vanishing; None for the zero element."""
-        if self.model != MODEL_DVR:
-            raise ModelMismatch("valuation is a DVR-model notion")
-        return None if self.payload.is_zero() else self.payload.val
-
-    # arithmetic
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._match(other)
-        return RingElement(self.payload + other.payload)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._match(other)
-        return RingElement(self.payload - other.payload)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(-self.payload)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._match(other)
-        return RingElement(self.payload * other.payload)
-
-    def __pow__(self, n: int) -> "RingElement":
-        return power(self, n, RingElement.one(self.model))
-
-    def divide_in_ring(self, other: "RingElement", prec: int = DEFAULT_PREC) -> "RingElement":
-        """Exact quotient self/other inside the ring; DivisionImpossible else."""
-        self._match(other)
-        if other.is_zero():
-            raise DivisionImpossible("division by zero")
-        if self.is_zero():
-            return RingElement.zero(self.model)
-        return RingElement(self.payload.divide_in_ring(other.payload, prec))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.model == other.model and self.payload == other.payload
-
-    def __hash__(self):
-        return hash((self.model, self.payload))
-
-    def __repr__(self) -> str:
-        return f"RingElement({self.model}, {element_to_text(self)!r})"
-
-
 # element-level predicates ----------------------------------------------------
 
 
 def divides(a: RingElement, b: RingElement) -> bool:
-    """Whether b/a lies in the ring.  Requires a != 0; the payload answers."""
+    """Whether b/a lies in the ring.  Requires a != 0; the model answers."""
     a._match(b)
     if a.is_zero():
         raise PreconditionViolated("divisibility by zero is undefined")
     if b.is_zero():
         return True
-    return a.payload.divides(b.payload)
+    return a.divides(b)
 
 
 def unit_multiple(
@@ -706,9 +600,10 @@ def unit_multiple(
 ) -> Optional[RingElement]:
     """The unit w with b = w*a, when a and b generate the same ideal.
     In both models orders add and a unit's is 0: unequal orders give None."""
+    a._match(b)
     if a.is_zero() or b.is_zero():
         raise PreconditionViolated("unit_multiple needs nonzero arguments")
-    if a.payload.order() != b.payload.order():
+    if a.order() != b.order():
         return None
     try:
         w = b.divide_in_ring(a, prec)
@@ -761,10 +656,10 @@ def gens_principal(gens: Sequence[RingElement]) -> Optional[RingElement]:
 def elements_gcd(gens: Sequence[RingElement]) -> RingElement:
     """A gcd of the generators (both models are UFD stand-ins), up to unit."""
     _one_model(gens)
-    live = [g.payload for g in gens if not g.is_zero()]
+    live = [g for g in gens if not g.is_zero()]
     if not live:
         return RingElement.zero(gens[0].model)
-    return RingElement(PAYLOADS[gens[0].model].gcd(live))
+    return live[0].gcd(live)
 
 
 def nth_root_unit(
@@ -781,14 +676,13 @@ def nth_root_unit(
         raise PreconditionViolated("root index must be positive")
     if not e.is_unit():
         raise PreconditionViolated("n-th roots are extracted from units only")
-    root = e.payload.nth_root_unit(n, prec)
-    return None if root is None else RingElement(root)
+    return e.nth_root_unit(n, prec)
 
 
 def substitute_base(e: RingElement, b: int) -> RingElement:
     if e.model != MODEL_DVR:
         raise ModelMismatch("base substitution x -> x^b needs the DVR model")
-    return RingElement(e.payload.substitute_base(b))
+    return e.substitute_base(b)
 
 
 # ---------------------------------------------------------------------------
@@ -820,22 +714,22 @@ class IdealHandle:
 
 
 def _ideal_query(f: RingElement, ideal: IdealHandle, rule) -> bool:
-    """The model check and the zero cases, then the payload class's rule."""
+    """The model check and the zero cases, then the model's rule."""
     if f.model != ideal.model:
         raise ModelMismatch("element and ideal from different models")
     if f.is_zero():
         return True
-    return bool(ideal.gens) and rule(f.payload, [g.payload for g in ideal.gens])
+    return bool(ideal.gens) and rule(f, ideal.gens)
 
 
 def ideal_membership(f: RingElement, ideal: IdealHandle) -> bool:
     """f in I·R_loc."""
-    return _ideal_query(f, ideal, type(f.payload).in_ideal)
+    return _ideal_query(f, ideal, type(f).in_ideal)
 
 
 def radical_membership(f: RingElement, ideal: IdealHandle) -> bool:
     """f in sqrt(I·R_loc)."""
-    return _ideal_query(f, ideal, type(f.payload).in_radical)
+    return _ideal_query(f, ideal, type(f).in_radical)
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +834,7 @@ def _polyext_clear(g: PolyExt, nvars: int, st_offset: int, base_offset: int) -> 
     and T at st_offset and the base variables (x, or u and v) from
     base_offset.  A denominator 1 multiplies nothing; a DVR coefficient,
     which must be exact, always has that one."""
-    parts = [c.payload.polys() for c in g.terms.values()]
+    parts = [c.polys() for c in g.terms.values()]
     terms = {}  # the S/T exponents keep the buckets' monomials apart
     for idx, ((i, j), (contrib, _)) in enumerate(zip(g.terms, parts)):
         for k, (_, d) in enumerate(parts):
@@ -1001,10 +895,10 @@ def _ext_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
             if g.is_st_constant() and not g.constant_part().is_zero():
                 return True  # a nonzero base constant is a generic-fiber unit
         exts = [*gens, *fs]
-        if not all(c.payload.exact for g in exts for c in g.terms.values()):
+        if not all(c.exact for g in exts for c in g.terms.values()):
             raise PrecisionExhausted("truncated coefficient past the residue fiber")
     off = len(fs)
-    n = off + 2 + len(PAYLOADS[model].variables)  # t's, S, T, base variables
+    n = off + 2 + len(model_class(model).variables)  # t's, S, T, base variables
     polys = [_polyext_clear(g, n, off, off + 2) for g in gens]
     return _unit_query(polys, off + 2, [_polyext_clear(f, n, off, off + 2) for f in fs])
 
@@ -1064,9 +958,9 @@ def _from_raw(
     """The elements n/den [+ O(x^otrunc)] of parsed rational functions that
     share the denominator den, one per numerator n in nums."""
     if model == MODEL_DVR:
-        return [RingElement(q) for q in _series_from_raw(nums, den, otrunc, prec)]
+        return _series_from_raw(nums, den, otrunc, prec)
     try:
-        return [RingElement(BiFrac.make(*_cleared(n, den))) for n in nums]
+        return [BiFrac.make(*_cleared(n, den)) for n in nums]
     except DivisionImpossible as exc:
         raise ParseError(str(exc)) from exc
 
@@ -1075,14 +969,14 @@ def parse_element(text: str, model: str, prec: int = DEFAULT_PREC) -> RingElemen
     """Parse the element grammar into the requested model."""
     if not isinstance(text, str):
         raise ParseError(f"an element is written as text, got {type(text).__name__}")
-    cls = _payload_class(model)
+    cls = model_class(model)
     num, den, otrunc = grammar.parse_rational_function(text, cls.variables, cls.allow_o)
     return _from_raw(model, [num], den, otrunc, prec)[0]
 
 
 def element_to_text(e: RingElement) -> str:
     """Canonical, re-parseable rendering."""
-    return e.payload.to_text()
+    return e.to_text()
 
 
 def _st_key_text(i: int, j: int) -> str:
@@ -1143,7 +1037,7 @@ def parse_polyext(text: str, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
     dictionary form instead so that truncated coefficients survive a round
     trip.
     """
-    base = _payload_class(model).variables
+    base = model_class(model).variables
     num, den, _ = grammar.parse_rational_function(text, base + ["S", "T"], allow_o=False)
     nbase = len(base)
     # denominator must not involve S or T

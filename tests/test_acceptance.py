@@ -67,7 +67,7 @@ X_UNIFORMIZER = parse_element("x", MODEL_DVR)
 def rnd_unit(rng, leads=(1, 2, 3, -1, -2), max_tail=2):
     lead = Fraction(rng.choice(leads))
     tail = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, max_tail))]
-    return RingElement(Series.make(0, [lead] + tail, True))
+    return Series.make(0, [lead] + tail, True)
 
 
 def rnd_value(rng, val, leads=(1, 2, 3, -1, -2)):

@@ -73,7 +73,7 @@ def dvr_elements(draw, min_val=0, max_val=3, allow_zero=True):
     val = draw(st.integers(min_val, max_val))
     lead = draw(small_q.filter(lambda c: c != 0))
     tail = draw(st.lists(small_q, max_size=3))
-    return RingElement(Series.make(val, [lead] + tail, True))
+    return Series.make(val, [lead] + tail, True)
 
 
 @st.composite
@@ -158,10 +158,9 @@ def any_elements(draw, model):
     e = draw(elements_for(model))
     if model == MODEL_BIVARIATE or e.is_zero() or not draw(st.booleans()):
         return e
-    s = e.payload
-    known = draw(st.integers(1, len(s.coeffs) + 2))
-    padded = list(s.coeffs) + [Fraction(0)] * known
-    return RingElement(Series.make(s.val, padded[:known], False))
+    known = draw(st.integers(1, len(e.coeffs) + 2))
+    padded = list(e.coeffs) + [Fraction(0)] * known
+    return Series.make(e.val, padded[:known], False)
 
 
 # --- parsing / printing ------------------------------------------------------
@@ -186,11 +185,11 @@ class TestParsing:
 
     def test_truncated_tail(self):
         e = dvr("x + O(x^5)")
-        assert not e.payload.exact
-        assert e.payload.val == 1
+        assert not e.exact
+        assert e.val == 1
         # and the O-tail survives the round trip
         again = parse_element(element_to_text(e), MODEL_DVR)
-        assert again == e and not again.payload.exact
+        assert again == e and not again.exact
 
     def test_rational_division_is_exact(self):
         assert dvr("x/(1-x)") == dvr("x + x^2 + x^3 + x^4 + O(x^5)")
@@ -292,24 +291,50 @@ class TestParsing:
     @given(drawn_series())
     def test_printed_series_parse_back_identically(self, s):
         # identical, not only equal to the shorter window as == allows
-        got = parse_element(element_to_text(RingElement(s)), MODEL_DVR).payload
+        got = parse_element(element_to_text(s), MODEL_DVR)
         assert (got.val, got.coeffs, got.exact) == (s.val, s.coeffs, s.exact)
 
     @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                            drawn_series(), max_size=4))
     def test_polyext_json_round_trip(self, terms):
-        p = PolyExt(MODEL_DVR, {k: RingElement(s) for k, s in terms.items()})
+        p = PolyExt(MODEL_DVR, terms)
         got = polyext_from_json(polyext_to_json(p), MODEL_DVR)
         assert got.terms.keys() == p.terms.keys()
-        for k, e in p.terms.items():
-            s, g = e.payload, got.terms[k].payload
+        for k, s in p.terms.items():
+            g = got.terms[k]
             assert (g.val, g.coeffs, g.exact) == (s.val, s.coeffs, s.exact)
 
 
+# operations that take two elements, each of which must refuse an element
+# of the other model, zero or not, before any shortcut
+MIXING_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "divide_in_ring": lambda a, b: a.divide_in_ring(b),
+    "unit_multiple": unit_multiple,
+    "pair_principal": pair_principal,
+}
+# (DVR text, bivariate text); unit_multiple's zero cases are in
+# TestUnitMultiple
+MIXING_CASES = [
+    (op, pair, swap)
+    for op in MIXING_OPS
+    for pair in [("x", "u"), ("x", "0"), ("0", "u")]
+    if op != "unit_multiple" or "0" not in pair
+    for swap in (False, True)
+]
+
+
 class TestArithmetic:
-    def test_model_mixing_raises(self):
+    @pytest.mark.parametrize(
+        "op,pair,swap", MIXING_CASES,
+        ids=[f"{op}-{'|'.join(p[::-1] if w else p)}" for op, p, w in MIXING_CASES],
+    )
+    def test_model_mixing_raises(self, op, pair, swap):
+        a, b = dvr(pair[0]), biv(pair[1])
         with pytest.raises(ModelMismatch):
-            dvr("x") + biv("u")
+            MIXING_OPS[op](*((b, a) if swap else (a, b)))
 
     @pytest.mark.parametrize(
         "call",
@@ -360,7 +385,7 @@ class TestArithmetic:
         assert repr(x**n) == repr(reduce(operator.mul, [x] * n, one))
 
     def test_negative_pow_rejected(self):
-        for x in (dvr("1+x"), dvr("1+x").payload, biv("u"), Poly.variable(0, 2)):
+        for x in (dvr("1+x"), biv("u"), Poly.variable(0, 2)):
             with pytest.raises(PreconditionViolated):
                 x**-1
 
@@ -405,10 +430,9 @@ class TestDivides:
             e = data.draw(dvr_elements(max_val=4, allow_zero=allow_zero))
             if e.is_zero() or not data.draw(st.booleans()):
                 return e
-            s = e.payload
-            known = data.draw(st.integers(1, len(s.coeffs) + 2))
-            padded = list(s.coeffs) + [Fraction(0)] * known
-            return RingElement(Series.make(s.val, padded[:known], False))
+            known = data.draw(st.integers(1, len(e.coeffs) + 2))
+            padded = list(e.coeffs) + [Fraction(0)] * known
+            return Series.make(e.val, padded[:known], False)
 
         a, b = draw(allow_zero=False), draw(allow_zero=True)
         try:
@@ -454,12 +478,12 @@ class TestExactDivision:
     @given(dvr_elements(), dvr_elements(allow_zero=False))
     @settings(max_examples=80)
     def test_exact_quotient_of_exact_product(self, a, b):
-        q = (a.payload * b.payload).divide_in_ring(b.payload)
-        assert q.exact and q == a.payload
+        q = (a * b).divide_in_ring(b)
+        assert q.exact and q == a
 
     def test_polynomial_quotient_stays_exact(self):
-        q = dvr("x^3 + x^4").payload.divide_in_ring(dvr("x^2 + x^3").payload)
-        assert q.exact and q == dvr("x").payload
+        q = dvr("x^3 + x^4").divide_in_ring(dvr("x^2 + x^3"))
+        assert q.exact and q == dvr("x")
 
     @given(dvr_elements(), dvr_elements(allow_zero=False))
     @settings(max_examples=80)
@@ -467,15 +491,15 @@ class TestExactDivision:
         # the grammar's p/q follows divide_in_ring's rule: (p*q)/q is p
         text = f"({element_to_text(p * q)})/({element_to_text(q)})"
         got = parse_element(text, MODEL_DVR)
-        assert got.payload.exact and got == p
+        assert got.exact and got == p
 
     def test_remainder_falls_back_to_series(self):
-        q = dvr("1 + x").payload.divide_in_ring(dvr("1 + x + x^2").payload)
-        assert not q.exact and q == dvr("(1+x)/(1+x+x^2)").payload
+        q = dvr("1 + x").divide_in_ring(dvr("1 + x + x^2"))
+        assert not q.exact and q == dvr("(1+x)/(1+x+x^2)")
 
     def test_valuation_still_refused(self):
         with pytest.raises(DivisionImpossible):
-            dvr("x + x^2").payload.divide_in_ring(dvr("x^2").payload)
+            dvr("x + x^2").divide_in_ring(dvr("x^2"))
 
 
 class TestUnitMultiple:
@@ -486,6 +510,14 @@ class TestUnitMultiple:
     def test_none_when_not_associate(self):
         assert unit_multiple(dvr("x"), dvr("x^2")) is None
         assert unit_multiple(biv("u"), biv("v")) is None
+
+    @pytest.mark.parametrize("a,b", [("x^2", "u"), ("x", "0"), ("0", "u")])
+    def test_mixed_models_raise_before_orders_or_zeros(self, a, b):
+        # the orders 2 and 1 used to answer None for a mixed pair, and a
+        # zero operand raised PreconditionViolated
+        for args in [(dvr(a), biv(b)), (biv(b), dvr(a))]:
+            with pytest.raises(ModelMismatch):
+                unit_multiple(*args)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -600,7 +632,7 @@ class TestGcd:
             raise AssertionError("pseudo-remainder sequence entered")
 
         monkeypatch.setattr(localring, "_rec_prem", no_prem)
-        p = biv("u^2 + 3*u*v - v").payload.num
+        p = biv("u^2 + 3*u*v - v").num
         three = [[3]]
         for x, y in [(p, three), (three, p), ([], three)]:
             assert gcd2(x, y) == [[1]]
@@ -612,8 +644,8 @@ class TestGcd:
             raise AssertionError("pseudo-remainder sequence entered")
 
         monkeypatch.setattr(localring, "_rec_prem", no_prem)
-        p = biv("(u^2 + 3*u*v - v)*(1 + u + v)").payload.num
-        q = biv("(2*u - v^2)*(1 + u + v)").payload.num
+        p = biv("(u^2 + 3*u*v - v)*(1 + u + v)").num
+        q = biv("(2*u - v^2)*(1 + u + v)").num
         with pytest.raises(AssertionError, match="pseudo-remainder sequence entered"):
             gcd2(p, q)
 
@@ -666,9 +698,9 @@ class TestGcd:
             return out
 
         monkeypatch.setattr(localring, "_u_mul", recording)
-        p = biv("(1 + u*v^2 + u^2*v^3 + v^4)*(1 + u + v^2)").payload.num
-        q = biv("(u + v^3 + u^3*v)*(1 + u + v^2)").payload.num
-        assert gcd2(p, q) == biv("1 + u + v^2").payload.num
+        p = biv("(1 + u*v^2 + u^2*v^3 + v^4)*(1 + u + v^2)").num
+        q = biv("(u + v^3 + u^3*v)*(1 + u + v^2)").num
+        assert gcd2(p, q) == biv("1 + u + v^2").num
         assert max(degrees) <= 24
 
 
@@ -715,7 +747,7 @@ def shared_factor_fractions(draw):
 def int_fraction(n: Poly, d: Poly) -> RingElement:
     """n/d through BiFrac.make, from integer rows over a common denominator."""
     m = lcm(*(c.denominator for e in (n, d) for c in e.terms.values()))
-    return RingElement(BiFrac.make(int_rows(n, m), int_rows(d, m)))
+    return BiFrac.make(int_rows(n, m), int_rows(d, m))
 
 
 class TestBivariateAgainstSympy:
@@ -742,8 +774,7 @@ class TestBivariateAgainstSympy:
             return [int_rows(e, Fraction(m, gcd(*(int(x * m) for x in coeffs))))
                     for e in polys]
 
-        def check(got: RingElement, expect):
-            b = got.payload
+        def check(b: BiFrac, expect):
             assert [b.num, b.den] == expect
             # canonical: integer rows, coprime (sympy's gcd, the faster of
             # the two), jointly primitive, and den(0,0) > 0
@@ -797,9 +828,8 @@ class TestBivariateStaysIntegral:
             again = parse_element(element_to_text(e), MODEL_BIVARIATE)
             assert again == e
             for x in (e, again):
-                f = x.payload
-                assert all(type(c) is int for rows in (f.num, f.den)
-                           for row in rows for c in row), f
+                assert all(type(c) is int for rows in (x.num, x.den)
+                           for row in rows for c in row), x
                 assert type(x.residue()) is Fraction
 
 
@@ -851,7 +881,7 @@ def rabinowitsch_in_radical(f: RingElement, gens: list) -> bool:
     generators in Q[t, u, v], the whole reduced basis eliminates t, and the
     answer is whether the result escapes the origin."""
     def with_t(e):
-        return Poly({(0,) + m: c for m, c in e.payload.polys()[0].terms.items()}, 3)
+        return Poly({(0,) + m: c for m, c in e.polys()[0].terms.items()}, 3)
 
     one = Poly.constant(Fraction(1), 3)
     rabinowitsch = one - Poly.variable(0, 3) * with_t(f)
@@ -864,7 +894,7 @@ def sympy_in_radical(sympy, f: RingElement, gens: list) -> bool:
 
     def expr(e):
         return sum((sympy.Rational(c) * u**i * v**j
-                    for (i, j), c in e.payload.polys()[0].terms.items()), sympy.Integer(0))
+                    for (i, j), c in e.polys()[0].terms.items()), sympy.Integer(0))
 
     basis = sympy.groebner([expr(g) for g in gens] + [1 - t * expr(f)], t, u, v,
                            order="lex", domain=sympy.QQ)
@@ -998,7 +1028,7 @@ class TestRoots:
     def test_dvr_exact_square(self):
         r = nth_root_unit(dvr("1 + 2*x + x^2"), 2)
         assert r == dvr("1 + x")
-        assert r.payload.exact
+        assert r.exact
 
     def test_residue_obstruction(self):
         with pytest.raises(RootUnavailable):
@@ -1182,7 +1212,7 @@ x_coeffs = st.lists(small_q, min_size=1, max_size=2).filter(any)  # of 1 and x
 
 
 def dvr_coeff(coeffs) -> RingElement:
-    return RingElement(Series.make(0, coeffs, True))
+    return Series.make(0, coeffs, True)
 
 
 @st.composite
@@ -1222,9 +1252,9 @@ def to_sympy_st(sympy, g: PolyExt):
     x, S, T = sympy.symbols("x S T")
     return sum(
         (
-            sympy.Rational(a.numerator, a.denominator) * x**(c.payload.val + k) * S**i * T**j
+            sympy.Rational(a.numerator, a.denominator) * x**(c.val + k) * S**i * T**j
             for (i, j), c in g.terms.items()
-            for k, a in enumerate(c.payload.coeffs)
+            for k, a in enumerate(c.coeffs)
         ),
         sympy.Integer(0),
     )
@@ -1333,7 +1363,7 @@ def sympy_biv_ext_answer(sympy, gens, f):
     def expr(g):
         total = sympy.Integer(0)
         for (i, j), c in g.terms.items():
-            num, den = c.payload.polys()
+            num, den = c.polys()
             total += poly(num) / (1 if den is None else poly(den)) * S**i * T**j
         return sympy.fraction(sympy.together(total))[0]
 
@@ -1451,7 +1481,7 @@ def truncated_copy(draw, g: PolyExt) -> PolyExt:
     """g with each coefficient c read back as c + O(x^k), k past deg c."""
     blob = {}
     for key, text in polyext_to_json(g).items():
-        c = parse_element(text, MODEL_DVR).payload
+        c = parse_element(text, MODEL_DVR)
         k = c.val + len(c.coeffs) + draw(st.integers(0, 2))
         blob[key] = f"{text} + O(x^{k})"
     return polyext_from_json(blob, MODEL_DVR)
