@@ -345,6 +345,8 @@ def _integer_nth_root(m: int, n: int) -> Optional[int]:
         return None if r is None else -r
     if m in (0, 1):
         return m
+    if n >= m.bit_length():  # then 2^n > m, and no integer n-th root is m
+        return None
     lo, hi = 0, 1
     while hi**n < m:
         hi *= 2

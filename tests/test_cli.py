@@ -419,6 +419,15 @@ class TestExitCodes:
         assert code == 1
         assert detail in out
 
+    def test_huge_cover_degree_is_fast(self):
+        # 4 has no rational root of degree 4*10^8 >= its bit length; the
+        # root search used to build 2^(4*10^8) twice, for about 6 s and 200 MB
+        start = time.perf_counter()
+        code, out, _ = invoke(["tree", "pullback", str(4 * 10**8)],
+                              '{"roots":[{"base":"[4:1]"}]}')
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (0, '{"roots":[]}\n')
+
 
 # --- output invariants ----------------------------------------------------------
 
