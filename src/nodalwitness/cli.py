@@ -49,6 +49,8 @@ from .surface import NodalSurface
 
 # Series arithmetic costs grow with the square of the truncation order.
 MAX_TRUNC = 1000
+# The tree and witness readers recurse once or twice per level of input.
+MAX_JSON_DEPTH = 100
 
 CHART_CHOICES = ("finite", "infinite")
 
@@ -64,10 +66,20 @@ def _read_json(path: str):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text, where = fh.read(), path
+    deep = f"{where} nests arrays and objects deeper than {MAX_JSON_DEPTH}"
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where} is not JSON: {exc}") from exc
+    except RecursionError:  # the parser's own stack ends far past the limit
+        raise ParseError(deep) from None
+    depth, level = 0, [value]
+    while level := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+    if depth > MAX_JSON_DEPTH:
+        raise ParseError(deep)
+    return value
 
 
 def _parse_slope(text: str) -> Slope:

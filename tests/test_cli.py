@@ -73,6 +73,14 @@ TRUNCATED_WITNESS = (
 CONSTANT_WITNESS = '{"type":"straight-line","chart":"finite","path":{"1":"x"}}\n'
 
 
+def nested_tree(k):
+    """A tree with a chain of k free vertices over [0:1]: 2k + 4 levels of
+    JSON arrays and objects."""
+    vertex = '{"at":{"free":"1"},"children":['
+    return ('{"roots":[{"base":"[0:1]","children":[' + vertex * (k - 1)
+            + '{"at":{"free":"1"}}' + "]}" * (k - 1) + "]}]}")
+
+
 def invoke(argv, stdin_text=""):
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -427,6 +435,32 @@ class TestExitCodes:
                               '{"roots":[{"base":"[4:1]"}]}')
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (0, '{"roots":[]}\n')
+
+    @pytest.mark.parametrize(
+        "argv, blob",
+        [
+            (["tree", "show"], nested_tree(400)),
+            (["tree", "normalize"], nested_tree(400)),
+            (["decide", "general", "--r0", "x", "--s1", "x", "--s2", "x+x^2",
+              "--tree", "-"], nested_tree(400)),
+            (["witness", "verify", "--r0", "x", "--s1", "x", "--s2", "x+x^2"],
+             '{"type":"chain","pieces":[' * 599 + '{"type":"chain"}' + "]}" * 599),
+            (["tree", "show"], "[" * 10**5 + "]" * 10**5),
+        ],
+        ids=["tree-show", "tree-normalize", "decide-general", "witness-verify",
+             "beyond-the-json-parser"],
+    )
+    def test_deeply_nested_json_is_two(self, argv, blob):
+        # these readers recurse per level: 400 tree vertices or 600 chains
+        # used to end in a RecursionError traceback and exit 1
+        code, _, err = invoke(argv, blob)
+        assert code == 2
+        assert f"deeper than {cli.MAX_JSON_DEPTH}" in err
+
+    def test_json_nested_to_the_limit_is_read(self):
+        # 48 vertices under the root nest 2*48 + 4 = 100 levels deep
+        assert invoke(["tree", "show"], nested_tree(48))[0] == 0
+        assert invoke(["tree", "show"], nested_tree(49))[0] == 2
 
 
 # --- output invariants ----------------------------------------------------------
