@@ -8,11 +8,12 @@ from functools import reduce
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nodalwitness import localring, polyring
 from nodalwitness.dvrseries import Series
 from nodalwitness.errors import (
+    DegreeCapExceeded,
     DivisionImpossible,
     ModelMismatch,
     ParseError,
@@ -46,7 +47,7 @@ from nodalwitness.localring import (
     substitute_base,
     unit_multiple,
 )
-from nodalwitness.polyring import Poly, eliminate, escapes_origin
+from nodalwitness.polyring import Poly, eliminate, escapes_origin, set_spair_cap
 
 MODELS = [MODEL_DVR, MODEL_BIVARIATE]
 
@@ -1310,6 +1311,13 @@ class TestEarlyExit:
     """An elimination behind `_unit_query` stops at its first member with a
     nonzero constant term; it must answer as the whole reduced basis does."""
 
+    # The whole basis is only the oracle, and a rare draw makes it explode:
+    # at --hypothesis-seed=77 a bivariate radical query stops after 29
+    # S-pairs in 0.02 s, while its whole basis takes 4.2 s to reduce 110
+    # and more than 30 s to reduce 115.  A draw whose oracle trips this
+    # budget is assumed away: 21 of 4,821 draws at seeds 1-60.
+    ORACLE_SPAIR_CAP = 100
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_answers_as_the_full_elimination(self, data):
@@ -1328,7 +1336,13 @@ class TestEarlyExit:
             ext_unit_ideal(gens) if f is None else ext_radical_membership([f], gens)
         for polys, nelim, stop in seen:
             assert stop is not None
-            expect = escapes_origin(full(polys, nelim))
+            set_spair_cap(self.ORACLE_SPAIR_CAP)
+            try:
+                expect = escapes_origin(full(polys, nelim))
+            except DegreeCapExceeded:
+                assume(False)
+            finally:
+                set_spair_cap(None)
             assert escapes_origin(full(polys, nelim, stop)) == expect, (f, gens)
 
     def test_stop_saves_s_pairs(self, monkeypatch):
