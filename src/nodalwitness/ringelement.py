@@ -29,7 +29,7 @@ class RingElement:
     def __init_subclass__(cls):
         MODELS[cls.model] = cls
 
-    # by model string; each subclass has zero() and from_fraction(c) without
+    # by model string; each subclass's own zero() and from_fraction(c) take none
 
     @staticmethod
     def zero(model: str) -> "RingElement":
