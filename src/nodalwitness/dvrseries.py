@@ -281,9 +281,12 @@ class Series(RingElement):
     def in_ideal(self, gens: list) -> bool:
         return self.val >= min(g.val for g in gens)
 
-    def in_radical(self, gens: list) -> bool:
-        """The radical is the whole ring or the maximal ideal."""
-        return min(g.val for g in gens) == 0 or self.val >= 1
+    @staticmethod
+    def radical(gens: list):
+        """The test of membership in √(gens) for nonzero elements: the
+        radical is the whole ring or the maximal ideal."""
+        whole = min(g.val for g in gens) == 0
+        return lambda f: whole or f.val >= 1
 
     def order(self) -> int:
         """Order of vanishing at the closed point, for self != 0."""

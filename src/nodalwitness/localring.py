@@ -10,7 +10,7 @@ non-principal ideals exist.  Its arithmetic runs on Python ints.
 Elements of both models are `RingElement`s (see `ringelement`): a
 `Series` or a `BiFrac`, each class holding its model's arithmetic and
 rules (`divides`, `powers_divide`, `gcd`, `order`, `in_ideal`,
-`in_radical`, `nth_root_unit`, ...).  This module adds the element-level
+`radical`, `nth_root_unit`, ...).  This module adds the element-level
 predicates, ideals (`IdealHandle`), the S/T-polynomial extension used by
 homotopy witnesses (`PolyExt`), and the membership tests.  Radical
 membership in the base ring is read from its structure: valuations in the
@@ -18,11 +18,17 @@ DVR model, a gcd in the bivariate one.  The other queries reduce to plain
 polynomial computations in two ways: an ideal-quotient escaping the
 maximal ideal, or an elimination ideal escaping the origin (a localized
 Rabinowitsch trick), which stops at the first member that escapes.  An
-extended query over R[S, T] with exact coefficients is one elimination in
-both models, the base variables (x, or u and v) kept last.  The DVR model
-asks the residue fiber over the rationals first, and abstains
-(PrecisionExhausted) on a truncated coefficient that neither this check
-nor a base constant settles.
+extended query J over R[S, T] is first put to the base ring, with B the
+values of its S/T-free generators (see `_ext_query`): (1) B and one S/T
+generator h span (1) iff h(0,0) is a unit and h's other coefficients lie
+in √(B), as a polynomial over the local ring R/(B) is a unit iff its
+constant term is and the rest are nilpotent; (2) an f with coefficients
+in √(B) lies in √(B)·R[S, T] ⊆ √J; (3) an f equal to a generator lies in
+J (between exact coefficients in the DVR model).  What they leave open is
+one elimination in both models, the base variables (x, or u and v) kept
+last.  The DVR model asks the residue fiber over the rationals first, and
+abstains (PrecisionExhausted) on a truncated coefficient that neither this
+check nor a base constant settles.
 """
 
 from __future__ import annotations
@@ -396,6 +402,7 @@ class BiFrac(RingElement):
     model = MODEL_BIVARIATE
     variables = ["u", "v"]
     allow_o = False
+    exact = True  # no element of this model is truncated
     __slots__ = ("num", "den")
 
     def __init__(self, num: list, den: list):
@@ -541,21 +548,24 @@ class BiFrac(RingElement):
             quotient.append(qq)
         return any(_constant(q) for q in quotient)
 
-    def in_radical(self, gens: list) -> bool:
-        """By gcd, with no Groebner run.  R is a two-dimensional regular
+    @staticmethod
+    def radical(gens: list):
+        """The test of membership in √(gens) for nonzero elements, built
+        once for many asks.  By gcd, with no Groebner run.  R is a two-dimensional regular
         local ring, hence a UFD (Auslander–Buchsbaum), so J = h·J' with h
         the gcd of the generators and J' m-primary or the unit ideal.  So
         √J is R when a generator is a unit, m when h is one, and √h
         otherwise, whose generator rad(h) = h / gcd(h, ∂h/∂u, ∂h/∂v) in
         characteristic 0 (Yun, SYMSAC 1976)."""
         if any(_constant(g.num) for g in gens):
-            return True
+            return lambda f: True
         h = BiFrac.gcd(gens).num
         if _constant(h):
-            return _constant(self.num) == 0
+            return lambda f: _constant(f.num) == 0
         h_u = _trim([[i * c for i, c in enumerate(row)][1:] for row in h])
         h_v = [[j * c for c in row] for j, row in enumerate(h)][1:]
-        return _divides(_cofactor(h, gcd2(gcd2(h, h_u), h_v)), self.num)
+        rad = _cofactor(h, gcd2(gcd2(h, h_u), h_v))
+        return lambda f: _divides(rad, f.num)
 
     def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> Optional["BiFrac"]:
         res = _rational_root(self.residue(), n)
@@ -728,8 +738,8 @@ def ideal_membership(f: RingElement, ideal: IdealHandle) -> bool:
 
 
 def radical_membership(f: RingElement, ideal: IdealHandle) -> bool:
-    """f in sqrt(I·R_loc)."""
-    return _ideal_query(f, ideal, type(f).in_radical)
+    """f in sqrt(I·R_loc), by the test the model's `radical` rule builds."""
+    return _ideal_query(f, ideal, lambda f, gens: type(f).radical(gens)(f))
 
 
 # ---------------------------------------------------------------------------
@@ -859,21 +869,36 @@ def _fibre_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
     return _unit_query([placed(g) for g in gens], len(pad) + 2, [placed(f) for f in fs])
 
 
+def _same(f: PolyExt, g: PolyExt) -> bool:
+    """f = g, not only to the tracked order (`Series` equality is relative)."""
+    return f == g and all(c.exact for p in (f, g) for c in p.terms.values())
+
+
 def _ext_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
     """Whether 1 (fs empty) or every f in fs (radically) lies in <gens> of
     R_loc[S, T].
 
-    A generator free of S and T with a unit coefficient answers yes at once:
-    it is a unit of R[S, T].  Otherwise, with exact coefficients, both
-    models: clear denominators, embed into Q[t, S, T, x] or
-    Q[t, S, T, u, v], eliminate t, S and T and ask whether the resulting
-    ideal of Q[x] or Q[u,v] escapes the origin.  This is exact: for
-    generators J with polynomial coefficients, J·R[S,T] = (1) iff
-    J ∩ Q[base] ⊄ (base variables), since clearing the denominators of
-    1 = Σ aᵢgᵢ gives such an element, and the polynomial ring localized at
-    the origin maps faithfully flatly to R.  A radical query puts one
-    Rabinowitsch variable per f in front of S and T (see `_unit_query`), so
-    a set of m elements is one elimination, not m.
+    A generator free of S and T with a unit value answers yes at once: it
+    is a unit of R[S, T].  With B the other such values, √(B) (the model's
+    `radical` rule) then settles what the base ring can:
+    1. with B nonempty and one S/T generator h, J = (1) iff h(0,0) is a
+       unit and h's other coefficients lie in √(B): a polynomial over
+       R/(B), a local ring, is a unit iff its constant term is a unit and
+       its other coefficients are nilpotent (Atiyah–Macdonald, Ch. 1,
+       Ex. 2).  A no settles only a unit-ideal query;
+    2. an f with every coefficient in √(B) lies in √(B)·R[S, T] ⊆ √J;
+    3. an f equal to a generator lies in J (see `_same`).
+    Settled f's leave the set, and an emptied set answers yes.
+
+    The rest, with exact coefficients, both models: clear denominators,
+    embed into Q[t, S, T, x] or Q[t, S, T, u, v], eliminate t, S and T and
+    ask whether the resulting ideal of Q[x] or Q[u,v] escapes the origin.
+    This is exact: for generators J with polynomial coefficients,
+    J·R[S,T] = (1) iff J ∩ Q[base] ⊄ (base variables), since clearing the
+    denominators of 1 = Σ aᵢgᵢ gives such an element, and the polynomial
+    ring localized at the origin maps faithfully flatly to R.  A radical
+    query puts one Rabinowitsch variable per f in front of S and T (see
+    `_unit_query`), so a set of m elements is one elimination, not m.
 
     The DVR model asks the residue fiber (coefficients replaced by
     residues, over Q) first, which must answer yes; a nonzero S/T-constant
@@ -885,17 +910,29 @@ def _ext_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
-    if any(g.is_st_constant() and g.constant_part().is_unit() for g in gens):
+    base = [g.constant_part() for g in gens if g.is_st_constant()]
+    if any(b.is_unit() for b in base):
         return True
+    rest = [g for g in gens if not g.is_st_constant()]
+    in_rad = type(base[0]).radical(base) if base else (lambda c: False)
+    if base and len(rest) == 1:
+        h = rest[0]
+        unit = h.constant_part().is_unit() and all(
+            in_rad(c) for k, c in h.terms.items() if k != (0, 0))
+        if unit or not fs:
+            return unit
+    if fs:
+        fs = [f for f in fs if not all(map(in_rad, f.terms.values()))
+              and not any(_same(f, g) for g in gens)]
+        if not fs:
+            return True
     model = gens[0].model
     if model == MODEL_DVR:
         if not _fibre_query(gens, fs):
             return False
-        for g in gens:
-            if g.is_st_constant() and not g.constant_part().is_zero():
-                return True  # a nonzero base constant is a generic-fiber unit
-        exts = [*gens, *fs]
-        if not all(c.exact for g in exts for c in g.terms.values()):
+        if base:
+            return True  # a nonzero base constant is a generic-fiber unit
+        if not all(c.exact for g in [*gens, *fs] for c in g.terms.values()):
             raise PrecisionExhausted("truncated coefficient past the residue fiber")
     off = len(fs)
     n = off + 2 + len(model_class(model).variables)  # t's, S, T, base variables

@@ -40,15 +40,12 @@ TREE_SPLITTING = (
     '{"roots":[{"base":"[4:1]","children":[{"at":{"free":"5"}}]},'
     '{"base":"[1:0]"}]}\n'
 )
-# a node tower with residual punctures at 5 and 2: deciding this pair runs
-# no Groebner, and certifying its ghost witness against the punctures runs
-# it 8 times, the first run reducing 2 S-pairs (pinned in test_homotopy),
-# so a budget of 1 trips inside the self-certification
-TREE_PUNCTURED = (
-    '{"roots":[{"base":"[0:1]","children":[{"at":"node-left","children":'
-    '[{"at":{"free":"5"}}]},{"at":{"free":"2"}}]}]}\n'
-)
-BUDGET_PAIR = ["decide", "general", "--r0", "u^2", "--s1", "u", "--s2", "u+u^2",
+# a tree with a residual puncture at 2: deciding this pair runs no
+# Groebner, and certifying its ghost witness against the puncture runs it 3
+# times, reducing 4, 4 and 1 S-pairs (pinned in test_homotopy), so a budget
+# of 1 trips inside the self-certification
+TREE_PUNCTURED = '{"roots":[{"base":"[0:1]","children":[{"at":{"free":"2"}}]}]}\n'
+BUDGET_PAIR = ["decide", "general", "--r0", "u*v", "--s1", "u", "--s2", "u*(1+u)",
                "--tree", "-"]
 
 GHOST_WITNESS = (
@@ -591,7 +588,7 @@ class TestFlags:
 
     def test_groebner_cap_resets_between_runs(self):
         # a run that trips the budget must not poison the next invocation;
-        # the pair's first Groebner run reduces 2 S-pairs, so a budget of 1
+        # the pair's first Groebner run reduces 4 S-pairs, so a budget of 1
         # trips (TREE_PUNCTURED)
         code, _, _ = invoke(
             ["--ring", "bivariate", "--groebner-cap", "1"] + BUDGET_PAIR,

@@ -899,13 +899,13 @@ class TestDecideNodal:
         assert verify_witness(X1, g, v.witness, (s1, s2))
         assert len(calls) <= 10
 
-    def test_cli_budget_pair_reduces_two_s_pairs(self, monkeypatch):
-        # the premise of the --groebner-cap 1 tests in test_cli: deciding
+    def test_cli_budget_pair_reduces_four_s_pairs(self, monkeypatch):
+        # the premise of the --groebner-cap tests in test_cli: deciding
         # this pair (TREE_PUNCTURED there) runs no Groebner, its radical
-        # query being a gcd; certifying the ghost witness against the two
-        # residual punctures runs it 8 times (one radical query per piece
-        # and entry, 21 when it was one per complement generator), the
-        # first run reducing 2 S-pairs and none more than 4
+        # query being a gcd; certifying the ghost witness against the
+        # residual puncture runs it 3 times, the first run reducing 4
+        # S-pairs and none more than 4 (the base-ring rules of
+        # `localring._ext_query` settle the rest of its queries)
         runs = []
         buchberger, s_poly = polyring.buchberger, polyring.s_poly
 
@@ -919,14 +919,14 @@ class TestDecideNodal:
 
         monkeypatch.setattr(polyring, "buchberger", counting_run)
         monkeypatch.setattr(polyring, "s_poly", counting_pair)
-        g = GammaData(biv("u^2"))
+        g = GammaData(biv("u*v"))
         s1 = SectionData(g, biv("u"))
-        s2 = SectionData(g, biv("u + u^2"))
-        t = BlowupTree((TreeVertex(ORIGIN, PUNCTURED_TOP),))
+        s2 = SectionData(g, biv("u*(1 + u)"))
+        t = tower(ORIGIN, FreePoint(Fraction(2)))
         assert isinstance(decide_nodal(X1, s1, s2), Homotopic)
         assert runs == []
         assert isinstance(decide_general(t, s1, s2), Homotopic)
-        assert runs == [2, 3, 4, 1, 4, 4, 1, 1]
+        assert runs == [4, 4, 1]
 
     def test_bivariate_radical_without_membership(self):
         # r0 = u^4, values u^2*unit: the blown-center ideal is <u^2> and

@@ -1435,7 +1435,9 @@ class TestOneQueryPerSet:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_a_set_is_one_elimination(self, model, monkeypatch):
-        # the DVR model also asks its residue fibre, one more elimination
+        # the DVR model also asks its residue fibre, one more elimination;
+        # {var}*T is a generator, so it leaves the set before either, and
+        # the two others take one Rabinowitsch variable each (2 + S, T)
         runs = []
         full = localring.eliminate
         monkeypatch.setattr(localring, "eliminate",
@@ -1444,7 +1446,7 @@ class TestOneQueryPerSet:
         gens = [pe(f"{var}^2*S^2", model), pe(f"{var}*T", model)]
         fs = [pe(f"{var}*S", model), pe(f"{var}*T", model), pe(f"{var}*S*T", model)]
         assert ext_radical_membership(fs, gens)
-        assert runs == ([5, 5] if model == MODEL_DVR else [5])
+        assert runs == ([4, 4] if model == MODEL_DVR else [4])
 
     @pytest.mark.parametrize("model", MODELS)
     def test_a_unit_base_generator_answers_without_elimination(self, model, monkeypatch):
@@ -1458,6 +1460,117 @@ class TestOneQueryPerSet:
         monkeypatch.setattr(localring, "eliminate", lambda *a: pytest.fail("eliminated"))
         assert ext_radical_membership([], [pe("S")])
         assert ext_radical_membership([PolyExt(MODEL_DVR, {})], [pe("S")])
+
+
+@st.composite
+def base_rule_queries(draw, model):
+    """(fs, gens) for a query the base-ring rules of `_ext_query` meet: 1-2
+    non-unit S/T-free generators B = [r^e, ...] and 1-2 S/T generators;
+    fs is None for a unit-ideal query, else 1-2 elements, each a generator,
+    a polynomial with coefficients in r·R ⊆ √(B), or any polynomial."""
+    if model == MODEL_DVR:
+        element = st.builds(dvr_coeff, x_coeffs)
+        non_unit = st.builds(lambda c: dvr_coeff([Fraction(0)] + c), x_coeffs)
+    else:
+        element = biv_elements(allow_zero=False)
+        non_unit = element.filter(lambda e: not e.is_unit())
+    r = draw(non_unit)
+    base = [r ** draw(st.integers(1, 2))] + draw(st.lists(non_unit, max_size=1))
+    coeff = st.one_of(element, element.map(lambda c: c * r), st.just(RingElement.one(model)))
+
+    def poly(coeff):
+        terms = draw(st.dictionaries(st.sampled_from(ST_MONOS), coeff, min_size=1, max_size=2))
+        if draw(st.booleans()):
+            terms[(0, 0)] = draw(coeff)
+        return PolyExt(model, terms)
+
+    gens = draw(st.permutations(
+        [PolyExt.constant(b) for b in base] + [poly(coeff) for _ in range(draw(st.integers(1, 2)))]
+    ))
+    if draw(st.booleans()):
+        return None, gens
+
+    def member():
+        how = draw(st.sampled_from(["generator", "in √(B)", "any"]))
+        if how == "generator":
+            return draw(st.sampled_from(gens))
+        return poly(element.map(lambda c: c * r) if how == "in √(B)" else coeff)
+
+    fs = [member() for _ in range(draw(st.integers(1, 2)))]
+    return fs, gens
+
+
+class TestBaseRingRules:
+    """`_ext_query` answers from the base ring before any elimination: (1)
+    B + (h) = (1) by h's coefficients, (2) an f with coefficients in √(B),
+    (3) an f equal to a generator.  The elimination is the fallback, so the
+    answers are the oracles'.  Scratch mutants this class catches: rule 1
+    without the unit-constant check, rule 1 applied with two S/T
+    generators, and rule 3 on precision-relative equality."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_answers_as_sympy(self, model, data):
+        sympy = pytest.importorskip("sympy")
+        fs, gens = data.draw(base_rule_queries(model))
+        if model == MODEL_DVR:
+            def oracle(f):
+                return sympy_ext_answer(sympy, gens, f)
+        else:
+            def oracle(f):
+                one = PolyExt.constant(RingElement.one(model))
+                return sympy_biv_ext_answer(sympy, gens, one if f is None else f)
+        if fs is None:
+            assert ext_unit_ideal(gens) == oracle(None), gens
+        else:
+            got = ext_radical_membership(fs, gens)
+            assert got == all(oracle(f) for f in fs), (fs, gens)
+
+    @pytest.fixture
+    def no_elimination(self, monkeypatch):
+        monkeypatch.setattr(localring, "eliminate", lambda *a: pytest.fail("eliminated"))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rule_one_yes(self, model, no_elimination):
+        var = "x" if model == MODEL_DVR else "u"
+        gens = [pe(f"{var}^2", model), pe(f"1 + {var}*S + 2*{var}*S*T", model)]
+        assert ext_unit_ideal(gens)
+        assert ext_radical_membership([pe("S", model), pe("T", model)], gens)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("h", ["1 + S", "{var} + {var}*S"])
+    def test_rule_one_no(self, model, h, no_elimination):
+        # a coefficient outside √(B), or a constant term that is no unit
+        var = "x" if model == MODEL_DVR else "u"
+        assert not ext_unit_ideal([pe(f"{var}^2", model), pe(h.format(var=var), model)])
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rule_one_needs_a_single_st_generator(self, model):
+        # neither S nor 1 - S*T passes rule 1, but together they span (1)
+        var = "x" if model == MODEL_DVR else "u"
+        gens = [pe(var, model), pe("S", model), pe("1 - S*T", model)]
+        assert ext_unit_ideal(gens)
+
+    def test_rule_two_yes(self, no_elimination):
+        gens = [pe("u^2*v", MODEL_BIVARIATE), pe("S + T", MODEL_BIVARIATE)]
+        f = pe("u*v*S*T + 3*u*v^2*T^2", MODEL_BIVARIATE)  # u*v ∈ √(u^2*v)
+        assert ext_radical_membership([f], gens)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rule_three_yes(self, model, no_elimination):
+        var = "x" if model == MODEL_DVR else "u"
+        gens = [pe(f"{var}*S + T", model), pe(f"{var}*T^2", model)]
+        assert ext_radical_membership([pe(f"T + {var}*S", model)], gens)
+
+    def test_rule_three_skips_a_truncated_equal(self):
+        # x + O(x^2) equals x to its tracked order, yet may be x + x^2: f
+        # is no generator, and past the residue fibre the query abstains
+        gens = [pe("x*S + T")]
+        f = polyext_from_json({"S": "x + O(x^2)", "T": "1"}, MODEL_DVR)
+        assert f == gens[0]
+        with pytest.raises(PrecisionExhausted):
+            ext_radical_membership([f], gens)
 
 
 # An exact DVR radical query of S/T-degree 2: its elimination in Q[t, S, T, x]

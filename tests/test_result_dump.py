@@ -20,11 +20,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_PIN = "d6d2d8c9c83503aca1784321ac19c51a5d6d0f77d0800d0b53a8bf676f80279b 1456"
 COUNTS_PIN = [
-    "polyring.s_poly 972",
-    "polyring.reduce_poly 1000",
-    "polyring.buchberger 1356",
-    "localring.gcd2 10250",
-    "localring.divide_exact_p2 2220",
+    "polyring.s_poly 49",
+    "polyring.reduce_poly 77",
+    "polyring.buchberger 32",
+    "localring.gcd2 11420",
+    "localring.divide_exact_p2 2589",
 ]
 
 
