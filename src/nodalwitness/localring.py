@@ -752,12 +752,14 @@ class PolyExt:
 
     __slots__ = ("model", "terms")
 
-    def __init__(self, model: str, terms: dict):
+    def __init__(self, model: str, terms: dict, checked: bool = False):
+        """checked: the coefficients come from this model's arithmetic."""
         self.model = model
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-        for v in self.terms.values():
-            if v.model != model:
-                raise ModelMismatch("mixed coefficient models in PolyExt")
+        if not checked:
+            for v in self.terms.values():
+                if v.model != model:
+                    raise ModelMismatch("mixed coefficient models in PolyExt")
 
     @staticmethod
     def constant(e: RingElement) -> "PolyExt":
@@ -778,16 +780,18 @@ class PolyExt:
         return self.terms.get((0, 0), RingElement.zero(self.model))
 
     def __add__(self, o: "PolyExt") -> "PolyExt":
+        if o.model != self.model:
+            raise ModelMismatch("mixed coefficient models in PolyExt")
         t = dict(self.terms)
         for k, v in o.terms.items():
             t[k] = t[k] + v if k in t else v
-        return PolyExt(self.model, t)
+        return PolyExt(self.model, t, checked=True)
 
     def __sub__(self, o: "PolyExt") -> "PolyExt":
         return self + (-o)
 
     def __neg__(self) -> "PolyExt":
-        return PolyExt(self.model, {k: -v for k, v in self.terms.items()})
+        return PolyExt(self.model, {k: -v for k, v in self.terms.items()}, checked=True)
 
     def __mul__(self, o: "PolyExt") -> "PolyExt":
         t: dict = {}
@@ -796,13 +800,13 @@ class PolyExt:
                 k = (i1 + i2, j1 + j2)
                 prod = c1 * c2
                 t[k] = t[k] + prod if k in t else prod
-        return PolyExt(self.model, t)
+        return PolyExt(self.model, t, checked=True)
 
     def __pow__(self, n: int) -> "PolyExt":
         return power(self, n, PolyExt.constant(RingElement.one(self.model)))
 
     def scale(self, e: RingElement) -> "PolyExt":
-        return PolyExt(self.model, {k: v * e for k, v in self.terms.items()})
+        return PolyExt(self.model, {k: v * e for k, v in self.terms.items()}, checked=True)
 
     def subs(
         self,
@@ -811,18 +815,14 @@ class PolyExt:
     ) -> "PolyExt":
         """Substitute ring elements for S and/or T."""
         out: dict = {}
-        for (i, j), c in self.terms.items():
-            e = c
-            ii, jj = i, j
-            if s is not None:
-                e = e * s**i if i else e
-                ii = 0
-            if t is not None:
-                e = e * t**j if j else e
-                jj = 0
-            k = (ii, jj)
+        for (i, j), e in self.terms.items():
+            if s is not None and i:
+                e, i = e * s**i, 0
+            if t is not None and j:
+                e, j = e * t**j, 0
+            k = (i, j)
             out[k] = out[k] + e if k in out else e
-        return PolyExt(self.model, out)
+        return PolyExt(self.model, out, checked=True)
 
     def eval_st(self, s: RingElement, t: RingElement) -> RingElement:
         return self.subs(s, t).constant_part()

@@ -1123,6 +1123,14 @@ class TestPolyExt:
         blob = polyext_to_json(p)
         assert polyext_from_json(blob, MODEL_DVR) == p
 
+    def test_mixed_models_raise(self):
+        # arithmetic results skip the per-coefficient check, so a sum of
+        # disjoint terms checks the two models itself
+        with pytest.raises(ModelMismatch):
+            PolyExt(MODEL_DVR, {(0, 0): biv("u")})
+        with pytest.raises(ModelMismatch):
+            pe("x*S") + pe("u*T", MODEL_BIVARIATE)
+
     def test_algebra(self):
         s = PolyExt.variable("S", MODEL_DVR)
         t = PolyExt.variable("T", MODEL_DVR)
