@@ -1560,10 +1560,13 @@ class TestBaseRingRules:
         gens = [pe(var, model), pe("S", model), pe("1 - S*T", model)]
         assert ext_unit_ideal(gens)
 
-    def test_rule_two_yes(self, no_elimination):
-        gens = [pe("u^2*v", MODEL_BIVARIATE), pe("S + T", MODEL_BIVARIATE)]
-        f = pe("u*v*S*T + 3*u*v^2*T^2", MODEL_BIVARIATE)  # u*v ∈ √(u^2*v)
-        assert ext_radical_membership([f], gens)
+    @pytest.mark.parametrize("model, base, f", [
+        (MODEL_DVR, "x^2", "x*S*T + 3*x^2*T^2"),
+        (MODEL_BIVARIATE, "u^2*v", "u*v*S*T + 3*u*v^2*T^2"),  # u*v ∈ √(u^2*v)
+    ])
+    def test_rule_two_yes(self, model, base, f, no_elimination):
+        gens = [pe(base, model), pe("S + T", model)]
+        assert ext_radical_membership([pe(f, model)], gens)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_rule_three_yes(self, model, no_elimination):
