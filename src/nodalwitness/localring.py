@@ -550,13 +550,13 @@ class BiFrac(RingElement):
 
     @staticmethod
     def radical(gens: list):
-        """The test of membership in √(gens) for nonzero elements, built
-        once for many asks.  By gcd, with no Groebner run.  R is a two-dimensional regular
-        local ring, hence a UFD (Auslander–Buchsbaum), so J = h·J' with h
-        the gcd of the generators and J' m-primary or the unit ideal.  So
-        √J is R when a generator is a unit, m when h is one, and √h
-        otherwise, whose generator rad(h) = h / gcd(h, ∂h/∂u, ∂h/∂v) in
-        characteristic 0 (Yun, SYMSAC 1976)."""
+        """The test of membership in √(gens) for nonzero elements, by gcd,
+        with no Groebner run.  R is a two-dimensional regular local ring,
+        hence a UFD (Auslander–Buchsbaum), so J = h·J' with h the gcd of
+        the generators and J' m-primary or the unit ideal.  So √J is R when
+        a generator is a unit, m when h is one, and √h otherwise, whose
+        generator rad(h) = h / gcd(h, ∂h/∂u, ∂h/∂v) in characteristic 0
+        (Yun, SYMSAC 1976)."""
         if any(_constant(g.num) for g in gens):
             return lambda f: True
         h = BiFrac.gcd(gens).num
@@ -739,7 +739,7 @@ def ideal_membership(f: RingElement, ideal: IdealHandle) -> bool:
 
 def radical_membership(f: RingElement, ideal: IdealHandle) -> bool:
     """f in sqrt(I·R_loc), by the test the model's `radical` rule builds."""
-    return _ideal_query(f, ideal, lambda f, gens: type(f).radical(gens)(f))
+    return _ideal_query(f, ideal, lambda e, gens: type(e).radical(gens)(e))
 
 
 # ---------------------------------------------------------------------------
