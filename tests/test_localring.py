@@ -1512,7 +1512,7 @@ class TestBaseRingRules:
     """`_ext_query` answers from the base ring before any elimination: (1)
     B + (h) = (1) by h's coefficients, (2) an f with coefficients in √(B),
     (3) an f equal to a generator.  The elimination is the fallback, so the
-    answers are the oracles'.  Scratch mutants this class catches: rule 1
+    answers are the oracles'.  Broken rules this class fails on: rule 1
     without the unit-constant check, rule 1 applied with two S/T
     generators, and rule 3 on precision-relative equality."""
 
