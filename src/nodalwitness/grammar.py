@@ -319,7 +319,7 @@ def _frac_text(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _mono_text(m: tuple, varnames: list[str]) -> str:
+def mono_text(m: tuple, varnames: list[str]) -> str:
     bits = []
     for e, v in zip(m, varnames):
         if e == 1:
@@ -337,7 +337,7 @@ def poly_to_text(p: Poly, varnames: list[str]) -> str:
     bits = []
     for m in monos:
         c = p.terms[m]
-        mono = _mono_text(m, varnames)
+        mono = mono_text(m, varnames)
         mag = _frac_text(abs(c))
         if not mono:
             body = mag

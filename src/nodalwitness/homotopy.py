@@ -5,7 +5,7 @@ of the special fiber: the free region around the pole section (coordinate
 1/y), the free region at the top of the chain, the multiplicative-group
 interior of a middle line, or a node.  Two sections can only be connected
 if they land in the same region; within a region the obstruction is either
-nothing (free regions), a residue (middle lines), or a radical-membership
+nothing (free regions), a residue (rigid regions), or a radical-membership
 condition on the unit relating the two values (nodes and fractional
 interiors) — and each positive answer is packaged as replayable data: a
 straight-line path, or a two-chart gluing datum ("ghost" witness) whose
@@ -877,21 +877,8 @@ def _decide_tower(X: NodalSurface, marks, s1, s2, prec) -> Verdict:
         if on_line and _slope_unit(g.r0, s.r, loc.slope, prec).residue() in on_line:
             raise UnsupportedSupport("section passes through a residual blowup center")
 
-    top = X.lines[-2]
-    punctures = [m for m in marks if m.slope == top]
-    if punctures and region == frozenset({top}):
-        # the free top region is punctured: an affine line minus >= 1 points
-        # is rigid over the residue field, so interior residues must agree
-        w1, w2 = (shift_section(s, top.a, prec).r for s in (s1, s2))
-        delta = w2 - w1
-        if not delta.is_zero() and delta.is_unit():
-            return NotHomotopic(
-                "interior residues differ in a punctured free region "
-                f"({len(punctures)} puncture(s) on l_{top})",
-                delta=delta,
-            )
-
-    verdict = _decide_in_region(X, s1, s2, g, region, prec)
+    punctures = sum(m.slope == X.lines[-2] for m in marks)
+    verdict = _decide_in_region(X, s1, s2, g, region, punctures, prec)
 
     # certify Homotopic witnesses against the residual punctures
     if isinstance(verdict, Homotopic) and marks:
@@ -905,8 +892,24 @@ def _decide_tower(X: NodalSurface, marks, s1, s2, prec) -> Verdict:
     return verdict
 
 
-def _decide_in_region(X, s1, s2, g, region: frozenset, prec) -> Verdict:
-    """Decide two main-regime sections that `_decide_tower` put in `region`.
+def _rigid(g, delta, reason: str, where: str, ideal=None) -> Optional[NotHomotopic]:
+    """Decide two sections in an A^1-rigid region: a middle line's interior
+    (G_m), a punctured top line (A^1 minus points), or the original fiber
+    minus two or more blown-up points (Case I).  They connect only if delta,
+    their difference there, lies in sqrt(r0) (None: the caller builds the
+    witness); a unit delta is NotHomotopic, and a nonunit outside sqrt(r0)
+    agrees at the closed point only (a two-dimensional base), where no
+    witness is built."""
+    if radical_membership(delta, IdealHandle([g.r0])):
+        return None
+    if delta.is_unit():
+        return NotHomotopic(reason, delta=delta, ideal=ideal)
+    raise UnsupportedSupport(f"{where} agree at the closed point but differ along r0 = 0")
+
+
+def _decide_in_region(X, s1, s2, g, region: frozenset, punctures: int, prec) -> Verdict:
+    """Decide two main-regime sections that `_decide_tower` put in `region`,
+    with `punctures` residual centers on the top line.
 
     Locating compared r0^a with r^b, and both models are UFDs, so nothing
     here checks it again.  On an integer middle line t, r = unit*r0^t, so
@@ -926,33 +929,25 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, prec) -> Verdict:
         w1, w2 = (_chart_value(s, CHART_INFINITE, prec) for s in (s1, s2))
         return Homotopic(StraightLine(_line_path(w1, w2), CHART_INFINITE), LEVEL_CHAIN)
 
-    # free region at the top of the chain: always connected
-    if region == frozenset({X.lines[-2]}):
-        witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
-        return Homotopic(witness, LEVEL_CHAIN)
-
-    # middle line with integer slope: the interior is a torsor under units,
-    # so the residues must agree exactly.  The straight line stays in the
-    # interior over all of r0 = 0 exactly when delta lies in sqrt(r0); over
-    # a two-dimensional base delta may vanish at the closed point only, and
-    # then no witness is built
+    # an integer line: free at the top of the chain unless residual centers
+    # puncture it, else rigid (see `_rigid`).  The top compares the shifted
+    # values themselves, so that a corner section (w in m) is compared too
     left = min(region)
     if len(region) == 1 and left.is_integer:
-        w1, w2 = (shift_section(s, left.a, prec).r for s in (s1, s2))
-        delta = unit_multiple(w1, w2, prec) - RingElement.one(g.r0.model)
-        if radical_membership(delta, IdealHandle([g.r0])):
-            witness = StraightLine(_line_path(s1.r, s2.r), CHART_FINITE)
-            return Homotopic(witness, LEVEL_CHAIN)
-        if not delta.is_unit():
-            raise UnsupportedSupport(
-                f"interior residues on l_{left} agree at the closed point "
-                "but differ along r0 = 0"
-            )
-        return NotHomotopic(
-            "interior residues differ on a middle line "
-            "(the region is rigid there)",
-            delta=delta,
-        )
+        top = left == X.lines[-2]
+        if punctures or not top:
+            w1, w2 = (shift_section(s, left.a, prec).r for s in (s1, s2))
+            if top:
+                delta, reason = w2 - w1, (
+                    "interior residues differ in a punctured free region "
+                    f"({punctures} puncture(s) on l_{left})")
+            else:
+                delta = unit_multiple(w1, w2, prec) - RingElement.one(g.r0.model)
+                reason = "interior residues differ on a middle line (the region is rigid there)"
+            rigid = _rigid(g, delta, reason, f"interior residues on l_{left}")
+            if rigid:
+                return rigid
+        return Homotopic(StraightLine(_line_path(s1.r, s2.r), CHART_FINITE), LEVEL_CHAIN)
 
     # node or fractional interior: shift into the small-slope window and
     # run the radical criterion on the blown center
@@ -1143,15 +1138,13 @@ def _decide_general_core(t, s1, s2, prec) -> Verdict:
 
     # Case I: both sections stay away from every blown-up point
     if hit1 is None and hit2 is None:
-        if len(root_points) > 1:
-            delta = _mobius_delta(s1, s2)
-            if not radical_membership(delta, IdealHandle([g.r0])):
-                return NotHomotopic(
-                    "sections approach distinct avoided points of a "
-                    "multi-point center",
-                    delta=delta,
-                    ideal=IdealHandle([g.r0]),
-                )
+        rigid = len(root_points) > 1 and _rigid(
+            g, _mobius_delta(s1, s2),
+            "sections approach distinct avoided points of a multi-point center",
+            "the sections' points on the original fiber", IdealHandle([g.r0]),
+        )
+        if rigid:
+            return rigid
         witness = _caseI_witness(root_points, s1, s2, prec)
         entries = _root_avoid_entries(root_points, g)
         _verify_or_raise(

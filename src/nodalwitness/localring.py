@@ -22,13 +22,14 @@ extended query J over R[S, T] is first put to the base ring, with B the
 values of its S/T-free generators (see `_ext_query`): (1) B and one S/T
 generator h span (1) iff h(0,0) is a unit and h's other coefficients lie
 in √(B), as a polynomial over the local ring R/(B) is a unit iff its
-constant term is and the rest are nilpotent; (2) an f with coefficients
-in √(B) lies in √(B)·R[S, T] ⊆ √J; (3) an f equal to a generator lies in
-J (between exact coefficients in the DVR model).  What they leave open is
-one elimination in both models, the base variables (x, or u and v) kept
-last.  The DVR model asks the residue fiber over the rationals first, and
-abstains (PrecisionExhausted) on a truncated coefficient that neither this
-check nor a base constant settles.
+constant term is and the rest are nilpotent (√(0) = 0 for B empty); (2)
+an f with coefficients in √(B) lies in √(B)·R[S, T] ⊆ √J; (3) an f equal
+to a generator lies in J (between exact coefficients in the DVR model).
+What they leave open is one elimination in both models, the base
+variables (x, or u and v) kept last.  The DVR model asks the residue
+fiber over the rationals first, and abstains (PrecisionExhausted) on a
+truncated coefficient that neither this check, a base constant nor (1)
+settles.
 """
 
 from __future__ import annotations
@@ -535,18 +536,20 @@ class BiFrac(RingElement):
     def in_ideal(self, gens: list) -> bool:
         """self in I·R_m  iff  (I : self) escapes <u, v>; (I : self) is
         computed as (I ∩ <self>)/self via the t-trick in Q[t, u, v].  Each
-        quotient is taken in Z[u][v], by the primitive part of self.num."""
+        quotient is taken in Z[u][v], by the primitive part of self.num, and
+        the elimination stops at the first member whose quotient escapes."""
         p = self.num
         gens3 = [_poly(g.num, (1,)) for g in gens]
         gens3.append(_poly(p, (0,)) - _poly(p, (1,)))
         k = _content(p)
         p = [[c // k for c in row] for row in p]
-        quotient = []
-        for q3 in eliminate(gens3, 1):
+
+        def escapes(q3: Poly) -> bool:
             qq = divide_exact_p2(_cleared(_strip_vars(q3, 1))[0], p)
             assert qq is not None, "intersection member must be divisible"
-            quotient.append(qq)
-        return any(_constant(q) for q in quotient)
+            return _constant(qq) != 0
+
+        return any(map(escapes, eliminate(gens3, 1, escapes)))
 
     @staticmethod
     def radical(gens: list):
@@ -881,11 +884,12 @@ def _ext_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
     A generator free of S and T with a unit value answers yes at once: it
     is a unit of R[S, T].  With B the other such values, √(B) (the model's
     `radical` rule) then settles what the base ring can:
-    1. with B nonempty and one S/T generator h, J = (1) iff h(0,0) is a
-       unit and h's other coefficients lie in √(B): a polynomial over
-       R/(B), a local ring, is a unit iff its constant term is a unit and
-       its other coefficients are nilpotent (Atiyah–Macdonald, Ch. 1,
-       Ex. 2).  A no settles only a unit-ideal query;
+    1. with one S/T generator h, J = (1) iff h(0,0) is a unit and h's
+       other coefficients lie in √(B): a polynomial over R/(B), a local
+       ring, is a unit iff its constant term is a unit and its other
+       coefficients are nilpotent (Atiyah–Macdonald, Ch. 1, Ex. 2).  With
+       B empty, √(0) = 0 (R is a domain), so the answer is no.  A no
+       settles only a unit-ideal query;
     2. an f with every coefficient in √(B) lies in √(B)·R[S, T] ⊆ √J;
     3. an f equal to a generator lies in J (see `_same`).
     Settled f's leave the set, and an emptied set answers yes.
@@ -915,7 +919,7 @@ def _ext_query(gens: Sequence[PolyExt], fs: Sequence[PolyExt]) -> bool:
         return True
     rest = [g for g in gens if not g.is_st_constant()]
     in_rad = type(base[0]).radical(base) if base else (lambda c: False)
-    if base and len(rest) == 1:
+    if len(rest) == 1:
         h = rest[0]
         unit = h.constant_part().is_unit() and all(
             in_rad(c) for k, c in h.terms.items() if k != (0, 0))
@@ -1016,24 +1020,12 @@ def element_to_text(e: RingElement) -> str:
     return e.to_text()
 
 
-def _st_key_text(i: int, j: int) -> str:
-    bits = []
-    if i == 1:
-        bits.append("S")
-    elif i > 1:
-        bits.append(f"S^{i}")
-    if j == 1:
-        bits.append("T")
-    elif j > 1:
-        bits.append(f"T^{j}")
-    return "*".join(bits) if bits else "1"
-
-
+_ST = ["S", "T"]
 _ST_FACTOR = re.compile(r"([ST])(?:\^([0-9]+))?")
 
 
 def _st_key_parse(key: str) -> tuple[int, int]:
-    """(i, j) of a key S^i*T^j as `_st_key_text` writes it: "1", or factors
+    """(i, j) of a key S^i*T^j as `polyext_to_json` writes it: "1", or factors
     S, T, S^n, T^n (n a digit string) joined by "*", each variable once."""
     if key == "1":
         return (0, 0)
@@ -1050,7 +1042,7 @@ def polyext_to_json(p: PolyExt) -> dict:
     """{"S^i*T^j": coefficient-text} with deterministic key order."""
     out = {}
     for (i, j) in sorted(p.terms):
-        out[_st_key_text(i, j)] = element_to_text(p.terms[(i, j)])
+        out[grammar.mono_text((i, j), _ST) or "1"] = element_to_text(p.terms[(i, j)])
     return out
 
 
@@ -1099,8 +1091,8 @@ def polyext_to_text(p: PolyExt) -> str:
     bits = []
     for (i, j) in sorted(p.terms):
         coeff = element_to_text(p.terms[(i, j)])
-        mono = _st_key_text(i, j)
-        if mono == "1":
+        mono = grammar.mono_text((i, j), _ST)
+        if not mono:
             bits.append(coeff)
         elif coeff == "1":
             bits.append(mono)

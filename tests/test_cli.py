@@ -59,14 +59,18 @@ GHOST_WITNESS = (
 TAMPERED_WITNESS = GHOST_WITNESS.replace(
     '"h1":{"1":"1","S":"x"}', '"h1":{"1":"1","S":"2*x"}'
 )
-# hand-edited: a truncated excluded generator whose residue is 1, so the
-# cover query passes the residue fibre with no base-constant shortcut
+# hand-edited: truncated excluded generators with residues 1 and 0, so the
+# cover query passes the residue fibre with no base-constant shortcut, and
+# with two S/T generators no base-ring rule settles it
 TRUNCATED_WITNESS = (
     '{"type":"ghost","shift":0,"blown_center":"x","v2_unit":"0",'
-    '"excluded_ideal_v1":[{"1":"1 + O(x)","S":"x + O(x^2)"}],'
+    '"excluded_ideal_v1":[{"1":"1 + O(x)","S":"x + O(x^2)"},{"T":"x + O(x^2)"}],'
     '"h1":{"1":"1","S":"x"},"h2":{"1":"1"},'
     '"hw_num":{"1":"1","S*T":"x"},"hw_den":{"1":"1","S":"x"}}\n'
 )
+# its first generator alone: a single S/T generator over no base constant
+# spans no unit ideal, whatever its truncated coefficients hide
+ONE_GENERATOR_WITNESS = TRUNCATED_WITNESS.replace(',{"T":"x + O(x^2)"}', "")
 CONSTANT_WITNESS = '{"type":"straight-line","chart":"finite","path":{"1":"x"}}\n'
 
 
@@ -240,6 +244,41 @@ class TestExitCodes:
         else:
             assert (code, verdict["reason"]) == (3, "degree-cap-exceeded")
 
+    # the first two pairs have delta = v, outside sqrt(r0) = (u): no witness
+    # is built, and they abstain
+    @pytest.mark.parametrize("s1, s2, code, verdict", [
+        ("u", "u*(1+v)", 3, "undecidable"),
+        ("u*v", "2*u*v", 3, "undecidable"),
+        ("u", "u*(1+u)", 0, "homotopic"),
+        ("u", "u*(2+v)", 1, "not-homotopic"),
+        ("u*v", "u", 1, "not-homotopic"),
+    ])
+    def test_punctured_top_exit_codes(self, s1, s2, code, verdict):
+        got, out, err = invoke(
+            ["--ring", "bivariate", "decide", "general", "--r0=u", f"--s1={s1}",
+             f"--s2={s2}", "--tree", "-"],
+            TREE_PUNCTURED,
+        )
+        blob = json.loads(out)
+        assert (got, blob["verdict"]) == (code, verdict) and "Traceback" not in err
+        if code == 3:
+            assert blob["reason"] == "unsupported-support" and "l_1" in blob["detail"]
+
+    def test_case_one_agreeing_only_at_the_closed_point_is_three(self):
+        # 2 and 2 + v avoid both roots and meet the fiber at one point over
+        # the closed point only, so they abstain
+        argv = ["--ring", "bivariate", "decide", "general", "--r0=u", "--s1=2",
+                "--tree", "-"]
+        code, out, _ = invoke(argv + ["--s2=2+v"], TREE_TWO_ROOTS)
+        assert (code, json.loads(out)["reason"]) == (3, "unsupported-support")
+        code, out, _ = invoke(argv + ["--s2=3"], TREE_TWO_ROOTS)
+        assert code == 1
+        assert json.loads(out)["obstruction"] == {
+            "reason": "sections approach distinct avoided points of a multi-point center",
+            "delta": "-1",
+            "ideal": ["u"],
+        }
+
     def test_bad_stdin_is_two(self):
         code, _, err = invoke(["surface", "show"], "not json\n")
         assert code == 2
@@ -297,6 +336,15 @@ class TestExitCodes:
         assert code == 1
         assert "determinism: FAIL (undetermined: " in out
         assert "Traceback" not in out + err
+
+    def test_a_single_truncated_cover_generator_is_an_exact_no(self):
+        code, out, err = invoke(
+            ["witness", "verify", "--r0", "x^2", "--s1", "x", "--s2", "x + x^2"],
+            ONE_GENERATOR_WITNESS,
+        )
+        assert code == 1
+        assert "cover: FAIL (V1 and V2 do not cover the S-line)" in out
+        assert "determinism" not in out and "Traceback" not in out + err
 
     def test_witness_build_without_a_witness_is_one(self):
         # build prints the verdict that says why no witness exists
@@ -780,6 +828,14 @@ class TestFuzz:
              '[{"at": "node-left"}, {"at": "node-right", "children": '
              '[{"at": "node-left"}, {"at": {"free": "1"}}]}]}]}\n',
         edits=[("-1 + ", False), ("-1 + ", True)],
+        cap=None,
+    )
+    # the same algebra on a punctured top line: delta = v lies outside
+    # sqrt(r0), and a straight line would meet the puncture at 2
+    @example(
+        case=(["--ring", "bivariate"], ["--r0=u", "--s1=u", "--s2=u*(1+v)"]),
+        tree=TREE_PUNCTURED,
+        edits=[("", False), ("", False)],
         cap=None,
     )
     @given(case=instances(), tree=forests(),

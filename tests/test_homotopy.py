@@ -1169,6 +1169,36 @@ def model_sec(g, text, model, chart=CHART_FINITE):
     return sec(g, in_model(text, model), chart, model)
 
 
+def puncture_entries(g, coords):
+    """The loci a straight line in the y chart must miss for punctures at
+    coords on l_1: a section y meets l_1 at the residue of r0/y, so the
+    puncture at c is <r0, r0*Y1 - c*Y0>."""
+    model = g.r0.model
+    return [AvoidIdeal(base=(g.r0,), forms=(YForm(-RingElement.from_fraction(c, model), g.r0, 1),))
+            for c in coords]
+
+
+@st.composite
+def punctured_tops(draw):
+    """(tree, coords, s1, s2): a root at [0:1] whose 1-2 free children at
+    coords puncture the top line l_1 of X1, and sections r0*U or r0^2*U
+    over r0 in {x, u, u*v} with drawn units U; half the time the second is
+    the first times a unit, so that delta often lies in m."""
+    coords = draw(st.lists(st.sampled_from([Fraction(c) for c in (1, 2, -1, 3)] + [Fraction(1, 2)]),
+                           min_size=1, max_size=2, unique=True))
+    tree = BlowupTree((TreeVertex(ORIGIN, tuple(TreeVertex(FreePoint(c)) for c in coords)),))
+    r0 = draw(st.sampled_from(["x", "u", "u*v"]))
+    model = MODEL_DVR if r0 == "x" else MODEL_BIVARIATE
+    texts = ["1", "2", "-1", "3"] + (["1 + x", "2 - x", "1 + x^2"] if r0 == "x"
+                                     else ["1 + u", "1 + v", "2 - v", "3 + u*v"])
+    unit = lambda: parse_element(draw(st.sampled_from(texts)), model)
+    g = GammaData(parse_element(r0, model))
+    value = lambda: g.r0 ** draw(st.integers(1, 2)) * unit()
+    s1 = SectionData(g, value())
+    r2 = s1.r * unit() if draw(st.booleans()) else value()
+    return tree, coords, s1, SectionData(g, r2)
+
+
 class TestDecideGeneral:
     def test_empty_tree_connects_everything(self):
         v = decide_general(BlowupTree(()), sec(G2, "x"), sec(G2, "5"))
@@ -1412,6 +1442,72 @@ class TestDecideGeneral:
         v2 = decide_general(t, s1, model_sec(g, "3*x^2", model))
         assert isinstance(v2, NotHomotopic)
         assert "punctur" in v2.reason
+
+    @pytest.mark.parametrize("s1, s2", [("u", "u*(1+v)"), ("u*v", "2*u*v")])
+    def test_punctured_top_agreeing_only_at_the_closed_point_abstains(self, s1, s2):
+        # free(2) punctures the top line l_1 of X1.  Shifted by r0 = u the
+        # values are 1 and 1 + v, or the corner values v and 2*v: delta = v
+        # is a nonunit outside sqrt(r0) = (u), for which no witness is
+        # built, so the punctured top abstains as a middle line does
+        g = GammaData(biv("u"))
+        pair = SectionData(g, biv(s1)), SectionData(g, biv(s2))
+        v = decide_general(tower(ORIGIN, FreePoint(Fraction(2))), *pair)
+        assert isinstance(v, Undecidable) and v.reason == "unsupported-support"
+        assert "l_1" in v.detail
+
+    @pytest.mark.parametrize("model, s1, s2, delta", [
+        (MODEL_BIVARIATE, "u", "u*(1+u)", None),
+        (MODEL_BIVARIATE, "u", "u*(2+v)", "1 + v"),
+        (MODEL_BIVARIATE, "u*v", "u", "1 - v"),
+        (MODEL_DVR, "x", "x*(1+x)", None),
+        (MODEL_DVR, "x", "x*(2+x)", "1 + x"),
+        (MODEL_DVR, "x^2", "x", "1 - x"),
+        (MODEL_DVR, "x^2", "2*x^2", None),  # corner values x and 2*x
+    ])
+    def test_punctured_top_keeps_its_verdicts(self, model, s1, s2, delta):
+        # delta in sqrt(r0) gives a line that misses the puncture; a unit
+        # delta is NotHomotopic with the punctured region's reason
+        g = GammaData(parse_element(in_model("x", model), model))
+        pair = model_sec(g, s1, model), model_sec(g, s2, model)
+        v = decide_general(tower(ORIGIN, FreePoint(Fraction(2))), *pair)
+        if delta is None:
+            assert isinstance(v, Homotopic) and v.level == LEVEL_CHAIN
+            assert verify_witness(X1, g, v.witness, pair, puncture_entries(g, [2]))
+        else:
+            assert verdict_to_json(v)["obstruction"] == {
+                "reason": "interior residues differ in a punctured free region "
+                          "(1 puncture(s) on l_1)",
+                "delta": delta,
+            }
+
+    @example(case=(tower(ORIGIN, FreePoint(Fraction(2))), [Fraction(2)],
+                   SectionData(GammaData(biv("u")), biv("u")),
+                   SectionData(GammaData(biv("u")), biv("u*(1+v)"))))
+    @given(case=punctured_tops())
+    @settings(max_examples=60, deadline=None)
+    def test_punctured_top_never_fails_its_own_certification(self, case):
+        # ConsistencyFailure propagates out of decide_general and fails here
+        tree, coords, s1, s2 = case
+        v = decide_general(tree, s1, s2)
+        if isinstance(v, Homotopic):
+            entries = puncture_entries(s1.gamma, coords)
+            assert verify_witness(X1, s1.gamma, v.witness, (s1, s2), entries)
+
+    def test_case_one_agreeing_only_at_the_closed_point_abstains(self):
+        # P^1 minus [0:1] and [1:0] is rigid: 2 and 2 + v meet the fiber at
+        # one point over the closed point only (delta = -v, outside (u)), so
+        # the decision abstains; a unit delta is NotHomotopic
+        t = BlowupTree((TreeVertex(ORIGIN, ()), TreeVertex(POLE, ())))
+        g = GammaData(biv("u"))
+        v = decide_general(t, SectionData(g, biv("2")), SectionData(g, biv("2 + v")))
+        assert isinstance(v, Undecidable) and v.reason == "unsupported-support"
+        assert "differ along r0 = 0" in v.detail
+        v = decide_general(t, SectionData(g, biv("2")), SectionData(g, biv("3")))
+        assert verdict_to_json(v)["obstruction"] == {
+            "reason": "sections approach distinct avoided points of a multi-point center",
+            "delta": "-1",
+            "ideal": ["u"],
+        }
 
     @pytest.mark.parametrize(
         "marks, s1, s2, site",

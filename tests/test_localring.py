@@ -1018,6 +1018,53 @@ class TestIdeals:
         assert radical_membership(f, ideal)
 
 
+def membership_s_pairs(f, gens, whole=False):
+    """(ideal_membership(f, <gens>), the S-pairs it reduced); with whole,
+    its elimination ignores the stop and returns the whole basis."""
+    pairs = []
+    s_poly, full = polyring.s_poly, localring.eliminate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "s_poly", lambda *a: pairs.append(0) or s_poly(*a))
+        if whole:
+            mp.setattr(localring, "eliminate", lambda polys, nelim, stop=None: full(polys, nelim))
+        got = ideal_membership(f, IdealHandle(gens))
+    return got, len(pairs)
+
+
+@st.composite
+def biv_products(draw):
+    """A product of one or two nonzero drawn bivariate elements."""
+    factors = draw(st.lists(biv_elements(allow_zero=False), min_size=1, max_size=2))
+    return reduce(operator.mul, factors)
+
+
+class TestIdealMembershipStops:
+    """`BiFrac.in_ideal` stops its elimination at the first member of
+    I ∩ (f) whose quotient by f has a nonzero constant term.  The whole
+    basis, which it asked for before, is the oracle."""
+
+    ORACLE_SPAIR_CAP = 100
+
+    def test_stop_saves_s_pairs(self):
+        # u*v is itself a member of I ∩ (u*v) with quotient 1: the first
+        # remainder answers, where the whole basis reduces 4 S-pairs
+        f, gens = biv("u*v"), [biv("u^2 + v^3"), biv("u*v")]
+        assert membership_s_pairs(f, gens) == (True, 1)
+        assert membership_s_pairs(f, gens, whole=True) == (True, 4)
+
+    @given(f=biv_products(), gens=st.lists(biv_products(), min_size=1, max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_memberships_answer_as_the_whole_basis(self, f, gens):
+        set_spair_cap(self.ORACLE_SPAIR_CAP)
+        try:
+            expect = membership_s_pairs(f, gens, whole=True)[0]
+        except DegreeCapExceeded:
+            assume(False)
+        finally:
+            set_spair_cap(None)
+        assert membership_s_pairs(f, gens)[0] == expect, (f, gens)
+
+
 # --- roots ---------------------------------------------------------------------
 
 
@@ -1554,6 +1601,13 @@ class TestBaseRingRules:
         assert not ext_unit_ideal([pe(f"{var}^2", model), pe(h.format(var=var), model)])
 
     @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("h", ["1 + {var}*S", "1 + S*T", "{var} + T"])
+    def test_rule_one_with_no_base_constant(self, model, h, no_elimination):
+        # B empty: √(0) = 0, so a single S/T generator spans no unit ideal
+        var = "x" if model == MODEL_DVR else "u"
+        assert not ext_unit_ideal([pe(h.format(var=var), model)])
+
+    @pytest.mark.parametrize("model", MODELS)
     def test_rule_one_needs_a_single_st_generator(self, model):
         # neither S nor 1 - S*T passes rule 1, but together they span (1)
         var = "x" if model == MODEL_DVR else "u"
@@ -1627,9 +1681,11 @@ def truncated_copy(draw, g: PolyExt) -> PolyExt:
 
 class TestTruncatedCoefficients:
     """A DVR extension query with a truncated coefficient answers only where
-    the residue fibre or a nonzero base constant settles it, and then as the
-    exact query does.  Past both it abstains with PrecisionExhausted: the
-    elimination decides the generic fibre only from exact coefficients."""
+    the residue fibre or a nonzero base constant settles it, or a unit-ideal
+    query has a single S/T generator and no base constant (base-ring rule 1
+    with B empty: no), and then as the exact query does.  Past these it
+    abstains with PrecisionExhausted: the elimination decides the generic
+    fibre only from exact coefficients."""
 
     @given(generic_fibre_queries(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -1655,9 +1711,10 @@ class TestTruncatedCoefficients:
             gens = gens + [PolyExt(MODEL_DVR, {(0, 0): dvr_coeff([Fraction(0)] + base)})]
         tgens = [truncated_copy(data.draw, g) for g in gens]
         tf = None if f is None else truncated_copy(data.draw, f)
+        one_st_generator = f is None and sum(not g.is_st_constant() for g in gens) == 1
         open_past_both = localring._fibre_query(gens, [] if f is None else [f]) and not any(
             g.is_st_constant() and not g.constant_part().is_zero() for g in gens
-        )
+        ) and not one_st_generator
         try:
             got = ext_unit_ideal(tgens) if f is None else ext_radical_membership([tf], tgens)
         except PrecisionExhausted:
@@ -1671,9 +1728,17 @@ class TestTruncatedCoefficients:
     # residue fibre and the base-constant shortcut have both left it open.
 
     def test_truncated_query_past_the_residue_fibre_abstains(self):
+        # two S/T generators: no base-ring rule settles the query
         g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR)
+        t = polyext_from_json({"T": "x + O(x^2)"}, MODEL_DVR)
         with pytest.raises(PrecisionExhausted):
-            ext_unit_ideal([g])
+            ext_unit_ideal([g, t])
+
+    def test_a_single_truncated_st_generator_answers_exactly(self):
+        # rule 1 with B empty: R is a domain, so h is a unit of R[S, T]
+        # only if it is S/T-free
+        g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR)
+        assert ext_unit_ideal([g]) is False
 
     def test_truncated_query_refused_by_the_residue_fibre_answers(self):
         g = polyext_from_json({"S": "1 + x + O(x^2)"}, MODEL_DVR)
