@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .blowuptree import (
     BlowupTree,
-    n_x,
     normalize_pure_nodes,
     pullback_tree,
     tree_from_json,
@@ -137,7 +136,7 @@ def cmd_surface(args) -> int:
 
 
 def _tree_outline(t: BlowupTree) -> str:
-    out = [f"blowup tree, {n_x(t)} vertices"]
+    out = [f"blowup tree, {t.total_size()} vertices"]
 
     def walk(vertex, depth: int) -> None:
         out.append("  " * depth + f"- {vertex.position}")

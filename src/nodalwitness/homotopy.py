@@ -804,10 +804,9 @@ def verify_witness(
 # ---------------------------------------------------------------------------
 
 
-def _chart_value(s: SectionData, chart: str, prec: int) -> RingElement:
-    """The section's coordinate in `chart`: y in the finite chart, 1/y in the
-    pole chart."""
-    if s.chart == chart:
+def _pole_value(s: SectionData, prec: int) -> RingElement:
+    """The section's pole-chart coordinate 1/y."""
+    if s.chart == CHART_INFINITE:
         return s.r
     return RingElement.one(s.r.model).divide_in_ring(s.r, prec)
 
@@ -926,7 +925,7 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, punctures: int, prec) -> 
 
     # free region around the pole section: always connected
     if region == frozenset({ZERO}):
-        w1, w2 = (_chart_value(s, CHART_INFINITE, prec) for s in (s1, s2))
+        w1, w2 = (_pole_value(s, prec) for s in (s1, s2))
         return Homotopic(StraightLine(_line_path(w1, w2), CHART_INFINITE), LEVEL_CHAIN)
 
     # an integer line: free at the top of the chain unless residual centers
@@ -974,23 +973,14 @@ def _mobius_delta(s1: SectionData, s2: SectionData) -> RingElement:
 
 
 def _caseI_witness(roots, s1, s2, prec) -> StraightLine:
-    """A line avoiding all root towers, in a chart anchored at one root."""
-    model = s1.r.model
-    finite_coords = [rp.c0 for rp in roots if rp.c1 != 0]
-    if not finite_coords:
-        # only [1:0] is blown up; the plain y-line misses it
-        y1, y2 = (_chart_value(s, CHART_FINITE, prec) for s in (s1, s2))
-        return StraightLine(_line_path(y1, y2), CHART_FINITE)
-    rho = RingElement.from_fraction(finite_coords[0], model)
-    one = RingElement.one(model)
-    # the chart coordinate 1/(y - rho); a pole-chart value w = 1/y gives
-    # w/(1 - rho*w)
-    z1, z2 = (
-        one.divide_in_ring(s.r - rho, prec)
-        if s.chart == CHART_FINITE
-        else s.r.divide_in_ring(one - rho * s.r, prec)
-        for s in (s1, s2)
-    )
+    """A line avoiding all root towers: the pole-chart line after moving the
+    anchor, the first finite root [rho:1] (else [1:0]), to [0:1].  Its
+    coordinate is 1/(y - rho), or y for the anchor [1:0]."""
+    anchor = next((rp for rp in roots if rp.c1 != 0), BasePoint(1, 0))
+    z1, z2 = (_pole_value(_moved_section(s, anchor, prec), prec) for s in (s1, s2))
+    if anchor.c1 == 0:
+        return StraightLine(_line_path(z1, z2), CHART_FINITE)
+    rho = RingElement.from_fraction(anchor.c0, s1.r.model)
     return StraightLine(_line_path(z1, z2), CHART_INFINITE, rho)
 
 
@@ -1059,18 +1049,13 @@ def cover_transform(g: GammaData, s: SectionData, t: Slope, prec: int = DEFAULT_
     rho = nth_root_unit(w, b, prec)
     if rho is None:
         raise RootUnavailable("unit root not expressible in this ring model")
-    # Bezout: alpha*a + beta*b = 1; the signed monomial r^alpha rho^alpha
-    # r0^beta lies in the ring even when an exponent is negative, so build
-    # numerator and denominator separately and divide exactly
-    alpha, beta = _bezout(a, b)
-    num = RingElement.one(r0.model)
-    den = RingElement.one(r0.model)
-    for base_el, e in ((r, alpha), (rho, alpha), (r0, beta)):
-        if e >= 0:
-            num = num * base_el ** e
-        else:
-            den = den * base_el ** (-e)
-    new_r0 = num.divide_in_ring(den, prec)
+    # (r*rho)^b = r0^a, so with a*alpha = 1 + k*b the quotient
+    # (r*rho)^alpha / r0^k is a b-th root of r0
+    new_r0 = r0
+    if b > 1:
+        alpha = pow(a, -1, b)
+        k = (a * alpha - 1) // b
+        new_r0 = ((r * rho) ** alpha).divide_in_ring(r0 ** k, prec)
     if new_r0 ** b != r0:
         raise ConsistencyFailure("cover-transformed base fails its defining identity")
     lines = [ZERO] + [Slope(i, 1) for i in range(1, a + 2)] + [INF]
@@ -1078,29 +1063,20 @@ def cover_transform(g: GammaData, s: SectionData, t: Slope, prec: int = DEFAULT_
     return GammaData(new_r0), x_up
 
 
-def _bezout(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    assert old_r == 1, "slope must be reduced"
-    return old_s, old_t
-
-
 def _moved_section(s: SectionData, target: BasePoint, prec) -> SectionData:
     """The section after the fiberwise automorphism moving target to [0:1]:
-    y -> y - mu for a finite target [mu:1], and y -> 1/y for [1:0].  It
-    fixes the base, so gamma and every verdict transfer verbatim."""
+    [Y0 : Y1] -> [Y0 - mu*Y1 : Y1] for a finite target [mu:1], and
+    [Y1 : Y0] for [1:0].  The moved point is written in the pole chart when
+    Y0 is a unit (it misses [0:1]), else in the finite chart.  It fixes the
+    base, so gamma and every verdict transfer verbatim."""
+    y0, y1 = _section_homogeneous(s)
     if target.c1 == 0:
-        y = _chart_value(s, CHART_INFINITE, prec)
+        y0, y1 = y1, y0
     else:
-        mu = RingElement.from_fraction(target.c0, s.r.model)
-        y = _chart_value(s, CHART_FINITE, prec) - mu
-    return SectionData(s.gamma, y, CHART_FINITE)
+        y0 = y0 - RingElement.from_fraction(target.c0, s.r.model) * y1
+    if y0.is_unit():
+        return SectionData(s.gamma, y1.divide_in_ring(y0, prec), CHART_INFINITE)
+    return SectionData(s.gamma, y0.divide_in_ring(y1, prec), CHART_FINITE)
 
 
 def decide_general(
@@ -1327,7 +1303,7 @@ def witness_from_json(blob: dict, model: str, prec: int = DEFAULT_PREC):
 def verdict_to_json(v: Verdict) -> dict:
     if isinstance(v, Homotopic):
         return {
-            "verdict": "homotopic",
+            "verdict": v.tag,
             "level": v.level,
             "witness": witness_to_json(v.witness),
         }
@@ -1338,5 +1314,5 @@ def verdict_to_json(v: Verdict) -> dict:
         if v.ideal is not None:
             texts = [element_to_text(e) for e in v.ideal.gens]
             obstruction["ideal"] = list(dict.fromkeys(texts))
-        return {"verdict": "not-homotopic", "obstruction": obstruction}
-    return {"verdict": "undecidable", "reason": v.reason, "detail": v.detail}
+        return {"verdict": v.tag, "obstruction": obstruction}
+    return {"verdict": v.tag, "reason": v.reason, "detail": v.detail}

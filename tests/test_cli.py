@@ -574,6 +574,16 @@ class TestRenderings:
         assert "  - [0:1]" in out
         assert "    - node-left" in out
 
+    def test_tree_outline_counts_the_vertices_of_every_root(self):
+        # three vertices over two roots; the largest root alone has two
+        tree = ('{"roots":[{"base":"[0:1]","children":[{"at":"node-left"}]},'
+                '{"base":"[1:0]"}]}\n')
+        code, out, _ = invoke(["tree", "show"], tree)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "blowup tree, 3 vertices"
+        assert sum(line.lstrip().startswith("- ") for line in lines) == 3
+
     def test_verify_text_reports_every_clause(self):
         code, out, _ = invoke(
             ["witness", "verify", "--r0", "x^2", "--s1", "x", "--s2", "x*(1+x)"],

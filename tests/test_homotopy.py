@@ -1,6 +1,8 @@
 """Decision procedures and witness verification on the blown-up fiber."""
 
 import dataclasses
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -1199,6 +1201,114 @@ def punctured_tops(draw):
     return tree, coords, s1, SectionData(g, r2)
 
 
+GENERAL_ROOTS = [ORIGIN, AT_TWO, POLE, BasePoint(Fraction(-1), Fraction(1)),
+                 BasePoint(Fraction(1), Fraction(2))]
+
+
+def closed_point(s):
+    """Where the section meets the original fiber over the closed point."""
+    c = s.r.residue()
+    return BasePoint(c, 1) if s.chart == CHART_FINITE else BasePoint(1, c)
+
+
+def root_entries(g, points):
+    """The locus <r0, c1*Y0 - c0*Y1> of each blown-up point [c0:c1]."""
+    el = lambda c: RingElement.from_fraction(c, g.r0.model)
+    return [AvoidIdeal(base=(g.r0,), forms=(YForm(el(p.c1), el(-p.c0), 1),)) for p in points]
+
+
+@st.composite
+def general_forests(draw):
+    """(tree, s1, s2): 1-3 roots from GENERAL_ROOTS, each bare or with one
+    node-left child, over r0 in {x, x^2, u, u^2}.  Each section, in either
+    chart, is a root's coordinate plus an r0-multiple, a unit, or (pole
+    chart) an r0-multiple, which sits at [1:0]."""
+    points = draw(st.lists(st.sampled_from(GENERAL_ROOTS), min_size=1, max_size=3, unique=True))
+    node = (TreeVertex(NodePos(NODE_LEFT)),)
+    tree = BlowupTree(tuple(TreeVertex(p, node if draw(st.booleans()) else ()) for p in points))
+    r0 = draw(st.sampled_from(["x", "x^2", "u", "u^2"]))
+    model = MODEL_DVR if "x" in r0 else MODEL_BIVARIATE
+    g = GammaData(parse_element(r0, model))
+    texts = ["1", "2", "-1", "3"] + (["1 + x", "2 - x", "3 + x^2"] if model == MODEL_DVR
+                                     else ["1 + u", "2 - v", "1 + u*v"])
+    unit = lambda: parse_element(draw(st.sampled_from(texts)), model)
+
+    def section():
+        chart = draw(st.sampled_from([CHART_FINITE, CHART_INFINITE]))
+        kind = draw(st.sampled_from(["root", "unit", "pole"]))
+        if kind == "unit":
+            return SectionData(g, unit(), chart)
+        multiple = g.r0 ** draw(st.integers(1, 2)) * unit()
+        if kind == "pole":
+            return SectionData(g, multiple, CHART_INFINITE)
+        p = draw(st.sampled_from(points))
+        # [1:0] is seen only by the pole chart, [0:1] only by the finite one
+        if (p.c1 if chart == CHART_FINITE else p.c0) == 0:
+            chart = CHART_INFINITE if chart == CHART_FINITE else CHART_FINITE
+        c = p.c0 / p.c1 if chart == CHART_FINITE else p.c1 / p.c0
+        return SectionData(g, RingElement.from_fraction(c, model) + multiple, chart)
+
+    return tree, section(), section()
+
+
+# Case I and tower probes of decide general, each run over r0 = x and x^2
+# in both models (x read as u; truncated input in the DVR model only): the
+# roots, a trailing "+" giving one node-left child, and both sections as
+# (text, chart).  The [0:1] pole-chart pair and the [1:0] finite pair keep
+# exact witnesses: moving a point whose Y0 is a unit into the finite chart
+# would invert a unit twice and leave an O(x^16) tail
+GENERAL_PROBES = [
+    (("[2:1]",), ("1 + x", "f"), ("1 + x^3", "f")),
+    (("[2:1]",), ("x", "i"), ("2*x", "i")),
+    (("[2:1]",), ("x", "i"), ("1 + x", "f")),
+    (("[2:1]",), ("1 + x", "i"), ("1 + x + x^2", "i")),
+    (("[2:1]",), ("3 + x", "f"), ("1 + x", "i")),
+    (("[2:1]", "[0:1]"), ("1 + x", "f"), ("1 + x^3", "f")),
+    (("[2:1]", "[0:1]"), ("1 + x", "i"), ("1 + x + x^2", "i")),
+    (("[0:1]", "[2:1]"), ("1 + x", "f"), ("1 + x^3", "f")),
+    (("[0:1]",), ("1 + x", "i"), ("1 + 2*x", "i")),
+    (("[0:1]",), ("1 + x", "f"), ("x", "i")),
+    (("[1:0]",), ("1 + x", "f"), ("1 + x + x^2", "i")),
+    (("[1:0]",), ("1 + x", "i"), ("1 + x + x^2", "i")),
+    (("[1:0]",), ("1 + x", "f"), ("x", "f")),
+    (("[1:0]", "[2:1]"), ("1 + x", "f"), ("1 + x^3", "f")),
+    (("[-1:1]",), ("x", "i"), ("1 + x", "f")),
+    (("[1:2]",), ("1 + x", "f"), ("1 + x + O(x^3)", "f")),
+    (("[2:1]",), ("1 + x + O(x^4)", "i"), ("1 + x", "i")),
+    (("[0:1]", "[1:0]"), ("1 + x", "f"), ("1 + x^5", "f")),
+    (("[2:1]+",), ("2 + x", "f"), ("2 + x + x^2", "f")),
+    (("[2:1]+",), ("2 + x", "f"), ("1/(2 + x + x^2)", "i")),
+    (("[2:1]+",), ("1/(2 + x)", "i"), ("1/(2 + x + x^2)", "i")),
+    (("[2:1]+",), ("2 + x", "f"), ("2 + 3*x", "f")),
+    (("[1:0]+",), ("x", "i"), ("x + x^2", "i")),
+    (("[1:0]+",), ("x", "i"), ("3*x", "i")),
+    (("[2:1]+", "[0:1]"), ("2 + x^2", "f"), ("2 + x^2 + x^3", "f")),
+    (("[-1:1]+",), ("-1 + x", "f"), ("1/(-1 + x)", "i")),
+    (("[1:2]+",), ("1/2 + x", "f"), ("1/2 + x + x^2", "f")),
+    (("[2:1]+",), ("2 + x + O(x^5)", "f"), ("1/(2 + x) + O(x^6)", "i")),
+]
+GENERAL_PROBES_PIN = "f0246050e61eee679b21fff97d0e04e9703f836f9c7a63d839df6bb8037fc507 106"
+
+
+def probe_lines():
+    """One line per probe run: the input and its verdict JSON, keys sorted."""
+    charts = {"f": CHART_FINITE, "i": CHART_INFINITE}
+    for model in (MODEL_DVR, MODEL_BIVARIATE):
+        text = (lambda t: t.replace("x", "u")) if model == MODEL_BIVARIATE else str
+        for r0 in ("x", "x^2"):
+            g = GammaData(parse_element(text(r0), model))
+            for roots, *pair in GENERAL_PROBES:
+                if model == MODEL_BIVARIATE and any("O(" in t for t, _ in pair):
+                    continue
+                tree = BlowupTree(tuple(
+                    TreeVertex(BasePoint.parse(r.rstrip("+")),
+                               (TreeVertex(NodePos(NODE_LEFT)),) if r.endswith("+") else ())
+                    for r in roots))
+                s1, s2 = (SectionData(g, parse_element(text(t), model), charts[c]) for t, c in pair)
+                v = verdict_to_json(decide_general(tree, s1, s2))
+                yield f"{model} {r0} {roots} {pair}: {json.dumps(v, sort_keys=True)}"
+
+
 class TestDecideGeneral:
     def test_empty_tree_connects_everything(self):
         v = decide_general(BlowupTree(()), sec(G2, "x"), sec(G2, "5"))
@@ -1531,6 +1641,53 @@ class TestDecideGeneral:
         with pytest.raises(ConsistencyFailure, match=site) as info:
             decide_general(tower(*marks), sec(G2, s1), sec(G2, s2))
         assert "avoidance: forced failure" in str(info.value)
+
+    @example(case=(tower(AT_TWO), sec(GammaData(dvr("x")), "x", CHART_INFINITE),
+                   sec(GammaData(dvr("x")), "2*x", CHART_INFINITE)))
+    @example(case=(tower(AT_TWO, NodePos(NODE_LEFT)), sec(G2, "2 + x"),
+                   sec(G2, "1/(2 + x + x^2)", CHART_INFINITE)))
+    @given(case=general_forests())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_forests_decide_and_certify_case_one(self, case):
+        # any engine error but LiftRequired propagates and fails here; a
+        # Case I line must miss every root's locus on P^1
+        tree, s1, s2 = case
+        try:
+            v = decide_general(tree, s1, s2)
+        except LiftRequired:
+            return
+        points = [r.position for r in tree.roots]
+        if isinstance(v, Homotopic) and not {closed_point(s1), closed_point(s2)} & set(points):
+            entries = root_entries(s1.gamma, points)
+            assert verify_witness(NodalSurface.p1(), s1.gamma, v.witness, (s1, s2), entries)
+
+    def test_witness_coordinates(self):
+        # Case I writes its line in the original coordinate, here 1/(y - 2)
+        # with offset 2, so it replays against the sections as given
+        g = GammaData(dvr("x"))
+        pair = sec(g, "1 + x"), sec(g, "1 + x^3")
+        v = decide_general(tower(AT_TWO), *pair)
+        assert v.witness.chart == CHART_INFINITE and v.witness.offset == dvr("2")
+        assert verify_witness(NodalSurface.p1(), g, v.witness, pair, root_entries(g, [AT_TWO]))
+        # a tower over [2:1] is decided on the moved sections y - 2 and on
+        # the normalized tower's surface, and its witness is written there
+        X = NodalSurface((ZERO, Slope(1, 2), Slope(1, 1), INF))
+        pair = sec(G2, "2 + x"), sec(G2, "2 + x + x^2")
+        v = decide_general(tower(AT_TWO, NodePos(NODE_LEFT)), *pair)
+        assert isinstance(v.witness, GhostWitness)
+        assert not verify_witness(X, G2, v.witness, pair)
+        assert verify_witness(X, G2, v.witness, (sec(G2, "x"), sec(G2, "x + x^2")))
+
+    def test_probe_verdicts_match_the_pin(self):
+        # hashed as tests/test_result_dump.py hashes the dump; print
+        # probe_lines() to see each verdict
+        lines = list(probe_lines())
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+        assert f"{digest.hexdigest()} {len(lines)}" == GENERAL_PROBES_PIN
+        exact = [line for line in lines
+                 if "('[0:1]',) [('1 + x', 'i'), ('1 + 2*x', 'i')]" in line
+                 or "('[1:0]',) [('1 + x', 'f'), ('x', 'f')]" in line]
+        assert len(exact) == 8 and not any("O(x" in line for line in exact)
 
 
 DECISIONS = {
