@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .dvrseries import _rational_root
 from .errors import ParseError, PreconditionViolated, UnsupportedSupport
 from .farey import INF, ZERO, Slope, mediant
+from .ringelement import rational_root
 from .surface import NodalSurface
 
 NODE_LEFT = "node-left"
@@ -237,14 +237,10 @@ def normalize_pure_nodes(t: BlowupTree):
 
 def _rational_nth_roots(c: Fraction, b: int):
     """All rational mu with mu^b = c, ascending."""
-    if c == 0:
-        return [Fraction(0)]
-    r = _rational_root(c, b)
+    r = rational_root(c, b)
     if r is None:
         return []
-    if b % 2 == 0:
-        return sorted({r, -r})
-    return [r]
+    return sorted({r, -r}) if b % 2 == 0 else [r]
 
 
 def pullback_tree(t: BlowupTree, cover_degree: int) -> BlowupTree:
@@ -303,6 +299,14 @@ def tree_to_json(t: BlowupTree) -> dict:
     return {"roots": [_vertex_to_json(r) for r in t.roots]}
 
 
+def _text(blob: dict, key: str) -> str:
+    """blob[key], which the format writes as a string."""
+    value = blob[key]
+    if not isinstance(value, str):
+        raise ParseError(f"tree field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _children_from_json(blob: dict):
     kids = blob.get("children", [])
     if not isinstance(kids, list):
@@ -320,7 +324,7 @@ def _child_from_json(blob) -> TreeVertex:
         pos = NodePos(at)
     elif isinstance(at, dict) and set(at) == {"free"}:
         try:
-            pos = FreePoint(_parse_fraction(at["free"]))
+            pos = FreePoint(_parse_fraction(_text(at, "free")))
         except PreconditionViolated as exc:
             raise ParseError(str(exc)) from exc
     else:
@@ -332,10 +336,11 @@ def _root_from_json(blob) -> TreeVertex:
     if not isinstance(blob, dict):
         raise ParseError("root vertices must be objects")
     if "base" in blob:
-        pos = BasePoint.parse(blob["base"])
+        pos = BasePoint.parse(_text(blob, "base"))
     elif "line" in blob and "coord" in blob:
         try:
-            pos = LinePoint(Slope.parse(blob["line"]), _parse_fraction(blob["coord"]))
+            line, coord = _text(blob, "line"), _text(blob, "coord")
+            pos = LinePoint(Slope.parse(line), _parse_fraction(coord))
         except PreconditionViolated as exc:
             raise ParseError(str(exc)) from exc
     else:

@@ -17,17 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    DivisionImpossible,
-    PrecisionExhausted,
-    PreconditionViolated,
-    RootUnavailable,
-)
+from .errors import DivisionImpossible, PrecisionExhausted, PreconditionViolated
 from .grammar import poly_to_text
 from .polyring import Poly
-from .ringelement import RingElement
-
-DEFAULT_PREC = 16
+from .ringelement import DEFAULT_PREC, RingElement, power_root
 
 
 class Series(RingElement):
@@ -231,23 +224,12 @@ class Series(RingElement):
             )
         return q
 
-    def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> "Series":
-        """n-th root g of a unit f with rational residue g_0, by the power
-        recurrence g_k = sum_{1<=j<=k} ((n+1) j - n k) f_j g_{k-j} / (n k f_0)."""
-        if not self.is_unit():
-            raise PreconditionViolated("n-th root defined for units only")
+    def _unit_root(self, c0: Fraction, n: int, prec: int) -> "Series":
+        """c0·g for g = (self/f_0)^(1/n), on the coefficients f of the unit
+        self, to its window or prec."""
         f = self.coeffs
-        c0 = _rational_root(f[0], n)
-        if c0 is None:
-            raise RootUnavailable(f"{f[0]} has no rational {n}-th root")
         window = self.rel_prec if self.rel_prec is not None else prec
-        g = [c0]
-        for k in range(1, window):
-            s = sum(
-                ((n + 1) * j - n * k) * f[j] * g[k - j]
-                for j in range(1, min(k + 1, len(f)))
-            )
-            g.append(s / (n * k * f[0]))
+        g = [c0 * c for c in power_root([c / f[0] for c in f], n, window, Fraction(1))]
         # exact exactly when the truncated root's n-th power is self
         return Series.make(0, g, self.exact and Series.make(0, g, True) ** n == self)
 
@@ -338,34 +320,3 @@ class Series(RingElement):
 
 _ZERO = Series(0, (), True)
 _ONE = Series(0, (Fraction(1),), True)
-
-
-def _integer_nth_root(m: int, n: int) -> Optional[int]:
-    if m < 0:
-        if n % 2 == 0:
-            return None
-        r = _integer_nth_root(-m, n)
-        return None if r is None else -r
-    if m in (0, 1):
-        return m
-    if n >= m.bit_length():  # then 2^n > m, and no integer n-th root is m
-        return None
-    lo, hi = 0, 1
-    while hi**n < m:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < m:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == m else None
-
-
-def _rational_root(c: Fraction, n: int) -> Optional[Fraction]:
-    p = _integer_nth_root(c.numerator, n)
-    q = _integer_nth_root(c.denominator, n)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
-

@@ -40,25 +40,16 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import grammar
-from .dvrseries import DEFAULT_PREC, Series, _rational_root
+from .dvrseries import DEFAULT_PREC, Series
 from .errors import (
     DivisionImpossible,
     ModelMismatch,
     ParseError,
     PrecisionExhausted,
     PreconditionViolated,
-    RootUnavailable,
 )
-from .polyring import (
-    Grevlex,
-    Poly,
-    eliminate,
-    escapes_origin,
-    mono_div,
-    mono_divides,
-    power,
-)
-from .ringelement import RingElement, model_class
+from .polyring import Poly, eliminate, escapes_origin, power
+from .ringelement import RingElement, model_class, power_root
 
 MODEL_DVR = Series.model
 MODEL_BIVARIATE = "bivariate"
@@ -294,36 +285,6 @@ def _poly(f: list, pad: tuple = (), scale: int = 1) -> Poly:
     return Poly(terms, len(pad) + 2)
 
 
-def _poly_nth_root(p: Poly, n: int) -> Optional[Poly]:
-    """Greedy leading-term n-th root extraction in Q[u,v]."""
-    if p.is_zero():
-        return p
-    if n == 1:
-        return p
-    order = Grevlex(2)
-    lm, lc = p.leading(order)
-    if any(e % n for e in lm):
-        return None
-    c0 = _rational_root(lc, n)
-    if c0 is None:
-        return None
-    g = Poly({tuple(e // n for e in lm): c0}, 2)
-    for _ in range(len(p.terms) * n + 8):
-        r = p - g**n
-        if r.is_zero():
-            return g
-        rm, rc = r.leading(order)
-        gl = g**(n - 1)
-        glm, glc = gl.leading(order)
-        if not mono_divides(glm, rm):
-            return None
-        t = Poly({mono_div(rm, glm): Fraction(rc) / (n * glc)}, 2)
-        if order.key(t.leading(order)[0]) < order.key(g.leading(order)[0]):
-            return None
-        g = g + t
-    return None
-
-
 # ---------------------------------------------------------------------------
 # bivariate elements
 # ---------------------------------------------------------------------------
@@ -397,7 +358,8 @@ class BiFrac(RingElement):
     two denominators; `_canonical` then divides out the joint content, so
     integers do not grow.  Fractions appear only where a rational leaves:
     `residue`, `to_text` (which divides by den(0,0), the text of the
-    element's den(0,0) = 1 form) and `nth_root_unit`.
+    element's den(0,0) = 1 form) and `nth_root_unit`, whose `_unit_root`
+    runs the recurrence both models share on homogeneous parts over Q.
     """
 
     model = MODEL_BIVARIATE
@@ -570,21 +532,25 @@ class BiFrac(RingElement):
         rad = _cofactor(h, gcd2(gcd2(h, h_u), h_v))
         return lambda f: _divides(rad, f.num)
 
-    def nth_root_unit(self, n: int, prec: int = DEFAULT_PREC) -> Optional["BiFrac"]:
-        res = _rational_root(self.residue(), n)
-        if res is None:
-            raise RootUnavailable(f"residue {self.residue()} has no rational {n}-th root")
-        if _is_constant(self.num) and _is_constant(self.den):
-            return BiFrac.from_fraction(res)
-        rn = _poly_nth_root(_poly(self.num), n)
-        rd = _poly_nth_root(_poly(self.den), n)
-        if rn is None or rd is None:
-            return None
-        g = BiFrac.make(*_cleared(rn, rd))
-        for root in (g, -g):
-            if root ** n == self:
-                return root
-        return None
+    def _unit_root(self, c0: Fraction, n: int, prec: int) -> Optional["BiFrac"]:
+        """c0·r(num)/r(den), where r(f) is the root that `power_root` gives
+        on the homogeneous parts of p = f/f(0,0), to degree ⌊deg p / n⌋;
+        None unless r(f)^n == p for both.  Nothing is missed: if self is
+        (c0·P/Q)^n with P, Q coprime and P(0,0) = Q(0,0) = 1, unique
+        factorization makes the two p's P^n and Q^n."""
+        roots = []
+        for f in (self.num, self.den):
+            p = _poly(f, scale=_constant(f))
+            parts: list = [{} for _ in range(1 + max(map(sum, p.terms)))]
+            for m, c in p.terms.items():
+                parts[sum(m)][m] = c
+            parts = [Poly(t, 2) for t in parts]
+            g = power_root(parts, n, (len(parts) - 1) // n + 1, parts[0])
+            root = sum(g[1:], g[0])
+            if root**n != p:
+                return None
+            roots.append(root)
+        return BiFrac.make(*_cleared(c0 * roots[0], roots[1]))
 
     def to_text(self) -> str:
         c = self.den[0][0]
@@ -675,21 +641,7 @@ def elements_gcd(gens: Sequence[RingElement]) -> RingElement:
     return live[0].gcd(live)
 
 
-def nth_root_unit(
-    e: RingElement, n: int, prec: int = DEFAULT_PREC
-) -> Optional[RingElement]:
-    """g with g^n = e, for unit e.
-
-    Raises RootUnavailable when the residue (a rational) has no rational
-    n-th root — the price of an exact residue field.  In the bivariate
-    model only constants and exact perfect powers are recognized; anything
-    else returns None.
-    """
-    if n < 1:
-        raise PreconditionViolated("root index must be positive")
-    if not e.is_unit():
-        raise PreconditionViolated("n-th roots are extracted from units only")
-    return e.nth_root_unit(n, prec)
+nth_root_unit = RingElement.nth_root_unit
 
 
 def substitute_base(e: RingElement, b: int) -> RingElement:

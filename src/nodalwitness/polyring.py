@@ -170,6 +170,8 @@ class Poly:
             return Poly.zero(self.nvars)
         return Poly({m: c * v for m, v in self.terms.items()}, self.nvars)
 
+    __rmul__ = scale  # c * p for a scalar c
+
     def __pow__(self, n: int) -> "Poly":
         return power(self, n, Poly.constant(_ONE, self.nvars))
 

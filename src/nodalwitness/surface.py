@@ -140,7 +140,7 @@ class NodalSurface:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(c, int) for c in entry)
+                or not all(type(c) is int for c in entry)
             ):
                 raise ParseError(f"bad line entry {entry!r}")
             try:

@@ -394,6 +394,48 @@ class TestExitCodes:
         assert err.startswith("error:") and f"'{field}'" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "show"],
+            ["tree", "normalize"],
+            ["tree", "pullback", "2"],
+            ["decide", "general", "--r0", "x", "--s1", "1", "--s2", "2", "--tree", "-"],
+        ],
+        ids=["show", "normalize", "pullback", "decide-general"],
+    )
+    @pytest.mark.parametrize(
+        "blob, field",
+        [
+            ('{"roots":[{"line":"1","coord":1}]}', "coord"),
+            ('{"roots":[{"base":5}]}', "base"),
+            ('{"roots":[{"base":"[0:1]","children":[{"at":{"free":2}}]}]}', "free"),
+            ('{"roots":[{"line":1,"coord":"1"}]}', "line"),
+        ],
+        ids=["int-coord", "int-base", "int-free", "int-line"],
+    )
+    def test_malformed_tree_field_is_two(self, argv, blob, field):
+        code, out, err = invoke(argv, blob)
+        assert code == 2
+        assert err.startswith("error:") and f"'{field}'" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "argv, blob",
+        [
+            (["surface", "show"], '{"lines":[[0,1],[true,1],[1,0]]}'),
+            (["surface", "nprime"], '{"lines":[[0,1],[1,false],[1,0]]}'),
+            (["decide", "nodal", "--surface", "-", "--r0", "x", "--s1", "x", "--s2", "x"],
+             '{"lines":[[0,1],[true,true],[1,0]]}'),
+        ],
+        ids=["show-true", "nprime-false", "decide-true-true"],
+    )
+    def test_boolean_surface_slope_is_two(self, argv, blob):
+        code, out, err = invoke(argv, blob)
+        assert code == 2
+        assert err.startswith("error:") and "bad line entry" in err
+        assert "Traceback" not in out + err
+
     def test_duplicate_st_monomial_is_two(self):
         blob = GHOST_WITNESS.replace(
             '{"1":"1","S":"x"}]', '{"1":"1","S":"x","S^1":"x"}]'

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports is used by that module, and none is
+another module's private (underscore) name.
 
 Read with the standard library's `ast` only: a name counts as used when it
 appears in code, in an annotation (string annotations included) or in
@@ -55,3 +56,17 @@ def test_every_import_is_used(path):
     used = used_names(tree)
     unused = {n: line for n, line in imported_names(tree).items() if n not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_name_imported(path):
+    """A module's underscore names are its own: no other module imports one."""
+    tree = ast.parse(path.read_text())
+    private = {
+        alias.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level  # from the package
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert not private, f"{path.name} imports private names: {private}"

@@ -8,9 +8,9 @@ from functools import reduce
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from nodalwitness import localring, polyring
+from nodalwitness import grammar, localring, polyring
 from nodalwitness.dvrseries import Series
 from nodalwitness.errors import (
     DegreeCapExceeded,
@@ -48,6 +48,7 @@ from nodalwitness.localring import (
     unit_multiple,
 )
 from nodalwitness.polyring import Poly, eliminate, escapes_origin, set_spair_cap
+from nodalwitness.ringelement import rational_root
 
 MODELS = [MODEL_DVR, MODEL_BIVARIATE]
 
@@ -1086,9 +1087,25 @@ class TestRoots:
         r = nth_root_unit(dvr("-8 + x"), 3)
         assert r is not None and r**3 == dvr("-8 + x")
 
-    def test_non_unit_rejected(self):
+    @pytest.mark.parametrize("call", ["public", "method"])
+    @pytest.mark.parametrize(
+        "model, text, n",
+        [
+            (MODEL_DVR, "x", 2),
+            (MODEL_BIVARIATE, "u^2", 2),
+            (MODEL_DVR, "4 + x", 0),
+            (MODEL_DVR, "4 + x", -1),
+            (MODEL_BIVARIATE, "4 + u", 0),
+            (MODEL_BIVARIATE, "4 + u", -1),
+        ],
+    )
+    def test_non_unit_rejected(self, call, model, text, n):
+        e = parse_element(text, model)
         with pytest.raises(PreconditionViolated):
-            nth_root_unit(dvr("x"), 2)
+            if call == "public":
+                nth_root_unit(e, n)
+            else:
+                e.nth_root_unit(n)
 
     def test_biv_constant(self):
         assert nth_root_unit(biv("9"), 2) in (biv("3"), biv("-3"))
@@ -1114,6 +1131,48 @@ class TestRoots:
         except RootUnavailable:
             return
         assert r**n == e
+
+    @given(
+        q=st.lists(small_q, min_size=1, max_size=3).filter(lambda q: q[0] != 0),
+        n=st.sampled_from([2, 3, 4]),
+    )
+    @example(q=[1, -1], n=2)
+    @example(q=[2, 0, -1], n=4)
+    @settings(max_examples=30, deadline=None)
+    def test_models_agree(self, q, n):
+        """The root of q^n reads the same in both models under x -> u, and
+        its residue is the rational root of the residue in each."""
+        s = Series.make(0, q, True)
+        e_dvr, e_biv = s**n, biv(s.to_text().replace("x", "u")) ** n
+        r_dvr, r_biv = nth_root_unit(e_dvr, n), nth_root_unit(e_biv, n)
+        assert r_dvr.exact and r_biv is not None
+        assert r_dvr.to_text().replace("x", "u") == r_biv.to_text()
+        for e, r in ((e_dvr, r_dvr), (e_biv, r_biv)):
+            assert r.residue() == rational_root(e.residue(), n)
+
+    @given(
+        c=small_q.filter(lambda c: c != 0),
+        pq=st.lists(
+            st.fixed_dictionaries(
+                {(0, 0): small_q.filter(lambda c: c != 0)},
+                optional={m: small_q for m in [(1, 0), (0, 1), (1, 1), (0, 2)]},
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        n=st.sampled_from([2, 3, 4]),
+        k=st.integers(1, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_biv_power_recognized(self, c, pq, n, k):
+        """c^n·p^n/q^n has a root whose n-th power it is; times (1+u+v)^k,
+        0 < k < n, it has none, as 1+u+v is irreducible."""
+        p, q = (biv(grammar.poly_to_text(Poly(t, 2), ["u", "v"])) for t in pq)
+        e = (RingElement.from_fraction(c, MODEL_BIVARIATE) * p.divide_in_ring(q)) ** n
+        r = nth_root_unit(e, n)
+        assert r is not None and r**n == e
+        if k < n:
+            assert nth_root_unit(e * biv("1 + u + v") ** k, n) is None
 
 
 class TestSubstituteBase:
