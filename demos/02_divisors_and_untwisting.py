@@ -9,11 +9,7 @@ homotopy criteria consume.
 from fractions import Fraction
 
 from nodalwitness.farey import Slope
-from nodalwitness.surface import (
-    NodalSurface,
-    etale_cover_degree,
-    etale_cover_target,
-)
+from nodalwitness.surface import NodalSurface, etale_cover_degree
 
 X = NodalSurface.p1().blowup_node(0).blowup_node(0)
 print("surface:", [str(s) for s in X.lines])
@@ -42,11 +38,8 @@ print()
 
 # A section sitting at a fractional slope a/b can be pushed to an integer
 # slope by a degree-b base cover.  The degree only depends on the reduced
-# denominator; the landing spot is the distinguished open around slope a.
+# denominator.
 print("untwisting degrees:")
 for a, b in ((1, 2), (2, 3), (3, 4), (4, 6)):
     t = Slope(Fraction(a, b).numerator, Fraction(a, b).denominator)
-    print(
-        f"  slope {a}/{b} -> degree {etale_cover_degree(t)} cover,"
-        f" landing on {etale_cover_target(t)}"
-    )
+    print(f"  slope {a}/{b} -> degree {etale_cover_degree(t)} cover")

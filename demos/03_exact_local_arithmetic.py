@@ -26,7 +26,7 @@ b = dvr("2*x + x^2")
 q = a.divide_in_ring(b)
 print(f"({element_to_text(a)}) / ({element_to_text(b)})")
 print("  =", element_to_text(q))
-print("valuation:", q.valuation(), " unit:", q.is_unit())
+print("order:", q.order(), " unit:", q.is_unit())
 print("residue of 1/2 + x:", dvr("1/2 + x").residue())
 
 u = dvr("1 + 4*x")

@@ -57,5 +57,5 @@ s3 = SectionData(g, dvr("x^2"))
 s4 = SectionData(g, dvr("x^2 + x^3"))
 t3, t4 = shift_section(s3, 1), shift_section(s4, 1)
 print("shift by one step divides values by r0:")
-print("  vals before:", s3.r.valuation(), s4.r.valuation())
-print("  vals after: ", t3.r.valuation(), t4.r.valuation())
+print("  orders before:", s3.r.order(), s4.r.order())
+print("  orders after: ", t3.r.order(), t4.r.order())

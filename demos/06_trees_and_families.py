@@ -10,7 +10,6 @@ then splits a whole family of sections into connected classes.
 import json
 
 from nodalwitness.blowuptree import (
-    n_x,
     normalize_pure_nodes,
     pullback_tree,
     tree_from_json,
@@ -39,7 +38,8 @@ t = tree_from_json(
         ]
     }
 )
-print("tree:", t, " fiber-component budget n_x =", n_x(t))
+largest = max(r.size() for r in t.roots)
+print("tree:", t, " fiber-component budget (largest root's size) =", largest)
 
 X, residual = normalize_pure_nodes(t)
 print("pure-node part becomes the chain:", [str(s) for s in X.lines])

@@ -20,19 +20,12 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParseError, PreconditionViolated, UnsupportedSupport
-from .farey import INF, ZERO, Slope, mediant
+from .farey import INF, ZERO, Slope, mediant, parse_rational
 from .ringelement import rational_root
 from .surface import NodalSurface
 
 NODE_LEFT = "node-left"
 NODE_RIGHT = "node-right"
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational coordinate {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,7 @@ class BasePoint:
         if not (body.startswith("[") and body.endswith("]") and ":" in body):
             raise ParseError(f"base point must look like [p:q], got {text!r}")
         left, _, right = body[1:-1].partition(":")
-        return BasePoint(_parse_fraction(left), _parse_fraction(right))
+        return BasePoint(parse_rational(left), parse_rational(right))
 
     def is_distinguished(self) -> bool:
         return self.c0 == 0 and self.c1 == 1
@@ -180,11 +173,6 @@ class BlowupTree:
 
     def __str__(self) -> str:
         return f"BlowupTree({self.total_size()} vertices, {len(self.roots)} roots)"
-
-
-def n_x(t: BlowupTree) -> int:
-    """Largest single-root vertex count — the fiber-component budget."""
-    return max((r.size() for r in t.roots), default=0)
 
 
 # --- pure-node normalization ---------------------------------------------------
@@ -324,7 +312,7 @@ def _child_from_json(blob) -> TreeVertex:
         pos = NodePos(at)
     elif isinstance(at, dict) and set(at) == {"free"}:
         try:
-            pos = FreePoint(_parse_fraction(_text(at, "free")))
+            pos = FreePoint(parse_rational(_text(at, "free")))
         except PreconditionViolated as exc:
             raise ParseError(str(exc)) from exc
     else:
@@ -340,7 +328,7 @@ def _root_from_json(blob) -> TreeVertex:
     elif "line" in blob and "coord" in blob:
         try:
             line, coord = _text(blob, "line"), _text(blob, "coord")
-            pos = LinePoint(Slope.parse(line), _parse_fraction(coord))
+            pos = LinePoint(Slope.parse(line), parse_rational(coord))
         except PreconditionViolated as exc:
             raise ParseError(str(exc)) from exc
     else:

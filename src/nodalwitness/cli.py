@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .blowuptree import (
     BlowupTree,
@@ -81,14 +80,6 @@ def _read_json(path: str):
     return value
 
 
-def _parse_slope(text: str) -> Slope:
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad slope {text!r}") from exc
-    return Slope(frac.numerator, frac.denominator)
-
-
 def _load_surface(args) -> NodalSurface:
     """Surface from --surface (path or '-'), defaulting to [0, 1, inf]."""
     path = getattr(args, "surface", None)
@@ -129,7 +120,7 @@ def cmd_surface(args) -> int:
             sys.stdout.write(X.to_dot())
     elif args.subaction == "divisor":
         which = "zeros" if args.zeros else "poles"
-        _print_json(sorted(X.divisor_support(_parse_slope(args.slope), which)))
+        _print_json(sorted(X.divisor_support(Slope.parse(args.slope), which)))
     else:  # nprime
         _print_json(X.is_in_Nprime())
     return 0
@@ -264,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--output",
-        choices=("text", "json", "dot"),
+        choices=("text", "json"),
         default="text",
         help="rendering for show/verify output; data commands always emit JSON",
     )

@@ -83,9 +83,6 @@ class Series(RingElement):
     def is_unit(self) -> bool:
         return bool(self.coeffs) and self.val == 0
 
-    def valuation(self) -> Optional[int]:
-        return None if self.is_zero() else self.val
-
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1 and self.exact
 

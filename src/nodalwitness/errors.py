@@ -25,10 +25,6 @@ class IndexOutOfRange(EngineError, IndexError):
     """A node or line index does not exist on the surface."""
 
 
-class ShiftOutOfRange(EngineError):
-    """Shifting a patch or slope would make a parameter negative."""
-
-
 class ModelMismatch(EngineError):
     """Ring elements from different models were mixed."""
 

@@ -5,13 +5,16 @@ point at infinity is the pair (1, 0).  Consecutive lines on a nodal surface
 always carry unimodular-adjacent slopes, and every freshly blown-up line
 carries the mediant of its two neighbours; this module is the bookkeeping
 for exactly those two facts, plus the mediant descent that walks from the
-ladder's top down to a prescribed slope.
+ladder's top down to a prescribed slope, and the one reader of rational
+text that slopes and blowup trees share.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidSlope, NonTermination, OrderViolation, ParseError
 
@@ -22,7 +25,24 @@ __all__ = [
     "mediant",
     "unimodular",
     "farey_path",
+    "parse_rational",
 ]
+
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*\Z")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written p or p/q in ASCII digits, with an optional sign
+    and surrounding whitespace.  Anything else (an exponent, a point, an
+    underscore, another digit set), a zero q or an overlong integer is a
+    ParseError."""
+    m = _RATIONAL.match(text)
+    try:
+        if m:
+            return Fraction(int(m[1]), int(m[2] or 1))
+    except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or q = 0
+        pass
+    raise ParseError(f"bad rational {text!r}")
 
 
 @dataclass(frozen=True, order=False)
@@ -70,14 +90,6 @@ class Slope:
             raise InvalidSlope("floor of the infinite slope")
         return self.a // self.b
 
-    def shift(self, k: int) -> "Slope":
-        """Subtract the integer k, staying non-negative."""
-        if self.is_infinite:
-            return self
-        if self.a - k * self.b < 0:
-            raise InvalidSlope(f"shift by {k} makes {self} negative")
-        return Slope(self.a - k * self.b, self.b)
-
     def __str__(self) -> str:
         if self.is_infinite:
             return "inf"
@@ -94,11 +106,9 @@ class Slope:
         if text in ("inf", "oo"):
             return INF
         try:
-            if "/" in text:
-                num, den = text.split("/")
-                return Slope(int(num), int(den))
-            return Slope(int(text), 1)
-        except (ValueError, InvalidSlope) as exc:
+            q = parse_rational(text)
+            return Slope(q.numerator, q.denominator)
+        except (ParseError, InvalidSlope) as exc:
             raise ParseError(f"bad slope {text!r}") from exc
 
 

@@ -156,7 +156,14 @@ def location_slopes(loc: Location) -> frozenset:
 
 
 def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
-    """Which line/node of the special fiber the section passes through."""
+    """Which line/node of the special fiber the section passes through.
+
+    Raises LiftRequired exactly when the section does not factor through X,
+    i.e. some node ideal <r0^a, r^b> is not principal: in a local domain,
+    when neither member divides the other.  In a UFD (both models are)
+    comparability at the first line that is not "down" carries to every
+    line above it, so the walk stops there.
+    """
     g = s.gamma
     if classify_gamma(g) != REGIME_MAIN:
         raise PreconditionViolated("locations are defined in the main regime only")
@@ -186,26 +193,6 @@ def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
             "the section does not pass through a single point of the fiber"
         )
     return NodeLoc(X.lines[-2], INF)
-
-
-def lifts(X: NodalSurface, s: SectionData) -> bool:
-    """Whether the section factors through X: each node ideal <r0^a, r^b>
-    pulls back principal.
-
-    Outside the main regime r0 is zero or a unit, so each of them is.  In a
-    local domain a pair generates a principal ideal exactly when one member
-    divides the other, which is the comparison closed_point_image makes
-    line by line, raising LiftRequired where it fails; in a UFD (both
-    models are) comparability at the first line that is not "down" carries
-    to every line above it.
-    """
-    if classify_gamma(s.gamma) != REGIME_MAIN:
-        return True
-    try:
-        closed_point_image(X, s)
-    except LiftRequired:
-        return False
-    return True
 
 
 def shift_section(s: SectionData, k: int, prec: int = DEFAULT_PREC) -> SectionData:
@@ -857,9 +844,9 @@ def _decide_tower(X: NodalSurface, marks, s1, s2, prec) -> Verdict:
     """The tower step: two main-regime sections on X, whose lines carry the
     residual free centers `marks` (LinePoints).  It locates both sections
     (closed_point_image is the decision's one comparability check: it
-    raises LiftRequired exactly for a section that does not lift, see
-    `lifts`), checks them against the marks, decides in their shared
-    region, and certifies a Homotopic witness against the marks."""
+    raises LiftRequired exactly for a section that does not lift), checks
+    them against the marks, decides in their shared region, and certifies
+    a Homotopic witness against the marks."""
     g = s1.gamma
     locs = closed_point_image(X, s1), closed_point_image(X, s2)
     region = location_slopes(locs[0])

@@ -617,21 +617,6 @@ def _one_model(gens: Sequence[RingElement]) -> None:
         gens[0]._match(g)
 
 
-def gens_principal(gens: Sequence[RingElement]) -> Optional[RingElement]:
-    """Fold pair_principal over any number of generators."""
-    _one_model(gens)
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        return RingElement.zero(gens[0].model) if gens else None
-    acc = live[0]
-    for g in live[1:]:
-        nxt = pair_principal(acc, g)
-        if nxt is None:
-            return None
-        acc = nxt
-    return acc
-
-
 def elements_gcd(gens: Sequence[RingElement]) -> RingElement:
     """A gcd of the generators (both models are UFD stand-ins), up to unit."""
     _one_model(gens)

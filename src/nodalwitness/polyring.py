@@ -62,19 +62,6 @@ def power(x, n: int, one):
     return one if out is None else out
 
 
-class Grevlex:
-    """Degree-reverse-lexicographic order."""
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-
-    @staticmethod
-    def key(m: Monomial) -> tuple:
-        """Sort key putting greater monomials first: higher degree, then
-        the smaller exponent in the rightmost place where two differ."""
-        return (-sum(m), *m[::-1])
-
-
 class BlockOrder:
     """Eliminate the first `nelim` variables: grevlex blockwise.
 

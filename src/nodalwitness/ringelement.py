@@ -52,10 +52,6 @@ class RingElement:
         if self.model != other.model:
             raise ModelMismatch(f"cannot mix {self.model} and {other.model} elements")
 
-    def valuation(self) -> int | None:
-        """DVR order of vanishing; None for the zero element."""
-        raise ModelMismatch("valuation is a DVR-model notion")
-
     def __pow__(self, n: int) -> "RingElement":
         return power(self, n, RingElement.one(self.model))
 

@@ -4,9 +4,8 @@ A surface here is remembered purely combinatorially: the ordered list of
 slopes labelling its fiber lines.  Blowing up the node between two adjacent
 lines inserts their mediant, so every surface reachable from the minimal one
 is a finite Stern-Brocot excerpt bracketed by 0 and the formal slope
-infinity.  Supports of monomial divisors, the distinguished open patches,
-the integer-shift isomorphisms between them, and the degrees of the finite
-etale covers that untwist fractional slopes all live on this ladder.
+infinity.  Supports of monomial divisors and the degrees of the finite
+etale covers that untwist fractional slopes both live on this ladder.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .errors import (
     OrderViolation,
     ParseError,
     PreconditionViolated,
-    ShiftOutOfRange,
 )
 from .farey import INF, ZERO, Slope, mediant, unimodular
 
@@ -31,10 +29,6 @@ NEG_INF_LABEL = "l_-inf"
 
 def line_label(s: Slope) -> str:
     return f"l_{s}"
-
-
-PATCH_PLAIN = "U"
-PATCH_TILDE = "U~"
 
 
 @dataclass(frozen=True)
@@ -76,20 +70,11 @@ class NodalSurface:
                 f"node index {i} out of range 0..{self.node_count - 1}"
             )
 
-    def node_between(self, i: int) -> tuple:
-        self._check_node(i)
-        return (self.lines[i], self.lines[i + 1])
-
     def blowup_node(self, i: int) -> "NodalSurface":
         """Insert the mediant line at node i (indexed by its left line)."""
         self._check_node(i)
         mid = mediant(self.lines[i], self.lines[i + 1])
         return NodalSurface(self.lines[: i + 1] + (mid,) + self.lines[i + 1 :])
-
-    def node_ideal(self, i: int) -> tuple:
-        """The two formal monomials cutting out node i."""
-        left, right = self.node_between(i)
-        return (_monomial_text(right.a, -right.b), _monomial_text(-left.a, left.b))
 
     # --- lines ------------------------------------------------------------
 
@@ -166,69 +151,6 @@ class NodalSurface:
         return "[" + ", ".join(str(t) for t in self.lines) + "]"
 
 
-def _monomial_text(xexp: int, yexp: int) -> str:
-    """x^xexp * y^yexp as a display fraction, e.g. (2, -1) -> "x^2/y"."""
-
-    def var(name: str, e: int) -> str:
-        return name if e == 1 else f"{name}^{e}"
-
-    num = [var(n, e) for n, e in (("x", xexp), ("y", yexp)) if e > 0]
-    den = [var(n, -e) for n, e in (("x", xexp), ("y", yexp)) if e < 0]
-    top = "*".join(num) or "1"
-    if not den:
-        return top
-    return f"{top}/{'*'.join(den)}"
-
-
-# --- distinguished opens -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OpenPatch:
-    """A distinguished open of a nodal surface, named by slope parameters.
-
-    One slope: the surface minus the support of div(x^a/y^b).  Two slopes
-    r > s: the two-line neighborhood of the node between them, which forces
-    r - s = 1/(b*d).  The tilde kinds are the infinite-chart variants.
-    """
-
-    kind: str
-    slopes: tuple
-
-    def __post_init__(self):
-        if self.kind not in (PATCH_PLAIN, PATCH_TILDE):
-            raise PreconditionViolated(f"unknown patch kind {self.kind!r}")
-        slopes = tuple(self.slopes)
-        object.__setattr__(self, "slopes", slopes)
-        if len(slopes) not in (1, 2):
-            raise PreconditionViolated("a patch has one or two slope parameters")
-        for t in slopes:
-            if t.is_infinite:
-                raise PreconditionViolated("patch slopes must be finite")
-        if len(slopes) == 2:
-            r, s = slopes
-            if not s < r:
-                raise OrderViolation("two-slope patch needs r > s")
-            if r.a * s.b - s.a * r.b != 1:
-                raise PreconditionViolated(
-                    f"patch slopes {r}, {s} do not satisfy r - s = 1/(b*d)"
-                )
-
-    def shift(self, k: int) -> "OpenPatch":
-        if not isinstance(k, int) or k < 0:
-            raise ShiftOutOfRange("shift amount must be a non-negative integer")
-        moved = []
-        for t in self.slopes:
-            if t.a - k * t.b < 0:
-                raise ShiftOutOfRange(f"slope {t} cannot shift down by {k}")
-            moved.append(t.shift(k))
-        return OpenPatch(self.kind, tuple(moved))
-
-    def __str__(self) -> str:
-        inner = ",".join(str(t) for t in self.slopes)
-        return f"{self.kind}_{{{inner}}}"
-
-
 # --- etale covers -------------------------------------------------------------
 
 
@@ -238,9 +160,3 @@ def etale_cover_degree(s: Slope) -> int:
         raise InvalidSlope("cover degree needs a finite slope")
     return s.b
 
-
-def etale_cover_target(s: Slope) -> OpenPatch:
-    """The integer-slope patch the cover lands on (shiftable to U_0)."""
-    if s.is_infinite:
-        raise InvalidSlope("cover target needs a finite slope")
-    return OpenPatch(PATCH_PLAIN, (Slope(s.a, 1),))

@@ -14,7 +14,6 @@ from nodalwitness.blowuptree import (
     NODE_RIGHT,
     NodePos,
     TreeVertex,
-    n_x,
     normalize_pure_nodes,
     pullback_tree,
     tree_from_json,
@@ -93,21 +92,23 @@ class TestBasics:
             BlowupTree((root(), root()))
 
 
-class TestNx:
+class TestSize:
     def test_empty(self):
-        assert n_x(BlowupTree()) == 0
+        assert BlowupTree().total_size() == 0
 
     def test_single_chain(self):
-        assert n_x(BlowupTree((root("[0:1]", node(NODE_LEFT)),))) == 2
+        t = BlowupTree((root("[0:1]", node(NODE_LEFT)),))
+        assert t.roots[0].size() == t.total_size() == 2
 
-    def test_max_over_roots(self):
+    def test_sum_over_roots(self):
         t = BlowupTree(
             (
                 root("[0:1]"),
                 root("[1:0]", node(NODE_LEFT, node(NODE_LEFT))),
             )
         )
-        assert n_x(t) == 3
+        assert [r.size() for r in t.roots] == [1, 3]
+        assert t.total_size() == 4
 
     @given(zero_rooted_trees())
     @settings(max_examples=50)
@@ -116,7 +117,7 @@ class TestNx:
         extended = BlowupTree(
             (TreeVertex(r.position, r.children + (free(97),)),)
         )
-        assert n_x(extended) == n_x(t) + 1 >= n_x(t)
+        assert extended.total_size() == t.total_size() + 1
 
 
 class TestNormalize:
@@ -200,7 +201,7 @@ class TestPullback:
         t = BlowupTree((root("[0:1]", node(NODE_LEFT)),))
         up = pullback_tree(t, 2)
         assert len(up.roots) == 1
-        assert n_x(up) == n_x(t) == 2
+        assert up.total_size() == t.total_size() == 2
 
     def test_square_preimages(self):
         t = BlowupTree((root("[4:1]", node(NODE_LEFT)),))
@@ -227,9 +228,10 @@ class TestPullback:
 
     @given(zero_rooted_trees(), st.integers(1, 3))
     @settings(max_examples=40)
-    def test_nx_preserved_per_copy(self, t, b):
+    def test_size_preserved_per_copy(self, t, b):
         up = pullback_tree(t, b)
-        assert n_x(up) == n_x(t)  # [0:1] always has exactly one preimage
+        # [0:1] always has exactly one preimage, with the same subtree
+        assert [r.size() for r in up.roots] == [r.size() for r in t.roots]
 
 
 class TestJson:

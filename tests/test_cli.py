@@ -436,6 +436,37 @@ class TestExitCodes:
         assert err.startswith("error:") and "bad line entry" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv, blob, bad",
+        [
+            (["tree", "show"], '{"roots":[{"base":"[1e100000000:1]"}]}', "1e100000000"),
+            (["tree", "show"], '{"roots":[{"base":"[1e10000000:1]"}]}', "1e10000000"),
+            (["tree", "show"], '{"roots":[{"base":"[0.5:1]"}]}', "0.5"),
+            (["tree", "show"], '{"roots":[{"base":"[1_0:1]"}]}', "1_0"),
+            (["tree", "show"], '{"roots":[{"base":"[\u0661/\u0662:1]"}]}', "\u0661/\u0662"),
+            (["tree", "show"],
+             '{"roots":[{"base":"[0:1]","children":[{"at":{"free":"0.5"}}]}]}', "0.5"),
+            (["tree", "show"], '{"roots":[{"line":"1","coord":"1e3"}]}', "1e3"),
+            (["surface", "divisor", "1e100000000", "--zeros"], HALF_SURFACE,
+             "1e100000000"),
+            (["surface", "divisor", "0.5", "--zeros"], HALF_SURFACE, "0.5"),
+            (["surface", "divisor", "\u0661/\u0662", "--zeros"], HALF_SURFACE,
+             "\u0661/\u0662"),
+        ],
+        ids=["base-1e100000000", "base-1e10000000", "base-point", "base-underscore",
+             "base-arabic-indic", "free-point", "coord-exponent",
+             "divisor-1e100000000", "divisor-point", "divisor-arabic-indic"],
+    )
+    def test_malformed_rational_is_two(self, argv, blob, bad):
+        # rationals are p or p/q in ASCII digits; read as Python numbers,
+        # 1e100000000 would build a 10^8-digit integer for minutes
+        start = time.perf_counter()
+        code, out, err = invoke(argv, blob)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith("error:") and repr(bad) in err
+        assert "Traceback" not in out + err
+
     def test_duplicate_st_monomial_is_two(self):
         blob = GHOST_WITNESS.replace(
             '{"1":"1","S":"x"}]', '{"1":"1","S":"x","S^1":"x"}]'

@@ -1,10 +1,19 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nodalwitness.errors import InvalidSlope, OrderViolation, ParseError
-from nodalwitness.farey import INF, ZERO, Slope, farey_path, mediant, unimodular
+from nodalwitness.farey import (
+    INF,
+    ZERO,
+    Slope,
+    farey_path,
+    mediant,
+    parse_rational,
+    unimodular,
+)
 
 
 def frac_slopes(max_value: int = 60):
@@ -62,17 +71,30 @@ class TestSlope:
         with pytest.raises(ParseError):
             Slope.parse(text)
 
-    def test_shift(self):
-        assert Slope(5, 2).shift(2) == Slope(1, 2)
-        assert INF.shift(3) == INF
-        with pytest.raises(InvalidSlope):
-            Slope(1, 2).shift(1)
-
     def test_floor(self):
         assert Slope(7, 3).floor() == 2
         assert Slope(2, 1).floor() == 2
         with pytest.raises(InvalidSlope):
             INF.floor()
+
+
+class TestParseRational:
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", 0), ("-7", -7), ("+3", 3), (" 2/4 ", Fraction(1, 2)),
+         ("-0/5", 0), ("007/3", Fraction(7, 3)), ("9" * 4000, int("9" * 4000))],
+    )
+    def test_reads(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "/", "1/", "/2", "1/0", "1/-2", "- 1", "1 /2", "0.5", "1e3", "1_0",
+         "\u0661/\u0662", "\uff11", "1/2/3", "9" * 5000],
+    )
+    def test_refuses(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
 
 class TestMediant:

@@ -61,7 +61,6 @@ from nodalwitness.homotopy import (
     cover_transform,
     decide_general,
     decide_nodal,
-    lifts,
     location_slopes,
     partition_classes,
     shift_section,
@@ -330,31 +329,54 @@ class TestLocations:
         )
 
 
+def lifts(X, s) -> bool:
+    """Whether closed_point_image locates s on X without LiftRequired."""
+    try:
+        closed_point_image(X, s)
+    except LiftRequired:
+        return False
+    return True
+
+
 class TestLifts:
+    """closed_point_image raises LiftRequired exactly for a section that does
+    not factor through X."""
+
     def test_monomial_sections_lift(self):
-        assert lifts(X1, sec(G2, "x"))
-        assert lifts(X1, sec(G2, "x^2 + x^5"))
+        assert closed_point_image(X1, sec(G2, "x")) == NodeLoc(ZERO, Slope(1, 1))
+        assert closed_point_image(X1, sec(G2, "x^2 + x^5")) == Interior(Slope(1, 1))
 
     def test_pole_chart_always_lifts(self):
         g = GammaData(biv("u"))
-        assert lifts(X1, SectionData(g, biv("v"), CHART_INFINITE))
+        pole = SectionData(g, biv("v"), CHART_INFINITE)
+        assert closed_point_image(X1, pole) == OffNodal()
 
     def test_bivariate_obstruction(self):
         g = GammaData(biv("u"))
-        assert not lifts(X1, SectionData(g, biv("v")))
-        assert lifts(X1, SectionData(g, biv("u + u*v")))
+        with pytest.raises(LiftRequired):
+            closed_point_image(X1, SectionData(g, biv("v")))
+        assert closed_point_image(X1, SectionData(g, biv("u + u*v"))) == Interior(
+            Slope(1, 1)
+        )
 
     @pytest.mark.parametrize("model", [MODEL_DVR, MODEL_BIVARIATE])
     def test_the_zero_ideal_is_principal(self, model):
-        # r0 = r = 0: every node ideal is <0, 0>, generated by 0
+        # r0 = r = 0: every node ideal is <0, 0>, generated by 0.  Locations
+        # are defined in the main regime only, and outside it the decision
+        # connects without one
         zero = parse_element("0", model)
-        assert lifts(X2, SectionData(GammaData(zero), zero))
+        other = parse_element("x" if model == MODEL_DVR else "u", model)
+        g = GammaData(zero)
+        with pytest.raises(PreconditionViolated):
+            closed_point_image(X2, SectionData(g, zero))
+        verdict = decide_nodal(X2, SectionData(g, zero), SectionData(g, other))
+        assert isinstance(verdict, Homotopic) and verdict.level == LEVEL_CHAIN
 
     @settings(max_examples=200, deadline=None)
     @given(case=main_pairs())
     def test_lifts_agrees_with_the_node_ideals(self, case):
-        # the definition, kept here as the oracle: every <r0^a, r^b> on a
-        # line of X is principal
+        # the definition, kept here as the oracle: LiftRequired is raised
+        # exactly when some <r0^a, r^b> on a line of X is not principal
         X, pair = case
         for s in pair:
             r, r0 = s.r, s.gamma.r0

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used by that module, and none is
-another module's private (underscore) name.
+"""Every name a package module imports is used by that module, none is
+another module's private (underscore) name, and every public name the
+package defines has a caller.
 
 Read with the standard library's `ast` only: a name counts as used when it
 appears in code, in an annotation (string annotations included) or in
@@ -7,12 +8,24 @@ appears in code, in an annotation (string annotations included) or in
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nodalwitness"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nodalwitness"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the code that counts as a caller: the package itself (the CLI included),
+# the benchmark, the tools and the acceptance criteria; other tests and the
+# demos exercise names but do not keep them alive
+CALLERS = [
+    *MODULES,
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    *sorted((ROOT / "tools").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\Z")
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -70,3 +83,52 @@ def test_no_private_name_imported(path):
         if alias.name.startswith("_")
     }
     assert not private, f"{path.name} imports private names: {private}"
+
+
+def called_names(tree: ast.AST) -> set:
+    """Names a caller reaches: read names and attributes, imported names, and
+    each part of a dotted-identifier string such as spans.py's TARGETS."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.match(node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def public_definitions(tree: ast.Module):
+    """(name, label) of each public module-level function, class and
+    constant, and of each public method, labelled Class.method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((n, n) for n in names if not n.startswith("_"))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, f"{node.name}.{item.name}"
+
+
+def test_every_public_name_has_a_caller():
+    """Matched by name alone, so a name that shares its spelling with a
+    used one passes; a name no caller spells anywhere fails."""
+    called = set().union(*(called_names(ast.parse(p.read_text())) for p in CALLERS))
+    uncalled = [
+        f"{path.stem}.{label}"
+        for path in MODULES
+        for name, label in public_definitions(ast.parse(path.read_text()))
+        if name not in called
+    ]
+    assert not uncalled, f"public names with no caller: {uncalled}"

@@ -1,4 +1,4 @@
-"""Surface combinatorics: blowups, node ideals, divisor supports, patches."""
+"""Surface combinatorics: blowups, divisor supports, cover degrees."""
 
 import itertools
 
@@ -10,17 +10,12 @@ from nodalwitness.errors import (
     InvalidSlope,
     ParseError,
     PreconditionViolated,
-    ShiftOutOfRange,
 )
 from nodalwitness.farey import INF, ZERO, Slope
 from nodalwitness.surface import (
     NEG_INF_LABEL,
     NodalSurface,
-    OpenPatch,
-    PATCH_PLAIN,
-    PATCH_TILDE,
     etale_cover_degree,
-    etale_cover_target,
     line_label,
 )
 
@@ -102,21 +97,6 @@ class TestConstruction:
         assert inserted == Slope(
             x.lines[i].a + x.lines[i + 1].a, x.lines[i].b + x.lines[i + 1].b
         )
-
-
-class TestNodeIdeal:
-    def test_p1_node(self):
-        assert NodalSurface.p1().node_ideal(0) == ("x", "y")
-
-    def test_depth_one(self):
-        x = surf("0", "1", "inf")
-        assert x.node_ideal(0) == ("x/y", "y")
-        assert x.node_ideal(1) == ("x", "y/x")
-
-    def test_deeper(self):
-        x = surf("0", "1/2", "1", "inf")
-        assert x.node_ideal(0) == ("x/y^2", "y")
-        assert x.node_ideal(1) == ("x/y", "y^2/x")
 
 
 class TestDivisorSupport:
@@ -243,59 +223,6 @@ class TestSerialization:
         assert NodalSurface.from_json_dict(x.to_json_dict()) == x
 
 
-class TestOpenPatch:
-    def test_shift_single(self):
-        p = OpenPatch(PATCH_PLAIN, (Slope(3, 2),))
-        assert p.shift(1) == OpenPatch(PATCH_PLAIN, (Slope(1, 2),))
-
-    def test_shift_pair(self):
-        p = OpenPatch(PATCH_PLAIN, (Slope(3, 2), Slope(4, 3)))
-        q = p.shift(1)
-        assert q == OpenPatch(PATCH_PLAIN, (Slope(1, 2), Slope(1, 3)))
-
-    def test_shift_identity(self):
-        p = OpenPatch(PATCH_TILDE, (Slope(1, 2),))
-        assert p.shift(0) == p
-
-    def test_shift_out_of_range(self):
-        p = OpenPatch(PATCH_PLAIN, (Slope(1, 2),))
-        with pytest.raises(ShiftOutOfRange):
-            p.shift(1)
-        with pytest.raises(ShiftOutOfRange):
-            p.shift(-1)
-
-    def test_pair_constraint(self):
-        with pytest.raises(PreconditionViolated):
-            OpenPatch(PATCH_PLAIN, (Slope(3, 2), Slope(1, 3)))  # gap != 1/(bd)
-        with pytest.raises(Exception):
-            OpenPatch(PATCH_PLAIN, (Slope(1, 3), Slope(3, 2)))  # wrong order
-
-    def test_text(self):
-        assert str(OpenPatch(PATCH_PLAIN, (Slope(3, 2),))) == "U_{3/2}"
-        assert str(OpenPatch(PATCH_TILDE, (Slope(3, 2), Slope(4, 3)))) == "U~_{3/2,4/3}"
-
-    @given(
-        st.integers(0, 8),
-        st.integers(1, 5),
-        st.integers(0, 3),
-        st.integers(0, 3),
-    )
-    @settings(max_examples=60)
-    def test_shift_composes(self, a, b, j, k):
-        from math import gcd
-
-        g = gcd(a, b) or 1
-        s = Slope(a // g if a else 0, b // g if a else 1)
-        p = OpenPatch(PATCH_PLAIN, (s,))
-        try:
-            two_step = p.shift(j).shift(k)
-        except ShiftOutOfRange:
-            with pytest.raises(ShiftOutOfRange):
-                p.shift(j + k)
-            return
-        assert two_step == p.shift(j + k)
-
-
 class TestEtaleCover:
     @pytest.mark.parametrize(
         "s,deg", [("1/2", 2), ("1", 1), ("2/3", 3), ("5/3", 3), ("0", 1)]
@@ -307,8 +234,3 @@ class TestEtaleCover:
         with pytest.raises(InvalidSlope):
             etale_cover_degree(INF)
 
-    def test_target_is_integer_patch(self):
-        t = etale_cover_target(Slope(2, 3))
-        assert t == OpenPatch(PATCH_PLAIN, (Slope(2, 1),))
-        # and that patch shifts all the way to U_0
-        assert t.shift(2) == OpenPatch(PATCH_PLAIN, (ZERO,))
