@@ -15,6 +15,7 @@ the ring's elements keep valuations non-negative.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import DivisionImpossible, PrecisionExhausted, PreconditionViolated
@@ -47,7 +48,7 @@ class Series(RingElement):
     @staticmethod
     def make(val: int, coeffs, exact: bool) -> "Series":
         """Canonicalize: strip leading zeros, detect zero, trim exact tails."""
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         i = 0
         while i < len(coeffs) and coeffs[i] == 0:
             i += 1
@@ -167,15 +168,15 @@ class Series(RingElement):
             ]
             n = min(rels)
             exact = False
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if i >= n:
-                break
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                out[i + j] += a * b
-        return Series.make(self.val + other.val, out, exact)
+        # convolve integer numerators over one denominator per operand
+        a, da = _over_common_den(self.coeffs[:n])
+        b, db = _over_common_den(other.coeffs[:n])
+        out = [0] * n
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b[: n - i]):
+                out[i + j] += ai * bj
+        d = da * db
+        return Series.make(self.val + other.val, [Fraction(c, d) for c in out], exact)
 
     def inverse(self, prec: int = DEFAULT_PREC) -> "Series":
         """1/self: the quotient `divide` gives for the exact numerator 1."""
@@ -313,6 +314,13 @@ class Series(RingElement):
         if self.is_zero():
             return hash(("series", 0))
         return hash(("series", self.val, self.coeffs[0]))
+
+
+def _over_common_den(coeffs) -> tuple[list, int]:
+    """(ints, d) with coeffs[i] == ints[i] / d, d the least common
+    denominator of the Fractions coeffs."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 _ZERO = Series(0, (), True)

@@ -1206,28 +1206,42 @@ def partition_classes(
 
 
 def witness_to_json(w: HomotopyWitness) -> dict:
+    """The JSON form of w, each element object printed once.  Texts are
+    keyed by id() while w holds the objects, never by the element itself:
+    equality of series is precision-relative, so x and x + O(x^2) are
+    equal and hash alike but print differently."""
+    texts: dict = {}
+
+    def text(e: RingElement) -> str:
+        if id(e) not in texts:
+            texts[id(e)] = element_to_text(e)
+        return texts[id(e)]
+
+    return _witness_to_json(w, text)
+
+
+def _witness_to_json(w: HomotopyWitness, text) -> dict:
+    def poly(p: PolyExt) -> dict:
+        return polyext_to_json(p, text)
+
     if isinstance(w, StraightLine):
-        out = {
-            "type": "straight-line",
-            "chart": w.chart,
-            "path": polyext_to_json(w.path),
-        }
+        out = {"type": "straight-line", "chart": w.chart, "path": poly(w.path)}
         if w.offset is not None and not w.offset.is_zero():
-            out["offset"] = element_to_text(w.offset)
+            out["offset"] = text(w.offset)
         return out
     if isinstance(w, GhostWitness):
         return {
             "type": "ghost",
             "shift": w.shift,
-            "blown_center": element_to_text(w.blown_center),
-            "v2_unit": element_to_text(w.v2_unit),
-            "excluded_ideal_v1": [polyext_to_json(p) for p in w.excluded],
-            "h1": polyext_to_json(w.h1),
-            "h2": polyext_to_json(w.h2),
-            "hw_num": polyext_to_json(w.hw_num),
-            "hw_den": polyext_to_json(w.hw_den),
+            "blown_center": text(w.blown_center),
+            "v2_unit": text(w.v2_unit),
+            "excluded_ideal_v1": [poly(p) for p in w.excluded],
+            "h1": poly(w.h1),
+            "h2": poly(w.h2),
+            "hw_num": poly(w.hw_num),
+            "hw_den": poly(w.hw_den),
         }
-    return {"type": "chain", "pieces": [witness_to_json(p) for p in w.pieces]}
+    return {"type": "chain", "pieces": [_witness_to_json(p, text) for p in w.pieces]}
 
 
 def _json_int(v) -> int:
@@ -1243,6 +1257,21 @@ def _json_list(v) -> list:
 
 
 def witness_from_json(blob: dict, model: str, prec: int = DEFAULT_PREC):
+    """The witness a JSON form describes, each distinct element text parsed
+    once: one text -> element map serves every field and every piece of a
+    chain, and dies with the call."""
+    seen: dict = {}
+
+    def element(text) -> RingElement:
+        # a text that fails to parse is not kept, so it raises where first read
+        if not (isinstance(text, str) and text in seen):
+            seen[text] = parse_element(text, model, prec)
+        return seen[text]
+
+    return _witness_from_json(blob, model, element)
+
+
+def _witness_from_json(blob: dict, model: str, element):
     if not isinstance(blob, dict) or "type" not in blob:
         raise ParseError("witness JSON needs a type tag")
     kind = blob["type"]
@@ -1256,11 +1285,8 @@ def witness_from_json(blob: dict, model: str, prec: int = DEFAULT_PREC):
         except ParseError as exc:
             raise ParseError(f"{kind} witness field {name!r}: {exc}") from exc
 
-    def element(text) -> RingElement:
-        return parse_element(text, model, prec)
-
     def poly(d) -> PolyExt:
-        return polyext_from_json(d, model, prec)
+        return polyext_from_json(d, model, element)
 
     if kind == "straight-line":
         chart = blob.get("chart", CHART_FINITE)
@@ -1283,7 +1309,7 @@ def witness_from_json(blob: dict, model: str, prec: int = DEFAULT_PREC):
         )
     if kind == "chain":
         pieces = read("pieces", _json_list) if "pieces" in blob else []
-        return ChainWitness(tuple(witness_from_json(p, model, prec) for p in pieces))
+        return ChainWitness(tuple(_witness_from_json(p, model, element) for p in pieces))
     raise ParseError(f"unknown witness type {kind!r}")
 
 

@@ -975,15 +975,18 @@ def _st_key_parse(key: str) -> tuple[int, int]:
     return exps.get("S", 0), exps.get("T", 0)
 
 
-def polyext_to_json(p: PolyExt) -> dict:
-    """{"S^i*T^j": coefficient-text} with deterministic key order."""
+def polyext_to_json(p: PolyExt, text) -> dict:
+    """{"S^i*T^j": text(coefficient)} with deterministic key order; `text`
+    prints an element, as `element_to_text` does."""
     out = {}
     for (i, j) in sorted(p.terms):
-        out[grammar.mono_text((i, j), _ST) or "1"] = element_to_text(p.terms[(i, j)])
+        out[grammar.mono_text((i, j), _ST) or "1"] = text(p.terms[(i, j)])
     return out
 
 
-def polyext_from_json(d: dict, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
+def polyext_from_json(d: dict, model: str, read) -> PolyExt:
+    """The inverse of `polyext_to_json`; `read` turns a coefficient text
+    into an element of model, as `parse_element` does."""
     if not isinstance(d, dict):
         raise ParseError(f"an S/T polynomial is a JSON object, got {type(d).__name__}")
     terms, keys = {}, {}
@@ -992,7 +995,7 @@ def polyext_from_json(d: dict, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
         if st in keys:
             raise ParseError(f"S/T keys {keys[st]!r} and {key!r} name one monomial")
         keys[st] = key
-        terms[st] = parse_element(text, model, prec)
+        terms[st] = read(text)
     return PolyExt(model, terms)
 
 

@@ -4,7 +4,7 @@ sympy's series."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nodalwitness.dvrseries import Series
 
@@ -184,4 +184,34 @@ class TestMonomialProduct:
         if not exact:
             assert len(want.coeffs) == len(s.coeffs)  # the window is kept
         for got in (s * m, m * s):
+            assert (got.val, got.coeffs, got.exact) == (want.val, want.coeffs, want.exact)
+
+
+leading_terms = st.lists(small_q, min_size=1, max_size=6).filter(lambda c: c[0] != 0)
+
+
+class TestGeneralProduct:
+    @given(
+        shapes=st.sampled_from([(True, True), (True, False), (False, False)]),
+        s_val=st.integers(0, 3),
+        s_coeffs=leading_terms,
+        t_val=st.integers(0, 3),
+        t_coeffs=leading_terms,
+    )
+    # a middle coefficient cancels: (1 + x)(1 - x); the last known one
+    # cancels and stays in the window: (1 - x)(1 + x + O(x^2)); a window
+    # of two against an operand of five, with negative leading terms
+    @example(shapes=(True, True), s_val=0, s_coeffs=[1, 1], t_val=0, t_coeffs=[1, -1])
+    @example(shapes=(True, False), s_val=0, s_coeffs=[1, -1], t_val=0, t_coeffs=[1, 1])
+    @example(
+        shapes=(True, False), s_val=1, s_coeffs=[-2, 1, 0, Fraction(1, 3), 3],
+        t_val=0, t_coeffs=[Fraction(-2, 3), Fraction(1, 2)],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_convolution(self, shapes, s_val, s_coeffs, t_val, t_coeffs):
+        s = Series.make(s_val, s_coeffs, shapes[0])
+        t = Series.make(t_val, t_coeffs, shapes[1])
+        assume(not s.is_monomial() and not t.is_monomial())
+        want = convolution(s, t)
+        for got in (s * t, t * s):
             assert (got.val, got.coeffs, got.exact) == (want.val, want.coeffs, want.exact)

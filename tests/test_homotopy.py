@@ -72,6 +72,7 @@ from nodalwitness.homotopy import (
 from nodalwitness.localring import (
     MODEL_BIVARIATE,
     MODEL_DVR,
+    PolyExt,
     RingElement,
     pair_principal,
     parse_element,
@@ -1853,6 +1854,26 @@ class TestJson:
         back = witness_from_json(blob, MODEL_DVR)
         assert back == w
         assert verify_witness(X1, G2, back, (s1, s2))
+
+    def test_equal_elements_of_different_precision_keep_their_texts(self):
+        # x and x + O(x^2) are equal and hash alike, but print differently
+        exact, truncated = dvr("x"), dvr("x + O(x^2)")
+        assert exact == truncated and hash(exact) == hash(truncated)
+        path = PolyExt(MODEL_DVR, {(0, 0): exact, (1, 0): truncated})
+        blob = witness_to_json(StraightLine(path, CHART_FINITE))
+        assert blob["path"] == {"1": "x", "S": "x + O(x^2)"}
+        back = witness_from_json(blob, MODEL_DVR).path.terms
+        assert back[(0, 0)].exact and not back[(1, 0)].exact
+        assert [back[k].to_text() for k in ((0, 0), (1, 0))] == ["x", "x + O(x^2)"]
+
+    def test_repeated_malformed_text_is_reported_where_first_read(self):
+        from nodalwitness.errors import ParseError
+
+        blob = witness_to_json(fresh_ghost()[0])
+        blob["h1"] = blob["hw_den"] = {"1": "x +"}
+        with pytest.raises(ParseError) as info:
+            witness_from_json(blob, MODEL_DVR)
+        assert str(info.value) == "ghost witness field 'h1': unexpected end of expression"
 
     def test_chain_roundtrip(self):
         g = GammaData(dvr("0"))

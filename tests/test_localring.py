@@ -251,7 +251,7 @@ class TestParsing:
     def test_two_keys_naming_one_monomial_are_refused(self, d, first, second):
         with pytest.raises(ParseError, match=f"'{re.escape(first)}' and "
                            f"'{re.escape(second)}'"):
-            polyext_from_json(d, MODEL_DVR)
+            polyext_from_json(d, MODEL_DVR, dvr)
 
     def test_unit_denominator_ok(self):
         e = biv("v/(1+u)")
@@ -299,7 +299,7 @@ class TestParsing:
                            drawn_series(), max_size=4))
     def test_polyext_json_round_trip(self, terms):
         p = PolyExt(MODEL_DVR, terms)
-        got = polyext_from_json(polyext_to_json(p), MODEL_DVR)
+        got = polyext_from_json(polyext_to_json(p, element_to_text), MODEL_DVR, dvr)
         assert got.terms.keys() == p.terms.keys()
         for k, s in p.terms.items():
             g = got.terms[k]
@@ -1212,14 +1212,14 @@ class TestPolyExt:
 
     def test_json_roundtrip(self):
         p = pe("u + 3*S + u*v*S^2*T", MODEL_BIVARIATE)
-        blob = polyext_to_json(p)
-        assert polyext_from_json(blob, MODEL_BIVARIATE) == p
+        blob = polyext_to_json(p, element_to_text)
+        assert polyext_from_json(blob, MODEL_BIVARIATE, biv) == p
 
     def test_json_roundtrip_truncated(self):
         delta = dvr("x/(1-x)")
         p = PolyExt(MODEL_DVR, {(0, 0): RingElement.one(MODEL_DVR), (1, 0): delta})
-        blob = polyext_to_json(p)
-        assert polyext_from_json(blob, MODEL_DVR) == p
+        blob = polyext_to_json(p, element_to_text)
+        assert polyext_from_json(blob, MODEL_DVR, dvr) == p
 
     def test_mixed_models_raise(self):
         # arithmetic results skip the per-coefficient check, so a sum of
@@ -1683,7 +1683,7 @@ class TestBaseRingRules:
         # x + O(x^2) equals x to its tracked order, yet may be x + x^2: f
         # is no generator, and past the residue fibre the query abstains
         gens = [pe("x*S + T")]
-        f = polyext_from_json({"S": "x + O(x^2)", "T": "1"}, MODEL_DVR)
+        f = polyext_from_json({"S": "x + O(x^2)", "T": "1"}, MODEL_DVR, dvr)
         assert f == gens[0]
         with pytest.raises(PrecisionExhausted):
             ext_radical_membership([f], gens)
@@ -1723,11 +1723,11 @@ class TestDegreeTwoExactQuery:
 def truncated_copy(draw, g: PolyExt) -> PolyExt:
     """g with each coefficient c read back as c + O(x^k), k past deg c."""
     blob = {}
-    for key, text in polyext_to_json(g).items():
+    for key, text in polyext_to_json(g, element_to_text).items():
         c = parse_element(text, MODEL_DVR)
         k = c.val + len(c.coeffs) + draw(st.integers(0, 2))
         blob[key] = f"{text} + O(x^{k})"
-    return polyext_from_json(blob, MODEL_DVR)
+    return polyext_from_json(blob, MODEL_DVR, dvr)
 
 
 class TestTruncatedCoefficients:
@@ -1780,25 +1780,25 @@ class TestTruncatedCoefficients:
 
     def test_truncated_query_past_the_residue_fibre_abstains(self):
         # two S/T generators: no base-ring rule settles the query
-        g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR)
-        t = polyext_from_json({"T": "x + O(x^2)"}, MODEL_DVR)
+        g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR, dvr)
+        t = polyext_from_json({"T": "x + O(x^2)"}, MODEL_DVR, dvr)
         with pytest.raises(PrecisionExhausted):
             ext_unit_ideal([g, t])
 
     def test_a_single_truncated_st_generator_answers_exactly(self):
         # rule 1 with B empty: R is a domain, so h is a unit of R[S, T]
         # only if it is S/T-free
-        g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR)
+        g = polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR, dvr)
         assert ext_unit_ideal([g]) is False
 
     def test_truncated_query_refused_by_the_residue_fibre_answers(self):
-        g = polyext_from_json({"S": "1 + x + O(x^2)"}, MODEL_DVR)
+        g = polyext_from_json({"S": "1 + x + O(x^2)"}, MODEL_DVR, dvr)
         assert not ext_unit_ideal([g])
         assert not ext_radical_membership([parse_polyext("1", MODEL_DVR)], [g])
 
     def test_truncated_query_with_a_base_constant_answers(self):
         gens = [
-            polyext_from_json({"1": "x + O(x^2)"}, MODEL_DVR),
-            polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR),
+            polyext_from_json({"1": "x + O(x^2)"}, MODEL_DVR, dvr),
+            polyext_from_json({"1": "1 + O(x)", "S": "x + O(x^2)"}, MODEL_DVR, dvr),
         ]
         assert ext_unit_ideal(gens)

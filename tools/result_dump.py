@@ -15,9 +15,9 @@ package compute the same results exactly when they print the same hash.
 `src/` and `perfbench/workloads.py` are used, so that a parent commit can be
 dumped from its own copy.  `--counts` also prints, one per line, how often
 the pass called each function in COUNTED: `s_poly`, `reduce_poly` and
-`buchberger` of polyring, `gcd2` and `divide_exact_p2` of localring.
-These counts depend only on the code and the pools, never on the machine
-or a time limit, so two versions can be compared on them.  `--lines` first
+`buchberger` of polyring, `gcd2`, `divide_exact_p2` and `parse_element`
+of localring.  These counts depend only on the code and the pools, never
+on the machine or a time limit, so two versions can be compared on them.  `--lines` first
 prints each operation's JSON line, in pool order, so that a `diff` of two
 checkouts' output names every result that changed.  Nothing is written: no
 result file, and no bytecode beside the imported sources.
@@ -40,6 +40,7 @@ COUNTED = (
     ("polyring", "buchberger"),
     ("localring", "gcd2"),
     ("localring", "divide_exact_p2"),
+    ("localring", "parse_element"),
 )
 
 
