@@ -10,7 +10,8 @@ Data commands print a single line of compact JSON so invocations can be
 piped into each other; the ``show`` subactions render DOT (surfaces) or
 an indented outline (trees) instead.  Exit codes: 0 for success or a
 homotopic verdict, 1 for a negative answer, 2 for invalid input, 3 for
-an undecidable instance.
+an undecidable instance or an answer too large to print so that it reads
+back.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .blowuptree import (
     tree_from_json,
     tree_to_json,
 )
-from .errors import ConsistencyFailure, EngineError, ParseError
+from .errors import AnswerTooLarge, ConsistencyFailure, EngineError, ParseError
 from .farey import INF, Slope, ZERO
 from .homotopy import (
     GammaData,
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
         # a transitivity violation means the engine itself is unsound;
         # surface the traceback instead of blaming the input
         raise
+    except AnswerTooLarge as exc:  # decided, but the answer would not read back
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (EngineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

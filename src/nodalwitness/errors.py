@@ -57,5 +57,9 @@ class PreconditionViolated(EngineError):
     """An operation's stated precondition does not hold."""
 
 
+class AnswerTooLarge(EngineError):
+    """An answer holds an integer too long to print so that it reads back."""
+
+
 class ConsistencyFailure(EngineError):
     """Pairwise verdicts violated transitivity; internal soundness alarm."""

@@ -19,11 +19,12 @@ Grammar, informally:
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import prod
 from typing import Optional
 
-from .errors import ParseError
+from .errors import AnswerTooLarge, ParseError
 from .polyring import Poly, mono_mul, power
 
 # Input budgets, checked on the tokens before anything is built.  Every
@@ -316,7 +317,13 @@ def parse_rational_function(
 
 
 def _frac_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError as exc:  # beyond the interpreter's digit limit, as in `atom`
+        raise AnswerTooLarge(
+            f"an integer in the answer has more than {sys.get_int_max_str_digits()} "
+            "digits, the cap on integers the element grammar reads back"
+        ) from exc
 
 
 def mono_text(m: tuple, varnames: list[str]) -> str:

@@ -5,7 +5,8 @@ the computable stand-in for a one-dimensional henselian local ring.
 
 BIVARIATE model: fractions p/q of integer polynomials in u, v with
 q(0,0) != 0 — the local ring of a smooth surface germ, where interesting
-non-principal ideals exist.  Its arithmetic runs on Python ints.
+non-principal ideals exist.  Its arithmetic runs on Python ints, and its
+gcd splits off each operand's monomial factor u^a·v^b first (`gcd2`).
 
 Elements of both models are `RingElement`s (see `ringelement`): a
 `Series` or a `BiFrac`, each class holding its model's arithmetic and
@@ -221,29 +222,53 @@ def _order(f: list) -> int:
     return min(ev + eu for ev, row in enumerate(f) for eu, c in enumerate(row) if c)
 
 
+def _monomial_split(f: list) -> tuple[int, int, list]:
+    """(a, b, g) with f = u^a·v^b·g and g divisible by neither u nor v,
+    for f != 0."""
+    b = 0
+    while not f[b]:
+        b += 1
+    a = min(next(i for i, c in enumerate(row) if c) for row in f[b:] if row)
+    if a == b == 0:
+        return 0, 0, f
+    return a, b, [row[a:] for row in f[b:]]
+
+
 def gcd2(p: list, q: list) -> list:
     """A gcd in Q[u,v] of p and q in Z[u][v], itself in Z[u][v].
 
-    A nonzero constant argument answers 1 at once, without the
-    pseudo-remainder sequence: most denominators in sight are constants.
-    Otherwise the primitive pseudo-remainder sequence runs in Z[u][v], each
-    remainder divided by its content in Z[u], and the result is the product
-    of the two contents' gcd and the last primitive remainder.  By Gauss's
-    lemma that is the gcd in Z[u][v] up to sign, so it divides p and q there
-    (divide_exact_p2 finds the cofactors), and a gcd over Q up to a rational
-    factor.  Its leading coefficient is positive.
+    A nonzero constant argument answers 1 at once: most denominators in
+    sight are constants.  Otherwise u^a·v^b is split off each operand, and
+    the gcd is u^min(a)·v^min(b) times the parts' gcd.  That is exact in
+    the UFD Z[u][v]: u and v are primes dividing neither part.  Most values
+    are monomials times units, so a part is often constant and the parts'
+    gcd 1, with no remainder sequence.  Otherwise the primitive
+    pseudo-remainder sequence runs on the parts, each remainder divided by
+    its content in Z[u], and their gcd is the product of the two contents'
+    gcd and the last primitive remainder: by Gauss's lemma, their gcd in
+    Z[u][v] up to sign.  So the result divides p and q there
+    (divide_exact_p2 finds the cofactors), and is a gcd over Q up to a
+    rational factor.  Its leading coefficient is positive.
     """
     if _is_nonzero_constant(p) or _is_nonzero_constant(q):
         return _ONE2
     if not p or not q:
         return p or q
-    (c1, f1), (c2, f2) = _primitive(p), _primitive(q)
-    while f2:
-        f1, f2 = f2, _primitive(_rec_prem(f1, f2))[1]
-    c = _z_gcd(c1, c2)
-    if f1[-1][-1] < 0:
-        c = [-x for x in c]
-    return [_u_mul(row, c) for row in f1]
+    (a1, b1, p), (a2, b2, q) = _monomial_split(p), _monomial_split(q)
+    if _is_nonzero_constant(p) or _is_nonzero_constant(q):
+        g = _ONE2
+    else:
+        (c1, f1), (c2, f2) = _primitive(p), _primitive(q)
+        while f2:
+            f1, f2 = f2, _primitive(_rec_prem(f1, f2))[1]
+        c = _z_gcd(c1, c2)
+        if f1[-1][-1] < 0:
+            c = [-x for x in c]
+        g = [_u_mul(row, c) for row in f1]
+    a, b = min(a1, a2), min(b1, b2)
+    if a == b == 0:
+        return g
+    return [[]] * b + [[0] * a + row if row else row for row in g]
 
 
 def divide_exact_p2(p: list, d: list) -> Optional[list]:
@@ -434,9 +459,15 @@ class BiFrac(RingElement):
         return BiFrac._canonical(t, den)
 
     def _times(self, n2: list, d2: list) -> "BiFrac":
-        """self * n2/d2, for coprime n2 and d2."""
+        """self * n2/d2, for coprime n2 and d2.  A factor 1 (num = den =
+        [[1]]) costs no gcd; when self is 1, `_canonical` still checks and
+        signs n2/d2, which may be a reciprocal."""
         if not self.num or not n2:
             return BiFrac.zero()
+        if n2 == d2 == _ONE2:
+            return self
+        if self.num == self.den == _ONE2:
+            return BiFrac._canonical(n2, d2)
         g1 = gcd2(self.num, d2)
         g2 = gcd2(n2, self.den)
         return BiFrac._canonical(
@@ -743,7 +774,8 @@ class PolyExt:
         return PolyExt(self.model, t, checked=True)
 
     def __pow__(self, n: int) -> "PolyExt":
-        return power(self, n, PolyExt.constant(RingElement.one(self.model)))
+        one = PolyExt.constant(RingElement.one(self.model)) if n == 0 else None
+        return power(self, n, one)  # never multiplies by one, needed for n = 0 only
 
     def scale(self, e: RingElement) -> "PolyExt":
         return PolyExt(self.model, {k: v * e for k, v in self.terms.items()}, checked=True)

@@ -230,6 +230,27 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["verdict"] == "undecidable"
 
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit cap")
+    def test_answer_past_the_digit_cap_is_three(self):
+        # the witness holds 10^5000, past the 4,300-digit cap on integer
+        # tokens: printed, it would not read back through witness verify
+        cap = sys.get_int_max_str_digits()
+        pair = ["--r0", "x^2", "--s1", "x", "--s2", f"x*(1+10^{cap + 700}*x)"]
+        for command in (["decide", "nodal"], ["witness", "build"]):
+            code, out, err = invoke(command + pair)
+            assert (code, out) == (3, "")
+            assert f"more than {cap} digits" in err
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit cap")
+    def test_answer_under_the_digit_cap_reads_back(self):
+        # positive control for the exit above: 10^(cap - 300) still prints
+        # and verifies
+        pair = ["--r0", "x^2", "--s1", "x",
+                "--s2", f"x*(1+10^{sys.get_int_max_str_digits() - 300}*x)"]
+        code, witness, _ = invoke(["witness", "build"] + pair)
+        assert code == 0
+        assert invoke(["witness", "verify"] + pair, witness)[0] == 0
+
     @pytest.mark.parametrize("cap", [1, 2, 3, 4])
     def test_budget_tripped_in_self_certification_abstains(self, cap):
         # no run of that certification reduces more than 4 S-pairs; a

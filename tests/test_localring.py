@@ -88,6 +88,19 @@ def biv_elements(draw, allow_zero=True):
     return e
 
 
+def p2(terms) -> Poly:
+    return Poly({m: Fraction(c) for m, c in terms.items()}, 2)
+
+
+# nonzero polynomials in Q[u, v] of total degree <= 2, constants included
+nonzero_uv_polys = st.dictionaries(
+    st.sampled_from([(i, j) for i in range(3) for j in range(3 - i)]),
+    small_q.filter(lambda c: c != 0),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: Poly(terms, 2))
+
+
 @st.composite
 def large_height_polys(draw, min_size=0):
     """Polynomials in Q[u, v] of total degree <= 2 whose coefficients have
@@ -643,6 +656,49 @@ class TestGcd:
         with pytest.raises(AssertionError, match="pseudo-remainder sequence entered"):
             gcd2(p, q)
 
+    @given(
+        st.tuples(*[st.integers(0, 4)] * 4),
+        nonzero_uv_polys,
+        nonzero_uv_polys,
+        nonzero_uv_polys,
+    )
+    @settings(max_examples=80, deadline=None)
+    @example((1, 2, 2, 2), p2({(0, 0): 1}), p2({(0, 0): 1}), p2({(0, 0): 1}))
+    @example((2, 1, 1, 3), p2({(0, 0): 3}), p2({(0, 0): 1, (1, 0): 1}), p2({(0, 0): 1}))
+    def test_gcd2_splits_monomial_content(self, exps, p, q, common):
+        # gcd2(u^a·v^b·P·C, u^c·v^d·Q·C), P and Q possibly constant
+        sympy = pytest.importorskip("sympy")
+        R, to_sympy = sympy_ring_uv(sympy)
+        a, b, c, d = exps
+        x = z_rows(p2({(a, b): 1}) * p * common)[0]
+        y = z_rows(p2({(c, d): 1}) * q * common)[0]
+        g = gcd2(x, y)
+        got = to_sympy(rows_poly(g))
+        expect = to_sympy(rows_poly(x)).gcd(to_sympy(rows_poly(y)))
+        assert got.quo_ground(got.LC) == expect.quo_ground(expect.LC), (x, y, g)
+        assert divide_exact_p2(x, g) is not None
+        assert divide_exact_p2(y, g) is not None
+
+    def test_gcd2_of_monomial_multiples_skips_the_remainder_sequence(self, monkeypatch):
+        def no_prem(f, g):
+            raise AssertionError("pseudo-remainder sequence entered")
+
+        monkeypatch.setattr(localring, "_rec_prem", no_prem)
+        p, q = biv("3*u^2*v").num, biv("u*v^3*(1 + u)").num
+        assert gcd2(p, q) == biv("u*v").num
+        assert gcd2(q, p) == biv("u*v").num
+
+    def test_gcd2_of_monomial_multiples_sharing_a_unit_enters_it(self, monkeypatch):
+        # positive control for the guard above: after the split both parts
+        # are 1 + u + v, so the remainder sequence is reached
+        def no_prem(f, g):
+            raise AssertionError("pseudo-remainder sequence entered")
+
+        monkeypatch.setattr(localring, "_rec_prem", no_prem)
+        p, q = biv("3*u^2*v*(1 + u + v)").num, biv("u*v^3*(1 + u + v)").num
+        with pytest.raises(AssertionError, match="pseudo-remainder sequence entered"):
+            gcd2(p, q)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_gcd2_agrees_with_sympy_on_large_coefficients(self, data):
@@ -713,10 +769,6 @@ BIV_FACTORS = [
     {(1, 0): 1, (0, 1): -2, (1, 1): 1},
 ]
 N_UNIT_FACTORS = 4
-
-
-def p2(terms) -> Poly:
-    return Poly({m: Fraction(c) for m, c in terms.items()}, 2)
 
 
 @st.composite
@@ -1235,6 +1287,85 @@ class TestPolyExt:
         lhs = (s + t) * (s - t)
         rhs = s * s - t * t
         assert lhs == rhs
+
+
+@st.composite
+def polyexts(draw, model):
+    keys = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+    return PolyExt(model, draw(st.dictionaries(keys, any_elements(model), max_size=3)))
+
+
+@st.composite
+def scalars(draw, model):
+    """0, the exact 1, a drawn element, or in the DVR model 1 + O(x^k)."""
+    kinds = ["zero", "one", "drawn"] + (["truncated one"] if model == MODEL_DVR else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return RingElement.zero(model)
+    if kind == "one":
+        return RingElement.one(model)
+    if kind == "drawn":
+        return draw(any_elements(model))
+    return Series.make(0, [1] + [0] * draw(st.integers(0, 2)), False)
+
+
+def term_keys(f):
+    """The result of f(), a PolyExt, as exact term keys, or the exception it
+    raised.  A series is compared by (val, coeffs, exact), not by `==`,
+    which is precision-relative: 1 + O(x^3) == 1."""
+    try:
+        p = f()
+    except PrecisionExhausted as exc:
+        return str(exc)
+    return {
+        k: (c.val, c.coeffs, c.exact) if c.model == MODEL_DVR else (c.num, c.den)
+        for k, c in p.terms.items()
+    }
+
+
+class TestZeroAndOnePaths:
+    """Products by 0 and by the exact 1 do no ring work; each must still
+    equal the term-by-term product."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_scale_subs_and_powers_match_term_by_term(self, data):
+        model = data.draw(st.sampled_from(MODELS))
+        p, e = data.draw(polyexts(model)), data.draw(scalars(model))
+
+        def substituted(at):  # put e in for S (at = 0) or T (at = 1)
+            out = PolyExt(model, {})
+            for k, c in p.terms.items():
+                rest = (0, k[1]) if at == 0 else (k[0], 0)
+                if k[at]:
+                    c = c * e ** k[at]
+                out = out + PolyExt(model, {rest: c})
+            return out
+
+        assert term_keys(lambda: p.scale(e)) == term_keys(
+            lambda: PolyExt(model, {k: c * e for k, c in p.terms.items()}))
+        assert term_keys(lambda: p.subs(s=e)) == term_keys(lambda: substituted(0))
+        assert term_keys(lambda: p.subs(t=e)) == term_keys(lambda: substituted(1))
+        one = PolyExt.constant(RingElement.one(model))
+        for n in range(4):
+            assert term_keys(lambda: p**n) == term_keys(
+                lambda: reduce(operator.mul, [p] * n, one))
+
+    @given(biv_elements())
+    @settings(max_examples=40)
+    def test_biv_product_by_one_is_the_other_factor(self, x):
+        one = RingElement.one(MODEL_BIVARIATE)
+        assert x * one == x and one * x == x
+        assert x.divide_in_ring(one) == x
+
+    def test_biv_one_over_an_element_is_still_canonical(self):
+        one = RingElement.one(MODEL_BIVARIATE)
+        half = one.divide_in_ring(biv("-2"))
+        assert half == biv("-1/2") and half.den == [[2]]
+        r = one.divide_in_ring(biv("(1 + u)/(v - 3)"))
+        assert r == biv("(v - 3)/(1 + u)") and r.den[0][0] > 0
+        with pytest.raises(DivisionImpossible):
+            one.divide_in_ring(biv("u"))
 
 
 class TestExtEngine:
