@@ -5,8 +5,8 @@ the computable stand-in for a one-dimensional henselian local ring.
 
 BIVARIATE model: fractions p/q of integer polynomials in u, v with
 q(0,0) != 0 — the local ring of a smooth surface germ, where interesting
-non-principal ideals exist.  Its arithmetic runs on Python ints, and its
-gcd splits off each operand's monomial factor u^a·v^b first (`gcd2`).
+non-principal ideals exist.  Its arithmetic runs on Python ints; `gcd2`,
+`divides` and `radical` split off each monomial factor u^a·v^b first.
 
 Elements of both models are `RingElement`s (see `ringelement`): a
 `Series` or a `BiFrac`, each class holding its model's arithmetic and
@@ -353,15 +353,20 @@ def _constant(f: list) -> int:
 
 
 def _divides(a: list, b: list) -> bool:
-    """Whether a | b in R, for nonzero a, b in Z[u][v]: exactly when
-    a / gcd2(a, b) has a nonzero constant term; no quotient is built.  A
-    unit a divides, and ord(a) > ord(b) does not, before any gcd (the order
-    of vanishing at the origin is additive and zero on units)."""
+    """Whether a | b in R, for nonzero a, b in Z[u][v].  A unit a divides,
+    and ord(a) > ord(b) does not (orders at the origin add, and are zero
+    exactly on units).  Else, with a = u^i·v^j·a' and b = u^k·v^l·b'
+    (`_monomial_split`), a | b iff i <= k, j <= l and a' | b', as u and v
+    are primes of the UFD R dividing neither part: a unit a' divides, and
+    else iff ord(gcd2(a', b')) == ord(a').  No quotient is built."""
     if _constant(a) != 0:
         return True
     if _order(a) > _order(b):
         return False
-    return _constant(_cofactor(a, gcd2(a, b))) != 0
+    (i, j, a), (k, l, b) = _monomial_split(a), _monomial_split(b)
+    if i > k or j > l:
+        return False
+    return _constant(a) != 0 or _order(gcd2(a, b)) == _order(a)
 
 
 def _content(*fs: list) -> int:
@@ -550,17 +555,22 @@ class BiFrac(RingElement):
         with no Groebner run.  R is a two-dimensional regular local ring,
         hence a UFD (Auslander–Buchsbaum), so J = h·J' with h the gcd of
         the generators and J' m-primary or the unit ideal.  So √J is R when
-        a generator is a unit, m when h is one, and √h otherwise, whose
-        generator rad(h) = h / gcd(h, ∂h/∂u, ∂h/∂v) in characteristic 0
-        (Yun, SYMSAC 1976)."""
+        a generator is a unit, m when h is one, and √h otherwise.  With
+        h = u^a·v^b·h' (`_monomial_split`), √h is generated by
+        u^[a>0]·v^[b>0]·rad(h'), where rad(h') is h' itself for a unit h',
+        and else h' / gcd(h', ∂h'/∂u, ∂h'/∂v) in characteristic 0 (Yun,
+        SYMSAC 1976): no gcd is taken for a monomial times a unit."""
         if any(_constant(g.num) for g in gens):
             return lambda f: True
         h = BiFrac.gcd(gens).num
         if _constant(h):
             return lambda f: _constant(f.num) == 0
-        h_u = _trim([[i * c for i, c in enumerate(row)][1:] for row in h])
-        h_v = [[j * c for c in row] for j, row in enumerate(h)][1:]
-        rad = _cofactor(h, gcd2(gcd2(h, h_u), h_v))
+        a, b, h = _monomial_split(h)
+        if not _constant(h):
+            h_u = _trim([[i * c for i, c in enumerate(row)][1:] for row in h])
+            h_v = [[j * c for c in row] for j, row in enumerate(h)][1:]
+            h = _cofactor(h, gcd2(gcd2(h, h_u), h_v))
+        rad = [[]] * min(b, 1) + [[0] * min(a, 1) + row if row else row for row in h]
         return lambda f: _divides(rad, f.num)
 
     def _unit_root(self, c0: Fraction, n: int, prec: int) -> Optional["BiFrac"]:

@@ -471,9 +471,8 @@ class TestDivides:
         assert divides(unit, b)  # a unit divides everything
         assert calls == []
 
-    def test_patched_gcd2_is_reached(self, monkeypatch):
-        # positive control for the guard above: the same patch sees one
-        # gcd2 per parse, and one in divides, where ord 1 <= ord 2 decides nothing
+    @staticmethod
+    def record_gcd2(monkeypatch) -> list:
         calls = []
         real = localring.gcd2
 
@@ -482,7 +481,30 @@ class TestDivides:
             return real(p, q)
 
         monkeypatch.setattr(localring, "gcd2", recording)
-        assert divides(biv("u"), biv("u^2 + u*v"))
+        return calls
+
+    def test_monomial_split_answers_with_no_gcd(self, monkeypatch):
+        # u·v against u^2·v·(1+u): the exponents decide, and the part of
+        # u·v left after the split is 1, a unit
+        a, b = biv("u*v"), biv("u^2*v*(1+u)")
+        u, c = biv("u"), biv("v*(1+u)")
+        calls = self.record_gcd2(monkeypatch)
+        assert divides(a, b)
+        assert not divides(u, c)  # u's exponent 1 exceeds c's 0
+        assert radical_membership(a, IdealHandle([b]))
+        assert calls == []
+
+    def test_patched_gcd2_is_reached(self, monkeypatch):
+        # positive control for the guards above: the same patch sees one
+        # gcd2 per parse, and one in divides, where u + v^2 is left after
+        # the split, a non-unit; the radical of <(u + v^2)^2·(1+u)> takes
+        # two gcd2 in Yun's rule and one in its divides
+        calls = self.record_gcd2(monkeypatch)
+        assert divides(biv("u + v^2"), biv("(u + v^2)*(u + v)"))
+        assert len(calls) == 3
+        a, b = biv("u + v^2"), biv("(u + v^2)^2*(1 + u)")
+        del calls[:]
+        assert radical_membership(a, IdealHandle([b]))
         assert len(calls) == 3
 
 
@@ -950,6 +972,45 @@ def sympy_in_radical(sympy, f: RingElement, gens: list) -> bool:
     )
 
 
+# monomial-free non-units: u + v^2, then u + v, u^2 + v and u - 2v + uv
+MONOMIAL_FREE = [{(1, 0): 1, (0, 2): 1}] + BIV_FACTORS[N_UNIT_FACTORS + 2 :]
+UNITS = BIV_FACTORS[:N_UNIT_FACTORS] + [{(0, 0): 1}]
+
+
+@st.composite
+def split_elements(draw):
+    """u^a·v^b·P^e·U/W: a, b from 0 to 3, P a monomial-free non-unit with
+    e from 0 to 2, U and W units, and a nonzero scale, negative about half
+    of the time."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    num = p2({(a, b): draw(small_q.filter(lambda c: c != 0))})
+    num = num * p2(draw(st.sampled_from(MONOMIAL_FREE))) ** draw(st.integers(0, 2))
+    units = st.sampled_from(UNITS)
+    return int_fraction(num * p2(draw(units)), p2(draw(units)))
+
+
+@st.composite
+def monomial_radical_queries(draw):
+    """(f, gens) with gcd(gens) = u^a·v^b·U, or u^a·v^b·U·P^2 for a
+    monomial-free non-unit P: one or two generators, each u^a·v^b, times
+    u, v or 1, times P^2 or not, times a unit; f is u^c·v^d times a unit,
+    with c and d from 0 to 2, times P or another monomial-free factor now
+    and then."""
+    a, b = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any))
+    p = p2(draw(st.sampled_from(MONOMIAL_FREE)))
+    repeated = p ** draw(st.sampled_from([0, 2]))
+    units = st.sampled_from(UNITS)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        da, db = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+        gens.append(p2({(a + da, b + db): 1}) * repeated * p2(draw(units)))
+    c, d = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    one = p2({(0, 0): 1})
+    extra = draw(st.sampled_from([one, one, p] + [p2(t) for t in MONOMIAL_FREE]))
+    f = p2({(c, d): 1}) * p2(draw(units)) * extra
+    return int_fraction(f, one), [int_fraction(g, one) for g in gens]
+
+
 class TestRadicalByGcd:
     @given(radical_queries())
     @settings(max_examples=150, deadline=None)
@@ -976,6 +1037,38 @@ class TestRadicalByGcd:
         assert not radical_membership(biv("u^2"), ideal)
         assert radical_membership(biv("u + v^2"), IdealHandle([biv("u"), biv("v")]))
         assert not runs
+
+    @given(monomial_radical_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_monomial_gcd_agrees_with_rabinowitsch_and_sympy(self, query):
+        sympy = pytest.importorskip("sympy")
+        f, gens = query
+        got = radical_membership(f, IdealHandle(gens))
+        assert got == rabinowitsch_in_radical(f, gens), query
+        assert got == sympy_in_radical(sympy, f, gens), query
+
+
+class TestDividesAgainstSympy:
+    @given(split_elements(), split_elements(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    @example(biv("u*v"), biv("u^2*v*(1+u)"), False)
+    @example(biv("u"), biv("v*(1+u)"), False)
+    @example(biv("u+v^2"), biv("v*(u+v^2)*(1+u)"), False)
+    def test_divides_agrees_with_sympy(self, a, b, multiply):
+        # a | b iff b/a, reduced by sympy's cancel in QQ[u, v], has a
+        # denominator that does not vanish at the origin
+        sympy = pytest.importorskip("sympy")
+        R, to_sympy = sympy_ring_uv(sympy)
+        if multiply:
+            b = a * b
+
+        def num_den(e):
+            num, den = e.polys()
+            return to_sympy(num), R.one if den is None else to_sympy(den)
+
+        (na, da), (nb, db) = num_den(a), num_den(b)
+        _, den = (nb * da).cancel(db * na)
+        assert divides(a, b) == (den.coeff(1) != 0), (a.to_text(), b.to_text())
 
 
 # --- ideals -------------------------------------------------------------------

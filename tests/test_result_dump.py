@@ -23,8 +23,8 @@ COUNTS_PIN = [
     "polyring.s_poly 49",
     "polyring.reduce_poly 77",
     "polyring.buchberger 32",
-    "localring.gcd2 7400",
-    "localring.divide_exact_p2 2589",
+    "localring.gcd2 4667",
+    "localring.divide_exact_p2 1280",
     "localring.parse_element 5018",
 ]
 
