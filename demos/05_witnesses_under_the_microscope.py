@@ -13,12 +13,12 @@ from nodalwitness.homotopy import (
     SectionData,
     build_ghost_witness,
     build_straightline,
-    verify_witness,
     witness_from_json,
     witness_to_json,
 )
 from nodalwitness.localring import MODEL_DVR, parse_element
 from nodalwitness.surface import NodalSurface
+from nodalwitness.verify import verify_witness
 
 dvr = lambda t: parse_element(t, MODEL_DVR)
 

@@ -38,13 +38,13 @@ from .homotopy import (
     decide_nodal,
     partition_classes,
     verdict_to_json,
-    verify_witness,
     witness_from_json,
     witness_to_json,
 )
 from .localring import DEFAULT_PREC, parse_element
 from .polyring import set_spair_cap
 from .surface import NodalSurface
+from .verify import verify_witness
 
 # Series arithmetic costs grow with the square of the truncation order.
 MAX_TRUNC = 1000

@@ -20,7 +20,7 @@ from nodalwitness.blowuptree import (
     TreeVertex,
 )
 from nodalwitness.dvrseries import Series
-from nodalwitness import homotopy, polyring
+from nodalwitness import homotopy, polyring, verify
 from nodalwitness.errors import (
     ConsistencyFailure,
     DegreeCapExceeded,
@@ -52,7 +52,6 @@ from nodalwitness.homotopy import (
     SectionData,
     StraightLine,
     Undecidable,
-    VerificationReport,
     YForm,
     build_ghost_witness,
     build_straightline,
@@ -81,6 +80,7 @@ from nodalwitness.localring import (
     polyext_to_text,
 )
 from nodalwitness.surface import NodalSurface
+from nodalwitness.verify import VerificationReport
 
 
 def dvr(text):
@@ -695,6 +695,27 @@ class TestVerify:
             ("endpoints", "sections do not shift by the recorded k")
         ]
 
+    @pytest.mark.parametrize(
+        "model, r0, s1, s2",
+        [
+            (MODEL_DVR, "x^2 + x^3", "x", "x + x^2"),
+            (MODEL_BIVARIATE, "u^2 + u^2*v", "u", "u + u^2 + u^2*v"),
+        ],
+    )
+    def test_huge_shift_of_zero_values_builds_no_power(self, model, r0, s1, s2):
+        # 0 / r0^k = 0, so zero section values shift at once: the report is
+        # the one a shift of 100 gives, without r0^(10^6), which never
+        # finishes in either model
+        g = GammaData(parse_element(r0, model))
+        ghost = build_ghost_witness(sec(g, s1, model=model), sec(g, s2, model=model))
+        zeros = (sec(g, "0", model=model), sec(g, "0", model=model))
+        small = verify_witness(X1, g, dataclasses.replace(ghost, shift=100), zeros)
+        start = time.perf_counter()
+        report = verify_witness(X1, g, dataclasses.replace(ghost, shift=10**6), zeros)
+        assert time.perf_counter() - start < 2.0
+        assert report.clauses == small.clauses
+        assert failing_names(report) == ["endpoints"]
+
     def test_chain_rejects_non_line_pieces(self):
         w, s1, s2 = fresh_ghost()
         report = verify_witness(X1, G2, ChainWitness((w,)), (s1, s2))
@@ -783,8 +804,8 @@ class TestAvoidanceDetail:
     def test_one_radical_query_per_piece_and_entry(self, model, r0, a, b, monkeypatch):
         # three pieces (V1, V2 and their overlap W) times the two centers
         calls = []
-        query = homotopy.ext_radical_membership
-        monkeypatch.setattr(homotopy, "ext_radical_membership",
+        query = verify.ext_radical_membership
+        monkeypatch.setattr(verify, "ext_radical_membership",
                             lambda fs, gens: calls.append(len(fs)) or query(fs, gens))
         g, w, sections = corrupted(model, r0, a, b, None)
         assert verify_witness(X1, g, w, sections)

@@ -132,3 +132,49 @@ def test_every_public_name_has_a_caller():
         if name not in called
     ]
     assert not uncalled, f"public names with no caller: {uncalled}"
+
+
+# the modules the verifier may import: the ring layer, below every decision
+RING_LAYER = {
+    "errors", "farey", "surface", "ringelement", "dvrseries", "localring", "polyring", "grammar",
+}
+
+
+def package_imports(source: str) -> set:
+    """The package modules a source imports, relatively or by absolute name
+    (`nodalwitness` alone stands for the package's `__init__`)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"nodalwitness.{module}".rstrip(".")
+            # `from nodalwitness import x` may name a module x
+            dotted = [module] if module != "nodalwitness" else [
+                f"nodalwitness.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            parts = name.split(".")
+            if parts[0] == "nodalwitness":
+                found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_verifier_imports_only_the_ring_layer():
+    """The verifier replays witnesses without the decision that built them."""
+    outside = package_imports((PACKAGE / "verify.py").read_text()) - RING_LAYER
+    assert not outside, f"verify.py imports modules outside the ring layer: {outside}"
+
+
+@pytest.mark.parametrize("line, module", [
+    ("from .homotopy import decide_nodal", "homotopy"),
+    ("from . import blowuptree", "blowuptree"),
+    ("from nodalwitness.cli import main", "cli"),
+    ("import nodalwitness.homotopy", "homotopy"),
+])
+def test_ring_layer_check_flags_a_decision_import(line, module):
+    source = (PACKAGE / "verify.py").read_text() + f"\n{line}\n"
+    assert package_imports(source) - RING_LAYER == {module}
