@@ -256,9 +256,8 @@ def pullback_tree(t: BlowupTree, cover_degree: int) -> BlowupTree:
                     TreeVertex(BasePoint(rt, Fraction(1)), r.children)
                 )
         else:
+            # a LinePoint coordinate is nonzero, and so are its roots
             for rt in _rational_nth_roots(pos.coord, cover_degree):
-                if rt == 0:
-                    continue
                 new_roots.append(
                     TreeVertex(LinePoint(pos.slope, rt), r.children)
                 )
@@ -311,10 +310,7 @@ def _child_from_json(blob) -> TreeVertex:
             raise ParseError(f"unknown node position {at!r}")
         pos = NodePos(at)
     elif isinstance(at, dict) and set(at) == {"free"}:
-        try:
-            pos = FreePoint(parse_rational(_text(at, "free")))
-        except PreconditionViolated as exc:
-            raise ParseError(str(exc)) from exc
+        pos = FreePoint(parse_rational(_text(at, "free")))
     else:
         raise ParseError(f"bad position {at!r}")
     return TreeVertex(pos, _children_from_json(blob))
@@ -326,11 +322,8 @@ def _root_from_json(blob) -> TreeVertex:
     if "base" in blob:
         pos = BasePoint.parse(_text(blob, "base"))
     elif "line" in blob and "coord" in blob:
-        try:
-            line, coord = _text(blob, "line"), _text(blob, "coord")
-            pos = LinePoint(Slope.parse(line), parse_rational(coord))
-        except PreconditionViolated as exc:
-            raise ParseError(str(exc)) from exc
+        line, coord = _text(blob, "line"), _text(blob, "coord")
+        pos = LinePoint(Slope.parse(line), parse_rational(coord))
     else:
         raise ParseError('roots need "base" or "line"/"coord"')
     return TreeVertex(pos, _children_from_json(blob))
@@ -341,7 +334,7 @@ def tree_from_json(data) -> BlowupTree:
         raise ParseError('tree JSON must be {"roots": [...]}')
     if not isinstance(data["roots"], list):
         raise ParseError("roots must be a list")
-    try:
+    try:  # a bad coordinate at any depth, as a ParseError
         return BlowupTree(tuple(_root_from_json(r) for r in data["roots"]))
     except PreconditionViolated as exc:
         raise ParseError(str(exc)) from exc

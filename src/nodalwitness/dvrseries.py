@@ -130,10 +130,10 @@ class Series(RingElement):
         if not other.exact:
             his.append(other.val + len(other.coeffs))
         if his:
+            # each truncated window ends past its nonzero summand's valuation,
+            # which is at least lo, so the sum keeps at least one coefficient
             hi = min(his)
             exact = False
-            if hi <= lo:
-                raise PrecisionExhausted("windows of summands do not overlap")
         else:
             hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
             exact = True

@@ -255,11 +255,8 @@ class _Parser:
                 raise ParseError(f"exponent must be a non-negative integer, got {e!r}")
             k = _capped(e, "exponent")
             if type(f) is tuple:
+                # an integer or one variable: its degree is at most 1
                 c, m = f
-                if sum(m) * k > MAX_DEGREE:
-                    raise ParseError(
-                        f"power of degree {sum(m)}*{k} exceeds the cap {MAX_DEGREE}"
-                    )
                 f = (c**k, tuple(d * k for d in m))
             else:
                 f = self._power(f, k)

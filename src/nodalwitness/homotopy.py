@@ -162,9 +162,7 @@ def closed_point_image(X: NodalSurface, s: SectionData) -> Location:
     if r.is_unit():
         return Interior(ZERO)
     prev = ZERO
-    for t in X.lines[:-1]:
-        if t == ZERO:
-            continue
+    for t in X.lines[1:-1]:
         # r0^a | r^b puts the section at slope >= t, r^b | r0^a at <= t;
         # the model answers both (SectionData shares one model)
         down, up = r0.powers_divide(t.a, r, t.b)

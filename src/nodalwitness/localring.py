@@ -815,7 +815,7 @@ class PolyExt:
         return self.model == o.model and self.terms == o.terms
 
     def __repr__(self) -> str:
-        return f"PolyExt({polyext_to_text(self)!r})"
+        return f"PolyExt({polyext_to_json(self, element_to_text)!r})"
 
 
 # conversions for the extension engine ---------------------------------------
@@ -1044,9 +1044,9 @@ def polyext_from_json(d: dict, model: str, read) -> PolyExt:
 def parse_polyext(text: str, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
     """Parse a single expression that may mention S and T.
 
-    Handy for tests and CLI one-liners; witness JSON uses the per-monomial
-    dictionary form instead so that truncated coefficients survive a round
-    trip.
+    The benchmark and the acceptance criteria build witness corruptions
+    with it; witness JSON uses the per-monomial dictionary form instead so
+    that truncated coefficients survive a round trip.
     """
     base = model_class(model).variables
     num, den, _ = grammar.parse_rational_function(text, base + ["S", "T"], allow_o=False)
@@ -1064,20 +1064,3 @@ def parse_polyext(text: str, model: str, prec: int = DEFAULT_PREC) -> PolyExt:
     nums = [Poly(terms, nbase) for terms in buckets.values()]
     elements = _from_raw(model, nums, den_base, None, prec)
     return PolyExt(model, dict(zip(buckets, elements)))
-
-
-def polyext_to_text(p: PolyExt) -> str:
-    """One-line display form (not the JSON transport form)."""
-    if p.is_zero():
-        return "0"
-    bits = []
-    for (i, j) in sorted(p.terms):
-        coeff = element_to_text(p.terms[(i, j)])
-        mono = grammar.mono_text((i, j), _ST)
-        if not mono:
-            bits.append(coeff)
-        elif coeff == "1":
-            bits.append(mono)
-        else:
-            bits.append(f"({coeff})*{mono}")
-    return " + ".join(bits)

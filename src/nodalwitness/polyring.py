@@ -25,24 +25,19 @@ Monomial = tuple[int, ...]
 
 DEFAULT_SPAIR_CAP = 10_000
 
-_spair_cap_override: int | None = None
+_spair_cap = DEFAULT_SPAIR_CAP
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def current_spair_cap() -> int:
-    return (
-        DEFAULT_SPAIR_CAP if _spair_cap_override is None else _spair_cap_override
-    )
-
-
 def set_spair_cap(cap: int | None) -> None:
-    """Process-wide S-pair budget override; None restores the default."""
-    global _spair_cap_override
+    """Set the process-wide S-pair budget of `buchberger`; None restores
+    DEFAULT_SPAIR_CAP."""
+    global _spair_cap
     if cap is not None and cap <= 0:
         raise ValueError("S-pair budget must be positive")
-    _spair_cap_override = cap
+    _spair_cap = DEFAULT_SPAIR_CAP if cap is None else cap
 
 
 def power(x, n: int, one):
@@ -70,9 +65,8 @@ class BlockOrder:
     elimination ideal.
     """
 
-    def __init__(self, nelim: int, nvars: int):
+    def __init__(self, nelim: int):
         self.nelim = nelim
-        self.nvars = nvars
 
     def key(self, m: Monomial) -> tuple:
         """Sort key putting greater monomials first: grevlex on the first
@@ -292,16 +286,16 @@ def buchberger(gens: Iterable[Poly], order, stop=None) -> list[Poly]:
     inter-reduction makes each element monic over Q, so the basis is the
     one a computation over Q returns.
 
-    `stop`, a predicate, ends the run at the first primitive integer input
-    or remainder p it accepts, and the answer is [p]: an element of the
-    ideal, for a caller that needs only one such element, not a basis.
+    `stop`, a predicate, ends the run at the first primitive integer
+    remainder p it accepts, and the answer is [p]: an element of the ideal,
+    for a caller that needs only one such element, not a basis.
 
     Raises DegreeCapExceeded once more S-pairs than the process-wide budget
     (see set_spair_cap) have been reduced; pairs the criteria drop cost
     nothing.  The tiny instances this package produces stay far below the
     default budget, so tripping the cap signals a malformed query.
     """
-    cap = current_spair_cap()
+    cap = _spair_cap
     polys = [g for g in gens if g.terms]
     if not polys:
         return []
@@ -311,9 +305,6 @@ def buchberger(gens: Iterable[Poly], order, stop=None) -> list[Poly]:
     if unit in lms:
         return [Poly.constant(_ONE, nvars)]
     polys = [Poly(_primitive(_integral(g.terms)), nvars) for g in polys]
-    hit = [g for g in polys if stop is not None and stop(g)]
-    if hit:
-        return hit[:1]
     key = order.key
     active: list[int] = []  # indices of the reducers
     pairs: list = []  # (key of the lcm, lcm, i, j), in insertion order
@@ -390,13 +381,13 @@ def eliminate(gens: Sequence[Poly], nelim: int, stop=None) -> list[Poly]:
 
     The block order puts every monomial touching the first nelim variables
     before every other, so a polynomial whose leading monomial is free of
-    them lies in that subring.  With a predicate `stop`, the first input or
-    remainder in the subring that it accepts ends the Groebner run, and the
-    answer is that one element of the intersection.
+    them lies in that subring.  With a predicate `stop`, the first remainder
+    in the subring that it accepts ends the Groebner run, and the answer is
+    that one element of the intersection.
     """
     if not gens:
         return []
-    order = BlockOrder(nelim, gens[0].nvars)
+    order = BlockOrder(nelim)
 
     def in_subring(p: Poly) -> bool:
         return not any(p.leading(order)[0][:nelim])

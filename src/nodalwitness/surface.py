@@ -51,8 +51,7 @@ class NodalSurface:
                 raise PreconditionViolated(
                     f"adjacent lines {left}, {right} are not unimodular"
                 )
-        if not lines[-2].is_integer:
-            raise PreconditionViolated("largest finite slope must be an integer")
+        # lines[-2] = a/b is unimodular with 1/0, so b = 1: an integer
 
     @staticmethod
     def p1() -> "NodalSurface":
@@ -78,9 +77,6 @@ class NodalSurface:
 
     # --- lines ------------------------------------------------------------
 
-    def has_line(self, s: Slope) -> bool:
-        return s in self.lines
-
     def line_index(self, s: Slope) -> int:
         try:
             return self.lines.index(s)
@@ -97,7 +93,7 @@ class NodalSurface:
             raise PreconditionViolated(f"which must be zeros|poles, got {which!r}")
         if not (ZERO < s <= Slope(1, 1)):
             raise InvalidSlope(f"divisor support needs 0 < s <= 1, got {s}")
-        if not self.has_line(s):
+        if s not in self.lines:
             raise InvalidSlope(f"line {s} is not on this surface")
         if which == "zeros":
             return frozenset(
@@ -121,20 +117,17 @@ class NodalSurface:
         if not isinstance(raw, list):
             raise ParseError("lines must be a list of [a, b] pairs")
         out = []
-        for entry in raw:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(type(c) is int for c in entry)
-            ):
-                raise ParseError(f"bad line entry {entry!r}")
-            try:
-                out.append(Slope(entry[0], entry[1]))
-            except InvalidSlope as exc:
-                raise ParseError(str(exc)) from exc
         try:
+            for entry in raw:
+                if (
+                    not isinstance(entry, list)
+                    or len(entry) != 2
+                    or not all(type(c) is int for c in entry)
+                ):
+                    raise ParseError(f"bad line entry {entry!r}")
+                out.append(Slope(entry[0], entry[1]))
             return NodalSurface(tuple(out))
-        except (PreconditionViolated, OrderViolation) as exc:
+        except (InvalidSlope, PreconditionViolated, OrderViolation) as exc:
             raise ParseError(str(exc)) from exc
 
     def to_dot(self) -> str:

@@ -41,7 +41,6 @@ from .errors import (
     PrecisionExhausted,
     PreconditionViolated,
 )
-from .farey import ZERO
 from .localring import (
     PolyExt,
     RingElement,
@@ -305,9 +304,7 @@ def _line_body_clauses(
         else:
             ok = True
             detail = ""
-            for t in X.lines[:-1]:
-                if t == ZERO:
-                    continue
+            for t in X.lines[1:-1]:
                 gens = [PolyExt.constant(r0 ** t.a), w.path ** t.b]
                 if not ext_unit_ideal(_clear_content(gens)):
                     ok = False

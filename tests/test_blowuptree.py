@@ -189,7 +189,7 @@ class TestNormalize:
         x, residual = normalize_pure_nodes(t)
         for r in residual.roots:
             assert isinstance(r.position, LinePoint)
-            assert x.has_line(r.position.slope)
+            assert r.position.slope in x.lines
             assert r.position.coord != 0
 
 
