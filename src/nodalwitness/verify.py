@@ -10,7 +10,9 @@ Each clause `verify_witness` can report, when it holds, and what decides it:
   clause          holds when                                  decided by
   endpoints       the path (a chain's first piece, at T = 1)  element equality; a
                   meets the sections; a ghost's chart values  ghost's shift by orders
-                  times its center, the shifted sections      and divide_in_ring
+                  times its center, the shifted sections,     and divide_in_ring, its
+                  and each nonzero section lifts: r0^a and    lift by powers_divide
+                  r^b comparable at each finite line a/b > 0
   endpoints-tail  a chain's last piece at T = 0 meets s2      element equality
   chain-joint-i   piece i+1 at T = 1 meets piece i at T = 0   element equality
   piece-i-*       piece i's own line-lift and avoidance       as those clauses
@@ -379,6 +381,14 @@ def _verify_ghost(
     if s1.chart != CHART_FINITE or s2.chart != CHART_FINITE:
         report.add("endpoints", False, "ghost endpoints live in the finite chart")
         return
+    for i, s in enumerate((s1, s2), 1):
+        if r0.is_zero() or s.r.is_zero():
+            continue
+        for t in X.lines[1:-1]:
+            if not any(r0.powers_divide(t.a, s.r, t.b)):
+                detail = f"section {i} does not lift: r0 and r are incomparable at line l_{t}"
+                report.add("endpoints", False, detail)
+                return
     h10 = w.h1.eval_st(zero, zero)
     h11 = w.h1.eval_st(one, zero)
     ok = (h10 * r == shifted[0]) and (h11 * r == shifted[1])

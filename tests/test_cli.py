@@ -601,6 +601,49 @@ class TestExitCodes:
         assert invoke(["tree", "show"], nested_tree(48))[0] == 0
         assert invoke(["tree", "show"], nested_tree(49))[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, blob, message",
+        [
+            (["tree", "show"], '{"roots":[{"base":"[0:1]","children":5}]}',
+             "children must be a list"),
+            (["tree", "show"], '{"roots":[{"base":"[0:1]","children":[{}]}]}',
+             'child vertices need an "at" position'),
+            (["tree", "show"], '{"roots":[{"base":"[0:1]","children":[{"at":5}]}]}',
+             "bad position 5"),
+            (["tree", "show"], '{"roots":[5]}', "root vertices must be objects"),
+            (["tree", "show"], '{"roots":[{"line":"1","coord":"0"}]}',
+             "interior coordinate must be nonzero"),
+            (["tree", "pullback", "0"], TREE_TWO_ROOTS, "cover degree must be positive"),
+            (["surface", "show"], '{"lines":[[0,1]]}',
+             "a surface has at least two pseudo-lines"),
+            (["surface", "show"], '{"lines":[[0,1],[1,1],[1,2],[1,0]]}',
+             "line slopes out of order: 1 !< 1/2"),
+            (["surface", "show"], '{"lines":[[0,1],[1,2],[1,0]]}',
+             "adjacent lines 1/2, inf are not unimodular"),
+        ],
+        ids=["children-not-a-list", "child-without-at", "at-5", "root-not-an-object",
+             "zero-coord", "pullback-0", "one-line", "out-of-order", "top-not-integer"],
+    )
+    def test_input_refusal_message(self, argv, blob, message):
+        assert invoke(argv, blob) == (2, "", f"error: {message}\n")
+
+    def test_ghost_over_a_surface_its_sections_miss_is_rejected(self, tmp_path):
+        # u*v meets l_1/2 nowhere: (u^3*v)^1 and (u*v)^2 are incomparable
+        pair = ["--r0", "u^3*v", "--s1", "u*v", "--s2", "u*v*(1+u)"]
+        code, witness, _ = invoke(["--ring", "bivariate", "witness", "build"] + pair)
+        assert code == 0 and '"type":"ghost"' in witness
+        verify = ["--ring", "bivariate", "witness", "verify"] + pair
+        assert invoke(verify, witness)[0] == 0
+        surface = tmp_path / "half.json"
+        surface.write_text(HALF_SURFACE)
+        code, out, _ = invoke(verify + ["--surface", str(surface)], witness)
+        assert code == 1
+        assert ("endpoints: FAIL (section 1 does not lift: r0 and r are incomparable "
+                "at line l_1/2)") in out
+        decide = ["--ring", "bivariate", "decide", "nodal", "--surface", str(surface)]
+        code, _, err = invoke(decide + pair)
+        assert code == 2 and "incomparable at line l_1/2" in err
+
 
 # --- output invariants ----------------------------------------------------------
 

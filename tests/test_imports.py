@@ -1,6 +1,6 @@
 """Every name a package module imports is used by that module, none is
-another module's private (underscore) name, and every public name the
-package defines has a caller.
+another module's private (underscore) name, every public name the package
+defines has a caller, and every parameter is read.
 
 Read with the standard library's `ast` only: a name counts as used when it
 appears in code, in an annotation (string annotations included) or in
@@ -178,3 +178,65 @@ def test_verifier_imports_only_the_ring_layer():
 def test_ring_layer_check_flags_a_decision_import(line, module):
     source = (PACKAGE / "verify.py").read_text() + f"\n{line}\n"
     assert package_imports(source) - RING_LAYER == {module}
+
+
+# the methods both ring models define share the `RingElement` signature, so
+# one model may leave a parameter unread (BiFrac's `prec`)
+RING_MODELS = ("Series", "BiFrac")
+
+
+def unread_parameters(trees: list):
+    """`function parameter` for each parameter of a function whose body
+    never reads it; `self`, `cls` and the shared ring-model methods are
+    exempt."""
+    methods = {
+        node.name: {f for f in node.body if isinstance(f, ast.FunctionDef)}
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in RING_MODELS
+    }
+    shared = set.intersection(*({f.name for f in fs} for fs in methods.values()))
+    exempt = {f for fs in methods.values() for f in fs if f.name in shared}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node in exempt:
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            yield from (
+                f"{node.name} {p.arg}"
+                for p in params
+                if p is not None and p.arg not in ("self", "cls") and p.arg not in read
+            )
+
+
+def test_every_parameter_is_read():
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    unread = list(unread_parameters(trees))
+    assert not unread, f"parameters no body reads: {unread}"
+
+
+def test_unread_parameter_check_flags_one():
+    source = """
+class Series:
+    def root(self, n, prec):
+        return n
+class BiFrac:
+    def root(self, n, prec):
+        return n
+class Other:
+    def root(self, n, prec):
+        return n
+def _verify_ghost(X, g, *rest, **kw):
+    def inner(y):
+        return g, rest, kw, y
+    return inner
+"""
+    # Other.root is flagged once; Series.root and BiFrac.root are exempt
+    assert sorted(unread_parameters([ast.parse(source)])) == ["_verify_ghost X", "root prec"]
