@@ -32,9 +32,12 @@ from .polyring import Poly, mono_mul, power
 # power of a polynomial with several terms is expanded by repeated squaring,
 # whose cost grows with the square of the result's size; there the product
 # of the result's degrees in each variable (its degree, in one variable) is
-# at most MAX_EXPANDED_SIZE.
+# at most MAX_EXPANDED_SIZE.  Every integer of a k-th power has at most k
+# times the bit lengths of the base's numerators and denominators, summed;
+# that bound is at most MAX_POWER_BITS (for 10^5000 it is 25,000).
 MAX_DEGREE = 10_000
 MAX_EXPANDED_SIZE = 500
+MAX_POWER_BITS = 65_536
 
 # One token: an integer, a name or a punctuation mark, all ASCII; any other
 # visible character is caught by the second group.  Whitespace matches
@@ -84,6 +87,14 @@ def _mul_polys(a: Poly, b: Poly) -> Poly:
 def _degrees(p: Poly) -> list[int]:
     """The degree in each variable."""
     return [max(col) for col in zip(*p.terms)] or [0] * p.nvars
+
+
+def _check_power_bits(coeffs, k: int) -> None:
+    """Refuse the k-th power of a base with these coefficients past the
+    MAX_POWER_BITS bound, before it is built."""
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+    if bits * k > MAX_POWER_BITS:
+        raise ParseError(f"power of coefficient bits {bits}*{k} exceeds the cap {MAX_POWER_BITS}")
 
 
 def _capped(tok: str, what: str) -> int:
@@ -164,6 +175,7 @@ class _Parser:
         degs = [max(a, b) for a, b in zip(_degrees(rf.num), _degrees(rf.den))]
         if sum(degs) * k > MAX_DEGREE:
             raise ParseError(f"power of degree {sum(degs)}*{k} exceeds the cap {MAX_DEGREE}")
+        _check_power_bits([*rf.num.terms.values(), *rf.den.terms.values()], k)
         if len(rf.num.terms) == 1 and _is_one(rf.den):
             ((m, c),) = rf.num.terms.items()
             return _RF(Poly({tuple(d * k for d in m): c**k}, self.n), self.one)
@@ -257,6 +269,7 @@ class _Parser:
             if type(f) is tuple:
                 # an integer or one variable: its degree is at most 1
                 c, m = f
+                _check_power_bits([c], k)
                 f = (c**k, tuple(d * k for d in m))
             else:
                 f = self._power(f, k)

@@ -11,6 +11,7 @@ from nodalwitness.errors import ParseError
 from nodalwitness.grammar import (
     MAX_DEGREE,
     MAX_EXPANDED_SIZE,
+    MAX_POWER_BITS,
     parse_rational_function,
     poly_to_text,
 )
@@ -254,6 +255,11 @@ def test_cli_names_a_non_ascii_digit(text, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["x - O(x^3)", "-O(x^3) + x"])
+def test_a_negated_o_tail_is_the_same_tail(text):
+    assert parse_element(text, MODEL_DVR) == parse_element("x + O(x^3)", MODEL_DVR)
+
+
 def test_constant_denominators_fold_into_the_numerator():
     num, den, _ = parse_rational_function("x/2 - 2/3*x^2 + x/(4/3)", ["x"])
     assert den == one(1)
@@ -310,6 +316,8 @@ def no_power_expanded(monkeypatch):
         (f"(1/(1+x))^{MAX_EXPANDED_SIZE + 1}", ["x"]),
         ("(1+u+v)^23", ["u", "v"]),
         ("(x^3+x^4)^200", ["x"]),
+        ("(" + "9" * 1000 + "+x)^300", ["x"]),
+        (f"16384^{MAX_POWER_BITS // 16 + 1}", ["x"]),
     ],
 )
 def test_refused_powers_are_never_built(no_power_expanded, text, names):
@@ -321,6 +329,15 @@ def test_refused_powers_are_never_built(no_power_expanded, text, names):
 def test_refused_o_orders(no_series_built, order):
     with pytest.raises(ParseError, match="cap"):
         parse_element(f"x + O(x^{order})", MODEL_DVR)
+
+
+@pytest.mark.parametrize("digits", [1000, 4000])
+def test_huge_coefficient_power_is_refused_fast(digits):
+    # 1,000 nines to the 10,000 took 9 s to build, and 4,000 nines 80 s
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"cap {MAX_POWER_BITS}"):
+        parse_element("9" * digits + "^10000*x", MODEL_DVR)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_overlong_integer_is_a_parse_error():
@@ -337,6 +354,9 @@ def test_budgets_admit_their_limits():
     assert not tail.exact and len(tail.coeffs) == MAX_DEGREE - 1
     num, _, _ = parse_rational_function("(1+u+v)^22", ["u", "v"])
     assert num.terms[(11, 11)] == Fraction(705432)  # 22! / (11! 11!)
+    # 16384 has 15 bits and denominator 1 has 1: 16 * 4096 is the bit cap
+    num, _, _ = parse_rational_function(f"16384^{MAX_POWER_BITS // 16}", ["x"])
+    assert num.constant_coeff() == 2 ** (14 * MAX_POWER_BITS // 16)
 
 
 @pytest.mark.parametrize(
@@ -347,6 +367,8 @@ def test_budgets_admit_their_limits():
         ["decide", "nodal", "--r0", "x^1000000000", "--s1", "x", "--s2", "x"],
         ["decide", "nodal", "--r0", "x^2", "--s1", "x + O(x^1000000000)", "--s2", "x"],
         ["classes", "--r0", "x^2", "x", "(1+x)^1000000000"],
+        # ran past a two-minute timeout before the bit cap on powers
+        ["decide", "nodal", "--r0", "x^2", "--s2", "x", "--s1", "(" + "9" * 1000 + "+x)^300"],
     ],
 )
 def test_cli_refuses_over_budget_fast(no_series_built, argv):
