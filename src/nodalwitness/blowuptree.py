@@ -256,7 +256,6 @@ def pullback_tree(t: BlowupTree, cover_degree: int) -> BlowupTree:
                     TreeVertex(BasePoint(rt, Fraction(1)), r.children)
                 )
         else:
-            # a LinePoint coordinate is nonzero, and so are its roots
             for rt in _rational_nth_roots(pos.coord, cover_degree):
                 new_roots.append(
                     TreeVertex(LinePoint(pos.slope, rt), r.children)

@@ -130,8 +130,7 @@ class Series(RingElement):
         if not other.exact:
             his.append(other.val + len(other.coeffs))
         if his:
-            # each truncated window ends past its nonzero summand's valuation,
-            # which is at least lo, so the sum keeps at least one coefficient
+            # a truncated window ends past its summand's valuation, >= lo
             hi = min(his)
             exact = False
         else:

@@ -32,9 +32,8 @@ from .polyring import Poly, mono_mul, power
 # power of a polynomial with several terms is expanded by repeated squaring,
 # whose cost grows with the square of the result's size; there the product
 # of the result's degrees in each variable (its degree, in one variable) is
-# at most MAX_EXPANDED_SIZE.  Every integer of a k-th power has at most k
-# times the bit lengths of the base's numerators and denominators, summed;
-# that bound is at most MAX_POWER_BITS (for 10^5000 it is 25,000).
+# at most MAX_EXPANDED_SIZE.  A k-th power's integers have at most k times
+# its base's summed coefficient bits, a bound at most MAX_POWER_BITS.
 MAX_DEGREE = 10_000
 MAX_EXPANDED_SIZE = 500
 MAX_POWER_BITS = 65_536
@@ -90,8 +89,7 @@ def _degrees(p: Poly) -> list[int]:
 
 
 def _check_power_bits(coeffs, k: int) -> None:
-    """Refuse the k-th power of a base with these coefficients past the
-    MAX_POWER_BITS bound, before it is built."""
+    """Refuse a k-th power of these coefficients past MAX_POWER_BITS."""
     bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
     if bits * k > MAX_POWER_BITS:
         raise ParseError(f"power of coefficient bits {bits}*{k} exceeds the cap {MAX_POWER_BITS}")

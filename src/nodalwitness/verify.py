@@ -11,8 +11,7 @@ Each clause `verify_witness` can report, when it holds, and what decides it:
   endpoints       the path (a chain's first piece, at T = 1)  element equality; a
                   meets the sections; a ghost's chart values  ghost's shift by orders
                   times its center, the shifted sections,     and divide_in_ring, its
-                  and each nonzero section lifts: r0^a and    lift by powers_divide
-                  r^b comparable at each finite line a/b > 0
+                  and each nonzero section lifts to X         lift by powers_divide
   endpoints-tail  a chain's last piece at T = 0 meets s2      element equality
   chain-joint-i   piece i+1 at T = 1 meets piece i at T = 0   element equality
   piece-i-*       piece i's own line-lift and avoidance       as those clauses
