@@ -16,7 +16,8 @@ package compute the same results exactly when they print the same hash.
 dumped from its own copy.  `--counts` also prints, one per line, how often
 the pass called each function in COUNTED: `s_poly`, `reduce_poly` and
 `buchberger` of polyring, `gcd2`, `divide_exact_p2` and `parse_element`
-of localring.  These counts depend only on the code and the pools, never
+of localring, the method `Series.divide` of dvrseries and
+`closed_point_image` of homotopy.  These counts depend only on the code and the pools, never
 on the machine or a time limit, so two versions can be compared on them.  `--lines` first
 prints each operation's JSON line, in pool order, so that a `diff` of two
 checkouts' output names every result that changed.  Nothing is written: no
@@ -41,6 +42,8 @@ COUNTED = (
     ("localring", "gcd2"),
     ("localring", "divide_exact_p2"),
     ("localring", "parse_element"),
+    ("dvrseries", "Series.divide"),
+    ("homotopy", "closed_point_image"),
 )
 
 
@@ -71,22 +74,31 @@ def _plain(obj, H):
 
 
 def count_calls() -> dict:
-    """Wrap each COUNTED function in every package module that binds it.
+    """Wrap each COUNTED function in every package module that binds it,
+    and each COUNTED method (`Class.name`) in its class.
 
     Returns the live counts.  Calls made inside the defining module go
-    through its global name, and modules imported later bind the wrapper,
-    so every call is counted.
+    through its global name, modules imported later bind the wrapper, and
+    a method is looked up on its class at each call, so every call is
+    counted.
     """
     counts = {}
-    for module, name in COUNTED:
-        key = f"{module}.{name}"
-        original = getattr(importlib.import_module(f"nodalwitness.{module}"), name)
+    for module, path in COUNTED:
+        key = f"{module}.{path}"
+        owner = importlib.import_module(f"nodalwitness.{module}")
+        *classes, name = path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        original = getattr(owner, name)
         counts[key] = 0
 
-        def counting(*args, _original=original, _key=key):
+        def counting(*args, _original=original, _key=key, **kwargs):
             counts[_key] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
+        if classes:
+            setattr(owner, name, counting)
+            continue
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("nodalwitness") and getattr(mod, name, None) is original:
                 setattr(mod, name, counting)
