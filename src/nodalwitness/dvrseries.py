@@ -118,11 +118,22 @@ class Series(RingElement):
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
+        return self._plus(other, False)
+
+    def __sub__(self, other: "Series") -> "Series":
+        return self._plus(other, True)
+
+    def _plus(self, other: "Series", negate: bool) -> "Series":
+        """self + other, or self - other when `negate`.  The result keeps
+        each term below the end of every truncated summand's window (all
+        terms when both are exact).  One summand's stored coefficients are
+        copied and the other's are added into them, so w - 1 for a unit w
+        costs one Fraction operation."""
         self._match(other)
-        if self.is_zero():
-            return other
         if other.is_zero():
             return self
+        if self.is_zero():
+            return -other if negate else other
         lo = min(self.val, other.val)
         his = []
         if not self.exact:
@@ -136,16 +147,21 @@ class Series(RingElement):
         else:
             hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
             exact = True
-        out = [self.coeff(k) + other.coeff(k) for k in range(lo, hi)]
+        # addition commutes, so a sum copies the longer window
+        a, b = self, other
+        if not negate and len(b.coeffs) > len(a.coeffs):
+            a, b = b, a
+        out = [_FZERO] * (hi - lo)
+        kept = a.coeffs[: max(0, hi - a.val)]
+        out[a.val - lo : a.val - lo + len(kept)] = kept
+        for j, c in enumerate(b.coeffs[: max(0, hi - b.val)], b.val - lo):
+            out[j] = out[j] - c if negate else out[j] + c
         return Series.make(lo, out, exact)
 
     def __neg__(self) -> "Series":
         if self.is_zero():
             return self
         return Series(self.val, tuple(-c for c in self.coeffs), self.exact)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
         self._match(other)
@@ -322,5 +338,6 @@ def _over_common_den(coeffs) -> tuple[list, int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+_FZERO = Fraction(0)
 _ZERO = Series(0, (), True)
 _ONE = Series(0, (Fraction(1),), True)

@@ -284,20 +284,25 @@ def build_ghost_witness(s1: SectionData, s2: SectionData) -> GhostWitness:
         raise PreconditionViolated(
             "ghost construction needs values inside the maximal ideal"
         )
-    verdict = _blown_center_verdict(s1.gamma.r0, r1, r2, 0, DEFAULT_PREC)
+    r0 = s1.gamma.r0
+    verdict = _blown_center_verdict(
+        r0, r1, r2, 0, DEFAULT_PREC, lambda: r0.divide_in_ring(r1, DEFAULT_PREC)
+    )
     if isinstance(verdict, NotHomotopic):
         raise PreconditionViolated(verdict.reason)
     return verdict.witness
 
 
 def _blown_center_verdict(
-    r0: RingElement, r1: RingElement, r2: RingElement, shift: int, prec: int
+    r0: RingElement, r1: RingElement, r2: RingElement, shift: int, prec: int,
+    co_quotient,
 ) -> Verdict:
     """The blown-center criterion on values shifted into the window.
 
     r1 and r2 are connected exactly when r2 = w*r1 for a unit w, r1 | r0
     with r0 not| r1, and delta = w - 1 lies in the radical of <r1, r0/r1>;
-    the positive answer carries the ghost witness.
+    the positive answer carries the ghost witness.  `co_quotient()` gives
+    r0/r1, which depends on r1 alone.
     """
     w = unit_multiple(r1, r2, prec)
     if w is None:
@@ -313,7 +318,7 @@ def _blown_center_verdict(
     model = r0.model
     one = RingElement.one(model)
     delta = w - one
-    r0_over_r1 = r0.divide_in_ring(r1, prec)
+    r0_over_r1 = co_quotient()
     ideal = IdealHandle([r1, r0_over_r1])
     if not radical_membership(delta, ideal):
         return NotHomotopic(
@@ -378,9 +383,11 @@ def decide_nodal(
 ) -> Verdict:
     """Are the two sections connected on X, and by what witness?  The tower
     step with no residual centers."""
-    return _decide(
-        s1, s2, X.node_count == 1, lambda: _decide_tower(X, (), s1, s2, prec)
-    )
+    return _nodal_pair(X, _Placement(X, (), s1, prec), _Placement(X, (), s2, prec))
+
+
+def _nodal_pair(X: NodalSurface, p1, p2) -> Verdict:
+    return _decide(p1.s, p2.s, X.node_count == 1, lambda: _decide_tower(p1, p2))
 
 
 def _decide(s1: SectionData, s2: SectionData, blank: bool, step) -> Verdict:
@@ -397,31 +404,90 @@ def _decide(s1: SectionData, s2: SectionData, blank: bool, step) -> Verdict:
         return Undecidable(_ABSTENTIONS[type(exc)], str(exc))
 
 
-def _decide_tower(X: NodalSurface, marks, s1, s2, prec) -> Verdict:
-    """The tower step: two main-regime sections on X, whose lines carry the
-    residual free centers `marks` (LinePoints).  It locates both sections
-    (closed_point_image is the decision's one comparability check: it
-    raises LiftRequired exactly for a section that does not lift), checks
-    them against the marks, decides in their shared region, and certifies
-    a Homotopic witness against the marks."""
-    g = s1.gamma
-    locs = closed_point_image(X, s1), closed_point_image(X, s2)
-    region = location_slopes(locs[0])
-    if region != location_slopes(locs[1]):
-        return NotHomotopic(
-            f"sections pass through different fiber regions: {locs[0]} vs {locs[1]}"
+def _once(compute):
+    """A placement quantity, computed at most once: the first call keeps
+    its value for every later call, or keeps the error it raised (with
+    that raise's traceback), which every later call raises again."""
+    name = compute.__name__
+
+    def read(p):
+        if name in p.values:
+            return p.values[name]
+        if name in p.errors:
+            exc, tb = p.errors[name]
+            raise exc.with_traceback(tb)
+        try:
+            value = p.values[name] = compute(p)
+        except Exception as exc:
+            p.errors[name] = exc, exc.__traceback__
+            raise
+        return value
+
+    return read
+
+
+class _Placement:
+    """What the tower step knows of one main-regime section s on X, whose
+    lines carry the residual free centers `marks` (LinePoints).  Each
+    quantity depends on s alone, so a family computes it once per section
+    and every pair reads it."""
+
+    def __init__(self, X: NodalSurface, marks, s: SectionData, prec: int):
+        self.X, self.marks, self.s, self.prec = X, marks, s, prec
+        self.values, self.errors = {}, {}
+
+    @_once
+    def loc(self) -> Location:
+        # the decision's one comparability check: it raises LiftRequired
+        # exactly for a section that does not lift
+        return closed_point_image(self.X, self.s)
+
+    @_once
+    def region(self) -> frozenset:
+        return location_slopes(self.loc())
+
+    @_once
+    def on_mark(self) -> bool:
+        """Whether s sits exactly on a residual center."""
+        loc, r0 = self.loc(), self.s.gamma.r0
+        on_line = isinstance(loc, Interior) and [
+            m.coord for m in self.marks if m.slope == loc.slope
+        ]
+        return bool(on_line) and (
+            _slope_unit(r0, self.s.r, loc.slope, self.prec).residue() in on_line
         )
 
+    @_once
+    def pole_value(self) -> RingElement:
+        return _pole_value(self.s, self.prec)
+
+    @_once
+    def shifted(self) -> RingElement:
+        """The value moved into the window of its region: r / r0^k, for k
+        the floor of the region's least slope."""
+        return shift_section(self.s, min(self.region()).floor(), self.prec).r
+
+    @_once
+    def co_quotient(self) -> RingElement:
+        return self.s.gamma.r0.divide_in_ring(self.shifted(), self.prec)
+
+
+def _decide_tower(p1: _Placement, p2: _Placement) -> Verdict:
+    """The tower step on two placed main-regime sections: it compares their
+    regions, checks both against the marks, decides in the shared region,
+    and certifies a Homotopic witness against the marks."""
+    X, marks, prec = p1.X, p1.marks, p1.prec
+    g = p1.s.gamma
+    if p1.region() != p2.region():
+        return NotHomotopic(
+            f"sections pass through different fiber regions: {p1.loc()} vs {p2.loc()}"
+        )
     # sections sitting exactly on a residual center are out of scope
-    for s, loc in zip((s1, s2), locs):
-        on_line = isinstance(loc, Interior) and [
-            m.coord for m in marks if m.slope == loc.slope
-        ]
-        if on_line and _slope_unit(g.r0, s.r, loc.slope, prec).residue() in on_line:
-            raise UnsupportedSupport("section passes through a residual blowup center")
+    if p1.on_mark() or p2.on_mark():
+        raise UnsupportedSupport("section passes through a residual blowup center")
 
     punctures = sum(m.slope == X.lines[-2] for m in marks)
-    verdict = _decide_in_region(X, s1, s2, g, region, punctures, prec)
+    verdict = _decide_in_region(p1, p2, punctures)
 
     # certify Homotopic witnesses against the residual punctures
     if isinstance(verdict, Homotopic) and marks:
@@ -431,7 +497,11 @@ def _decide_tower(X: NodalSurface, marks, s1, s2, prec) -> Verdict:
         else:
             k, center = 0, RingElement.one(g.r0.model)
         entries = [_puncture_avoid_entry(m, g, k, center) for m in marks]
-        _verify_or_raise("residual avoidance", X, g, w, (s1, s2), entries, prec)
+        # the decision reads the closed point only: over a two-dimensional
+        # base a section's slope may change along a divisor through it,
+        # where the witness can meet a center the decision never saw
+        _verify_or_raise("residual avoidance", X, g, w, (p1.s, p2.s), entries, prec,
+                         unsure=len(g.r0.variables) > 1)
     return verdict
 
 
@@ -450,9 +520,9 @@ def _rigid(g, delta, reason: str, where: str, ideal=None) -> Optional[NotHomotop
     raise UnsupportedSupport(f"{where} agree at the closed point but differ along r0 = 0")
 
 
-def _decide_in_region(X, s1, s2, g, region: frozenset, punctures: int, prec) -> Verdict:
-    """Decide two main-regime sections that `_decide_tower` put in `region`,
-    with `punctures` residual centers on the top line.
+def _decide_in_region(p1: _Placement, p2: _Placement, punctures: int) -> Verdict:
+    """Decide two main-regime sections that `_decide_tower` put in one
+    region, with `punctures` residual centers on the top line.
 
     Locating compared r0^a with r^b, and both models are UFDs, so nothing
     here checks it again.  On an integer middle line t, r = unit*r0^t, so
@@ -462,14 +532,16 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, punctures: int, prec) -> 
     every integer from 0 to its top) gives r | r0^(k+1), so <r0, r/r0^k>
     is principal.
     """
+    s1, s2, g, prec = p1.s, p2.s, p1.s.gamma, p1.prec
     # identical sections connect by the constant path; skipping the general
     # branches keeps unit values away from needless series inversion
     if s1.chart == s2.chart and s1.r == s2.r:
         return Homotopic(StraightLine(PolyExt.constant(s1.r), s1.chart), LEVEL_CHAIN)
 
     # free region around the pole section: always connected
+    region = p1.region()
     if region == frozenset({ZERO}):
-        w1, w2 = (_pole_value(s, prec) for s in (s1, s2))
+        w1, w2 = p1.pole_value(), p2.pole_value()
         return Homotopic(StraightLine(_line_path(w1, w2), CHART_INFINITE), LEVEL_CHAIN)
 
     # an integer line: free at the top of the chain unless residual centers
@@ -477,9 +549,9 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, punctures: int, prec) -> 
     # values themselves, so that a corner section (w in m) is compared too
     left = min(region)
     if len(region) == 1 and left.is_integer:
-        top = left == X.lines[-2]
+        top = left == p1.X.lines[-2]
         if punctures or not top:
-            w1, w2 = (shift_section(s, left.a, prec).r for s in (s1, s2))
+            w1, w2 = p1.shifted(), p2.shifted()
             if top:
                 delta, reason = w2 - w1, (
                     "interior residues differ in a punctured free region "
@@ -494,9 +566,9 @@ def _decide_in_region(X, s1, s2, g, region: frozenset, punctures: int, prec) -> 
 
     # node or fractional interior: shift into the small-slope window and
     # run the radical criterion on the blown center
-    k = left.floor()
-    r1h, r2h = (shift_section(s, k, prec).r for s in (s1, s2))
-    return _blown_center_verdict(g.r0, r1h, r2h, k, prec)
+    return _blown_center_verdict(
+        g.r0, p1.shifted(), p2.shifted(), left.floor(), prec, p1.co_quotient
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -627,34 +699,87 @@ def decide_general(
     t: BlowupTree, s1: SectionData, s2: SectionData, prec: int = DEFAULT_PREC
 ) -> Verdict:
     """Homotopy decision in the presence of arbitrary infinitely near centers."""
-    return _decide(s1, s2, t.is_empty(), lambda: _decide_general_core(t, s1, s2, prec))
+    towers: dict = {}
+    return _general_pair(
+        t, _TreePlacement(t, s1, prec, towers), _TreePlacement(t, s2, prec, towers)
+    )
 
 
-def _verify_or_raise(what: str, X, g, witness, sections, entries, prec) -> None:
+def _general_pair(t: BlowupTree, p1, p2) -> Verdict:
+    return _decide(p1.s, p2.s, t.is_empty(), lambda: _decide_general_core(t, p1, p2))
+
+
+def _verify_or_raise(what: str, X, g, witness, sections, entries, prec,
+                     unsure: bool = False) -> None:
     """Replay a witness the engine just built; a failed clause is an engine
     bug.  A replay that only a budget stopped re-raises that error, for the
-    decision to abstain on."""
+    decision to abstain on, and so, when `unsure`, does one that only
+    avoidance clauses failed: UnsupportedSupport names the center."""
     rep = verify_witness(X, g, witness, sections, entries, prec)
     if rep.undetermined is not None and len(rep.failures()) == 1:
         raise rep.undetermined
     if not rep:
+        failures = rep.failures()
+        if unsure and all(c.name.endswith("avoidance") for c in failures):
+            raise UnsupportedSupport(
+                f"witness not certified against a residual center: {failures[0].detail}"
+            )
         raise ConsistencyFailure(
             f"constructed witness failed {what}: "
-            + "; ".join(f"{c.name}: {c.detail}" for c in rep.failures())
+            + "; ".join(f"{c.name}: {c.detail}" for c in failures)
         )
 
 
-def _decide_general_core(t, s1, s2, prec) -> Verdict:
+class _TreePlacement:
+    """What the general decision knows of one main-regime section s on the
+    tree t: the point of the original fiber it meets at the closed point,
+    the section moved so that a blown-up point it meets is [0:1], and its
+    placement on that point's normalized tower.  `towers` holds each
+    root's normalized tower, shared by the sections that meet it."""
+
+    def __init__(self, t: BlowupTree, s: SectionData, prec: int, towers: dict):
+        self.t, self.s, self.prec, self.towers = t, s, prec, towers
+        self.values, self.errors = {}, {}
+
+    @_once
+    def point(self) -> BasePoint:
+        return _closed_point(self.s)
+
+    @_once
+    def moved(self) -> SectionData:
+        # a fiberwise Moebius automorphism moves the point to [0:1]
+        hit = self.point()
+        return self.s if hit.is_distinguished() else _moved_section(self.s, hit, self.prec)
+
+    @_once
+    def placed(self) -> _Placement:
+        hit = self.point()
+        if hit not in self.towers:
+            self.towers[hit] = _root_tower(self.t, hit)
+        X, marks = self.towers[hit]
+        return _Placement(X, marks, self.moved(), self.prec)
+
+
+def _root_tower(t: BlowupTree, hit: BasePoint):
+    """The surface and residual marks of the tower over the root at hit,
+    re-rooted at [0:1]; towers over other points cannot obstruct a
+    tower-local homotopy (witness sweeps stay in their region)."""
+    hit_root = next(r for r in t.roots if r.position == hit)
+    tower = BlowupTree((TreeVertex(BasePoint.distinguished(), hit_root.children),))
+    x_prime, residual = normalize_pure_nodes(tower)
+    return x_prime, [rr.position for rr in residual.roots]
+
+
+def _decide_general_core(t, p1: _TreePlacement, p2: _TreePlacement) -> Verdict:
+    s1, s2, prec = p1.s, p2.s, p1.prec
     g = s1.gamma
     root_points = [r.position for r in t.roots]
     if not all(isinstance(rp, BasePoint) for rp in root_points):
         raise UnsupportedSupport(
             "top-level centers must be points of the original fiber"
         )
-    p1 = _closed_point(s1)
-    p2 = _closed_point(s2)
-    hit1 = p1 if p1 in root_points else None
-    hit2 = p2 if p2 in root_points else None
+    hit1 = p1.point() if p1.point() in root_points else None
+    hit2 = p2.point() if p2.point() in root_points else None
 
     # Case I: both sections stay away from every blown-up point
     if hit1 is None and hit2 is None:
@@ -675,19 +800,14 @@ def _decide_general_core(t, s1, s2, prec) -> Verdict:
     if hit1 != hit2:
         return NotHomotopic(
             f"sections meet different centers at the closed point: "
-            f"{p1} vs {p2}"
+            f"{p1.point()} vs {p2.point()}"
         )
 
-    # both hit the same root: move it to [0:1] by a fiberwise Moebius
-    # automorphism and keep only its tower; towers over other points cannot
-    # obstruct a tower-local homotopy (witness sweeps stay in their region)
-    if not hit1.is_distinguished():
-        s1, s2 = (_moved_section(s, hit1, prec) for s in (s1, s2))
-    hit_root = next(r for r in t.roots if r.position == hit1)
-    tower = BlowupTree((TreeVertex(BasePoint.distinguished(), hit_root.children),))
-    x_prime, residual = normalize_pure_nodes(tower)
-    marks = [rr.position for rr in residual.roots]
-    return _decide_tower(x_prime, marks, s1, s2, prec)
+    # both hit the same root: decide on its tower.  Both sections move
+    # before the tower is normalized, so a move's error comes first
+    p1.moved()
+    p2.moved()
+    return _decide_tower(p1.placed(), p2.placed())
 
 
 # ---------------------------------------------------------------------------
@@ -707,20 +827,28 @@ def partition_classes(
     """Split a family of sections into connected classes by pairwise verdicts.
 
     `target` is a NodalSurface (nodal decision) or a BlowupTree (general
-    decision).  Transitivity of the pairwise answers is re-checked and a
-    violation raises ConsistencyFailure: it would mean the engine itself is
-    unsound, and no partition should be reported from inconsistent data.
+    decision).  Each section is placed once (`_Placement`,
+    `_TreePlacement`), and every pair runs the pair step on the two
+    placements, with the verdict decide_nodal or decide_general gives it.
+    Transitivity of the pairwise answers is re-checked and a violation
+    raises ConsistencyFailure: it would mean the engine itself is unsound,
+    and no partition should be reported from inconsistent data.
     """
     n = len(sections)
     for s in sections:
         if s.gamma != g:
             raise PreconditionViolated("all sections must share the gamma data")
-    decide = decide_nodal if isinstance(target, NodalSurface) else decide_general
+    if isinstance(target, NodalSurface):
+        decide = _nodal_pair
+        placed = [_Placement(target, (), s, prec) for s in sections]
+    else:
+        decide, towers = _general_pair, {}
+        placed = [_TreePlacement(target, s, prec, towers) for s in sections]
     verdicts = {}
     undecided = []
     for i in range(n):
         for j in range(i + 1, n):
-            v = decide(target, sections[i], sections[j], prec)
+            v = decide(target, placed[i], placed[j])
             if isinstance(v, Undecidable):
                 undecided.append((i, j, v.reason))
             verdicts[(i, j)] = v

@@ -230,6 +230,24 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["verdict"] == "undecidable"
 
+    @pytest.mark.parametrize("coord", ["1", "2"])
+    def test_residual_center_the_witness_meets_abstains(self, coord):
+        # r0 = u^2*v: the pair sits at slope 1/2 along u = 0 but at 1 along
+        # v = 0, and its ghost witness meets the residual puncture on l_2
+        # there; decide general once raised ConsistencyFailure, and now
+        # abstains, naming the puncture
+        tree = ('{"roots":[{"base":"[0:1]","children":[{"at":"node-left"},'
+                '{"at":"node-right","children":[{"at":{"free":"%s"}}]}]}]}\n' % coord)
+        code, out, err = invoke(
+            ["--ring", "bivariate", "decide", "general", "--r0=u^2*v", "--s1=u*v",
+             "--s2=u*v*(1+u)", "--tree", "-"],
+            tree,
+        )
+        assert (code, err) == (3, "")
+        verdict = json.loads(out)
+        assert (verdict["verdict"], verdict["reason"]) == ("undecidable", "unsupported-support")
+        assert f"puncture on l_2 at {coord}" in verdict["detail"]
+
     @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit cap")
     def test_answer_past_the_digit_cap_is_three(self):
         # the witness holds 10^5000, past the 4,300-digit cap on integer

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nodalwitness.dvrseries import Series
+from nodalwitness.errors import PrecisionExhausted
 
 small_q = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
@@ -215,3 +216,61 @@ class TestGeneralProduct:
         want = convolution(s, t)
         for got in (s * t, t * s):
             assert (got.val, got.coeffs, got.exact) == (want.val, want.coeffs, want.exact)
+
+
+def coefficientwise(s: Series, t: Series, sign: int):
+    """s + sign*t, term by term on Fractions: (val, coeffs, exact), or
+    "zero", or "undetermined" when every known term cancels.  A term is
+    known below the end of each truncated operand's window."""
+    ends = [u.val + len(u.coeffs) for u in (s, t) if not u.exact]
+    terms: dict = {}
+    for u, f in ((s, 1), (t, sign)):
+        for i, c in enumerate(u.coeffs):
+            terms[u.val + i] = terms.get(u.val + i, Fraction(0)) + f * c
+    if ends:
+        terms = {k: c for k, c in terms.items() if k < min(ends)}
+    live = sorted(k for k, c in terms.items() if c != 0)
+    if not live:
+        return "undetermined" if ends else "zero"
+    top = min(ends) if ends else live[-1] + 1
+    return live[0], tuple(terms.get(k, Fraction(0)) for k in range(live[0], top)), not ends
+
+
+@st.composite
+def sum_operands(draw):
+    """The zero series, a monomial, or a series of valuation -3..3 with up
+    to six stored coefficients, exact or truncated."""
+    kind = draw(st.sampled_from(["zero", "monomial", "series", "series"]))
+    if kind == "zero":
+        return Series.zero()
+    val = draw(st.integers(-3, 3))
+    if kind == "monomial":
+        return Series.monomial(val, draw(nonzero_q))
+    return Series.make(val, draw(leading_terms), draw(st.booleans()))
+
+
+def outcome(f):
+    try:
+        got = f()
+    except PrecisionExhausted:
+        return "undetermined"
+    return "zero" if got.is_zero() else (got.val, got.coeffs, got.exact)
+
+
+class TestSum:
+    @given(s=sum_operands(), t=sum_operands())
+    # w - 1 with residue 1: the leading term cancels, and with it the
+    # whole window of 1 + O(x); a monomial below, inside and beyond a
+    # truncated window; exact cancellation to zero; negative valuations
+    @example(s=Series.make(0, [1, 2, 3], False), t=Series.monomial(0, 1))
+    @example(s=Series.make(0, [1], False), t=Series.monomial(0, 1))
+    @example(s=Series.make(1, [2, 1], False), t=Series.monomial(0, 3))
+    @example(s=Series.make(0, [2, 1, 1], False), t=Series.monomial(1, 1))
+    @example(s=Series.make(0, [2, 1], False), t=Series.monomial(3, 1))
+    @example(s=Series.make(-2, [1, 0, 1], True), t=Series.make(-2, [1, 0, 1], True))
+    @example(s=Series.make(-3, [1, 2], True), t=Series.make(-1, [5, 1], False))
+    @settings(max_examples=300, deadline=None)
+    def test_sum_and_difference_term_by_term(self, s, t):
+        for f, g, sign in ((s, t, 1), (t, s, 1), (s, t, -1), (t, s, -1)):
+            op = (lambda: f + g) if sign == 1 else (lambda: f - g)
+            assert outcome(op) == coefficientwise(f, g, sign), (f, g, sign)

@@ -1166,9 +1166,9 @@ class TestDecideNodal:
         seen = []
         real = homotopy._blown_center_verdict
 
-        def spy(r0, r1, r2, shift, prec):
+        def spy(r0, r1, r2, *rest):
             seen.append((r1, r2))
-            return real(r0, r1, r2, shift, prec)
+            return real(r0, r1, r2, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homotopy, "_blown_center_verdict", spy)
@@ -1825,6 +1825,73 @@ class TestCoverTransform:
 # --- partitioning -----------------------------------------------------------
 
 
+def pairwise_partition(target, g, sections):
+    """partition_classes's answer built from decide_nodal or decide_general
+    on each pair, in the same pair order: (classes, undecided), or the
+    type and text of the first error raised."""
+    decide = decide_nodal if isinstance(target, NodalSurface) else decide_general
+    n = len(sections)
+    try:
+        verdicts = {(i, j): decide(target, sections[i], sections[j])
+                    for i in range(n) for j in range(i + 1, n)}
+    except Exception as exc:
+        return type(exc), str(exc)
+    label = list(range(n))  # each section's class: its least member
+    for (i, j), v in verdicts.items():
+        if isinstance(v, Homotopic):
+            old, new = max(label[i], label[j]), min(label[i], label[j])
+            label = [new if c == old else c for c in label]
+    for (i, j), v in verdicts.items():
+        if isinstance(v, NotHomotopic) and label[i] == label[j]:
+            return ConsistencyFailure, f"pairwise verdicts violate transitivity at sections {i}, {j}"
+    classes = [[i for i in range(n) if label[i] == c] for c in sorted(set(label))]
+    undecided = [(i, j, v.reason) for (i, j), v in verdicts.items()
+                 if isinstance(v, Undecidable)]
+    return classes, undecided
+
+
+PARTITION_TARGETS = [
+    X1, X2, chain_surface(0, 1, 2, 3), NodalSurface((ZERO, Slope(1, 2), Slope(1, 1), INF)),
+    tower(ORIGIN, NodePos(NODE_LEFT)),
+    tower(ORIGIN, NodePos(NODE_LEFT), FreePoint(Fraction(1))),
+    tower(ORIGIN, FreePoint(Fraction(2))),
+    tower(AT_TWO, NodePos(NODE_LEFT)),
+    BlowupTree((TreeVertex(ORIGIN, ()), TreeVertex(POLE, ()))),
+    # two towers, so that sections over each root share that root's tower
+    BlowupTree(tower(ORIGIN, NodePos(NODE_LEFT)).roots
+               + tower(AT_TWO, FreePoint(Fraction(1))).roots),
+]
+# per model: base values, and section values spread over the fiber's
+# regions: units (the pole region, and 2 + ... at [2:1]), windows shifted
+# by k >= 1 (x^3 and x^4 over x^2), equal values written two ways,
+# truncated values, 2 + O(x) among them, whose move of [2:1] to [0:1]
+# leaves no known term, and in the bivariate model v, which does not
+# lift over u^2
+PARTITION_VALUES = {
+    MODEL_DVR: (("x^2", "x^3", "x^2 + x^3"), (
+        "x", "2*x", "x + x^2", "x^2", "x^3 + x^4", "2*x^3", "x^4", "1 + x", "3", "0",
+        "x^3 + O(x^4)", "x^3 + x^4 + O(x^5)", "x + O(x^2)", "2 + x", "2 + x + x^2",
+        "2 + O(x)", "2 + x + O(x^2)",
+    )),
+    MODEL_BIVARIATE: (("u^2",), ("u", "u*(1+u)", "u*(1+v)", "u^2", "u^3", "2*u", "1 + u",
+                                 "2 + u", "v")),
+}
+
+
+@st.composite
+def partition_families(draw):
+    model = draw(st.sampled_from(sorted(PARTITION_VALUES)))
+    gammas, values = PARTITION_VALUES[model]
+    g = GammaData(parse_element(draw(st.sampled_from(gammas)), model))
+    texts = draw(st.lists(st.sampled_from(values), min_size=2,
+                          max_size=6 if model == MODEL_DVR else 4))
+    # a third of the sections moved over [2:1], where one root sits
+    texts = [draw(st.sampled_from(["", "", "2 + "])) + text for text in texts]
+    charts = st.sampled_from([CHART_FINITE, CHART_FINITE, CHART_INFINITE])
+    family = [model_sec(g, text, model, draw(charts)) for text in texts]
+    return draw(st.sampled_from(PARTITION_TARGETS)), g, family
+
+
 class TestPartition:
     def test_four_sections_two_classes(self):
         sections = [
@@ -1843,6 +1910,26 @@ class TestPartition:
         result = partition_classes(t, G2, sections)
         assert [0, 1] in result.classes
         assert [2] in result.classes
+
+    @example(case=(X2, G2, [sec(G2, "x^3 + O(x^4)"), sec(G2, "x^3 + x^4 + O(x^5)"),
+                            sec(G2, "x^3 + x^4"), sec(G2, "2*x^3")]))
+    @example(case=(X1, GammaData(biv("u^2")), [model_sec(GammaData(biv("u^2")), t, MODEL_BIVARIATE)
+                                               for t in ("u", "u*(1+u)", "v", "2*u")]))
+    @example(case=(tower(AT_TWO, NodePos(NODE_LEFT)), G2,
+                   [sec(G2, t) for t in ("2 + x", "2 + O(x)", "x", "2 + x", "1 + x")]))
+    @example(case=(PARTITION_TARGETS[-1], G2,
+                   [sec(G2, t) for t in ("x", "x + x^2", "2 + x^2", "2 + 2*x^2")]))
+    @given(case=partition_families())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_pairwise_decisions(self, case):
+        # classes, abstentions in order and reasons, and any error raised
+        target, g, family = case
+        try:
+            part = partition_classes(target, g, family)
+            got = part.classes, part.undecided
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == pairwise_partition(target, g, family)
 
     def test_undecidable_pairs_are_reported_not_merged(self):
         t = tower(ORIGIN, NodePos(NODE_LEFT), FreePoint(Fraction(1)))

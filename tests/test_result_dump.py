@@ -26,8 +26,8 @@ COUNTS_PIN = [
     "localring.gcd2 4667",
     "localring.divide_exact_p2 1280",
     "localring.parse_element 5018",
-    "dvrseries.Series.divide 5675",
-    "homotopy.closed_point_image 3094",
+    "dvrseries.Series.divide 5592",
+    "homotopy.closed_point_image 2134",
 ]
 
 
