@@ -5,11 +5,12 @@ pools once and hashes what it returned or raised.  A change that alters any
 result changes the hash.  A change meant to alter results updates
 RESULT_PIN and lists each changed result in CHANGES.md.  With `--counts` it
 also prints how often the pass called the Groebner and gcd kernels, the
-element parser, series division and the section locator; those counts depend only on the code, so COUNTS_PIN catches
-a change of work that leaves every result alone.  A change meant to alter
-them updates COUNTS_PIN and says why in CHANGES.md.  `--lines` prints each
-operation's result line before the hash, so a `diff` of two checkouts'
-output names every changed result.
+element parser, series division and the section locator; those counts
+depend only on the code, so COUNTS_PIN catches a change of work that
+leaves every result alone.  A change meant to alter them updates
+COUNTS_PIN and says why in CHANGES.md.  `--lines` prints each operation's
+result line before the hash, so a `diff` of two checkouts' output names
+every changed result.
 """
 
 import hashlib

@@ -17,11 +17,12 @@ dumped from its own copy.  `--counts` also prints, one per line, how often
 the pass called each function in COUNTED: `s_poly`, `reduce_poly` and
 `buchberger` of polyring, `gcd2`, `divide_exact_p2` and `parse_element`
 of localring, the method `Series.divide` of dvrseries and
-`closed_point_image` of homotopy.  These counts depend only on the code and the pools, never
-on the machine or a time limit, so two versions can be compared on them.  `--lines` first
-prints each operation's JSON line, in pool order, so that a `diff` of two
-checkouts' output names every result that changed.  Nothing is written: no
-result file, and no bytecode beside the imported sources.
+`closed_point_image` of homotopy.  These counts depend only on the code
+and the pools, never on the machine or a time limit, so two versions can
+be compared on them.  `--lines` first prints each operation's JSON line,
+in pool order, so that a `diff` of two checkouts' output names every
+result that changed.  Nothing is written: no result file, and no bytecode
+beside the imported sources.
 """
 
 from __future__ import annotations
