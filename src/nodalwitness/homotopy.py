@@ -404,23 +404,35 @@ def _decide(s1: SectionData, s2: SectionData, blank: bool, step) -> Verdict:
         return Undecidable(_ABSTENTIONS[type(exc)], str(exc))
 
 
+_UNSET = object()
+
+
+class _Raised:
+    """The error a placement quantity raised, with that raise's traceback."""
+
+    __slots__ = ("exc", "tb")
+
+    def __init__(self, exc: Exception):
+        self.exc, self.tb = exc, exc.__traceback__
+
+
 def _once(compute):
     """A placement quantity, computed at most once: the first call keeps
-    its value for every later call, or keeps the error it raised (with
-    that raise's traceback), which every later call raises again."""
-    name = compute.__name__
+    its value, or the error it raised, in the placement's slot named
+    after it, and every later call returns that value or raises that
+    error again."""
+    slot = "_" + compute.__name__
 
     def read(p):
-        if name in p.values:
-            return p.values[name]
-        if name in p.errors:
-            exc, tb = p.errors[name]
-            raise exc.with_traceback(tb)
-        try:
-            value = p.values[name] = compute(p)
-        except Exception as exc:
-            p.errors[name] = exc, exc.__traceback__
-            raise
+        value = getattr(p, slot)
+        if value is _UNSET:
+            try:
+                value = compute(p)
+            except Exception as exc:
+                value = _Raised(exc)
+            setattr(p, slot, value)
+        if type(value) is _Raised:
+            raise value.exc.with_traceback(value.tb)
         return value
 
     return read
@@ -430,11 +442,16 @@ class _Placement:
     """What the tower step knows of one main-regime section s on X, whose
     lines carry the residual free centers `marks` (LinePoints).  Each
     quantity depends on s alone, so a family computes it once per section
-    and every pair reads it."""
+    and every pair reads it.  Its slots, not a dict, keep a single pair's
+    two placements cheap to build."""
+
+    __slots__ = ("X", "marks", "s", "prec", "_loc", "_region", "_on_mark",
+                 "_pole_value", "_shifted", "_co_quotient")
 
     def __init__(self, X: NodalSurface, marks, s: SectionData, prec: int):
         self.X, self.marks, self.s, self.prec = X, marks, s, prec
-        self.values, self.errors = {}, {}
+        self._loc = self._region = self._on_mark = _UNSET
+        self._pole_value = self._shifted = self._co_quotient = _UNSET
 
     @_once
     def loc(self) -> Location:
@@ -699,28 +716,29 @@ def decide_general(
     t: BlowupTree, s1: SectionData, s2: SectionData, prec: int = DEFAULT_PREC
 ) -> Verdict:
     """Homotopy decision in the presence of arbitrary infinitely near centers."""
-    towers: dict = {}
-    return _general_pair(
-        t, _TreePlacement(t, s1, prec, towers), _TreePlacement(t, s2, prec, towers)
-    )
-
-
-def _general_pair(t: BlowupTree, p1, p2) -> Verdict:
-    return _decide(p1.s, p2.s, t.is_empty(), lambda: _decide_general_core(t, p1, p2))
+    return _decide(s1, s2, t.is_empty(), lambda: _decide_general_core(t, s1, s2, prec))
 
 
 def _verify_or_raise(what: str, X, g, witness, sections, entries, prec,
                      unsure: bool = False) -> None:
     """Replay a witness the engine just built; a failed clause is an engine
     bug.  A replay that only a budget stopped re-raises that error, for the
-    decision to abstain on, and so, when `unsure`, does one that only
-    avoidance clauses failed: UnsupportedSupport names the center."""
+    decision to abstain on.  When `unsure`, a replay whose failures all
+    name one of `entries` abstains too (UnsupportedSupport names the entry),
+    once the witness passes a replay without them."""
     rep = verify_witness(X, g, witness, sections, entries, prec)
     if rep.undetermined is not None and len(rep.failures()) == 1:
         raise rep.undetermined
     if not rep:
         failures = rep.failures()
-        if unsure and all(c.name.endswith("avoidance") for c in failures):
+        named = unsure and {f"excluded locus {e.label}" for e in entries}
+        if named and all(
+            c.name.endswith("avoidance") and c.detail.split(" meets the ")[-1] in named
+            for c in failures
+        ):
+            # an avoidance clause names only its first failing entry, and
+            # the caller's come before the witness's own centers
+            _verify_or_raise(what, X, g, witness, sections, None, prec)
             raise UnsupportedSupport(
                 f"witness not certified against a residual center: {failures[0].detail}"
             )
@@ -730,56 +748,17 @@ def _verify_or_raise(what: str, X, g, witness, sections, entries, prec,
         )
 
 
-class _TreePlacement:
-    """What the general decision knows of one main-regime section s on the
-    tree t: the point of the original fiber it meets at the closed point,
-    the section moved so that a blown-up point it meets is [0:1], and its
-    placement on that point's normalized tower.  `towers` holds each
-    root's normalized tower, shared by the sections that meet it."""
-
-    def __init__(self, t: BlowupTree, s: SectionData, prec: int, towers: dict):
-        self.t, self.s, self.prec, self.towers = t, s, prec, towers
-        self.values, self.errors = {}, {}
-
-    @_once
-    def point(self) -> BasePoint:
-        return _closed_point(self.s)
-
-    @_once
-    def moved(self) -> SectionData:
-        # a fiberwise Moebius automorphism moves the point to [0:1]
-        hit = self.point()
-        return self.s if hit.is_distinguished() else _moved_section(self.s, hit, self.prec)
-
-    @_once
-    def placed(self) -> _Placement:
-        hit = self.point()
-        if hit not in self.towers:
-            self.towers[hit] = _root_tower(self.t, hit)
-        X, marks = self.towers[hit]
-        return _Placement(X, marks, self.moved(), self.prec)
-
-
-def _root_tower(t: BlowupTree, hit: BasePoint):
-    """The surface and residual marks of the tower over the root at hit,
-    re-rooted at [0:1]; towers over other points cannot obstruct a
-    tower-local homotopy (witness sweeps stay in their region)."""
-    hit_root = next(r for r in t.roots if r.position == hit)
-    tower = BlowupTree((TreeVertex(BasePoint.distinguished(), hit_root.children),))
-    x_prime, residual = normalize_pure_nodes(tower)
-    return x_prime, [rr.position for rr in residual.roots]
-
-
-def _decide_general_core(t, p1: _TreePlacement, p2: _TreePlacement) -> Verdict:
-    s1, s2, prec = p1.s, p2.s, p1.prec
+def _decide_general_core(t, s1, s2, prec) -> Verdict:
     g = s1.gamma
     root_points = [r.position for r in t.roots]
     if not all(isinstance(rp, BasePoint) for rp in root_points):
         raise UnsupportedSupport(
             "top-level centers must be points of the original fiber"
         )
-    hit1 = p1.point() if p1.point() in root_points else None
-    hit2 = p2.point() if p2.point() in root_points else None
+    p1 = _closed_point(s1)
+    p2 = _closed_point(s2)
+    hit1 = p1 if p1 in root_points else None
+    hit2 = p2 if p2 in root_points else None
 
     # Case I: both sections stay away from every blown-up point
     if hit1 is None and hit2 is None:
@@ -800,14 +779,21 @@ def _decide_general_core(t, p1: _TreePlacement, p2: _TreePlacement) -> Verdict:
     if hit1 != hit2:
         return NotHomotopic(
             f"sections meet different centers at the closed point: "
-            f"{p1.point()} vs {p2.point()}"
+            f"{p1} vs {p2}"
         )
 
-    # both hit the same root: decide on its tower.  Both sections move
-    # before the tower is normalized, so a move's error comes first
-    p1.moved()
-    p2.moved()
-    return _decide_tower(p1.placed(), p2.placed())
+    # both hit the same root: move it to [0:1] by a fiberwise Moebius
+    # automorphism and keep only its tower; towers over other points cannot
+    # obstruct a tower-local homotopy (witness sweeps stay in their region)
+    if not hit1.is_distinguished():
+        s1, s2 = (_moved_section(s, hit1, prec) for s in (s1, s2))
+    hit_root = next(r for r in t.roots if r.position == hit1)
+    tower = BlowupTree((TreeVertex(BasePoint.distinguished(), hit_root.children),))
+    x_prime, residual = normalize_pure_nodes(tower)
+    marks = [rr.position for rr in residual.roots]
+    return _decide_tower(
+        _Placement(x_prime, marks, s1, prec), _Placement(x_prime, marks, s2, prec)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -827,28 +813,31 @@ def partition_classes(
     """Split a family of sections into connected classes by pairwise verdicts.
 
     `target` is a NodalSurface (nodal decision) or a BlowupTree (general
-    decision).  Each section is placed once (`_Placement`,
-    `_TreePlacement`), and every pair runs the pair step on the two
-    placements, with the verdict decide_nodal or decide_general gives it.
-    Transitivity of the pairwise answers is re-checked and a violation
-    raises ConsistencyFailure: it would mean the engine itself is unsound,
-    and no partition should be reported from inconsistent data.
+    decision).  Over a surface each section is placed once (`_Placement`)
+    and every pair runs the tower step on the two placements, with the
+    verdict decide_nodal gives it; over a tree each pair runs
+    decide_general.  Transitivity of the pairwise answers is re-checked
+    and a violation raises ConsistencyFailure: it would mean the engine
+    itself is unsound, and no partition should be reported from
+    inconsistent data.
     """
     n = len(sections)
     for s in sections:
         if s.gamma != g:
             raise PreconditionViolated("all sections must share the gamma data")
     if isinstance(target, NodalSurface):
-        decide = _nodal_pair
         placed = [_Placement(target, (), s, prec) for s in sections]
+
+        def decide(i, j):
+            return _nodal_pair(target, placed[i], placed[j])
     else:
-        decide, towers = _general_pair, {}
-        placed = [_TreePlacement(target, s, prec, towers) for s in sections]
+        def decide(i, j):
+            return decide_general(target, sections[i], sections[j], prec)
     verdicts = {}
     undecided = []
     for i in range(n):
         for j in range(i + 1, n):
-            v = decide(target, placed[i], placed[j])
+            v = decide(i, j)
             if isinstance(v, Undecidable):
                 undecided.append((i, j, v.reason))
             verdicts[(i, j)] = v

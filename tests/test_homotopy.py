@@ -1685,6 +1685,48 @@ class TestDecideGeneral:
             decide_general(tower(*marks), sec(G2, s1), sec(G2, s2))
         assert "avoidance: forced failure" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "with_marks, without_marks",
+        [
+            # a witness's own center, not a residual one: no abstention
+            ("V1 meets the excluded locus center <r0/r, Y0>", None),
+            ("blown center does not divide r0", None),
+            # the puncture's failure hid one on the witness's own center
+            ("W meets the excluded locus puncture on l_2 at 1",
+             "V1 meets the excluded locus center <r, Y1>"),
+        ],
+    )
+    def test_bivariate_witness_failing_off_the_punctures_raises(
+        self, monkeypatch, with_marks, without_marks
+    ):
+        # over a two-dimensional base the decision abstains on a witness
+        # that only meets a residual puncture (it may change slope along a
+        # divisor the decision never saw); any other failed avoidance is an
+        # engine bug and stays ConsistencyFailure
+        t = BlowupTree((TreeVertex(ORIGIN, (
+            TreeVertex(NodePos(NODE_LEFT)),
+            TreeVertex(NodePos(NODE_RIGHT), (TreeVertex(FreePoint(Fraction(1))),)),
+        )),))
+        g = GammaData(biv("u^2*v"))
+        pair = SectionData(g, biv("u*v")), SectionData(g, biv("u*v*(1+u)"))
+        v = decide_general(t, *pair)
+        assert isinstance(v, Undecidable) and v.reason == "unsupported-support"
+        assert "puncture on l_2 at 1" in v.detail
+        real = homotopy.verify_witness
+
+        def forced(X, g, w, sections, avoid, prec):
+            detail = with_marks if avoid else without_marks
+            if detail is None:
+                return real(X, g, w, sections, avoid, prec)
+            rep = VerificationReport()
+            rep.add("avoidance", False, detail)
+            return rep
+
+        monkeypatch.setattr(homotopy, "verify_witness", forced)
+        with pytest.raises(ConsistencyFailure, match="residual avoidance") as info:
+            decide_general(t, *pair)
+        assert f"avoidance: {without_marks or with_marks}" in str(info.value)
+
     @example(case=(tower(AT_TWO), sec(GammaData(dvr("x")), "x", CHART_INFINITE),
                    sec(GammaData(dvr("x")), "2*x", CHART_INFINITE)))
     @example(case=(tower(AT_TWO, NodePos(NODE_LEFT)), sec(G2, "2 + x"),
