@@ -445,33 +445,28 @@ class _Placement:
     and every pair reads it.  Its slots, not a dict, keep a single pair's
     two placements cheap to build."""
 
-    __slots__ = ("X", "marks", "s", "prec", "_loc", "_region", "_on_mark",
-                 "_pole_value", "_shifted", "_co_quotient")
+    __slots__ = ("X", "marks", "s", "prec", "loc", "_region", "_pole_value",
+                 "_shifted", "_co_quotient")
 
     def __init__(self, X: NodalSurface, marks, s: SectionData, prec: int):
         self.X, self.marks, self.s, self.prec = X, marks, s, prec
-        self._loc = self._region = self._on_mark = _UNSET
-        self._pole_value = self._shifted = self._co_quotient = _UNSET
-
-    @_once
-    def loc(self) -> Location:
-        # the decision's one comparability check: it raises LiftRequired
-        # exactly for a section that does not lift
-        return closed_point_image(self.X, self.s)
+        self._region = self._pole_value = self._shifted = self._co_quotient = _UNSET
 
     @_once
     def region(self) -> frozenset:
-        return location_slopes(self.loc())
+        # the decision's one comparability check: locating raises
+        # LiftRequired exactly for a section that does not lift
+        self.loc = closed_point_image(self.X, self.s)
+        return location_slopes(self.loc)
 
-    @_once
     def on_mark(self) -> bool:
-        """Whether s sits exactly on a residual center."""
-        loc, r0 = self.loc(), self.s.gamma.r0
-        on_line = isinstance(loc, Interior) and [
-            m.coord for m in self.marks if m.slope == loc.slope
+        """Whether s, once located, sits exactly on a residual center."""
+        on_line = isinstance(self.loc, Interior) and [
+            m.coord for m in self.marks if m.slope == self.loc.slope
         ]
         return bool(on_line) and (
-            _slope_unit(r0, self.s.r, loc.slope, self.prec).residue() in on_line
+            _slope_unit(self.s.gamma.r0, self.s.r, self.loc.slope, self.prec).residue()
+            in on_line
         )
 
     @_once
@@ -497,10 +492,11 @@ def _decide_tower(p1: _Placement, p2: _Placement) -> Verdict:
     g = p1.s.gamma
     if p1.region() != p2.region():
         return NotHomotopic(
-            f"sections pass through different fiber regions: {p1.loc()} vs {p2.loc()}"
+            f"sections pass through different fiber regions: {p1.loc} vs {p2.loc}"
         )
-    # sections sitting exactly on a residual center are out of scope
-    if p1.on_mark() or p2.on_mark():
+    # sections sitting exactly on a residual center are out of scope; only
+    # a tree's tower has marks, and it decides one pair
+    if marks and (p1.on_mark() or p2.on_mark()):
         raise UnsupportedSupport("section passes through a residual blowup center")
 
     punctures = sum(m.slope == X.lines[-2] for m in marks)
